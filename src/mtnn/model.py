@@ -13,46 +13,30 @@ with dz = z_curr - z_prev and H_j the input-derivative of Jacobian row j
 expansion point is always the previous sample and the zero-increment case
 returns x_curr exactly.
 
+The step has exactly two evaluators, both batched: `predict_batch` in
+numpy for prediction and rollout, and `taylor_increments` on the reverse-mode
+graph, shared by training (the loss) and the controller (differentiating
+through the rollout). A single sample is a batch of one, so `predict` is
+`predict_batch` on one row.
+
 A direct net z_curr -> x_next serves as the no-structure baseline.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import constraints, graph
 from . import net as nn
 from .constraints import MonoSpec, apply_sign_gate, gate_derivative_mask
 
 Array = np.ndarray
 
 BUNDLE_VERSION = "mtnn-v1"
-
-
-@dataclass
-class AugState:
-    """The stacked model input z = [x; u]."""
-
-    x: Array
-    u: Array
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64).reshape(-1)
-        self.u = np.asarray(self.u, dtype=np.float64).reshape(-1)
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.u))):
-            raise ValueError("augmented state entries must be finite")
-
-    @property
-    def z(self) -> Array:
-        return np.concatenate([self.x, self.u])
-
-    @classmethod
-    def from_z(cls, z, nx: int) -> "AugState":
-        z = np.asarray(z, dtype=np.float64).reshape(-1)
-        return cls(z[:nx], z[nx:])
 
 
 class TaylorOrder(str, Enum):
@@ -129,6 +113,10 @@ class BaselineModel:
             raise ValueError(f"baseline net outputs {self.net.n_out}, nx = {self.nx}")
 
     @property
+    def nets(self) -> list:
+        return [self.net]
+
+    @property
     def n(self) -> int:
         return self.net.n_in
 
@@ -141,25 +129,15 @@ class BaselineModel:
 
 
 def _as_z(z, n: int) -> Array:
-    if isinstance(z, AugState):
-        z = z.z
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != n:
         raise ValueError(f"z has width {z.shape[-1]}, model expects {n}")
     return z
 
 
-def jacobian_matrix(model: MtnnModel, z_prev) -> Array:
-    """Learned Jacobian at z_prev: (Nx, N), gated when the model is gated."""
-    z = _as_z(z_prev, model.n)
-    rows = np.stack([nn.forward(net, z) for net in model.nets])
-    if model.gated:
-        rows = apply_sign_gate(rows, model.mono_spec.tags)
-    return rows
-
-
 def jacobian_matrix_batch(model: MtnnModel, Z_prev) -> Array:
-    """(B, N) -> (B, Nx, N)."""
+    """Learned Jacobian at each row: (B, N) -> (B, Nx, N), gated when the
+    model is gated."""
     Z = _as_z(Z_prev, model.n)
     rows = np.stack([nn.forward(net, Z) for net in model.nets], axis=1)
     if model.gated:
@@ -167,26 +145,13 @@ def jacobian_matrix_batch(model: MtnnModel, Z_prev) -> Array:
     return rows
 
 
-def hessian_stack(model: MtnnModel, z_prev) -> Array:
-    """Input-derivatives of the (gated) Jacobian rows: (Nx, N, N).
+def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
+    """Input-derivatives of the (gated) Jacobian rows: (B, N) -> (B, Nx, N, N).
 
     Under the architecture gate the block rows are masked by the gate
     derivative (a step function of the raw output), which is the almost-
     everywhere exact derivative of the gated rows.
     """
-    z = _as_z(z_prev, model.n)
-    blocks = np.stack([nn.input_jacobian(net, z) for net in model.nets])
-    if model.gated:
-        raw = np.stack([nn.forward(net, z) for net in model.nets])
-        mask = gate_derivative_mask(raw, model.mono_spec.tags)
-        blocks = mask[:, :, None] * blocks
-    if model.symmetrize_hessian:
-        blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
-    return blocks
-
-
-def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
-    """(B, N) -> (B, Nx, N, N)."""
     Z = _as_z(Z_prev, model.n)
     blocks = np.stack([nn.input_jacobian(net, Z) for net in model.nets], axis=1)
     if model.gated:
@@ -199,34 +164,20 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
 
 
 def predict(model, z_curr, z_prev) -> Array:
-    """Next-state prediction x_hat; dispatches on the model kind."""
-    if isinstance(model, BaselineModel):
-        z = _as_z(z_curr, model.n)
-        return nn.forward(model.net, z)
-    z_c = _as_z(z_curr, model.n)
-    z_p = _as_z(z_prev, model.n)
-    dz = z_c - z_p
-    if not np.all(np.isfinite(dz)):
-        raise ValueError("non-finite increment between z_curr and z_prev")
-    x_curr = z_c[: model.nx]
-    if not np.any(dz):
-        return x_curr.copy()  # zero-increment fixpoint, exact by construction
-    J = jacobian_matrix(model, z_p)
-    x_hat = x_curr + J @ dz
-    if model.order == TaylorOrder.SECOND:
-        H = hessian_stack(model, z_p)
-        x_hat = x_hat + 0.5 * np.einsum("m,jmn,n->j", dz, H, dz)
-    return x_hat
+    """Next-state prediction x_hat for one pair: a batch of one."""
+    z_curr = np.asarray(z_curr, dtype=np.float64)
+    z_prev = np.asarray(z_prev, dtype=np.float64)
+    return predict_batch(model, z_curr[None], z_prev[None])[0]
 
 
 def predict_batch(model, Z_curr, Z_prev) -> Array:
-    """(B, N) pairs -> (B, Nx)."""
+    """(B, N) pairs -> (B, Nx); dispatches on the model kind."""
     if isinstance(model, BaselineModel):
         return nn.forward(model.net, _as_z(Z_curr, model.n))
     Z_c = _as_z(Z_curr, model.n)
     Z_p = _as_z(Z_prev, model.n)
     dz = Z_c - Z_p
-    if not np.all(np.isfinite(dz)):
+    if not np.isfinite(dz).all():
         raise ValueError("non-finite increment between z_curr and z_prev")
     J = jacobian_matrix_batch(model, Z_p)
     x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", J, dz)
@@ -234,10 +185,51 @@ def predict_batch(model, Z_curr, Z_prev) -> Array:
         H = hessian_stack_batch(model, Z_p)
         x_hat = x_hat + 0.5 * np.einsum("bm,bjmn,bn->bj", dz, H, dz)
     # restore the exact fixpoint for rows with a literally zero increment
-    zero = ~np.any(dz, axis=1)
+    zero = ~dz.any(axis=1)
     if zero.any():
         x_hat[zero] = Z_c[zero, : model.nx]
     return x_hat
+
+
+def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
+                      need_blocks: bool = False):
+    """Graph twin of the Taylor step: x_hat[:, j] = x_curr[:, j] + incrs[j].
+
+    z_curr and z_prev are (B, N) arrays or Vars; gradients flow into the
+    net parameters on `tape` and into whichever of z_curr / z_prev is a Var.
+    Returns three per-state lists: the (B,) increments, the (gated)
+    Jacobian rows (B, N) and the (masked, optionally symmetrized) Hessian
+    blocks (B, N, N). Blocks are built for second-order models or when
+    `need_blocks` asks for them (a curvature penalty), else they are None.
+    """
+    dz = z_curr - z_prev
+    tags = model.mono_spec.tags
+    second = model.order is TaylorOrder.SECOND
+    incrs, rows, blocks = [], [], []
+    for j in range(model.nx):
+        if second or need_blocks:
+            raw, block = tape.forward_and_jacobian(z_prev, j)
+        else:
+            raw, block = tape.forward(z_prev, j), None
+        row = raw
+        if model.gated:
+            # called through the module so that a wrapper installed there
+            # (the benchmark's traced run) sees it
+            row = constraints.apply_sign_gate_graph(raw, tags[j])
+            if block is not None:
+                # step-function gate derivative: detached, a.e. exact
+                mask = gate_derivative_mask(raw.value, tags[j])
+                block = graph.mul(block, mask[:, :, None])
+        if block is not None and model.symmetrize_hessian:
+            block = graph.scale(block + graph.transpose_last(block), 0.5)
+        incr = graph.dot_rows(row, dz)
+        if second:
+            Hdz = graph.bmat_vec(block, dz)
+            incr = incr + graph.scale(graph.dot_rows(Hdz, dz), 0.5)
+        incrs.append(incr)
+        rows.append(row)
+        blocks.append(block)
+    return incrs, rows, blocks
 
 
 def model_to_dict(model) -> dict:

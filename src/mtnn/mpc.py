@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constraints, graph
+from . import graph
 from . import model as md
 from . import net as nn
-from .model import BaselineModel, TaylorOrder
+from .model import BaselineModel
 
 Array = np.ndarray
 
@@ -177,32 +177,14 @@ def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig) -> float:
 
 
 def _predict_graph(tape: nn.NetTape, model, z_curr, z_prev):
-    """Graph twin of md.predict on (1, N) Vars; gradients flow into z."""
+    """Graph twin of md.predict on (1, N) Vars; gradients flow into z.
+
+    The Taylor step itself is `md.taylor_increments`.
+    """
     if isinstance(model, BaselineModel):
         return tape.forward(z_curr, 0)
-    dz = z_curr - z_prev
-    tags = model.mono_spec.tags
-    second = model.order is TaylorOrder.SECOND
-    cols = []
-    for j in range(model.nx):
-        if second:
-            raw, block = tape.forward_and_jacobian(z_prev, j)
-        else:
-            raw, block = tape.forward(z_prev, j), None
-        row = raw
-        if model.gated:
-            row = constraints.apply_sign_gate_graph(raw, tags[j])
-            if block is not None:
-                mask = constraints.gate_derivative_mask(raw.value, tags[j])
-                block = graph.mul(block, mask[:, :, None])
-        if block is not None and model.symmetrize_hessian:
-            block = graph.scale(block + graph.transpose_last(block), 0.5)
-        incr = graph.dot_rows(row, dz)
-        if second:
-            Hdz = graph.bmat_vec(block, dz)
-            incr = incr + graph.scale(graph.dot_rows(Hdz, dz), 0.5)
-        cols.append(graph.col(z_curr, j) + incr)
-    return graph.stack_cols(cols)
+    incrs, _, _ = md.taylor_increments(tape, model, z_curr, z_prev)
+    return graph.stack_cols([graph.col(z_curr, j) + incr for j, incr in enumerate(incrs)])
 
 
 def _quad_form(v, w: Array):
@@ -210,9 +192,24 @@ def _quad_form(v, w: Array):
     return graph.sum_all(graph.dot_rows(graph.mul(v, w), v))
 
 
+def _add_bound_penalty(term, x, cfg: MpcConfig):
+    """term plus the weighted soft state-box violation of the (1, nx) Var x."""
+    if cfg.x_max is not None:
+        term = term + graph.scale(
+            _quad_form(graph.relu(x - cfg.x_max[None, :]), np.ones(cfg.nx)),
+            cfg.state_weight,
+        )
+    if cfg.x_min is not None:
+        term = term + graph.scale(
+            _quad_form(graph.relu(-(x - cfg.x_min[None, :])), np.ones(cfg.nx)),
+            cfg.state_weight,
+        )
+    return term
+
+
 def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
     """(cost, d cost / dU) via the reverse-mode graph; (inf, None) on blowup."""
-    tape = nn.NetTape([model.net] if isinstance(model, BaselineModel) else model.nets)
+    tape = nn.NetTape(model.nets)
     u_vars = [graph.Var(U[k : k + 1]) for k in range(cfg.horizon)]
     x = graph.constant(x0[None, :])
     zp = graph.constant(z_prev[None, :])
@@ -223,32 +220,12 @@ def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
             term = _quad_form(x - x_ref, cfg.q_diag) + _quad_form(
                 u_vars[k], cfg.r_diag
             )
-            if cfg.x_max is not None:
-                term = term + graph.scale(
-                    _quad_form(graph.relu(x - cfg.x_max[None, :]), np.ones(cfg.nx)),
-                    cfg.state_weight,
-                )
-            if cfg.x_min is not None:
-                term = term + graph.scale(
-                    _quad_form(graph.relu(-(x - cfg.x_min[None, :])), np.ones(cfg.nx)),
-                    cfg.state_weight,
-                )
+            term = _add_bound_penalty(term, x, cfg)
             total = term if total is None else total + term
             zc = graph.concat_last([x, u_vars[k]])
             x = _predict_graph(tape, model, zc, zp)
             zp = zc
-        term = _quad_form(x - x_ref, cfg.p_diag)
-        if cfg.x_max is not None:
-            term = term + graph.scale(
-                _quad_form(graph.relu(x - cfg.x_max[None, :]), np.ones(cfg.nx)),
-                cfg.state_weight,
-            )
-        if cfg.x_min is not None:
-            term = term + graph.scale(
-                _quad_form(graph.relu(-(x - cfg.x_min[None, :])), np.ones(cfg.nx)),
-                cfg.state_weight,
-            )
-        total = total + term
+        total = total + _add_bound_penalty(_quad_form(x - x_ref, cfg.p_diag), x, cfg)
         val = float(total.value)
         if not np.isfinite(val):
             return float("inf"), None
@@ -383,8 +360,9 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     only the first input to the plant, and shifts the expansion history.
     The model needs a previous sample before the first solve, so the loop
     is seeded with one zero-input plant step from cfg.x0. A solver fault
-    (non-finite cost or a numerical error) falls back to holding the last
-    applied input, flagged non-converged in the trace.
+    (non-finite cost or a FloatingPointError) falls back to holding the
+    last applied input, flagged non-converged in the trace. Any other
+    exception is a bug, not a fault, and propagates.
     """
     _check_dims(model, cfg)
     if cfg.x0 is None:
@@ -408,7 +386,7 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
         try:
             res = solve_horizon(model, x_meas, z_prev, cfg, u_init=warm)
             fault = not np.isfinite(res.cost)
-        except (nn.TrainingFault, ValueError, FloatingPointError):
+        except FloatingPointError:
             res, fault = None, True
         times[k] = time.perf_counter() - t0
         if fault:

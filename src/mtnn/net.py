@@ -271,9 +271,6 @@ class ParamGradient:
     weights: list
     biases: list
 
-    def scaled(self, c: float) -> "ParamGradient":
-        return ParamGradient([W * c for W in self.weights], [b * c for b in self.biases])
-
 
 def loss_gradient(net: DenseNet, loss_fn):
     """Evaluate loss_fn(tape) and return (loss value, ParamGradient).

@@ -17,7 +17,7 @@ import numpy as np
 from . import constraints, graph
 from . import net as nn
 from .constraints import DECREASING, INCREASING, MonoSpec, PenaltyWeights
-from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder
+from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
 from .net import DenseNet, TrainingFault
 from .plants import transitions_to_arrays
 
@@ -120,12 +120,6 @@ class TrainHistory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _nets_of(model):
-    if isinstance(model, BaselineModel):
-        return [model.net]
-    return list(model.nets)
-
-
 def _batch_arrays(batch):
     batch = list(batch)
     if not batch:
@@ -176,7 +170,11 @@ def total_loss(model, batch, cfg: TrainConfig) -> float:
 
 
 def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
-    """Build the batch loss as a scalar Var; returns (total, components)."""
+    """Build the batch loss as a scalar Var; returns (total, components).
+
+    The Taylor step, its gated rows and its Hessian blocks come from
+    `model.taylor_increments`; this function adds residuals and penalties.
+    """
     B = Zp.shape[0]
     if isinstance(model, BaselineModel):
         pred = tape.forward(Zc, 0)
@@ -184,44 +182,20 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
         mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
         return mse, (float(mse.value), 0.0, 0.0)
 
-    dz = Zc - Zp
     x_curr = Zc[:, : model.nx]
-    second = model.order is TaylorOrder.SECOND
-    need_jac = second or cfg.mode.wants_convex
-    tags = model.mono_spec.tags
+    incrs, rows, blocks = taylor_increments(
+        tape, model, Zc, Zp, need_blocks=cfg.mode.wants_convex
+    )
     sq_sum = None
-    pen_rows, pen_blocks = [], []
-    for j in range(model.nx):
-        if need_jac:
-            raw, G = tape.forward_and_jacobian(Zp, j)
-        else:
-            raw, G = tape.forward(Zp, j), None
-        row = raw
-        if model.gated:
-            row = constraints.apply_sign_gate_graph(raw, tags[j])
-        block = G
-        if block is not None and model.gated:
-            # step-function gate derivative: detached, a.e. exact
-            mask = constraints.gate_derivative_mask(raw.value, tags[j])
-            block = graph.mul(block, mask[:, :, None])
-        if block is not None and model.symmetrize_hessian:
-            block = graph.scale(block + graph.transpose_last(block), 0.5)
-        incr = graph.dot_rows(row, dz)
-        if second:
-            Hdz = graph.bmat_vec(block, dz)
-            incr = incr + graph.scale(graph.dot_rows(Hdz, dz), 0.5)
+    for j, incr in enumerate(incrs):
         resid = incr - (Xn[:, j] - x_curr[:, j])
         sq = graph.mul(resid, resid)
         sq_sum = sq if sq_sum is None else sq_sum + sq
-        if cfg.mode.wants_mono:
-            pen_rows.append(row)
-        if cfg.mode.wants_convex:
-            pen_blocks.append(block)
     mse = graph.scale(graph.sum_all(sq_sum), 1.0 / B)
     total = mse
     mono_val = convex_val = 0.0
     if cfg.mode.wants_mono:
-        pen = constraints.mono_penalty_rows_graph(pen_rows, model.mono_spec, cfg.penalty)
+        pen = constraints.mono_penalty_rows_graph(rows, model.mono_spec, cfg.penalty)
         pen = graph.scale(pen, 1.0 / B)
         mono_val = float(pen.value)
         total = total + pen
@@ -231,7 +205,7 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
             if cfg.strict_minors
             else constraints.convex_penalty_blocks_graph
         )
-        pen = graph.scale(pen_fn(pen_blocks, cfg.penalty.gamma), 1.0 / B)
+        pen = graph.scale(pen_fn(blocks, cfg.penalty.gamma), 1.0 / B)
         convex_val = float(pen.value)
         total = total + pen
     return total, (float(mse.value), mono_val, convex_val)
@@ -314,7 +288,7 @@ def train(model, data, cfg: TrainConfig):
         raise ValueError(f"batch_size {bs} exceeds data size {n}")
     full_batch = bs >= n
 
-    nets = _nets_of(model)
+    nets = model.nets
     arrays, is_bias = [], []
     for net in nets:
         arrays.extend((*net.weights, *net.biases))

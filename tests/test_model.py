@@ -1,13 +1,20 @@
 """Taylor predictor: Jacobian assembly, Hessian stack, predictions, bundles."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtnn import graph, mpc
 from mtnn import model as md
 from mtnn import net as nn
 from mtnn.constraints import MonoSpec
 
 RNG = np.random.default_rng(1717)
+DATA = Path(__file__).parent / "data"
 
 
 def constant_net(values, n_in):
@@ -30,38 +37,23 @@ def random_model(nx, nu, seed=0, order=md.TaylorOrder.FIRST, gate=md.GateMode.NO
     return md.MtnnModel(nets, spec, order, gate)
 
 
-class TestAugState:
-    def test_concatenation(self):
-        s = md.AugState([70.0], [55.0, 0.5])
-        np.testing.assert_array_equal(s.z, [70.0, 55.0, 0.5])
-
-    def test_from_z_round_trip(self):
-        s = md.AugState.from_z([1.0, 2.0, 3.0, 4.0], nx=2)
-        np.testing.assert_array_equal(s.x, [1.0, 2.0])
-        np.testing.assert_array_equal(s.u, [3.0, 4.0])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            md.AugState([np.nan], [0.0])
-
-
 class TestJacobianMatrix:
     def test_identity_net_passthrough(self):
         m = md.MtnnModel([linear_net(np.eye(2))], MonoSpec.free(1, 2))
         z = np.array([0.3, -0.2])
-        np.testing.assert_allclose(md.jacobian_matrix(m, z), [[0.3, -0.2]])
+        np.testing.assert_allclose(md.jacobian_matrix_batch(m, z[None])[0], [[0.3, -0.2]])
 
     def test_architecture_gate_all_increasing_nonnegative(self):
         spec = MonoSpec.from_symbols(["+++"])
         m = random_model(1, 2, seed=4, gate=md.GateMode.ARCHITECTURE, spec=spec)
         for _ in range(20):
-            J = md.jacobian_matrix(m, RNG.normal(size=3) * 5)
+            J = md.jacobian_matrix_batch(m, (RNG.normal(size=3) * 5)[None])[0]
             assert (J >= 0).all()
 
     def test_rows_equal_stacked_forwards(self):
         m = random_model(2, 1, seed=5)
         z = RNG.normal(size=3)
-        J = md.jacobian_matrix(m, z)
+        J = md.jacobian_matrix_batch(m, z[None])[0]
         for j in range(2):
             np.testing.assert_array_equal(J[j], nn.forward(m.nets[j], z))
 
@@ -71,14 +63,15 @@ class TestJacobianMatrix:
         Z = RNG.normal(size=(7, 4))
         JB = md.jacobian_matrix_batch(m, Z)
         for k in range(7):
-            np.testing.assert_allclose(JB[k], md.jacobian_matrix(m, Z[k]), rtol=1e-13)
+            np.testing.assert_allclose(JB[k], md.jacobian_matrix_batch(m, Z[k][None])[0],
+                                       rtol=1e-13)
 
 
 class TestHessianStack:
     def test_linear_net_constant_block(self):
         W = RNG.normal(size=(3, 3))
         m = md.MtnnModel([linear_net(W)], MonoSpec.free(1, 3))
-        H = md.hessian_stack(m, RNG.normal(size=3))
+        H = md.hessian_stack_batch(m, RNG.normal(size=3)[None])[0]
         np.testing.assert_allclose(H[0], W)
 
     def test_zero_weights_zero_blocks(self):
@@ -86,19 +79,20 @@ class TestHessianStack:
             [constant_net([0.0, 0.0], 2), constant_net([0.0, 0.0], 2)],
             MonoSpec.free(2, 2),
         )
-        H = md.hessian_stack(m, np.zeros(2))
+        H = md.hessian_stack_batch(m, np.zeros((1, 2)))[0]
         np.testing.assert_array_equal(H, np.zeros((2, 2, 2)))
 
     def test_blocks_match_fd_of_jacobian_rows(self):
         m = random_model(2, 1, seed=8)
         z = RNG.normal(size=3)
-        H = md.hessian_stack(m, z)
+        H = md.hessian_stack_batch(m, z[None])[0]
         eps = 1e-6
         for i in range(3):
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            col = (md.jacobian_matrix(m, zp) - md.jacobian_matrix(m, zm)) / (2 * eps)
+            col = (md.jacobian_matrix_batch(m, zp[None])[0]
+                   - md.jacobian_matrix_batch(m, zm[None])[0]) / (2 * eps)
             err = np.abs(H[:, :, i] - col) / np.maximum(1.0, np.abs(col))
             assert err.max() < 1e-6
 
@@ -109,21 +103,22 @@ class TestHessianStack:
         raw = np.stack([nn.forward(net, z) for net in m.nets])
         if np.abs(raw).min() < 1e-2:  # keep the probe off the gate kink
             z = z + 0.37
-        H = md.hessian_stack(m, z)
+        H = md.hessian_stack_batch(m, z[None])[0]
         eps = 1e-6
         for i in range(3):
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            col = (md.jacobian_matrix(m, zp) - md.jacobian_matrix(m, zm)) / (2 * eps)
+            col = (md.jacobian_matrix_batch(m, zp[None])[0]
+                   - md.jacobian_matrix_batch(m, zm[None])[0]) / (2 * eps)
             np.testing.assert_allclose(H[:, :, i], col, atol=1e-6)
 
     def test_symmetrize_flag(self):
         m = random_model(1, 2, seed=10)
         z = RNG.normal(size=3)
-        H_raw = md.hessian_stack(m, z)
+        H_raw = md.hessian_stack_batch(m, z[None])[0]
         m.symmetrize_hessian = True
-        H_sym = md.hessian_stack(m, z)
+        H_sym = md.hessian_stack_batch(m, z[None])[0]
         np.testing.assert_allclose(H_sym[0], 0.5 * (H_raw[0] + H_raw[0].T))
         np.testing.assert_allclose(H_sym[0], H_sym[0].T)
 
@@ -133,7 +128,8 @@ class TestHessianStack:
         Z = RNG.normal(size=(5, 4))
         HB = md.hessian_stack_batch(m, Z)
         for k in range(5):
-            np.testing.assert_allclose(HB[k], md.hessian_stack(m, Z[k]), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(HB[k], md.hessian_stack_batch(m, Z[k][None])[0],
+                                       rtol=1e-12, atol=1e-15)
 
 
 class TestPredict:
@@ -170,7 +166,7 @@ class TestPredict:
         z_prev = RNG.normal(size=3)
         z_curr = z_prev + RNG.normal(size=3) * 0.3
         dz = z_curr - z_prev
-        H = md.hessian_stack(m2, z_prev)
+        H = md.hessian_stack_batch(m2, z_prev[None])[0]
         quad = 0.5 * np.einsum("m,jmn,n->j", dz, H, dz)
         np.testing.assert_allclose(
             md.predict(m2, z_curr, z_prev) - md.predict(m1, z_curr, z_prev),
@@ -185,7 +181,7 @@ class TestPredict:
         m = random_model(2, 1, seed=14)
         z_prev = RNG.normal(size=3)
         z_curr = RNG.normal(size=3)
-        J = md.jacobian_matrix(m, z_prev)
+        J = md.jacobian_matrix_batch(m, z_prev[None])[0]
         Iaug = np.hstack([np.eye(2), np.zeros((2, 1))])
         base = md.predict(m, z_curr, z_prev)
         h = 0.5
@@ -263,6 +259,17 @@ class TestBundles:
         with pytest.raises(ValueError, match="version"):
             md.model_from_dict({"version": "v0", "kind": "mtnn"})
 
+    def test_pinned_v1_bundle_predicts_as_written(self):
+        # written once by an earlier version of this code: a second-order,
+        # architecture-gated model (nx=2, N=4, width 3) and its predict_batch
+        # output on five fixed pairs, the third a zero increment
+        m = md.load_bundle(DATA / "mono2_bundle_v1.json")
+        assert m.order == md.TaylorOrder.SECOND and m.gated
+        want = json.loads((DATA / "mono2_bundle_v1_expected.json").read_text())
+        Zc, Zp = np.array(want["z_curr"]), np.array(want["z_prev"])
+        np.testing.assert_allclose(md.predict_batch(m, Zc, Zp), want["x_hat"],
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestValidation:
     def test_net_dims_must_be_square_in_n(self):
@@ -278,3 +285,51 @@ class TestValidation:
     def test_baseline_output_dim_checked(self):
         with pytest.raises(ValueError):
             md.BaselineModel(nn.init_dense([3, 4, 3], 3), nx=2)
+
+
+class TestEvaluatorsAgree:
+    """predict, predict_batch, taylor_increments and the controller's graph
+    predictor are one Taylor step."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_graph_and_numpy_steps_agree(self, data):
+        nx = data.draw(st.integers(1, 3), label="nx")
+        nu = data.draw(st.integers(1, 2), label="nu")
+        n = nx + nu
+        order = data.draw(st.sampled_from(list(md.TaylorOrder)), label="order")
+        gate = data.draw(st.sampled_from(list(md.GateMode)), label="gate")
+        sym = data.draw(st.booleans(), label="symmetrize")
+        act = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
+        symbols = data.draw(st.lists(st.text("+-.", min_size=n, max_size=n),
+                                     min_size=nx, max_size=nx), label="spec")
+        zero = np.array(data.draw(st.lists(st.booleans(), min_size=1, max_size=5),
+                                  label="zero rows"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        nets = [nn.init_dense([n, 4, n], rng, act) for _ in range(nx)]
+        for net in nets:  # offset outputs so some gates are shut
+            net.biases[-1][:] = rng.normal(size=n)
+        m = md.MtnnModel(nets, MonoSpec.from_symbols(symbols), order, gate, sym)
+        Zp = rng.normal(size=(len(zero), n))
+        Zc = Zp + 0.5 * rng.normal(size=Zp.shape)
+        Zc[zero] = Zp[zero]
+
+        X = md.predict_batch(m, Zc, Zp)
+        incrs, rows, blocks = md.taylor_increments(nn.NetTape(m.nets), m, Zc, Zp,
+                                                   need_blocks=True)
+        Xg = Zc[:, :nx] + np.stack([v.value for v in incrs], axis=1)
+        np.testing.assert_allclose(Xg, X, rtol=1e-12, atol=1e-12)
+        # the quadratic form cannot see symmetrization; the blocks can
+        np.testing.assert_allclose(np.stack([v.value for v in rows], axis=1),
+                                   md.jacobian_matrix_batch(m, Zp), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.stack([v.value for v in blocks], axis=1),
+                                   md.hessian_stack_batch(m, Zp), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(X[zero], Zc[zero, :nx])
+        assert np.array_equal(Xg[zero], Zc[zero, :nx])
+
+        for k in range(len(zero)):
+            x = md.predict(m, Zc[k], Zp[k])
+            np.testing.assert_allclose(x, X[k], rtol=1e-12, atol=1e-12)
+            xg = mpc._predict_graph(nn.NetTape(m.nets), m, graph.Var(Zc[k : k + 1]),
+                                    graph.Var(Zp[k : k + 1]))
+            np.testing.assert_allclose(xg.value[0], x, rtol=1e-12, atol=1e-12)

@@ -310,6 +310,22 @@ class TestClosedLoop:
         # held input is the projection of the quiet input into the box
         np.testing.assert_array_equal(trace.u, np.tile([30.0, 20.0], (5, 1)))
 
+    def test_solver_value_error_propagates(self, monkeypatch):
+        # shapes are validated up front, so a ValueError inside the solve is
+        # a bug and must not be logged as an ordinary non-converged step
+        plant, model = tclab_exact_model()
+        cfg = mpc.MpcConfig(
+            x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0],
+            x0=[30.0, 30.0], horizon=3, iterations=4,
+        )
+
+        def broken(*args, **kwargs):
+            raise ValueError("dimension bug")
+
+        monkeypatch.setattr(mpc, "solve_horizon", broken)
+        with pytest.raises(ValueError, match="dimension bug"):
+            mpc.run_closed_loop(plant, model, cfg, steps=3)
+
     def test_requires_initial_state(self):
         plant, model = tclab_exact_model()
         cfg = mpc.MpcConfig(
