@@ -148,12 +148,12 @@ def gate_derivative_mask(raw, tags) -> Array:
     return mask
 
 
-def apply_sign_gate_graph(raw: Var, tags_row) -> Var:
-    """Graph twin of apply_sign_gate for one tag row; raw is (B, N)."""
-    tags_row = np.asarray(tags_row, dtype=np.int8)
-    inc = (tags_row == INCREASING).astype(np.float64)
-    dec = (tags_row == DECREASING).astype(np.float64)
-    fre = (tags_row == FREE).astype(np.float64)
+def apply_sign_gate_graph(raw: Var, tags) -> Var:
+    """Graph twin of apply_sign_gate; `tags` broadcasts against raw's trailing axes."""
+    tags = np.asarray(tags, dtype=np.int8)
+    inc = (tags == INCREASING).astype(np.float64)
+    dec = (tags == DECREASING).astype(np.float64)
+    fre = (tags == FREE).astype(np.float64)
     out = graph.mul(raw, fre)
     if inc.any():
         out = out + graph.mul(graph.relu(raw), inc)
@@ -174,25 +174,14 @@ def mono_penalty(jac, spec: MonoSpec, weights: PenaltyWeights) -> float:
     return float(pen)
 
 
-def mono_penalty_rows_graph(rows, spec: MonoSpec, weights: PenaltyWeights) -> Var:
-    """Graph twin over per-state Jacobian rows, summed over batch and entries.
-
-    rows: list of (B, N) Vars, one per state output (ungated net outputs).
-    """
+def mono_penalty_rows_graph(rows: Var, spec: MonoSpec, weights: PenaltyWeights) -> Var:
+    """Graph twin over the ungated Jacobian rows (Nx, B, N), summed over all entries."""
     lam = weights.lambdas_for(spec)
-    total = None
-    for j, row in enumerate(rows):
-        inc_mask = lam[j] * (spec.tags[j] == INCREASING)
-        dec_mask = lam[j] * (spec.tags[j] == DECREASING)
-        if inc_mask.any():
-            term = graph.sum_all(graph.mul(graph.relu(-row), inc_mask))
-            total = term if total is None else total + term
-        if dec_mask.any():
-            term = graph.sum_all(graph.mul(graph.relu(row), dec_mask))
-            total = term if total is None else total + term
-    if total is None:
-        total = graph.constant(0.0)
-    return total
+    inc = (lam * (spec.tags == INCREASING))[:, None, :]
+    dec = (lam * (spec.tags == DECREASING))[:, None, :]
+    return graph.sum_all(
+        graph.mul(graph.relu(-rows), inc) + graph.mul(graph.relu(rows), dec)
+    )
 
 
 def convex_penalty(hessian_blocks, gamma: float) -> float:
@@ -208,18 +197,9 @@ def convex_penalty(hessian_blocks, gamma: float) -> float:
     return float(gamma * np.maximum(-dets, 0.0).sum())
 
 
-def convex_penalty_blocks_graph(blocks, gamma: float) -> Var:
-    """Graph twin over per-state Hessian blocks, summed over batch and states.
-
-    blocks: list of (B, N, N) Vars.
-    """
-    total = None
-    for blk in blocks:
-        term = graph.sum_all(graph.relu(-graph.det(blk)))
-        total = term if total is None else total + term
-    if total is None:
-        return graph.constant(0.0)
-    return graph.scale(total, float(gamma))
+def convex_penalty_blocks_graph(blocks: Var, gamma: float) -> Var:
+    """Graph twin over the Hessian blocks (Nx, B, N, N), summed over all blocks."""
+    return graph.scale(graph.sum_all(graph.relu(-graph.det(blocks))), float(gamma))
 
 
 def principal_minor_penalty(hessian_blocks, gamma: float) -> float:
@@ -241,29 +221,23 @@ def principal_minor_penalty(hessian_blocks, gamma: float) -> float:
     return float(gamma * pen)
 
 
-def principal_minor_penalty_blocks_graph(blocks, gamma: float) -> Var:
-    """Graph twin of principal_minor_penalty over (B, N, N) Vars."""
+def principal_minor_penalty_blocks_graph(blocks: Var, gamma: float) -> Var:
+    """Graph twin of principal_minor_penalty over the blocks (Nx, B, N, N)."""
     total = None
-    for blk in blocks:
-        n = blk.value.shape[-1]
-        for m in range(1, n + 1):
-            d = graph.det(_leading_block(blk, m))
-            term = graph.sum_all(graph.relu(-d))
-            total = term if total is None else total + term
-    if total is None:
-        return graph.constant(0.0)
+    for m in range(1, blocks.value.shape[-1] + 1):
+        term = graph.sum_all(graph.relu(-graph.det(_leading_block(blocks, m))))
+        total = term if total is None else total + term
     return graph.scale(total, float(gamma))
 
 
 def _leading_block(blk: Var, m: int) -> Var:
-    """Slice the leading m x m block out of a (B, N, N) Var."""
-    n = blk.value.shape[-1]
-    if m == n:
+    """Slice the leading m x m block out of a (..., N, N) Var."""
+    if m == blk.value.shape[-1]:
         return blk
 
     def vjp(g):
         gx = np.zeros_like(blk.value)
-        gx[:, :m, :m] = g
+        gx[..., :m, :m] = g
         return (gx,)
 
-    return Var(blk.value[:, :m, :m], (blk,), vjp)
+    return Var(blk.value[..., :m, :m], (blk,), vjp)

@@ -10,6 +10,10 @@ Shape conventions are batch-first throughout:
     (B, N)       batched vectors
     (B, M, N)    batched matrices
     ()           scalars (reduction outputs)
+Every op also takes leading stack axes, (S, B, N) and (S, B, M, N), so one
+node evaluates S stacked nets at once. Operands broadcast as in numpy,
+Vars included: `backward` sums each parent's gradient back to that
+parent's shape.
 """
 
 from __future__ import annotations
@@ -71,47 +75,23 @@ def _as_value(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def _binary(a, b, value, vjp_a, vjp_b) -> Var:
-    parents = []
-    vjps = []
-    if isinstance(a, Var):
-        parents.append(a)
-        vjps.append(vjp_a)
-    if isinstance(b, Var):
-        parents.append(b)
-        vjps.append(vjp_b)
-    return Var(value, tuple(parents), lambda g: tuple(f(g) for f in vjps))
+def _node(value, *pairs) -> Var:
+    """A node from its value and (operand, vjp) pairs; constant operands drop out."""
+    pairs = [(op, vjp) for op, vjp in pairs if isinstance(op, Var)]
+    return Var(value, tuple(op for op, _ in pairs), lambda g: tuple(f(g) for _, f in pairs))
 
 
 def add(a, b) -> Var:
-    av, bv = _as_value(a), _as_value(b)
-    _check_broadcast_to_var(a, b, av, bv)
-    return _binary(a, b, av + bv, lambda g: g, lambda g: g)
+    return _node(_as_value(a) + _as_value(b), (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Var:
-    av, bv = _as_value(a), _as_value(b)
-    _check_broadcast_to_var(a, b, av, bv)
-    return _binary(a, b, av - bv, lambda g: g, lambda g: -g)
+    return _node(_as_value(a) - _as_value(b), (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Var:
     av, bv = _as_value(a), _as_value(b)
-    _check_broadcast_to_var(a, b, av, bv)
-    return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
-
-
-def _check_broadcast_to_var(a, b, av: Array, bv: Array):
-    # Var operands must already carry the full output shape: gradients are
-    # accumulated without reduction, so implicit broadcasting is only allowed
-    # on the constant side (or by scalars).
-    out_shape = np.broadcast_shapes(av.shape, bv.shape)
-    for op, v in ((a, av), (b, bv)):
-        if isinstance(op, Var) and v.shape != out_shape and v.shape != ():
-            raise ValueError(
-                f"Var operand of shape {v.shape} would broadcast to {out_shape}; "
-                "only constants and scalars may broadcast"
-            )
+    return _node(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def neg(a: Var) -> Var:
@@ -139,79 +119,54 @@ def relu(a: Var) -> Var:
 
 
 def linear(x, W, b) -> Var:
-    """y[B,O] = x[B,I] @ W[O,I].T + b[O]."""
+    """y[..., B, O] = x[..., B, I] @ W[..., O, I].T + b[..., O]."""
     xv, Wv, bv = _as_value(x), _as_value(W), _as_value(b)
-    val = xv @ Wv.T + bv
-
-    def make(which):
-        if which == "x":
-            return lambda g: g @ Wv
-        if which == "W":
-            return lambda g: g.T @ xv
-        return lambda g: g.sum(axis=0)
-
-    parents, vjps = [], []
-    for op, name in ((x, "x"), (W, "W"), (b, "b")):
-        if isinstance(op, Var):
-            parents.append(op)
-            vjps.append(make(name))
-    return Var(val, tuple(parents), lambda g: tuple(f(g) for f in vjps))
+    return _node(
+        xv @ np.swapaxes(Wv, -1, -2) + bv[..., None, :],
+        (x, lambda g: g @ Wv),
+        (W, lambda g: np.swapaxes(g, -1, -2) @ xv),
+        (b, lambda g: g.sum(axis=-2)),
+    )
 
 
 def mat_chain(W, G) -> Var:
-    """C[B,O,N] = W[O,H] @ G[B,H,N] (per batch element)."""
+    """C[..., B, O, N] = W[..., O, H] @ G[..., B, H, N] (per batch element)."""
     Wv, Gv = _as_value(W), _as_value(G)
-    val = np.einsum("oh,bhn->bon", Wv, Gv)
-    parents, vjps = [], []
-    if isinstance(W, Var):
-        parents.append(W)
-        vjps.append(lambda g: np.einsum("bon,bhn->oh", g, Gv))
-    if isinstance(G, Var):
-        parents.append(G)
-        vjps.append(lambda g: np.einsum("oh,bon->bhn", Wv, g))
-    return Var(val, tuple(parents), lambda g: tuple(f(g) for f in vjps))
+    return _node(
+        Wv[..., None, :, :] @ Gv,
+        (W, lambda g: (g @ np.swapaxes(Gv, -1, -2)).sum(axis=-3)),
+        (G, lambda g: np.swapaxes(Wv, -1, -2)[..., None, :, :] @ g),
+    )
 
 
 def scale_rows(d, G) -> Var:
-    """out[b,o,:] = d[b,o] * G[b,o,:]."""
+    """out[..., o, :] = d[..., o] * G[..., o, :]."""
     dv, Gv = _as_value(d), _as_value(G)
-    val = dv[:, :, None] * Gv
-    parents, vjps = [], []
-    if isinstance(d, Var):
-        parents.append(d)
-        vjps.append(lambda g: (g * Gv).sum(axis=-1))
-    if isinstance(G, Var):
-        parents.append(G)
-        vjps.append(lambda g: dv[:, :, None] * g)
-    return Var(val, tuple(parents), lambda g: tuple(f(g) for f in vjps))
+    return _node(
+        dv[..., None] * Gv,
+        (d, lambda g: (g * Gv).sum(axis=-1)),
+        (G, lambda g: dv[..., None] * g),
+    )
 
 
 def bmat_vec(A, v) -> Var:
-    """out[B,M] = A[B,M,N] @ v[B,N] (per batch element)."""
+    """out[..., M] = A[..., M, N] @ v[..., N] (per batch element)."""
     Av, vv = _as_value(A), _as_value(v)
-    val = np.einsum("bmn,bn->bm", Av, vv)
-    parents, vjps = [], []
-    if isinstance(A, Var):
-        parents.append(A)
-        vjps.append(lambda g: g[:, :, None] * vv[:, None, :])
-    if isinstance(v, Var):
-        parents.append(v)
-        vjps.append(lambda g: np.einsum("bmn,bm->bn", Av, g))
-    return Var(val, tuple(parents), lambda g: tuple(f(g) for f in vjps))
+    return _node(
+        (Av @ vv[..., None])[..., 0],
+        (A, lambda g: g[..., :, None] * vv[..., None, :]),
+        (v, lambda g: (np.swapaxes(Av, -1, -2) @ g[..., None])[..., 0]),
+    )
 
 
 def dot_rows(u, v) -> Var:
-    """out[B] = sum_n u[B,n] * v[B,n]."""
+    """out[...] = sum_n u[..., n] * v[..., n]."""
     uv, vv = _as_value(u), _as_value(v)
-    val = (uv * vv).sum(axis=-1)
-    parents, vjps = [], []
-    if isinstance(u, Var):
-        parents.append(u)
-        vjps.append(lambda g: g[:, None] * vv)
-    if isinstance(v, Var):
-        parents.append(v)
-        vjps.append(lambda g: g[:, None] * uv)
-    return Var(val, tuple(parents), lambda g: tuple(f(g) for f in vjps))
+    return _node(
+        (uv * vv).sum(axis=-1),
+        (u, lambda g: g[..., None] * vv),
+        (v, lambda g: g[..., None] * uv),
+    )
 
 
 def transpose_last(A: Var) -> Var:
@@ -222,38 +177,38 @@ def transpose_last(A: Var) -> Var:
 
 
 def det(A: Var) -> Var:
-    """Batched determinant of A[B,N,N] via LU; gradient is the cofactor matrix."""
+    """Batched determinant of A[..., N, N] via LU; gradient is the cofactor matrix."""
     Av = A.value
     val = np.linalg.det(Av)
 
     def vjp(g):
-        return (g[:, None, None] * _cofactor(Av),)
+        return (g[..., None, None] * _cofactor(Av),)
 
     return Var(val, (A,), vjp)
 
 
 def _cofactor(A: Array) -> Array:
-    """Cofactor matrix C with C[i,j] = d det(A) / d A[i,j], batched.
+    """Cofactor matrix C with C[..., i, j] = d det(A) / d A[..., i, j], batched.
 
     Computed from minors so it stays exact at singular matrices, where
     det(A) * inv(A).T is unavailable. N is small here (a handful of states
     and inputs), so the N^2 minor determinants are cheap.
     """
-    B, n, _ = A.shape
+    n = A.shape[-1]
     if n == 1:
         return np.ones_like(A)
     C = np.empty_like(A)
     rows = np.arange(n)
     for i in range(n):
-        minor_rows = A[:, rows != i, :]
+        minor_rows = A[..., rows != i, :]
         for j in range(n):
-            minor = minor_rows[:, :, rows != j]
-            C[:, i, j] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
+            minor = minor_rows[..., rows != j]
+            C[..., i, j] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
     return C
 
 
 def concat_last(parts: Sequence) -> Var:
-    """Concatenate (B, k_i) pieces along the last axis."""
+    """Concatenate (..., k_i) pieces along the last axis."""
     values = [_as_value(p) for p in parts]
     val = np.concatenate(values, axis=-1)
     widths = [v.shape[-1] for v in values]
@@ -270,29 +225,9 @@ def concat_last(parts: Sequence) -> Var:
     return Var(val, parents, vjp)
 
 
-def stack_cols(parts: Sequence) -> Var:
-    """Stack (B,) pieces into (B, K) columns."""
-    values = [_as_value(p) for p in parts]
-    val = np.stack(values, axis=-1)
-    idx = [i for i, p in enumerate(parts) if isinstance(p, Var)]
-    parents = tuple(parts[i] for i in idx)
-
-    def vjp(g):
-        return tuple(g[..., i] for i in idx)
-
-    return Var(val, parents, vjp)
-
-
-def col(x: Var, j: int) -> Var:
-    """Select column j of (B, K) as (B,)."""
-    jj = int(j)
-
-    def vjp(g):
-        gx = np.zeros_like(x.value)
-        gx[:, jj] = g
-        return (gx,)
-
-    return Var(x.value[:, jj], (x,), vjp)
+def reshape(x: Var, shape) -> Var:
+    """x with its value reshaped; the gradient is reshaped back."""
+    return Var(x.value.reshape(shape), (x,), lambda g: (g.reshape(x.value.shape),))
 
 
 def sum_all(x: Var) -> Var:
@@ -333,8 +268,18 @@ def backward(root: Var) -> None:
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg.shape != parent.value.shape:
+                pg = _sum_to(pg, parent.value.shape)
             pid = id(parent)
             if pid in grads:
                 grads[pid] = grads[pid] + pg
             else:
                 grads[pid] = pg
+
+
+def _sum_to(g: Array, shape: tuple) -> Array:
+    """Sum a gradient over the axes its operand was broadcast along."""
+    lead = g.ndim - len(shape)
+    g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True)

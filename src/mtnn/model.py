@@ -1,9 +1,9 @@
 """Taylor predictors built around learned Jacobian networks.
 
-The model never learns the dynamics map directly. One dense net per state
-output learns the corresponding row of the Jacobian of the unknown
-discrete-time update, evaluated at the previous sample z_prev = [x_prev;
-u_prev]. Prediction is then a Taylor step about z_prev:
+The model never learns the dynamics map directly. One stack of nx dense
+nets learns the Jacobian of the unknown discrete-time update, evaluated at
+the previous sample z_prev = [x_prev; u_prev]: member j learns row j.
+Prediction is then a Taylor step about z_prev:
 
     first order   x_hat = x_curr + J(z_prev) dz
     second order  x_hat_j += 1/2 dz^T H_j(z_prev) dz
@@ -17,9 +17,11 @@ The step has exactly two evaluators, both batched: `predict_batch` in
 numpy for prediction and rollout, and `taylor_increments` on the reverse-mode
 graph, shared by training (the loss) and the controller (differentiating
 through the rollout). A single sample is a batch of one, so `predict` is
-`predict_batch` on one row.
+`predict_batch` on one row. Both handle every state at once through the
+stack's leading member axis.
 
-A direct net z_curr -> x_next serves as the no-structure baseline.
+A direct net z_curr -> x_next (a stack of one) serves as the no-structure
+baseline.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class GateMode(str, Enum):
 
 @dataclass
 class MtnnModel:
-    nets: list  # one N->N DenseNet per state output
+    net: nn.DenseNet  # a stack of nx N->N nets (or a list of them); member j learns row j
     mono_spec: MonoSpec
     order: TaylorOrder = TaylorOrder.FIRST
     gate_mode: GateMode = GateMode.NONE
@@ -61,27 +63,23 @@ class MtnnModel:
     def __post_init__(self):
         self.order = TaylorOrder(self.order)
         self.gate_mode = GateMode(self.gate_mode)
-        if not self.nets:
-            raise ValueError("need at least one Jacobian net")
-        n = self.nets[0].n_in
-        for j, net in enumerate(self.nets):
-            if net.n_in != n or net.n_out != n:
-                raise ValueError(
-                    f"net {j} maps {net.n_in}->{net.n_out}, every net must map {n}->{n}"
-                )
-        if self.mono_spec.tags.shape != (len(self.nets), n):
+        if not isinstance(self.net, nn.DenseNet):
+            self.net = nn.stack(self.net)
+        n = self.net.n_in
+        if self.net.n_out != n:
+            raise ValueError(f"nets map {n}->{self.net.n_out}, every net must map {n}->{n}")
+        if self.mono_spec.tags.shape != (self.nx, n):
             raise ValueError(
-                f"mono spec {self.mono_spec.tags.shape} does not match "
-                f"({len(self.nets)}, {n})"
+                f"mono spec {self.mono_spec.tags.shape} does not match ({self.nx}, {n})"
             )
 
     @property
     def nx(self) -> int:
-        return len(self.nets)
+        return self.net.n_stack
 
     @property
     def n(self) -> int:
-        return self.nets[0].n_in
+        return self.net.n_in
 
     @property
     def nu(self) -> int:
@@ -93,7 +91,7 @@ class MtnnModel:
 
     def copy(self) -> "MtnnModel":
         return MtnnModel(
-            [net.copy() for net in self.nets],
+            self.net.copy(),
             MonoSpec(self.mono_spec.tags.copy()),
             self.order,
             self.gate_mode,
@@ -109,12 +107,10 @@ class BaselineModel:
     nx: int
 
     def __post_init__(self):
+        if self.net.n_stack != 1:
+            raise ValueError(f"baseline needs one net, not a stack of {self.net.n_stack}")
         if self.net.n_out != self.nx:
             raise ValueError(f"baseline net outputs {self.net.n_out}, nx = {self.nx}")
-
-    @property
-    def nets(self) -> list:
-        return [self.net]
 
     @property
     def n(self) -> int:
@@ -135,29 +131,33 @@ def _as_z(z, n: int) -> Array:
     return z
 
 
+def _raw_rows(model: MtnnModel, Z: Array) -> Array:
+    """Ungated net outputs (B, Nx, N): member j's output is row j."""
+    return np.swapaxes(nn.forward(model.net, Z), 0, 1)
+
+
 def jacobian_matrix_batch(model: MtnnModel, Z_prev) -> Array:
     """Learned Jacobian at each row: (B, N) -> (B, Nx, N), gated when the
     model is gated."""
-    Z = _as_z(Z_prev, model.n)
-    rows = np.stack([nn.forward(net, Z) for net in model.nets], axis=1)
+    rows = _raw_rows(model, _as_z(Z_prev, model.n))
     if model.gated:
         rows = apply_sign_gate(rows, model.mono_spec.tags)
     return rows
 
 
-def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
+def hessian_stack_batch(model: MtnnModel, Z_prev, *, _raw=None) -> Array:
     """Input-derivatives of the (gated) Jacobian rows: (B, N) -> (B, Nx, N, N).
 
     Under the architecture gate the block rows are masked by the gate
     derivative (a step function of the raw output), which is the almost-
-    everywhere exact derivative of the gated rows.
+    everywhere exact derivative of the gated rows. `predict_batch` passes
+    the raw outputs it already has as `_raw`, so the nets run forward once.
     """
     Z = _as_z(Z_prev, model.n)
-    blocks = np.stack([nn.input_jacobian(net, Z) for net in model.nets], axis=1)
+    blocks = np.swapaxes(nn.input_jacobian(model.net, Z), 0, 1)
     if model.gated:
-        raw = np.stack([nn.forward(net, Z) for net in model.nets], axis=1)
-        mask = gate_derivative_mask(raw, model.mono_spec.tags)
-        blocks = mask[:, :, :, None] * blocks
+        raw = _raw_rows(model, Z) if _raw is None else _raw
+        blocks *= gate_derivative_mask(raw, model.mono_spec.tags)[..., None]
     if model.symmetrize_hessian:
         blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
     return blocks
@@ -173,16 +173,17 @@ def predict(model, z_curr, z_prev) -> Array:
 def predict_batch(model, Z_curr, Z_prev) -> Array:
     """(B, N) pairs -> (B, Nx); dispatches on the model kind."""
     if isinstance(model, BaselineModel):
-        return nn.forward(model.net, _as_z(Z_curr, model.n))
+        return nn.forward(model.net, _as_z(Z_curr, model.n))[0]
     Z_c = _as_z(Z_curr, model.n)
     Z_p = _as_z(Z_prev, model.n)
     dz = Z_c - Z_p
     if not np.isfinite(dz).all():
         raise ValueError("non-finite increment between z_curr and z_prev")
-    J = jacobian_matrix_batch(model, Z_p)
+    raw = _raw_rows(model, Z_p)
+    J = apply_sign_gate(raw, model.mono_spec.tags) if model.gated else raw
     x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", J, dz)
     if model.order == TaylorOrder.SECOND:
-        H = hessian_stack_batch(model, Z_p)
+        H = hessian_stack_batch(model, Z_p, _raw=raw)
         x_hat = x_hat + 0.5 * np.einsum("bm,bjmn,bn->bj", dz, H, dz)
     # restore the exact fixpoint for rows with a literally zero increment
     zero = ~dz.any(axis=1)
@@ -193,43 +194,39 @@ def predict_batch(model, Z_curr, Z_prev) -> Array:
 
 def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
                       need_blocks: bool = False):
-    """Graph twin of the Taylor step: x_hat[:, j] = x_curr[:, j] + incrs[j].
+    """Graph twin of the Taylor step: x_hat = x_curr + increments.T.
 
     z_curr and z_prev are (B, N) arrays or Vars; gradients flow into the
     net parameters on `tape` and into whichever of z_curr / z_prev is a Var.
-    Returns three per-state lists: the (B,) increments, the (gated)
-    Jacobian rows (B, N) and the (masked, optionally symmetrized) Hessian
-    blocks (B, N, N). Blocks are built for second-order models or when
-    `need_blocks` asks for them (a curvature penalty), else they are None.
+    Returns three Vars over all states at once: the increments (Nx, B), the
+    (gated) Jacobian rows (Nx, B, N) and the (masked, optionally
+    symmetrized) Hessian blocks (Nx, B, N, N). Blocks are built for
+    second-order models or when `need_blocks` asks for them (a curvature
+    penalty), else they are None.
     """
     dz = z_curr - z_prev
-    tags = model.mono_spec.tags
+    tags = model.mono_spec.tags[:, None, :]
     second = model.order is TaylorOrder.SECOND
-    incrs, rows, blocks = [], [], []
-    for j in range(model.nx):
-        if second or need_blocks:
-            raw, block = tape.forward_and_jacobian(z_prev, j)
-        else:
-            raw, block = tape.forward(z_prev, j), None
-        row = raw
-        if model.gated:
-            # called through the module so that a wrapper installed there
-            # (the benchmark's traced run) sees it
-            row = constraints.apply_sign_gate_graph(raw, tags[j])
-            if block is not None:
-                # step-function gate derivative: detached, a.e. exact
-                mask = gate_derivative_mask(raw.value, tags[j])
-                block = graph.mul(block, mask[:, :, None])
-        if block is not None and model.symmetrize_hessian:
-            block = graph.scale(block + graph.transpose_last(block), 0.5)
-        incr = graph.dot_rows(row, dz)
-        if second:
-            Hdz = graph.bmat_vec(block, dz)
-            incr = incr + graph.scale(graph.dot_rows(Hdz, dz), 0.5)
-        incrs.append(incr)
-        rows.append(row)
-        blocks.append(block)
-    return incrs, rows, blocks
+    if second or need_blocks:
+        raw, blocks = tape.forward_and_jacobian(z_prev)
+    else:
+        raw, blocks = tape.forward(z_prev), None
+    rows = raw
+    if model.gated:
+        # called through the module so that a wrapper installed there
+        # (the benchmark's traced run) sees it
+        rows = constraints.apply_sign_gate_graph(raw, tags)
+        if blocks is not None:
+            # step-function gate derivative: detached, a.e. exact
+            mask = gate_derivative_mask(raw.value, tags)
+            blocks = graph.mul(blocks, mask[..., None])
+    if blocks is not None and model.symmetrize_hessian:
+        blocks = graph.scale(blocks + graph.transpose_last(blocks), 0.5)
+    incr = graph.dot_rows(rows, dz)
+    if second:
+        Hdz = graph.bmat_vec(blocks, dz)
+        incr = incr + graph.scale(graph.dot_rows(Hdz, dz), 0.5)
+    return incr, rows, blocks
 
 
 def model_to_dict(model) -> dict:
@@ -247,24 +244,30 @@ def model_to_dict(model) -> dict:
         "gate_mode": model.gate_mode.value,
         "symmetrize_hessian": model.symmetrize_hessian,
         "mono_spec": model.mono_spec.to_symbols(),
-        "nets": [nn.net_to_dict(net) for net in model.nets],
+        "nets": [nn.net_to_dict(member) for member in nn.unstack(model.net)],
     }
 
 
 def model_from_dict(d: dict):
+    """Rebuild a model from an `mtnn-v1` bundle; its per-state nets are stacked."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a bundle must be a JSON object, got {type(d).__name__}")
     if d.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {d.get('version')!r}")
     kind = d.get("kind")
-    if kind == "baseline":
-        return BaselineModel(nn.net_from_dict(d["net"]), int(d["nx"]))
-    if kind == "mtnn":
-        return MtnnModel(
-            [nn.net_from_dict(nd) for nd in d["nets"]],
-            MonoSpec.from_symbols(d["mono_spec"]),
-            TaylorOrder(d["order"]),
-            GateMode(d["gate_mode"]),
-            bool(d["symmetrize_hessian"]),
-        )
+    try:
+        if kind == "baseline":
+            return BaselineModel(nn.net_from_dict(d["net"]), int(d["nx"]))
+        if kind == "mtnn":
+            return MtnnModel(
+                nn.stack(nn.net_from_dict(nd) for nd in d["nets"]),
+                MonoSpec.from_symbols(d["mono_spec"]),
+                TaylorOrder(d["order"]),
+                GateMode(d["gate_mode"]),
+                bool(d["symmetrize_hessian"]),
+            )
+    except KeyError as e:
+        raise ValueError(f"bundle record lacks the field {e.args[0]!r}") from None
     raise ValueError(f"unknown bundle kind {kind!r}")
 
 

@@ -176,15 +176,16 @@ def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig) -> float:
     return cost if np.isfinite(cost) else float("inf")
 
 
-def _predict_graph(tape: nn.NetTape, model, z_curr, z_prev):
-    """Graph twin of md.predict on (1, N) Vars; gradients flow into z.
+def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
+    """Graph twin of md.predict on (1, N) Vars; x is the state part of
+    z_curr, and gradients flow into all three.
 
     The Taylor step itself is `md.taylor_increments`.
     """
     if isinstance(model, BaselineModel):
-        return tape.forward(z_curr, 0)
-    incrs, _, _ = md.taylor_increments(tape, model, z_curr, z_prev)
-    return graph.stack_cols([graph.col(z_curr, j) + incr for j, incr in enumerate(incrs)])
+        return graph.reshape(tape.forward(z_curr), x.shape)
+    incr, _, _ = md.taylor_increments(tape, model, z_curr, z_prev)
+    return x + graph.transpose_last(incr)
 
 
 def _quad_form(v, w: Array):
@@ -209,7 +210,7 @@ def _add_bound_penalty(term, x, cfg: MpcConfig):
 
 def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
     """(cost, d cost / dU) via the reverse-mode graph; (inf, None) on blowup."""
-    tape = nn.NetTape(model.nets)
+    tape = nn.NetTape(model.net)
     u_vars = [graph.Var(U[k : k + 1]) for k in range(cfg.horizon)]
     x = graph.constant(x0[None, :])
     zp = graph.constant(z_prev[None, :])
@@ -223,7 +224,7 @@ def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
             term = _add_bound_penalty(term, x, cfg)
             total = term if total is None else total + term
             zc = graph.concat_last([x, u_vars[k]])
-            x = _predict_graph(tape, model, zc, zp)
+            x = _predict_graph(tape, model, x, zc, zp)
             zp = zc
         total = total + _add_bound_penalty(_quad_form(x - x_ref, cfg.p_diag), x, cfg)
         val = float(total.value)

@@ -1,5 +1,10 @@
 """Dense networks with exact input-Jacobians and parameter gradients.
 
+A `DenseNet` is a stack of S nets of one shape that share their input: layer
+weights are (S, O, I), biases (S, O), and every evaluation carries the
+member axis first. A plain net is a stack of one, so 2-D weights and 1-D
+biases are read as a stack of one.
+
 Two evaluation paths for the same architecture:
 
   * plain numpy (`forward`, `input_jacobian`) for prediction and rollout,
@@ -13,15 +18,15 @@ Building that product out of graph primitives makes reverse mode return
 exact d(loss)/d(theta) for losses that read J, which is the nested
 forward-inside-reverse scheme the second-order terms need.
 
-Networks optionally carry fixed input/output affine maps (standardization).
-These are part of the function the net computes, so the Jacobian is chained
-through them: J = out_scale[:,None] * J_core / in_scale[None,:].
+Networks optionally carry fixed input/output affine maps (standardization),
+(S, I) and (S, O). These are part of the function the net computes, so the
+Jacobian is chained through them: J = out_scale[:,None] * J_core / in_scale[None,:].
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +46,12 @@ class TrainingFault(RuntimeError):
 
 @dataclass
 class DenseNet:
-    weights: list  # layer l: (dims[l+1], dims[l])
-    biases: list  # layer l: (dims[l+1],)
+    weights: list  # layer l: (S, dims[l+1], dims[l])
+    biases: list  # layer l: (S, dims[l+1])
     activation: str = "tanh"  # hidden layers; output layer is linear
-    in_shift: Array | None = None
+    in_shift: Array | None = None  # (S, dims[0]); a vector is shared by all members
     in_scale: Array | None = None
-    out_shift: Array | None = None
+    out_shift: Array | None = None  # (S, dims[-1])
     out_scale: Array | None = None
 
     def __post_init__(self):
@@ -54,40 +59,37 @@ class DenseNet:
             raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias vector per weight matrix")
-        self.weights = [np.asarray(W, dtype=np.float64) for W in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
+        self.weights = [_stacked(W, 2) for W in self.weights]
+        self.biases = [_stacked(b, 1) for b in self.biases]
+        S = self.weights[0].shape[0]
         for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim != 2 or b.shape != (W.shape[0],):
+            if W.ndim != 3 or W.shape[0] != S or b.shape != W.shape[:2]:
                 raise ValueError(f"layer {l}: weight {W.shape} / bias {b.shape} mismatch")
-            if l > 0 and W.shape[1] != self.weights[l - 1].shape[0]:
-                raise ValueError(f"layer {l}: input dim {W.shape[1]} does not chain")
-        n_in, n_out = self.weights[0].shape[1], self.weights[-1].shape[0]
-        if self.in_shift is None:
-            self.in_shift = np.zeros(n_in)
-        if self.in_scale is None:
-            self.in_scale = np.ones(n_in)
-        if self.out_shift is None:
-            self.out_shift = np.zeros(n_out)
-        if self.out_scale is None:
-            self.out_scale = np.ones(n_out)
-        self.in_shift = np.asarray(self.in_shift, dtype=np.float64).reshape(n_in)
-        self.in_scale = np.asarray(self.in_scale, dtype=np.float64).reshape(n_in)
-        self.out_shift = np.asarray(self.out_shift, dtype=np.float64).reshape(n_out)
-        self.out_scale = np.asarray(self.out_scale, dtype=np.float64).reshape(n_out)
+            if l > 0 and W.shape[2] != self.weights[l - 1].shape[1]:
+                raise ValueError(f"layer {l}: input dim {W.shape[2]} does not chain")
+        n_in, n_out = self.n_in, self.n_out
+        self.in_shift = _affine(self.in_shift, 0.0, S, n_in)
+        self.in_scale = _affine(self.in_scale, 1.0, S, n_in)
+        self.out_shift = _affine(self.out_shift, 0.0, S, n_out)
+        self.out_scale = _affine(self.out_scale, 1.0, S, n_out)
         if np.any(self.in_scale == 0) or np.any(self.out_scale == 0):
             raise ValueError("affine scales must be nonzero")
 
     @property
+    def n_stack(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
     def n_in(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[2]
 
     @property
     def n_out(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[1]
 
     @property
     def layer_dims(self) -> list:
-        return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
+        return [self.n_in] + [W.shape[1] for W in self.weights]
 
     @property
     def n_params(self) -> int:
@@ -105,18 +107,84 @@ class DenseNet:
         )
 
 
-def init_dense(layer_dims, rng, activation: str = "tanh") -> DenseNet:
-    """Glorot-uniform weights (±sqrt(6/(fan_in+fan_out))), zero biases."""
+def _stacked(A, member_ndim: int) -> Array:
+    """A member-shaped array is a stack of one."""
+    A = np.asarray(A, dtype=np.float64)
+    return A[None] if A.ndim == member_ndim else A
+
+
+def _affine(v, default: float, S: int, n: int) -> Array:
+    if v is None:
+        return np.full((S, n), default)
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape not in ((n,), (S, n)):
+        raise ValueError(f"affine map {v.shape} does not fit ({S}, {n})")
+    return np.broadcast_to(v, (S, n)).copy()
+
+
+def stack(members) -> DenseNet:
+    """One stack from nets (or stacks) of equal layer dims and activation."""
+    members = list(members)
+    if not members:
+        raise ValueError("need at least one net to stack")
+    first = members[0]
+    for j, net in enumerate(members):
+        if net.layer_dims != first.layer_dims or net.activation != first.activation:
+            raise ValueError(
+                f"net {j} is {net.activation} {net.layer_dims}, net 0 is "
+                f"{first.activation} {first.layer_dims}; stacked nets must match"
+            )
+
+    def cat(arrays):
+        return np.concatenate(arrays, axis=0)
+
+    return DenseNet(
+        [cat(Ws) for Ws in zip(*(net.weights for net in members))],
+        [cat(bs) for bs in zip(*(net.biases for net in members))],
+        first.activation,
+        cat([net.in_shift for net in members]),
+        cat([net.in_scale for net in members]),
+        cat([net.out_shift for net in members]),
+        cat([net.out_scale for net in members]),
+    )
+
+
+def unstack(net: DenseNet) -> list:
+    """The members of a stack, each a stack of one (copies)."""
+    return [
+        DenseNet(
+            [W[j] for W in net.weights],
+            [b[j] for b in net.biases],
+            net.activation,
+            net.in_shift[j],
+            net.in_scale[j],
+            net.out_shift[j],
+            net.out_scale[j],
+        ).copy()
+        for j in range(net.n_stack)
+    ]
+
+
+def init_dense(layer_dims, rng, activation: str = "tanh", n_stack: int = 1) -> DenseNet:
+    """Glorot-uniform weights (±sqrt(6/(fan_in+fan_out))), zero biases.
+
+    A stack of `n_stack` members draws its weights member by member, so it
+    holds the same weights as that many nets drawn one after another.
+    """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise ValueError(f"bad layer dims {dims}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    pairs = list(zip(dims[:-1], dims[1:]))
+
+    def glorot(fan_in, fan_out):
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        return rng.uniform(-lim, lim, size=(fan_out, fan_in))
+
+    members = [[glorot(*p) for p in pairs] for _ in range(n_stack)]
+    weights = [np.stack(Ws) for Ws in zip(*members)]
+    biases = [np.zeros((n_stack, fan_out)) for _, fan_out in pairs]
     return DenseNet(weights, biases, activation)
 
 
@@ -137,60 +205,64 @@ def _act_deriv_from_h(name: str, h: Array) -> Array:
     return np.ones_like(h)
 
 
-def forward(net: DenseNet, z) -> Array:
-    """Evaluate the net; (I,) -> (O,) or (B,I) -> (B,O)."""
+def _standardized_input(net: DenseNet, z):
+    """(I,) or (B, I) input -> ((S, B, I) standardized input, single flag)."""
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     a = np.atleast_2d(z)
     if a.shape[1] != net.n_in:
         raise ValueError(f"input dim {a.shape[1]}, net expects {net.n_in}")
-    a = (a - net.in_shift) / net.in_scale
+    return (a - net.in_shift[:, None, :]) / net.in_scale[:, None, :], single
+
+
+def _layer(a: Array, W: Array, b: Array) -> Array:
+    return a @ np.swapaxes(W, -1, -2) + b[:, None, :]
+
+
+def forward(net: DenseNet, z) -> Array:
+    """Evaluate every member; (I,) -> (S, O) or (B, I) -> (S, B, O)."""
+    a, single = _standardized_input(net, z)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = _act(net.activation, a @ W.T + b)
-    out = a @ net.weights[-1].T + net.biases[-1]
-    out = out * net.out_scale + net.out_shift
-    return out[0] if single else out
+        a = _act(net.activation, _layer(a, W, b))
+    out = _layer(a, net.weights[-1], net.biases[-1])
+    out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
+    return out[:, 0] if single else out
 
 
 def input_jacobian(net: DenseNet, z) -> Array:
-    """Exact d(output)/d(input); (I,) -> (O,I) or (B,I) -> (B,O,I).
+    """Exact d(output)/d(input); (I,) -> (S, O, I) or (B, I) -> (S, B, O, I).
 
     Forward accumulation of the layer chain, so cost is one pass regardless
-    of output count.
+    of output count. Each hidden layer folds diag(act') and the next weight
+    into one contraction, so no (S, B, H, H) product is held.
     """
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    a = np.atleast_2d(z)
-    if a.shape[1] != net.n_in:
-        raise ValueError(f"input dim {a.shape[1]}, net expects {net.n_in}")
-    B = a.shape[0]
-    a = (a - net.in_shift) / net.in_scale
-    G = np.broadcast_to(np.diag(1.0 / net.in_scale), (B, net.n_in, net.n_in)).copy()
-    for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = _act(net.activation, a @ W.T + b)
-        G = np.einsum("oh,bhn->bon", W, G)
-        if net.activation != "linear":
-            G = _act_deriv_from_h(net.activation, h)[:, :, None] * G
-        a = h
-    G = np.einsum("oh,bhn->bon", net.weights[-1], G)
-    G = net.out_scale[None, :, None] * G
-    return G[0] if single else G
+    a, single = _standardized_input(net, z)
+    S, B = a.shape[:2]
+    G = (net.weights[0] * (1.0 / net.in_scale)[:, None, :])[:, None]  # (S, 1, H, I)
+    for W_next, W, b in zip(net.weights[1:], net.weights, net.biases):
+        a = _act(net.activation, _layer(a, W, b))
+        d = _act_deriv_from_h(net.activation, a)
+        G = np.einsum("soh,sbh,sbhi->sboi", W_next, d, G)
+    G *= net.out_scale[:, None, :, None]
+    if G.shape[1] != B:  # a single-layer net's Jacobian is input-independent
+        G = np.broadcast_to(G, (S, B) + G.shape[2:]).copy()
+    return G[:, 0] if single else G
 
 
 def fd_input_jacobian(net: DenseNet, z, step: float = 1e-5) -> Array:
     """Central-difference Jacobian, the validation oracle for input_jacobian."""
     z = np.asarray(z, dtype=np.float64)
-    J = np.zeros((net.n_out, net.n_in))
+    J = np.zeros((net.n_stack, net.n_out, net.n_in))
     for i in range(net.n_in):
         zp, zm = z.copy(), z.copy()
         zp[i] += step
         zm[i] -= step
-        J[:, i] = (forward(net, zp) - forward(net, zm)) / (2 * step)
+        J[:, :, i] = (forward(net, zp) - forward(net, zm)) / (2 * step)
     return J
 
 
 class NetTape:
-    """Records evaluations of one or more nets with parameters as graph leaves.
+    """Records evaluations of one net stack with its parameters as graph leaves.
 
     A loss callback receives the tape, calls `forward` / `forward_and_jacobian`
     on plain-array inputs (or Var inputs, for the controller), combines the
@@ -198,42 +270,39 @@ class NetTape:
     `loss_gradient` then backpropagates to every parameter.
     """
 
-    def __init__(self, nets):
-        if isinstance(nets, DenseNet):
-            nets = [nets]
-        self.nets = list(nets)
-        self.param_vars = [
-            ([Var(W) for W in net.weights], [Var(b) for b in net.biases])
-            for net in self.nets
-        ]
+    def __init__(self, net: DenseNet):
+        self.net = net
+        self.weights = [Var(W) for W in net.weights]
+        self.biases = [Var(b) for b in net.biases]
 
-    def forward(self, z, net_index: int = 0) -> Var:
-        out, _ = self._run(z, net_index, need_jac=False)
+    def forward(self, z) -> Var:
+        """(B, I) input -> (S, B, O) outputs of every member."""
+        out, _ = self._run(z, need_jac=False)
         return out
 
-    def forward_and_jacobian(self, z, net_index: int = 0):
-        return self._run(z, net_index, need_jac=True)
+    def forward_and_jacobian(self, z):
+        """(B, I) input -> ((S, B, O) outputs, (S, B, O, I) input-Jacobians)."""
+        return self._run(z, need_jac=True)
 
-    def _run(self, z, net_index: int, need_jac: bool):
-        net = self.nets[net_index]
-        Ws, bs = self.param_vars[net_index]
+    def _run(self, z, need_jac: bool):
+        net = self.net
+        in_shift = net.in_shift[:, None, :]
+        in_scale = net.in_scale[:, None, :]
         if isinstance(z, Var):
             if z.value.ndim != 2:
                 raise ValueError("Var inputs must be batched (B, I)")
             B = z.value.shape[0]
-            a = (z - net.in_shift) * (1.0 / net.in_scale)
+            a = (z - in_shift) * (1.0 / in_scale)
         else:
             zv = np.atleast_2d(np.asarray(z, dtype=np.float64))
             B = zv.shape[0]
-            a = graph.constant((zv - net.in_shift) / net.in_scale)
+            a = graph.constant((zv - in_shift) / in_scale)
         G = None
         if need_jac:
-            G = graph.constant(
-                np.broadcast_to(np.diag(1.0 / net.in_scale), (B, net.n_in, net.n_in))
-            )
-        n_layers = len(Ws)
-        for l in range(n_layers - 1):
-            h = graph.linear(a, Ws[l], bs[l])
+            # diag(1 / in_scale) per member, broadcast over the batch
+            G = graph.constant((np.eye(net.n_in) * (1.0 / in_scale))[:, None])
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = graph.linear(a, W, b)
             if net.activation == "tanh":
                 h = graph.tanh(h)
                 d = 1.0 - h * h
@@ -243,24 +312,26 @@ class NetTape:
             else:
                 d = None
             if need_jac:
-                G = graph.mat_chain(Ws[l], G)
+                G = graph.mat_chain(W, G)
                 if d is not None:
                     G = graph.scale_rows(d, G)
             a = h
-        out = graph.linear(a, Ws[-1], bs[-1])
-        out = out * net.out_scale + net.out_shift
+        out = graph.linear(a, self.weights[-1], self.biases[-1])
+        out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
         if need_jac:
-            G = graph.mat_chain(Ws[-1], G)
+            G = graph.mat_chain(self.weights[-1], G)
             G = graph.scale_rows(
-                graph.constant(np.broadcast_to(net.out_scale, (B, net.n_out))), G
+                graph.constant(
+                    np.broadcast_to(net.out_scale[:, None, :], (net.n_stack, B, net.n_out))
+                ),
+                G,
             )
         return out, G
 
-    def gradients(self, net_index: int = 0) -> "ParamGradient":
+    def gradients(self) -> "ParamGradient":
         """Collect parameter gradients after graph.backward (zeros if unused)."""
-        Ws, bs = self.param_vars[net_index]
-        gw = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in Ws]
-        gb = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in bs]
+        gw = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in self.weights]
+        gb = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in self.biases]
         return ParamGradient(gw, gb)
 
 
@@ -284,7 +355,7 @@ def loss_gradient(net: DenseNet, loss_fn):
     if not np.isfinite(val):
         raise TrainingFault(f"non-finite loss value {val!r}")
     graph.backward(out)
-    grad = tape.gradients(0)
+    grad = tape.gradients()
     for arr in grad.weights + grad.biases:
         if not np.all(np.isfinite(arr)):
             raise TrainingFault("non-finite parameter gradient")
@@ -318,20 +389,25 @@ def fd_loss_gradient(net: DenseNet, loss_fn, step: float = 1e-6) -> ParamGradien
 
 
 def net_to_dict(net: DenseNet) -> dict:
+    """An `mtnn-v1` record; it holds one net, so a stack is saved member by member."""
+    if net.n_stack != 1:
+        raise ValueError(f"a v1 record holds one net, not a stack of {net.n_stack}")
     return {
         "version": CHECKPOINT_VERSION,
         "layer_dims": net.layer_dims,
         "activation": net.activation,
-        "weights": [W.tolist() for W in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "in_shift": net.in_shift.tolist(),
-        "in_scale": net.in_scale.tolist(),
-        "out_shift": net.out_shift.tolist(),
-        "out_scale": net.out_scale.tolist(),
+        "weights": [W[0].tolist() for W in net.weights],
+        "biases": [b[0].tolist() for b in net.biases],
+        "in_shift": net.in_shift[0].tolist(),
+        "in_scale": net.in_scale[0].tolist(),
+        "out_shift": net.out_shift[0].tolist(),
+        "out_scale": net.out_scale[0].tolist(),
     }
 
 
 def net_from_dict(d: dict) -> DenseNet:
+    if not isinstance(d, dict):
+        raise ValueError(f"a net record must be a JSON object, got {type(d).__name__}")
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
     net = DenseNet(

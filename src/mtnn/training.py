@@ -177,21 +177,15 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
     """
     B = Zp.shape[0]
     if isinstance(model, BaselineModel):
-        pred = tape.forward(Zc, 0)
-        resid = pred - Xn
+        resid = tape.forward(Zc) - Xn
         mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
         return mse, (float(mse.value), 0.0, 0.0)
 
-    x_curr = Zc[:, : model.nx]
-    incrs, rows, blocks = taylor_increments(
+    incr, rows, blocks = taylor_increments(
         tape, model, Zc, Zp, need_blocks=cfg.mode.wants_convex
     )
-    sq_sum = None
-    for j, incr in enumerate(incrs):
-        resid = incr - (Xn[:, j] - x_curr[:, j])
-        sq = graph.mul(resid, resid)
-        sq_sum = sq if sq_sum is None else sq_sum + sq
-    mse = graph.scale(graph.sum_all(sq_sum), 1.0 / B)
+    resid = incr - (Xn - Zc[:, : model.nx]).T
+    mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
     total = mse
     mono_val = convex_val = 0.0
     if cfg.mode.wants_mono:
@@ -288,11 +282,9 @@ def train(model, data, cfg: TrainConfig):
         raise ValueError(f"batch_size {bs} exceeds data size {n}")
     full_batch = bs >= n
 
-    nets = model.nets
-    arrays, is_bias = [], []
-    for net in nets:
-        arrays.extend((*net.weights, *net.biases))
-        is_bias.extend([False] * len(net.weights) + [True] * len(net.biases))
+    net = model.net
+    arrays = [*net.weights, *net.biases]
+    is_bias = [False] * len(net.weights) + [True] * len(net.biases)
     opt = _Adam(arrays, cfg, is_bias)
     rng = np.random.default_rng(cfg.seed)
 
@@ -305,7 +297,7 @@ def train(model, data, cfg: TrainConfig):
         acc = np.zeros(4)
         for k0 in range(0, n, bs):
             idx = order[k0 : k0 + bs]
-            tape = nn.NetTape(nets)
+            tape = nn.NetTape(net)
             with np.errstate(over="ignore", invalid="ignore"):
                 total_var, comps = _loss_graph(
                     tape, model, Zp[idx], Zc[idx], Xn[idx], cfg
@@ -323,10 +315,8 @@ def train(model, data, cfg: TrainConfig):
                 best_total = tot
                 best_params = [A.copy() for A in arrays]
             graph.backward(total_var)
-            grads = []
-            for i in range(len(nets)):
-                pg = tape.gradients(i)
-                grads.extend((*pg.weights, *pg.biases))
+            pg = tape.gradients()
+            grads = [*pg.weights, *pg.biases]
             for garr in grads:
                 if not np.all(np.isfinite(garr)):
                     fault = TrainingFault(
@@ -372,11 +362,13 @@ def _guarded_std(A: Array, axis=0) -> Array:
 def init_standardized_net(dims, Z: Array, Y: Array, seed, activation="tanh") -> DenseNet:
     """Glorot net with input/output affine standardization fitted to data."""
     net = nn.init_dense(dims, np.random.default_rng(seed), activation)
-    net.in_shift = np.mean(Z, axis=0)
-    net.in_scale = _guarded_std(Z)
-    net.out_shift = np.mean(Y, axis=0)
-    net.out_scale = _guarded_std(Y)
-    return net
+    return replace(
+        net,
+        in_shift=np.mean(Z, axis=0),
+        in_scale=_guarded_std(Z),
+        out_shift=np.mean(Y, axis=0),
+        out_scale=_guarded_std(Y),
+    )
 
 
 GATE_ANCHOR_FLOOR = 0.05
@@ -424,30 +416,29 @@ def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
     # weights near zero (fresh init, or pulled down by weight decay) the row
     # reverts to the best constant Jacobian instead of drifting arbitrarily
     rows0, *_ = np.linalg.lstsq(Zc - Zp, Xn - Zc[:, :nx], rcond=None)
-    rng = np.random.default_rng(seed)
-    nets = []
-    for j in range(nx):
-        net = nn.init_dense([N, width, N], rng, "tanh")
-        net.in_shift = np.mean(Zp, axis=0)
-        net.in_scale = _guarded_std(Zp)
-        anchor = rows0[:, j].copy()
-        if recipe["gate_mode"] is GateMode.ARCHITECTURE:
-            # nets emit pre-gate values: a decreasing entry -g comes from
-            # relu(raw) = g, so the raw anchor is the magnitude; clamp to a
-            # small floor so every gate starts live
-            dec = mono_spec.tags[j] == DECREASING
-            anchor[dec] = -anchor[dec]
-            tagged = mono_spec.tags[j] != 0
-            anchor[tagged] = np.maximum(anchor[tagged], GATE_ANCHOR_FLOOR)
-        net.out_shift = anchor
+    glorot = nn.init_dense([N, width, N], np.random.default_rng(seed), "tanh", n_stack=nx)
+    anchor = rows0.T.copy()  # (nx, N)
+    if recipe["gate_mode"] is GateMode.ARCHITECTURE:
+        # nets emit pre-gate values: a decreasing entry -g comes from
+        # relu(raw) = g, so the raw anchor is the magnitude; clamp to a
+        # small floor so every gate starts live
+        dec = mono_spec.tags == DECREASING
+        anchor[dec] = -anchor[dec]
+        tagged = mono_spec.tags != 0
+        anchor[tagged] = np.maximum(anchor[tagged], GATE_ANCHOR_FLOOR)
+    net = replace(
+        glorot,
+        in_shift=np.mean(Zp, axis=0),
+        in_scale=_guarded_std(Zp),
+        out_shift=anchor,
         # an entry's variation scale is its own magnitude, floored by the
         # increment-size ratio so near-zero anchors stay trainable
-        net.out_scale = np.clip(
-            np.maximum(np.abs(anchor), 0.05 * dx_scale[j] / dz_scale), 1e-3, 1e3
-        )
-        nets.append(net)
+        out_scale=np.clip(
+            np.maximum(np.abs(anchor), 0.05 * dx_scale[:, None] / dz_scale), 1e-3, 1e3
+        ),
+    )
     return MtnnModel(
-        nets=nets,
+        net=net,
         mono_spec=mono_spec,
         order=recipe["order"],
         gate_mode=recipe["gate_mode"],

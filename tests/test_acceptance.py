@@ -74,8 +74,8 @@ def test_criterion_2_taylor_fixpoint_is_exact():
         nx = int(rng.integers(1, 4))
         n = nx + int(rng.integers(1, 3))
         spec = ct.MonoSpec(rng.integers(-1, 2, size=(nx, n)).astype(np.int8))
-        nets = [nn.init_dense([n, int(rng.integers(3, 6)), n], rng,
-                              activation=("tanh", "sigmoid")[i % 2])
+        width = int(rng.integers(3, 6))  # one per model: stacked nets share a shape
+        nets = [nn.init_dense([n, width, n], rng, activation=("tanh", "sigmoid")[i % 2])
                 for _ in range(nx)]
         model = md.MtnnModel(nets, spec, order=orders[i % 2],
                              gate_mode=gates[i % 3])

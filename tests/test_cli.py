@@ -218,6 +218,13 @@ class TestEval:
         header = (dest / "table.csv").read_text().splitlines()[0]
         assert "taylor1" in header and "soft1" not in header
 
+    def test_bundle_that_is_not_an_object_is_a_clean_error(self, trained_run, tmp_path,
+                                                           capsys):
+        dest, cfg_path = clone_run(trained_run, tmp_path)
+        (dest / "soft1.json").write_text("[]\n")
+        assert run("eval", "--config", cfg_path) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_no_bundles_at_all_is_an_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "d")
         cfg_path = write_config(cfg, tmp_path / "c.json")

@@ -181,8 +181,7 @@ class TestMonoPenalty:
         spec = con.MonoSpec.from_symbols(["+-.", ".++"])
         w = con.PenaltyWeights(lam_inc=1.3, lam_dec=0.7)
         rows_np = [RNG.normal(size=(4, 3)) for _ in range(2)]
-        rows = [g.Var(r) for r in rows_np]
-        pen = con.mono_penalty_rows_graph(rows, spec, w)
+        pen = con.mono_penalty_rows_graph(g.Var(np.stack(rows_np)), spec, w)
         expect = sum(
             con.mono_penalty(
                 np.stack([rows_np[0][b], rows_np[1][b]]), spec, w
@@ -213,7 +212,7 @@ class TestConvexPenalty:
 
     def test_graph_twin_matches(self):
         blocks_np = [RNG.normal(size=(5, 3, 3)) for _ in range(2)]
-        pen = con.convex_penalty_blocks_graph([g.Var(b) for b in blocks_np], 0.4)
+        pen = con.convex_penalty_blocks_graph(g.Var(np.stack(blocks_np)), 0.4)
         expect = sum(
             con.convex_penalty(b[k], 0.4) for b in blocks_np for k in range(5)
         )
@@ -223,7 +222,7 @@ class TestConvexPenalty:
         rng = np.random.default_rng(12)
         blk = rng.normal(size=(3, 2, 2)) + np.array([[-2.0, 0], [0, -2.0]])  # dets well negative
         v = g.Var(blk.copy())
-        g.backward(con.convex_penalty_blocks_graph([v], 1.5))
+        g.backward(con.convex_penalty_blocks_graph(v, 1.5))
         eps = 1e-6
         fd = np.zeros_like(blk)
         for idx in np.ndindex(blk.shape):
@@ -251,7 +250,7 @@ class TestPrincipalMinorMode:
 
     def test_graph_twin_matches(self):
         blocks_np = [RNG.normal(size=(4, 3, 3))]
-        got = con.principal_minor_penalty_blocks_graph([g.Var(b) for b in blocks_np], 0.9)
+        got = con.principal_minor_penalty_blocks_graph(g.Var(np.stack(blocks_np)), 0.9)
         expect = sum(con.principal_minor_penalty(blocks_np[0][k], 0.9) for k in range(4))
         assert got.value == pytest.approx(expect, rel=1e-10)
 

@@ -62,11 +62,17 @@ class TestArithmetic:
         a = RNG.normal(size=(3, 3))
         check_grads(lambda x: g.sum_all(g.scale(-x, 0.25)), [a])
 
-    def test_var_broadcast_rejected(self):
-        x = g.Var(RNG.normal(size=(3, 1)))
-        y = g.Var(RNG.normal(size=(3, 4)))
-        with pytest.raises(ValueError):
-            g.add(x, y)
+    def test_var_broadcast_along_leading_axis(self):
+        a = RNG.normal(size=(2, 3, 4))
+        b = RNG.normal(size=(3, 4))
+        w = RNG.normal(size=(2, 3, 4))
+        check_grads(lambda x, y: g.sum_all((x * y - y + x) * w), [a, b])
+
+    def test_var_broadcast_along_size_one_axis(self):
+        a = RNG.normal(size=(3, 1))
+        b = RNG.normal(size=(3, 4))
+        w = RNG.normal(size=(3, 4))
+        check_grads(lambda x, y: g.sum_all((x + y) * (y - x) * x * w), [a, b])
 
     def test_mean_all(self):
         a = RNG.normal(size=(6, 2))
@@ -161,6 +167,40 @@ class TestBatchedMatrixOps:
 RNG_WEIGHTS = np.random.default_rng(7).normal(size=(4, 3, 2))
 
 
+class TestStackedOps:
+    """Leading stack axes (S = 2), with an operand shared by the stack."""
+
+    def test_linear_shared_input(self):
+        x = RNG.normal(size=(4, 3))
+        W = RNG.normal(size=(2, 5, 3))
+        b = RNG.normal(size=(2, 5))
+        w = RNG.normal(size=(2, 4, 5))
+        check_grads(lambda xx, WW, bb: g.sum_all(g.tanh(g.linear(xx, WW, bb)) * w), [x, W, b])
+
+    def test_mat_chain_and_scale_rows_batch_one_operand(self):
+        W = RNG.normal(size=(2, 3, 5))
+        G = RNG.normal(size=(2, 1, 5, 2))
+        d = RNG.normal(size=(2, 4, 3))
+        w = RNG.normal(size=(2, 4, 3, 2))
+        check_grads(
+            lambda WW, GG, dd: g.sum_all(g.scale_rows(dd, g.mat_chain(WW, GG)) * w), [W, G, d]
+        )
+
+    def test_bmat_vec_and_dot_rows_shared_vector(self):
+        A = RNG.normal(size=(2, 4, 3, 3))
+        v = RNG.normal(size=(4, 3))
+        w = RNG.normal(size=(2, 4))
+        check_grads(
+            lambda AA, vv: g.sum_all(g.dot_rows(g.bmat_vec(AA, vv), vv) * w), [A, v]
+        )
+
+    def test_det(self):
+        A = RNG.normal(size=(2, 3, 3, 3))
+        w = RNG.normal(size=(2, 3))
+        np.testing.assert_allclose(g.det(g.Var(A)).value, np.linalg.det(A))
+        check_grads(lambda AA: g.sum_all(g.det(AA) * w), [A], atol=1e-6, rtol=1e-4)
+
+
 class TestDet:
     def test_grad_matches_fd(self):
         A = RNG.normal(size=(5, 3, 3))
@@ -199,13 +239,10 @@ class TestStructuralOps:
         cst = RNG.normal(size=(4, 1))
         check_grads(lambda x: g.sum_all(g.tanh(g.concat_last([x, cst]))), [a])
 
-    def test_stack_cols_and_col(self):
-        a = RNG.normal(size=(6,))
-        b = RNG.normal(size=(6,))
-        check_grads(
-            lambda x, y: g.sum_all(g.col(g.stack_cols([x, y, x]), 2) * g.col(g.stack_cols([y, x]), 0)),
-            [a, b],
-        )
+    def test_reshape(self):
+        a = RNG.normal(size=(1, 4, 3))
+        w = RNG.normal(size=(4, 3))
+        check_grads(lambda x: g.sum_all(g.tanh(g.reshape(x, (4, 3))) * w), [a])
 
 
 class TestBackward:

@@ -55,7 +55,7 @@ class TestJacobianMatrix:
         z = RNG.normal(size=3)
         J = md.jacobian_matrix_batch(m, z[None])[0]
         for j in range(2):
-            np.testing.assert_array_equal(J[j], nn.forward(m.nets[j], z))
+            np.testing.assert_array_equal(J[j], nn.forward(nn.unstack(m.net)[j], z)[0])
 
     def test_batch_matches_loop(self):
         m = random_model(2, 2, seed=6, gate=md.GateMode.ARCHITECTURE,
@@ -100,7 +100,7 @@ class TestHessianStack:
         spec = MonoSpec.from_symbols(["++-", "-.+"])
         m = random_model(2, 1, seed=9, gate=md.GateMode.ARCHITECTURE, spec=spec)
         z = RNG.normal(size=3)
-        raw = np.stack([nn.forward(net, z) for net in m.nets])
+        raw = nn.forward(m.net, z)
         if np.abs(raw).min() < 1e-2:  # keep the probe off the gate kink
             z = z + 0.37
         H = md.hessian_stack_batch(m, z[None])[0]
@@ -212,7 +212,7 @@ class TestPredict:
         m = md.BaselineModel(net, nx=2)
         z_curr = RNG.normal(size=3)
         np.testing.assert_array_equal(
-            md.predict(m, z_curr, np.zeros(3)), nn.forward(net, z_curr)
+            md.predict(m, z_curr, np.zeros(3)), nn.forward(net, z_curr)[0]
         )
 
 
@@ -270,6 +270,50 @@ class TestBundles:
         np.testing.assert_allclose(md.predict_batch(m, Zc, Zp), want["x_hat"],
                                    rtol=1e-12, atol=1e-12)
 
+    def test_pinned_v1_bundle_saves_as_written(self, tmp_path):
+        # the stack is split back into one v1 record per state on save
+        p = tmp_path / "again.json"
+        md.save_bundle(md.load_bundle(DATA / "mono2_bundle_v1.json"), p)
+        assert p.read_bytes() == (DATA / "mono2_bundle_v1.json").read_bytes()
+
+    def test_v1_nets_that_cannot_stack_rejected(self):
+        d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
+        d["nets"][1]["activation"] = "sigmoid"
+        with pytest.raises(ValueError, match="net 1"):
+            md.model_from_dict(d)
+
+    @pytest.mark.parametrize("record", [[], "mtnn", None])
+    def test_non_object_record_rejected(self, record):
+        with pytest.raises(ValueError, match="JSON object"):
+            md.model_from_dict(record)
+        d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
+        d["nets"][0] = record
+        with pytest.raises(ValueError, match="JSON object"):
+            md.model_from_dict(d)
+
+    @pytest.mark.parametrize("path", [("nets",), ("nets", 1, "weights"), ("mono_spec",)])
+    def test_missing_field_rejected(self, path):
+        d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
+        record = d
+        for key in path[:-1]:
+            record = record[key]
+        del record[path[-1]]
+        with pytest.raises(ValueError, match="lacks the field"):
+            md.model_from_dict(d)
+
+    def test_second_order_gated_predict_runs_nets_forward_once(self, monkeypatch):
+        m = md.load_bundle(DATA / "mono2_bundle_v1.json")
+        calls = []
+        forward = nn.forward
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(nn, "forward", counted)
+        md.predict_batch(m, RNG.normal(size=(5, 4)), RNG.normal(size=(5, 4)))
+        assert len(calls) == 1
+
 
 class TestValidation:
     def test_net_dims_must_be_square_in_n(self):
@@ -315,14 +359,14 @@ class TestEvaluatorsAgree:
         Zc[zero] = Zp[zero]
 
         X = md.predict_batch(m, Zc, Zp)
-        incrs, rows, blocks = md.taylor_increments(nn.NetTape(m.nets), m, Zc, Zp,
-                                                   need_blocks=True)
-        Xg = Zc[:, :nx] + np.stack([v.value for v in incrs], axis=1)
+        incr, rows, blocks = md.taylor_increments(nn.NetTape(m.net), m, Zc, Zp,
+                                                  need_blocks=True)
+        Xg = Zc[:, :nx] + incr.value.T
         np.testing.assert_allclose(Xg, X, rtol=1e-12, atol=1e-12)
         # the quadratic form cannot see symmetrization; the blocks can
-        np.testing.assert_allclose(np.stack([v.value for v in rows], axis=1),
+        np.testing.assert_allclose(np.swapaxes(rows.value, 0, 1),
                                    md.jacobian_matrix_batch(m, Zp), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(np.stack([v.value for v in blocks], axis=1),
+        np.testing.assert_allclose(np.swapaxes(blocks.value, 0, 1),
                                    md.hessian_stack_batch(m, Zp), rtol=1e-12, atol=1e-12)
         assert np.array_equal(X[zero], Zc[zero, :nx])
         assert np.array_equal(Xg[zero], Zc[zero, :nx])
@@ -330,6 +374,6 @@ class TestEvaluatorsAgree:
         for k in range(len(zero)):
             x = md.predict(m, Zc[k], Zp[k])
             np.testing.assert_allclose(x, X[k], rtol=1e-12, atol=1e-12)
-            xg = mpc._predict_graph(nn.NetTape(m.nets), m, graph.Var(Zc[k : k + 1]),
-                                    graph.Var(Zp[k : k + 1]))
+            xg = mpc._predict_graph(nn.NetTape(m.net), m, graph.Var(Zc[k : k + 1, :nx]),
+                                    graph.Var(Zc[k : k + 1]), graph.Var(Zp[k : k + 1]))
             np.testing.assert_allclose(xg.value[0], x, rtol=1e-12, atol=1e-12)

@@ -1,5 +1,7 @@
 """Dense-net forward, exact Jacobians, parameter gradients, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,22 +18,22 @@ def random_net(dims, activation="tanh", seed=0):
 class TestForward:
     def test_identity_linear_layer(self):
         net = nn.DenseNet([np.eye(3)], [np.zeros(3)], activation="linear")
-        np.testing.assert_array_equal(nn.forward(net, np.array([1.0, 2.0, 3.0])), [1, 2, 3])
+        np.testing.assert_array_equal(nn.forward(net, np.array([1.0, 2.0, 3.0]))[0], [1, 2, 3])
 
     def test_zero_weights_give_bias(self):
         b = np.array([0.7, -1.2])
         net = nn.DenseNet([np.zeros((2, 3))], [b], activation="linear")
         for _ in range(3):
             z = RNG.normal(size=3)
-            np.testing.assert_array_equal(nn.forward(net, z), b)
+            np.testing.assert_array_equal(nn.forward(net, z)[0], b)
 
     def test_two_layer_tanh_matches_straightline_reeval(self):
         net = random_net([2, 4, 2], seed=42)
         z = np.array([0.5, -0.5])
         # independent re-evaluation, no shared code path
-        h = np.tanh(net.weights[0] @ z + net.biases[0])
-        want = net.weights[1] @ h + net.biases[1]
-        np.testing.assert_allclose(nn.forward(net, z), want, rtol=0, atol=0)
+        h = np.tanh(net.weights[0][0] @ z + net.biases[0][0])
+        want = net.weights[1][0] @ h + net.biases[1][0]
+        np.testing.assert_allclose(nn.forward(net, z)[0], want, rtol=0, atol=0)
 
     def test_batched_equals_loop(self):
         net = random_net([3, 5, 2], seed=1)
@@ -39,7 +41,7 @@ class TestForward:
         batched = nn.forward(net, Z)
         for k in range(6):
             # BLAS may reorder the sums between the two shapes; only ulp-level drift
-            np.testing.assert_allclose(batched[k], nn.forward(net, Z[k]), rtol=1e-13)
+            np.testing.assert_allclose(batched[:, k], nn.forward(net, Z[k]), rtol=1e-13)
 
     def test_dimension_mismatch_rejected(self):
         net = random_net([3, 4, 2])
@@ -53,14 +55,13 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_standardization_is_affine_composition(self):
-        net = random_net([2, 4, 2], seed=9)
-        core = net.copy()
-        net.in_shift = np.array([70.0, 0.5])
-        net.in_scale = np.array([3.0, 0.2])
-        net.out_shift = np.array([-1.0, 2.0])
-        net.out_scale = np.array([4.0, 0.5])
+        core = random_net([2, 4, 2], seed=9)
+        in_shift, in_scale = np.array([70.0, 0.5]), np.array([3.0, 0.2])
+        out_shift, out_scale = np.array([-1.0, 2.0]), np.array([4.0, 0.5])
+        net = replace(core, in_shift=in_shift, in_scale=in_scale,
+                      out_shift=out_shift, out_scale=out_scale)
         z = np.array([71.3, 0.44])
-        want = nn.forward(core, (z - net.in_shift) / net.in_scale) * net.out_scale + net.out_shift
+        want = nn.forward(core, (z - in_shift) / in_scale) * out_scale + out_shift
         np.testing.assert_allclose(nn.forward(net, z), want, rtol=1e-15)
 
 
@@ -68,13 +69,13 @@ class TestInputJacobian:
     def test_linear_net_is_weight_matrix(self):
         W = RNG.normal(size=(2, 4))
         net = nn.DenseNet([W], [np.zeros(2)], activation="linear")
-        np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=4)), W)
+        np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=4))[0], W)
 
     def test_tanh_scalar_at_zero(self):
         net = nn.DenseNet([np.eye(1)], [np.zeros(1)], activation="tanh")
         # hidden tanh only exists with >= 2 layers; emulate with 2 layers
         net = nn.DenseNet([np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)], activation="tanh")
-        np.testing.assert_allclose(nn.input_jacobian(net, np.zeros(1)), [[1.0]])
+        np.testing.assert_allclose(nn.input_jacobian(net, np.zeros(1))[0], [[1.0]])
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "linear"])
     @pytest.mark.parametrize("dims", [[3, 3], [2, 7, 2], [4, 6, 6, 4]])
@@ -91,17 +92,16 @@ class TestInputJacobian:
         Z = RNG.normal(size=(4, 3))
         batched = nn.input_jacobian(net, Z)
         for k in range(4):
-            np.testing.assert_allclose(batched[k], nn.input_jacobian(net, Z[k]), rtol=1e-13)
+            np.testing.assert_allclose(batched[:, k], nn.input_jacobian(net, Z[k]), rtol=1e-13)
 
     def test_standardization_chain_rule(self):
-        net = random_net([2, 5, 2], seed=11)
-        core = net.copy()
-        net.in_shift = np.array([70.0, 0.5])
-        net.in_scale = np.array([3.0, 0.2])
-        net.out_scale = np.array([4.0, 0.5])
+        core = random_net([2, 5, 2], seed=11)
+        in_shift, in_scale = np.array([70.0, 0.5]), np.array([3.0, 0.2])
+        out_scale = np.array([4.0, 0.5])
+        net = replace(core, in_shift=in_shift, in_scale=in_scale, out_scale=out_scale)
         z = np.array([69.0, 0.61])
-        J_core = nn.input_jacobian(core, (z - net.in_shift) / net.in_scale)
-        want = net.out_scale[:, None] * J_core / net.in_scale[None, :]
+        J_core = nn.input_jacobian(core, (z - in_shift) / in_scale)
+        want = out_scale[:, None] * J_core / in_scale[None, :]
         np.testing.assert_allclose(nn.input_jacobian(net, z), want, rtol=1e-12)
         Jfd = nn.fd_input_jacobian(net, z)
         err = np.abs(nn.input_jacobian(net, z) - Jfd) / np.maximum(1.0, np.abs(Jfd))
@@ -154,7 +154,7 @@ class TestLossGradient:
 
         val, grad = nn.loss_gradient(net, loss)
         np.testing.assert_allclose(val, 0.5 * np.sum((W @ z) ** 2), rtol=1e-14)
-        np.testing.assert_allclose(grad.weights[0], np.outer(W @ z, z), rtol=1e-12)
+        np.testing.assert_allclose(grad.weights[0][0], np.outer(W @ z, z), rtol=1e-12)
 
     def test_constant_loss_zero_gradient(self):
         net = random_net([2, 3, 2])
@@ -212,9 +212,9 @@ class TestInitAndCheckpoints:
             assert np.array_equal(Wa, Wb)
 
     def test_roundtrip(self, tmp_path):
-        net = random_net([3, 7, 3], "sigmoid", seed=77)
-        net.in_shift = np.array([70.0, 55.0, 0.5])
-        net.in_scale = np.array([3.0, 5.0, 0.2])
+        net = replace(random_net([3, 7, 3], "sigmoid", seed=77),
+                      in_shift=np.array([70.0, 55.0, 0.5]),
+                      in_scale=np.array([3.0, 5.0, 0.2]))
         p = tmp_path / "net.json"
         nn.save_net(net, p)
         back = nn.load_net(p)
@@ -242,3 +242,75 @@ class TestInitAndCheckpoints:
             nn.DenseNet([np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(2), np.zeros(2)])
         with pytest.raises(ValueError):
             nn.DenseNet([np.zeros((2, 3))], [np.zeros(3)])
+
+
+def distinct_stack(activation="tanh"):
+    """Three members with unequal weights and affine maps."""
+    rng = np.random.default_rng(123)
+    members = []
+    for j in range(3):
+        net = random_net([3, 5, 2], activation, seed=40 + j)
+        members.append(replace(
+            net,
+            biases=[rng.normal(size=b.shape) for b in net.biases],
+            in_shift=rng.normal(size=3),
+            in_scale=rng.uniform(0.5, 2.0, size=3),
+            out_shift=rng.normal(size=2),
+            out_scale=rng.uniform(0.5, 2.0, size=2),
+        ))
+    return members, nn.stack(members)
+
+
+class TestStack:
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "linear"])
+    def test_members_evaluate_as_alone(self, activation):
+        members, net = distinct_stack(activation)
+        Z = RNG.normal(size=(6, 3))
+        out, J = nn.forward(net, Z), nn.input_jacobian(net, Z)
+        assert out.shape == (3, 6, 2) and J.shape == (3, 6, 2, 3)
+        for j, member in enumerate(members):
+            np.testing.assert_allclose(out[j], nn.forward(member, Z)[0], rtol=1e-13)
+            np.testing.assert_allclose(J[j], nn.input_jacobian(member, Z)[0], rtol=1e-13)
+
+    def test_tape_gradients_are_per_member(self):
+        members, net = distinct_stack()
+        Z = RNG.normal(size=(4, 3))
+        dz = RNG.normal(size=(4, 3))
+
+        def loss(tape):
+            out, J = tape.forward_and_jacobian(Z)
+            resid = out + g.bmat_vec(J, g.constant(dz))
+            return g.sum_all(resid * resid) + g.scale(g.sum_all(g.relu(-J)), 0.1)
+
+        _, grad = nn.loss_gradient(net, loss)
+        fd = nn.fd_loss_gradient(net, loss)
+        for got, want in zip(grad.weights + grad.biases, fd.weights + fd.biases):
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() < 1e-5
+        for j, member in enumerate(members):
+            _, alone = nn.loss_gradient(member, loss)
+            for got, want in zip(grad.weights + grad.biases, alone.weights + alone.biases):
+                np.testing.assert_allclose(got[j], want[0], rtol=1e-12, atol=1e-14)
+
+    def test_unstack_inverts_stack(self):
+        members, net = distinct_stack()
+        for member, back in zip(members, nn.unstack(net)):
+            assert nn.net_to_dict(back) == nn.net_to_dict(member)
+
+    def test_init_stack_draws_member_by_member(self):
+        stacked = nn.init_dense([3, 4, 3], 5, n_stack=2)
+        rng = np.random.default_rng(5)
+        one_by_one = nn.stack([nn.init_dense([3, 4, 3], rng) for _ in range(2)])
+        for Wa, Wb in zip(stacked.weights, one_by_one.weights):
+            assert np.array_equal(Wa, Wb)
+
+    def test_unequal_members_rejected(self):
+        with pytest.raises(ValueError, match="net 1"):
+            nn.stack([random_net([3, 4, 3]), random_net([3, 5, 3])])
+        with pytest.raises(ValueError, match="net 1"):
+            nn.stack([random_net([3, 4, 3]), random_net([3, 4, 3], "sigmoid")])
+
+    def test_v1_record_holds_one_net(self):
+        _, net = distinct_stack()
+        with pytest.raises(ValueError):
+            nn.net_to_dict(net)

@@ -34,8 +34,7 @@ def make_model(rng_seed, nx, nu, width=3, order=TaylorOrder.FIRST,
 
 
 def flat_params(model):
-    nets = model.nets if isinstance(model, MtnnModel) else [model.net]
-    return [A for net in nets for A in (*net.weights, *net.biases)]
+    return [*model.net.weights, *model.net.biases]
 
 
 class TestTotalLoss:
@@ -112,7 +111,7 @@ class TestLossGraphTwin:
                            tags=["+.-", "-+."], bias_shift=0.3)
         cfg = tr.TrainConfig(mode=mode, strict_minors=strict)
         Zp, Zc, Xn = pl.transitions_to_arrays(data)
-        tape = nn.NetTape(model.nets)
+        tape = nn.NetTape(model.net)
         total_var, comps = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         ref = tr.loss_components(model, data, cfg)
         np.testing.assert_allclose(float(total_var.value), ref[0], rtol=1e-12)
@@ -125,7 +124,7 @@ class TestLossGraphTwin:
         model.symmetrize_hessian = True
         cfg = tr.TrainConfig(mode=tr.TrainMode.CONVEX)
         Zp, Zc, Xn = pl.transitions_to_arrays(data)
-        tape = nn.NetTape(model.nets)
+        tape = nn.NetTape(model.net)
         total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         np.testing.assert_allclose(
             float(total_var.value), tr.total_loss(model, data, cfg), rtol=1e-12
@@ -139,13 +138,11 @@ class TestLossGraphTwin:
                            tags=["+.-", "-+."], bias_shift=0.35)
         cfg = tr.TrainConfig(mode=mode, strict_minors=strict)
         Zp, Zc, Xn = pl.transitions_to_arrays(data)
-        tape = nn.NetTape(model.nets)
+        tape = nn.NetTape(model.net)
         total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         graph.backward(total_var)
-        grads = []
-        for i in range(model.nx):
-            pg = tape.gradients(i)
-            grads.extend((*pg.weights, *pg.biases))
+        pg = tape.gradients()
+        grads = [*pg.weights, *pg.biases]
         step = 1e-6
         for A, G in zip(flat_params(model), grads):
             it = np.nditer(A, flags=["multi_index"])
@@ -327,7 +324,7 @@ class TestVariants:
         m = tr.build_variant("taylor1", b.plant.mono_spec(), b.train, 32, seed=0)
         assert isinstance(m, MtnnModel)
         assert m.nx == 1 and m.n == 3
-        assert m.nets[0].layer_dims == [3, 32, 3]
+        assert m.net.layer_dims == [3, 32, 3]
 
     def test_build_baseline_kind(self):
         b = pl.hvac_benchmark(seed=0)
@@ -341,7 +338,7 @@ class TestVariants:
         m = tr.build_variant("taylor1", spec, b.train, 8, seed=1)
         Zp, Zc, Xn = pl.transitions_to_arrays(b.train)
         row0, *_ = np.linalg.lstsq(Zc - Zp, Xn[:, 0] - Zc[:, 0], rcond=None)
-        np.testing.assert_allclose(m.nets[0].out_shift, row0)
+        np.testing.assert_allclose(m.net.out_shift[0], row0)
 
     def test_gated_anchor_clamped_to_tag_sign(self):
         # plant moves opposite its declared tag: x' = x - 0.3 du, tag "+"
@@ -353,11 +350,11 @@ class TestVariants:
         spec = ct.MonoSpec.from_symbols([".+"])
         gated = tr.build_variant("mono1", spec, data, 4, seed=0)
         plain = tr.build_variant("taylor1", spec, data, 4, seed=0)
-        assert plain.nets[0].out_shift[1] < 0  # the honest estimate
-        assert gated.nets[0].out_shift[1] == tr.GATE_ANCHOR_FLOOR
+        assert plain.net.out_shift[0, 1] < 0  # the honest estimate
+        assert gated.net.out_shift[0, 1] == tr.GATE_ANCHOR_FLOOR
         # untagged entry keeps the least-squares value
-        assert gated.nets[0].out_shift[0] == plain.nets[0].out_shift[0]
-        assert np.array_equal(gated.nets[0].biases[-1], plain.nets[0].biases[-1])
+        assert gated.net.out_shift[0, 0] == plain.net.out_shift[0, 0]
+        assert np.array_equal(gated.net.biases[-1][0], plain.net.biases[-1][0])
 
     def test_decreasing_anchor_mirrored_to_raw(self):
         # gate emits -relu(raw), so a decreasing entry anchors raw at +|row|
@@ -365,16 +362,16 @@ class TestVariants:
         spec = b.plant.mono_spec()  # "++-": mdot column decreasing
         gated = tr.build_variant("mono1", spec, b.train, 8, seed=1)
         plain = tr.build_variant("taylor1", spec, b.train, 8, seed=1)
-        assert plain.nets[0].out_shift[2] < -5  # strongly negative partial
+        assert plain.net.out_shift[0, 2] < -5  # strongly negative partial
         np.testing.assert_allclose(
-            gated.nets[0].out_shift[2], -plain.nets[0].out_shift[2]
+            gated.net.out_shift[0, 2], -plain.net.out_shift[0, 2]
         )
 
     def test_standardization_fitted(self):
         b = pl.hvac_benchmark(seed=0)
         m = tr.build_variant("taylor1", b.plant.mono_spec(), b.train, 8, seed=0)
         Zp, _, _ = pl.transitions_to_arrays(b.train)
-        np.testing.assert_allclose(m.nets[0].in_shift, Zp.mean(axis=0))
+        np.testing.assert_allclose(m.net.in_shift[0], Zp.mean(axis=0))
 
     def test_spec_mismatch_rejected(self):
         b = pl.hvac_benchmark(seed=0)
