@@ -1,12 +1,14 @@
 """Receding-horizon control by projected gradient through the predictor.
 
 The learned model plays the role of the plant constraint: a candidate input
-sequence is rolled through the predictor feeding predicted states back, the
-quadratic tracking cost is read off the predicted trajectory, and its exact
-gradient with respect to every input entry comes out of the same reverse-mode
-graph that trains the networks. Input boxes are handled by projection (so
-feasibility is exact), state boxes by a soft quadratic penalty, since hard
-state constraints under a learned model are easily infeasible.
+sequence is rolled through the numpy predictor feeding predicted states back,
+and the quadratic tracking cost is read off the predicted trajectory. Its
+exact gradient is an adjoint recursion over the horizon, run in numpy on the
+step Jacobians of every recorded pair, which one batched reverse-mode graph
+of the Taylor step yields at once; one path serves every model kind. Input
+boxes are handled by projection (so feasibility is exact), state boxes by a
+soft quadratic penalty, since hard state constraints under a learned model
+are easily infeasible.
 
 The stage cost keeps the k = 0 state term even though the current state is
 not controllable; it is a constant offset that leaves the argmin alone.
@@ -30,12 +32,20 @@ ARMIJO_SIGMA = 1e-4
 MAX_BACKTRACKS = 40
 
 
-def _diag_weights(w, size: int, name: str) -> Array:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 0:
-        w = np.full(size, float(w))
-    if w.shape != (size,):
-        raise ValueError(f"{name} must be a scalar or a vector of length {size}")
+def _vector(v, name: str, size: int | None = None, allow_inf: bool = False) -> Array:
+    """v as a float vector of the given length; NaN is never allowed, and
+    infinities only with allow_inf."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if size is not None and v.shape != (size,):
+        raise ValueError(f"{name} must have length {size}")
+    if np.isnan(v).any() or not (allow_inf or np.isfinite(v).all()):
+        raise ValueError(f"{name} must be {'free of NaN' if allow_inf else 'finite'}")
+    return v
+
+
+def _weights(w, size: int, name: str) -> Array:
+    """Nonnegative finite weights; a scalar is broadcast to the size."""
+    w = _vector(np.full(size, w, dtype=np.float64) if np.ndim(w) == 0 else w, name, size)
     if np.any(w < 0):
         raise ValueError(f"{name} entries must be nonnegative")
     return w
@@ -47,7 +57,8 @@ class MpcConfig:
 
     Q, R, P are diagonal, given as their diagonals (scalars broadcast).
     x_min/x_max are optional soft state bounds with quadratic weight
-    `state_weight`; x0 is the closed-loop initial state.
+    `state_weight` (an infinite bound leaves that side free); x0 is the
+    closed-loop initial state. Everything else must be finite.
     """
 
     x_ref: Array
@@ -66,36 +77,27 @@ class MpcConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        self.x_ref = np.asarray(self.x_ref, dtype=np.float64).reshape(-1)
-        self.u_min = np.asarray(self.u_min, dtype=np.float64).reshape(-1)
-        self.u_max = np.asarray(self.u_max, dtype=np.float64).reshape(-1)
-        if self.u_min.shape != self.u_max.shape:
-            raise ValueError("u_min and u_max lengths disagree")
+        self.x_ref = _vector(self.x_ref, "x_ref")
+        self.u_min = _vector(self.u_min, "u_min")
+        self.u_max = _vector(self.u_max, "u_max", self.nu)
         if np.any(self.u_min > self.u_max):
             raise ValueError("need u_min <= u_max elementwise")
-        self.horizon = int(self.horizon)
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.q_diag = _diag_weights(self.q_diag, self.nx, "q_diag")
-        self.r_diag = _diag_weights(self.r_diag, self.nu, "r_diag")
-        self.p_diag = _diag_weights(self.p_diag, self.nx, "p_diag")
+        for name in ("horizon", "iterations"):
+            n = _vector(getattr(self, name), name, 1)[0]
+            if n < 1 or n != int(n):
+                raise ValueError(f"{name} must be an integer >= 1")
+            setattr(self, name, int(n))
+        self.q_diag = _weights(self.q_diag, self.nx, "q_diag")
+        self.r_diag = _weights(self.r_diag, self.nu, "r_diag")
+        self.p_diag = _weights(self.p_diag, self.nx, "p_diag")
         for name in ("x_min", "x_max", "x0"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=np.float64).reshape(-1)
-                if v.shape != (self.nx,):
-                    raise ValueError(f"{name} must have length {self.nx}")
+            if getattr(self, name) is not None:
+                v = _vector(getattr(self, name), name, self.nx, allow_inf=name != "x0")
                 setattr(self, name, v)
-        if (
-            self.x_min is not None
-            and self.x_max is not None
-            and np.any(self.x_min > self.x_max)
-        ):
+        if self.x_min is not None and self.x_max is not None and np.any(self.x_min > self.x_max):
             raise ValueError("need x_min <= x_max elementwise")
-        if self.state_weight < 0:
-            raise ValueError("state_weight must be nonnegative")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        self.state_weight = float(_weights(self.state_weight, 1, "state_weight")[0])
+        _vector([self.step_size, self.tol], "step_size and tol")
         if self.step_size <= 0 or self.tol <= 0:
             raise ValueError("step_size and tol must be positive")
 
@@ -132,13 +134,38 @@ def _u_matrix(u_seq, cfg: MpcConfig) -> Array:
     return U
 
 
-def _bound_violation_sq(x: Array, cfg: MpcConfig) -> float:
-    pen = 0.0
+def _excess(X: Array, cfg: MpcConfig) -> Array:
+    """Signed soft-box excess of states X: + above x_max, - below x_min."""
+    v = np.zeros_like(X)
     if cfg.x_max is not None:
-        pen += float(np.sum(np.maximum(x - cfg.x_max, 0.0) ** 2))
+        v += np.maximum(X - cfg.x_max, 0.0)
     if cfg.x_min is not None:
-        pen += float(np.sum(np.maximum(cfg.x_min - x, 0.0) ** 2))
-    return pen
+        v -= np.maximum(cfg.x_min - X, 0.0)
+    return v
+
+
+def _rollout(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
+    """(cost, X, Z) of the input sequence U: states X (H+1, nx) and pairs
+    Z (H+1, N), Z[0] = z_prev and Z[k+1] = [x_k; u_k], so that
+    x_{k+1} = predict(Z[k+1], Z[k]). A rollout that leaves the finite range
+    prices as inf, and X is then filled only up to the first bad state.
+    """
+    H, nx = cfg.horizon, cfg.nx
+    X, Z = np.empty((H + 1, nx)), np.empty((H + 1, nx + cfg.nu))
+    X[0], Z[0], Z[1:, nx:] = x0, z_prev, U
+    with np.errstate(all="ignore"):
+        for k in range(H):
+            if not np.isfinite(X[k]).all():
+                return float("inf"), X, Z
+            Z[k + 1, :nx] = X[k]
+            X[k + 1] = md.predict(model, Z[k + 1], Z[k])
+        if not np.isfinite(X[H]).all():
+            return float("inf"), X, Z
+        E = X - cfg.x_ref
+        cost = float(np.sum(E[:H] * E[:H] * cfg.q_diag) + np.sum(U * U * cfg.r_diag)
+                     + E[H] @ (cfg.p_diag * E[H])
+                     + cfg.state_weight * np.sum(_excess(X, cfg) ** 2))
+    return (cost if np.isfinite(cost) else float("inf")), X, Z
 
 
 def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig) -> float:
@@ -151,33 +178,14 @@ def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig) -> float:
     """
     _check_dims(model, cfg)
     U = _u_matrix(u_seq, cfg)
-    x = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x.shape != (cfg.nx,):
-        raise ValueError(f"x0 must have length {cfg.nx}")
-    zp = np.asarray(z_prev, dtype=np.float64).reshape(-1)
-    if zp.shape != (cfg.nx + cfg.nu,):
-        raise ValueError(f"z_prev must have length {cfg.nx + cfg.nu}")
-    cost = 0.0
-    with np.errstate(all="ignore"):
-        for k in range(cfg.horizon):
-            if not np.all(np.isfinite(x)):
-                return float("inf")
-            e = x - cfg.x_ref
-            cost += float(e @ (cfg.q_diag * e) + U[k] @ (cfg.r_diag * U[k]))
-            cost += cfg.state_weight * _bound_violation_sq(x, cfg)
-            zc = np.concatenate([x, U[k]])
-            x = md.predict(model, zc, zp)
-            zp = zc
-        if not np.all(np.isfinite(x)):
-            return float("inf")
-        e = x - cfg.x_ref
-        cost += float(e @ (cfg.p_diag * e))
-        cost += cfg.state_weight * _bound_violation_sq(x, cfg)
-    return cost if np.isfinite(cost) else float("inf")
+    x0, zp = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (x0, z_prev))
+    if x0.shape != (cfg.nx,) or zp.shape != (cfg.nx + cfg.nu,):
+        raise ValueError(f"x0 and z_prev must have lengths {cfg.nx} and {cfg.nx + cfg.nu}")
+    return _rollout(model, U, x0, zp, cfg)[0]
 
 
 def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
-    """Graph twin of md.predict on (1, N) Vars; x is the state part of
+    """Graph twin of md.predict_batch on (B, N) Vars; x is the state part of
     z_curr, and gradients flow into all three.
 
     The Taylor step itself is `md.taylor_increments`.
@@ -188,66 +196,65 @@ def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
     return x + graph.transpose_last(incr)
 
 
-def _quad_form(v, w: Array):
-    """sum_i w_i v_i^2 for a (1, n) Var v and a weight vector."""
-    return graph.sum_all(graph.dot_rows(graph.mul(v, w), v))
+def _step_jacobians(model, Z: Array, cfg: MpcConfig):
+    """d x_hat_k / d (x_k, u_k, z_prev_k) of every step x_hat_k =
+    predict(Z[k+1], Z[k]): (H, nx, nx), (H, nx, nu), (H, nx, N).
 
-
-def _add_bound_penalty(term, x, cfg: MpcConfig):
-    """term plus the weighted soft state-box violation of the (1, nx) Var x."""
-    if cfg.x_max is not None:
-        term = term + graph.scale(
-            _quad_form(graph.relu(x - cfg.x_max[None, :]), np.ones(cfg.nx)),
-            cfg.state_weight,
-        )
-    if cfg.x_min is not None:
-        term = term + graph.scale(
-            _quad_form(graph.relu(-(x - cfg.x_min[None, :])), np.ones(cfg.nx)),
-            cfg.state_weight,
-        )
-    return term
+    One graph: each pair is repeated nx times and batch row (k, i) picks
+    output i, so one backward leaves row i of step k's Jacobians on the
+    inputs. A baseline has no z_prev path; that Jacobian is zero.
+    """
+    H, nx, N = cfg.horizon, cfg.nx, cfg.nx + cfg.nu
+    pairs = np.repeat(Z, nx, axis=0)
+    x, u, zp = (graph.Var(a) for a in (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx]))
+    x_hat = _predict_graph(nn.NetTape(model.net), model, x, graph.concat_last([x, u]), zp)
+    graph.backward(graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1)))))
+    Jp = np.zeros((H, nx, N)) if zp.grad is None else zp.grad.reshape(H, nx, N)
+    return x.grad.reshape(H, nx, nx), u.grad.reshape(H, nx, cfg.nu), Jp
 
 
 def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
-    """(cost, d cost / dU) via the reverse-mode graph; (inf, None) on blowup."""
-    tape = nn.NetTape(model.net)
-    u_vars = [graph.Var(U[k : k + 1]) for k in range(cfg.horizon)]
-    x = graph.constant(x0[None, :])
-    zp = graph.constant(z_prev[None, :])
-    x_ref = cfg.x_ref[None, :]
-    total = None
+    """(cost, d cost / dU) by an adjoint recursion; (inf, None) on blowup.
+
+    With lam_k = d cost / d x_k, e the tracking error, v the signed soft-box
+    excess and w the state weight, it runs back from lam_H = 2 P e_H + 2 w v_H:
+
+        G_k   = 2 R u_k + lam_{k+1}' dx_hat_k/du + carry_u
+        lam_k = 2 Q e_k + 2 w v_k + lam_{k+1}' dx_hat_k/dx + carry_x
+        carry = lam_{k+1}' dx_hat_k/dz_prev   (z_prev_k = [x_{k-1}; u_{k-1}])
+    """
+    cost, X, Z = _rollout(model, U, x0, z_prev, cfg)
+    if not np.isfinite(cost):
+        return float("inf"), None
+    nx = cfg.nx
     with np.errstate(all="ignore"):
-        for k in range(cfg.horizon):
-            term = _quad_form(x - x_ref, cfg.q_diag) + _quad_form(
-                u_vars[k], cfg.r_diag
-            )
-            term = _add_bound_penalty(term, x, cfg)
-            total = term if total is None else total + term
-            zc = graph.concat_last([x, u_vars[k]])
-            x = _predict_graph(tape, model, x, zc, zp)
-            zp = zc
-        total = total + _add_bound_penalty(_quad_form(x - x_ref, cfg.p_diag), x, cfg)
-        val = float(total.value)
-        if not np.isfinite(val):
-            return float("inf"), None
-        graph.backward(total)
-    G = np.zeros_like(U)
-    for k, uv in enumerate(u_vars):
-        if uv.grad is not None:
-            G[k] = uv.grad[0]
-    if not np.all(np.isfinite(G)):
-        return val, None
-    return val, G
+        Jx, Ju, Jp = _step_jacobians(model, Z, cfg)
+        E2, V2 = 2.0 * (X - cfg.x_ref), 2.0 * cfg.state_weight * _excess(X, cfg)
+        G = 2.0 * cfg.r_diag * U
+        lam, carry = cfg.p_diag * E2[-1] + V2[-1], np.zeros(nx + cfg.nu)
+        for k in range(cfg.horizon - 1, -1, -1):
+            G[k] += lam @ Ju[k] + carry[nx:]
+            lam, carry = cfg.q_diag * E2[k] + V2[k] + lam @ Jx[k] + carry[:nx], lam @ Jp[k]
+    return cost, (G if np.isfinite(G).all() else None)
 
 
 @dataclass
 class SolveResult:
-    """Best input sequence found, its cost, and how the solve ended."""
+    """Best input sequence found, its cost, and how the solve ended.
+
+    `exit` is "tolerance" (the last step moved less than tol), "stationary"
+    (the line search found no decrease), "budget" (the iterations ran out)
+    or "nonfinite" (the cost or its gradient left the finite range).
+    """
 
     u_seq: Array
     cost: float
-    converged: bool
     iterations: int
+    exit: str
+
+    @property
+    def converged(self) -> bool:
+        return self.exit in ("tolerance", "stationary")
 
 
 def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult:
@@ -255,9 +262,8 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
 
     Projected gradient with a backtracking (Armijo) line search; every
     iterate is clipped into [u_min, u_max], so the returned sequence is
-    feasible by construction. Returns the best iterate seen. `converged`
-    is False only when the iteration budget ran out while the solution was
-    still moving more than `tol` per step.
+    feasible by construction. Returns the best iterate seen and how the
+    solve ended (see `SolveResult`).
     """
     _check_dims(model, cfg)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -268,13 +274,14 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
         U = _u_matrix(u_init, cfg).copy()
     U = np.clip(U, cfg.u_min, cfg.u_max)
     best_U, best_cost = U.copy(), horizon_cost(model, U, x0, z_prev, cfg)
-    converged = False
+    exit = "budget"
     step = 0.5 * cfg.step_size  # trials open at twice the last accepted step
     prev = None
     it = 0
     for it in range(1, cfg.iterations + 1):
         cost, G = _cost_and_grad(model, U, x0, z_prev, cfg)
         if G is None:
+            exit = "nonfinite"
             break  # nothing to descend along; keep the best iterate
         trial = step * 2.0
         if prev is not None:
@@ -296,15 +303,15 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
                 break
             trial *= 0.5
         if moved is None:
-            converged = True  # line search can no longer improve: stationary
+            exit = "stationary"  # line search can no longer improve
             break
         U, cost, step = moved
         if cost < best_cost:
             best_cost, best_U = cost, U.copy()
         if np.max(np.abs(delta)) < cfg.tol:
-            converged = True
+            exit = "tolerance"
             break
-    return SolveResult(best_U, best_cost, converged, it)
+    return SolveResult(best_U, best_cost, it, exit)
 
 
 @dataclass
@@ -325,11 +332,8 @@ class ClosedLoopTrace:
         self.cost = np.asarray(self.cost, dtype=np.float64)
         self.converged = np.asarray(self.converged, dtype=bool)
         self.solve_time = np.asarray(self.solve_time, dtype=np.float64)
-        n = len(self.t)
-        if not (
-            self.x.shape[0] == self.u.shape[0] == len(self.cost)
-            == len(self.converged) == len(self.solve_time) == n
-        ):
+        columns = (self.x, self.u, self.cost, self.converged, self.solve_time)
+        if any(len(c) != len(self.t) for c in columns):
             raise ValueError("trace columns must have equal length")
 
     def __len__(self) -> int:
@@ -337,19 +341,12 @@ class ClosedLoopTrace:
 
     def save_csv(self, path) -> None:
         nx, nu = self.x.shape[1], self.u.shape[1]
-        header = (
-            ["t"]
-            + [f"T{i + 1}" for i in range(nx)]
-            + [f"Q{j + 1}" for j in range(nu)]
-            + ["cost", "converged"]
-        )
+        header = ["t", *(f"T{i + 1}" for i in range(nx)),
+                  *(f"Q{j + 1}" for j in range(nu)), "cost", "converged"]
         lines = [",".join(header)]
         for k in range(len(self)):
-            row = [repr(float(self.t[k]))]
-            row += [repr(float(v)) for v in self.x[k]]
-            row += [repr(float(v)) for v in self.u[k]]
-            row += [repr(float(self.cost[k])), str(int(self.converged[k]))]
-            lines.append(",".join(row))
+            nums = [self.t[k], *self.x[k], *self.u[k], self.cost[k]]
+            lines.append(",".join([repr(float(v)) for v in nums] + [str(int(self.converged[k]))]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -360,7 +357,9 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     Each step solves the horizon problem from the measured state, applies
     only the first input to the plant, and shifts the expansion history.
     The model needs a previous sample before the first solve, so the loop
-    is seeded with one zero-input plant step from cfg.x0. A solver fault
+    is seeded with one zero-input plant step from cfg.x0. Before that, the
+    plant is stepped from cfg.x0 at u_min and at u_max, so an input box the
+    plant rejects fails up front with a ValueError. A solver fault
     (non-finite cost or a FloatingPointError) falls back to holding the
     last applied input, flagged non-converged in the trace. Any other
     exception is a bug, not a fault, and propagates.
@@ -371,17 +370,22 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    for corner in (cfg.u_min, cfg.u_max):
+        try:
+            plant.step(cfg.x0, corner)
+        except ValueError as e:
+            raise ValueError(
+                f"input box u_min={cfg.u_min.tolist()}, u_max={cfg.u_max.tolist()} "
+                f"is outside what the plant accepts: {e}"
+            ) from None
     u_quiet = np.zeros(cfg.nu)
     z_prev = np.concatenate([cfg.x0, u_quiet])
     x_meas = np.asarray(plant.step(cfg.x0, u_quiet), dtype=np.float64)
     u_held = np.clip(u_quiet, cfg.u_min, cfg.u_max)
     warm = None
     t = np.arange(steps, dtype=np.float64) * plant.dt
-    xs = np.empty((steps, cfg.nx))
-    us = np.empty((steps, cfg.nu))
-    costs = np.empty(steps)
-    flags = np.empty(steps, dtype=bool)
-    times = np.empty(steps)
+    xs, us = np.empty((steps, cfg.nx)), np.empty((steps, cfg.nu))
+    costs, flags, times = np.empty(steps), np.empty(steps, dtype=bool), np.empty(steps)
     for k in range(steps):
         t0 = time.perf_counter()
         try:
@@ -391,16 +395,11 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
             res, fault = None, True
         times[k] = time.perf_counter() - t0
         if fault:
-            u_apply = u_held
-            costs[k] = float("inf")
-            flags[k] = False
+            u_apply, costs[k], flags[k] = u_held, float("inf"), False
         else:
-            u_apply = res.u_seq[0]
-            costs[k] = res.cost
-            flags[k] = res.converged
+            u_apply, costs[k], flags[k] = res.u_seq[0], res.cost, res.converged
             warm = np.vstack([res.u_seq[1:], res.u_seq[-1:]])
-        xs[k] = x_meas
-        us[k] = u_apply
+        xs[k], us[k] = x_meas, u_apply
         z_prev = np.concatenate([x_meas, u_apply])
         x_meas = np.asarray(plant.step(x_meas, u_apply), dtype=np.float64)
         u_held = u_apply

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtnn import mpc
+from mtnn import graph, mpc
 from mtnn import net as nn
 from mtnn import plants as pl
 from mtnn.constraints import MonoSpec
-from mtnn.model import GateMode, MtnnModel, TaylorOrder
+from mtnn.model import BaselineModel, GateMode, MtnnModel, TaylorOrder
 
 
 def const_row_model(rows, nx=None, order=TaylorOrder.FIRST, gate=GateMode.NONE):
@@ -34,6 +36,41 @@ def tclab_exact_model():
     ]
     m = const_row_model(rows)
     return p, m
+
+
+def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
+    """Reference (cost, d cost / dU): the whole rollout built on the
+    reverse-mode graph at batch one and differentiated by one backward."""
+
+    def quad_form(v, w):
+        return graph.sum_all(graph.dot_rows(graph.mul(v, w), v))
+
+    def add_bound_penalty(term, x):
+        if cfg.x_max is not None:
+            over = graph.relu(x - cfg.x_max[None, :])
+            term = term + graph.scale(quad_form(over, np.ones(cfg.nx)), cfg.state_weight)
+        if cfg.x_min is not None:
+            under = graph.relu(-(x - cfg.x_min[None, :]))
+            term = term + graph.scale(quad_form(under, np.ones(cfg.nx)), cfg.state_weight)
+        return term
+
+    tape = nn.NetTape(model.net)
+    u_vars = [graph.Var(U[k : k + 1]) for k in range(cfg.horizon)]
+    x = graph.constant(np.asarray(x0, dtype=np.float64)[None, :])
+    zp = graph.constant(np.asarray(z_prev, dtype=np.float64)[None, :])
+    x_ref = cfg.x_ref[None, :]
+    total = None
+    for k in range(cfg.horizon):
+        term = quad_form(x - x_ref, cfg.q_diag) + quad_form(u_vars[k], cfg.r_diag)
+        term = add_bound_penalty(term, x)
+        total = term if total is None else total + term
+        zc = graph.concat_last([x, u_vars[k]])
+        x = mpc._predict_graph(tape, model, x, zc, zp)
+        zp = zc
+    total = total + add_bound_penalty(quad_form(x - x_ref, cfg.p_diag), x)
+    graph.backward(total)
+    G = np.array([uv.grad[0] for uv in u_vars])
+    return float(total.value), G
 
 
 def small_cfg(**kw):
@@ -66,6 +103,32 @@ class TestMpcConfig:
             small_cfg(tol=0.0)
         with pytest.raises(ValueError, match="x0"):
             small_cfg(x0=[1.0, 2.0])
+        with pytest.raises(ValueError, match="x_ref"):
+            mpc.MpcConfig(x_ref=[np.nan], u_min=[-np.inf], u_max=[1.0])
+        with pytest.raises(ValueError, match="u_min"):
+            small_cfg(u_min=[-np.inf])
+        with pytest.raises(ValueError, match="u_max"):
+            small_cfg(u_max=[np.nan])
+        with pytest.raises(ValueError, match="x0"):
+            small_cfg(x0=[np.inf])
+        for name in ("q_diag", "r_diag", "p_diag", "state_weight", "step_size", "tol"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=name):
+                    small_cfg(**{name: bad})
+        for name in ("horizon", "iterations"):
+            for bad in (np.nan, np.inf, 2.5):
+                with pytest.raises(ValueError, match=name):
+                    small_cfg(**{name: bad})
+        with pytest.raises(ValueError, match="x_min"):
+            small_cfg(x_min=[np.nan])
+        with pytest.raises(ValueError, match="x_max"):
+            small_cfg(x_max=[np.nan])
+        # an infinite state bound is no bound on that side
+        cfg = small_cfg(x_min=[-np.inf], x_max=[np.inf])
+        model = const_row_model([[0.4, 2.0]])
+        assert mpc.horizon_cost(model, np.zeros((2, 1)), [5.0], [4.0, 0.0], cfg) == (
+            mpc.horizon_cost(model, np.zeros((2, 1)), [5.0], [4.0, 0.0], small_cfg())
+        )
 
     def test_from_dict_names_unknown_key(self):
         with pytest.raises(ValueError, match="horizon_len"):
@@ -137,38 +200,55 @@ class TestHorizonCost:
             mpc.horizon_cost(model, np.zeros((8, 1)), [0.0, 0.0], np.zeros(3), cfg2)
 
 
-class TestCostGradient:
-    def rand_model(self, seed, order, gate):
-        rng = np.random.default_rng(seed)
-        nets = [nn.init_dense([4, 5, 4], rng, "tanh") for _ in range(2)]
-        for net in nets:
-            net.biases[-1] += rng.normal(0.0, 0.3, size=4)
-        spec = MonoSpec.from_symbols(["+++.", "++.+"])
-        return MtnnModel(nets, spec, order, gate)
+def rand_model(seed, kind="mtnn", order=TaylorOrder.FIRST, gate=GateMode.NONE,
+               symmetrize=False, spec=None):
+    """Random tanh model with 2 states and 2 inputs; the Jacobian nets get a
+    bias so gates sit off the kink. spec=None draws random sign tags."""
+    rng = np.random.default_rng(seed)
+    if kind == "baseline":
+        return BaselineModel(nn.init_dense([4, 5, 2], rng, "tanh"), 2)
+    nets = [nn.init_dense([4, 5, 4], rng, "tanh") for _ in range(2)]
+    for net in nets:
+        net.biases[-1] += rng.normal(0.0, 0.3, size=4)
+    if spec is None:
+        spec = MonoSpec.from_symbols(["".join(r) for r in rng.choice(list("+-."), (2, 4))])
+    return MtnnModel(nets, spec, order, gate, symmetrize)
 
+
+class TestCostGradient:
     @pytest.mark.parametrize(
-        "order,gate",
+        "kind,order,gate,symmetrize,horizon",
         [
-            (TaylorOrder.FIRST, GateMode.NONE),
-            (TaylorOrder.FIRST, GateMode.ARCHITECTURE),
-            (TaylorOrder.SECOND, GateMode.NONE),
-            (TaylorOrder.SECOND, GateMode.ARCHITECTURE),
+            pytest.param("mtnn", TaylorOrder.FIRST, GateMode.NONE, False, 3,
+                         id="first-none"),
+            pytest.param("mtnn", TaylorOrder.FIRST, GateMode.ARCHITECTURE, False, 3,
+                         id="first-architecture"),
+            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.NONE, False, 3,
+                         id="second-none"),
+            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE, False, 3,
+                         id="second-architecture"),
+            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.NONE, True, 3,
+                         id="second-none-symmetrized"),
+            pytest.param("baseline", None, None, False, 3, id="baseline"),
+            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE, False, 1,
+                         id="second-architecture-horizon1"),
         ],
     )
-    def test_matches_finite_differences(self, order, gate):
-        model = self.rand_model(3, order, gate)
+    def test_matches_finite_differences(self, kind, order, gate, symmetrize, horizon):
+        model = rand_model(3, kind, order, gate, symmetrize,
+                           MonoSpec.from_symbols(["+++.", "++.+"]))
         cfg = mpc.MpcConfig(
             x_ref=[0.5, -0.2], u_min=[-1.0, -1.0], u_max=[1.0, 1.0],
-            horizon=3, x_min=[-2.0, -2.0], x_max=[2.0, 2.0],
+            horizon=horizon, x_min=[-2.0, -2.0], x_max=[2.0, 2.0],
         )
         rng = np.random.default_rng(7)
         x0 = np.array([0.3, 0.1])
         zp = np.array([0.2, 0.0, 0.1, -0.1])
-        U = rng.uniform(-0.8, 0.8, size=(3, 2))
+        U = rng.uniform(-0.8, 0.8, size=(horizon, 2))
         c, G = mpc._cost_and_grad(model, U, x0, zp, cfg)
         assert c == pytest.approx(mpc.horizon_cost(model, U, x0, zp, cfg), rel=1e-12)
         h = 1e-6
-        for k in range(3):
+        for k in range(horizon):
             for j in range(2):
                 Up, Um = U.copy(), U.copy()
                 Up[k, j] += h
@@ -179,6 +259,41 @@ class TestCostGradient:
                 ) / (2 * h)
                 assert G[k, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_graph_rollout_oracle(self, data):
+        kind = data.draw(st.sampled_from(["mtnn", "baseline"]), label="kind")
+        order = data.draw(st.sampled_from(list(TaylorOrder)), label="order")
+        gate = data.draw(st.sampled_from(list(GateMode)), label="gate")
+        sym = data.draw(st.booleans(), label="symmetrize")
+        bounds = data.draw(st.sampled_from(["none", "min", "max", "both"]), label="bounds")
+        horizon = data.draw(st.integers(1, 4), label="horizon")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        model = rand_model(seed, kind, order, gate, sym)
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-0.5, 0.5, 2)
+        zp = np.concatenate([x0 + rng.normal(0.0, 0.2, 2), rng.uniform(-1.0, 1.0, 2)])
+        U = rng.uniform(-1.0, 1.0, size=(horizon, 2))
+        # box edges near the states, so the soft penalty is often active
+        x_max = rng.uniform(-0.3, 0.4, 2)
+        x_min = x_max - rng.uniform(0.1, 0.8, 2)
+        cfg = mpc.MpcConfig(
+            x_ref=rng.uniform(-0.5, 0.5, 2), u_min=[-1.0, -1.0], u_max=[1.0, 1.0],
+            horizon=horizon, x_min=x_min if bounds in ("min", "both") else None,
+            x_max=x_max if bounds in ("max", "both") else None, state_weight=50.0,
+        )
+        c, G = mpc._cost_and_grad(model, U, x0, zp, cfg)
+        c_ref, G_ref = graph_rollout_cost_and_grad(model, U, x0, zp, cfg)
+        assert c == pytest.approx(c_ref, rel=1e-12)
+        # relative to the largest entry: single entries may cancel to ~0
+        assert np.max(np.abs(G - G_ref)) <= 1e-9 * np.max(np.abs(G_ref))
+
+    def test_nonfinite_rollout_has_no_gradient(self):
+        model = const_row_model([[1e160, 0.0]])
+        cfg = small_cfg(horizon=3)
+        c, G = mpc._cost_and_grad(model, np.zeros((3, 1)), np.ones(1), np.zeros(2), cfg)
+        assert c == float("inf") and G is None
+
 
 class TestSolveHorizon:
     def test_pinned_bounds_return_the_point(self):
@@ -187,6 +302,7 @@ class TestSolveHorizon:
         res = mpc.solve_horizon(model, [0.5], [0.4, 0.3], cfg)
         np.testing.assert_array_equal(res.u_seq, np.full((3, 1), 0.3))
         assert res.converged
+        assert res.exit == "tolerance"
         assert res.cost == pytest.approx(
             mpc.horizon_cost(model, res.u_seq, [0.5], [0.4, 0.3], cfg)
         )
@@ -262,6 +378,7 @@ class TestSolveHorizon:
         )
         res = mpc.solve_horizon(model, [40.0, 38.0], [39.0, 37.5, 45.0, 30.0], cfg)
         assert not res.converged
+        assert res.exit == "budget"
 
     def test_blown_up_model_returns_nonconverged_inf(self):
         model = const_row_model([[1e160, 0.0]])
@@ -269,6 +386,53 @@ class TestSolveHorizon:
         res = mpc.solve_horizon(model, [1.0], [0.0, 0.0], cfg)
         assert res.cost == float("inf")
         assert not res.converged
+        assert res.exit == "nonfinite"
+
+    def test_call_pattern_read_by_the_benchmark_trace(self, monkeypatch):
+        # the traced benchmark rebuilds line-search outcomes from this order:
+        # one horizon_cost for the start point, then per iteration one
+        # _cost_and_grad followed by 1..MAX_BACKTRACKS trial horizon_costs
+        _, model = tclab_exact_model()
+        cfg = mpc.MpcConfig(
+            x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0],
+            horizon=6, iterations=30, tol=1e-8,
+        )
+        events, inside = [], []
+        real_grad, real_cost, real_rollout = (
+            mpc._cost_and_grad, mpc.horizon_cost, mpc._rollout
+        )
+
+        def grad(*a, **k):
+            events.append("g")
+            inside.append(True)
+            try:
+                return real_grad(*a, **k)
+            finally:
+                inside.pop()
+
+        def cost(*a, **k):
+            assert not inside, "horizon_cost called from inside _cost_and_grad"
+            events.append("c")
+            return real_cost(*a, **k)
+
+        def rollout(*a, **k):
+            events.append("r")
+            return real_rollout(*a, **k)
+
+        monkeypatch.setattr(mpc, "_cost_and_grad", grad)
+        monkeypatch.setattr(mpc, "horizon_cost", cost)
+        monkeypatch.setattr(mpc, "_rollout", rollout)
+        res = mpc.solve_horizon(model, [40.0, 38.0], [39.0, 37.5, 45.0, 30.0], cfg)
+        calls = "".join(e for e in events if e != "r")
+        # each of the two callers prices its sequence by exactly one rollout
+        assert "".join(events) == "".join(e + "r" for e in calls)
+        assert calls.count("g") == res.iterations > 1
+        assert calls[0] == "c"
+        trials = [len(run) for run in calls[1:].split("g")[1:]]
+        assert len(trials) == res.iterations
+        assert all(1 <= t <= mpc.MAX_BACKTRACKS for t in trials)
+        assert calls.count("c") == 1 + sum(trials)
+        assert sum(trials) > res.iterations  # the line search did backtrack
 
 
 class TestClosedLoop:
@@ -325,6 +489,23 @@ class TestClosedLoop:
         monkeypatch.setattr(mpc, "solve_horizon", broken)
         with pytest.raises(ValueError, match="dimension bug"):
             mpc.run_closed_loop(plant, model, cfg, steps=3)
+
+    def test_input_box_checked_against_plant_before_solving(self, monkeypatch):
+        plant, model = tclab_exact_model()
+        cfg = mpc.MpcConfig(
+            x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[120.0, 65.0],
+            x0=[30.0, 30.0], horizon=3, iterations=4,
+        )
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            raise AssertionError("solved before the box was checked")
+
+        monkeypatch.setattr(mpc, "solve_horizon", counting)
+        with pytest.raises(ValueError, match=r"u_max=\[120\.0, 65\.0\]"):
+            mpc.run_closed_loop(plant, model, cfg, steps=3)
+        assert solves == []
 
     def test_requires_initial_state(self):
         plant, model = tclab_exact_model()
