@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as md
+from .plants import transitions_to_arrays
 
 Array = np.ndarray
 
@@ -55,13 +56,8 @@ def rollout(model, series, steps: int) -> RolloutResult:
             f"series has {n} transitions ({n + 2} samples); "
             f"{I}-step rollout needs at least {I + 2} samples"
         )
-    nx = model.nx
-    ZC = np.stack([t.z_curr for t in series]).astype(np.float64)
-    XN = np.stack([t.x_next for t in series]).astype(np.float64)
-    U = ZC[:, nx:]
-
-    Zp = np.stack([t.z_prev for t in series]).astype(np.float64)
-    Zc = ZC.copy()
+    Zp, Zc, XN = transitions_to_arrays(series)
+    U = Zc[:, model.nx :]  # measured inputs, kept as Zc rolls forward
     predicted, actual = [], []
     for i in range(1, I + 1):
         m = n - i + 1  # origins with i future samples

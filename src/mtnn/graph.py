@@ -118,11 +118,14 @@ def relu(a: Var) -> Var:
     return Var(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
-def linear(x, W, b) -> Var:
-    """y[..., B, O] = x[..., B, I] @ W[..., O, I].T + b[..., O]."""
-    xv, Wv, bv = _as_value(x), _as_value(W), _as_value(b)
+def linear(x, W, b=None) -> Var:
+    """y[..., B, O] = x[..., B, I] @ W[..., O, I].T + b[..., O]; no bias if b is None."""
+    xv, Wv = _as_value(x), _as_value(W)
+    y = xv @ np.swapaxes(Wv, -1, -2)
+    if b is not None:
+        y = y + _as_value(b)[..., None, :]
     return _node(
-        xv @ np.swapaxes(Wv, -1, -2) + bv[..., None, :],
+        y,
         (x, lambda g: g @ Wv),
         (W, lambda g: np.swapaxes(g, -1, -2) @ xv),
         (b, lambda g: g.sum(axis=-2)),

@@ -13,6 +13,14 @@ with dz = z_curr - z_prev and H_j the input-derivative of Jacobian row j
 expansion point is always the previous sample and the zero-increment case
 returns x_curr exactly.
 
+The step never builds H_j: dz^T H_j dz needs only H_j dz, the derivative of
+row j along dz, so one tangent dz is carried forward through the nets
+(`net.input_jacobian(net, z, v)`, `NetTape.forward_and_jacobian(z, v)`)
+instead of N Jacobian columns. The full blocks are built only for the
+curvature penalties (`hessian_stack_batch`, or `need_blocks` on the graph),
+and only there does `symmetrize_hessian` matter: it cannot change a
+quadratic form.
+
 The step has exactly two evaluators, both batched: `predict_batch` in
 numpy for prediction and rollout, and `taylor_increments` on the reverse-mode
 graph, shared by training (the loss) and the controller (differentiating
@@ -125,9 +133,10 @@ class BaselineModel:
 
 
 def _as_z(z, n: int) -> Array:
+    """A (B, N) batch as float64; any other shape is a ValueError."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != n:
-        raise ValueError(f"z has width {z.shape[-1]}, model expects {n}")
+    if z.ndim != 2 or z.shape[1] != n:
+        raise ValueError(f"z has shape {z.shape}, model expects (B, {n})")
     return z
 
 
@@ -145,19 +154,19 @@ def jacobian_matrix_batch(model: MtnnModel, Z_prev) -> Array:
     return rows
 
 
-def hessian_stack_batch(model: MtnnModel, Z_prev, *, _raw=None) -> Array:
+def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     """Input-derivatives of the (gated) Jacobian rows: (B, N) -> (B, Nx, N, N).
 
     Under the architecture gate the block rows are masked by the gate
     derivative (a step function of the raw output), which is the almost-
-    everywhere exact derivative of the gated rows. `predict_batch` passes
-    the raw outputs it already has as `_raw`, so the nets run forward once.
+    everywhere exact derivative of the gated rows. The Taylor step does not
+    build these blocks; the numpy loss of the curvature penalties
+    (`training.loss_components`) and the tests read them.
     """
     Z = _as_z(Z_prev, model.n)
     blocks = np.swapaxes(nn.input_jacobian(model.net, Z), 0, 1)
     if model.gated:
-        raw = _raw_rows(model, Z) if _raw is None else _raw
-        blocks *= gate_derivative_mask(raw, model.mono_spec.tags)[..., None]
+        blocks *= gate_derivative_mask(_raw_rows(model, Z), model.mono_spec.tags)[..., None]
     if model.symmetrize_hessian:
         blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
     return blocks
@@ -171,11 +180,17 @@ def predict(model, z_curr, z_prev) -> Array:
 
 
 def predict_batch(model, Z_curr, Z_prev) -> Array:
-    """(B, N) pairs -> (B, Nx); dispatches on the model kind."""
-    if isinstance(model, BaselineModel):
-        return nn.forward(model.net, _as_z(Z_curr, model.n))[0]
+    """(B, N) pairs -> (B, Nx); dispatches on the model kind.
+
+    The second-order term is 1/2 dz . (m_j * (D_j dz)), with D_j dz the
+    derivative of net j along dz and m_j the gate derivative mask.
+    """
     Z_c = _as_z(Z_curr, model.n)
     Z_p = _as_z(Z_prev, model.n)
+    if Z_c.shape != Z_p.shape:
+        raise ValueError(f"z_curr has shape {Z_c.shape}, z_prev {Z_p.shape}; they must match")
+    if isinstance(model, BaselineModel):
+        return nn.forward(model.net, Z_c)[0]
     dz = Z_c - Z_p
     if not np.isfinite(dz).all():
         raise ValueError("non-finite increment between z_curr and z_prev")
@@ -183,8 +198,10 @@ def predict_batch(model, Z_curr, Z_prev) -> Array:
     J = apply_sign_gate(raw, model.mono_spec.tags) if model.gated else raw
     x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", J, dz)
     if model.order == TaylorOrder.SECOND:
-        H = hessian_stack_batch(model, Z_p, _raw=raw)
-        x_hat = x_hat + 0.5 * np.einsum("bm,bjmn,bn->bj", dz, H, dz)
+        Hdz = np.swapaxes(nn.input_jacobian(model.net, Z_p, dz), 0, 1)
+        if model.gated:
+            Hdz *= gate_derivative_mask(raw, model.mono_spec.tags)
+        x_hat = x_hat + 0.5 * np.einsum("bjn,bn->bj", Hdz, dz)
     # restore the exact fixpoint for rows with a literally zero increment
     zero = ~dz.any(axis=1)
     if zero.any():
@@ -199,32 +216,38 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
     z_curr and z_prev are (B, N) arrays or Vars; gradients flow into the
     net parameters on `tape` and into whichever of z_curr / z_prev is a Var.
     Returns three Vars over all states at once: the increments (Nx, B), the
-    (gated) Jacobian rows (Nx, B, N) and the (masked, optionally
-    symmetrized) Hessian blocks (Nx, B, N, N). Blocks are built for
-    second-order models or when `need_blocks` asks for them (a curvature
-    penalty), else they are None.
+    (gated) Jacobian rows (Nx, B, N) and, when `need_blocks` asks for them (a
+    curvature penalty), the (masked, optionally symmetrized) Hessian blocks
+    (Nx, B, N, N), else None. A second-order step reads H dz from the blocks
+    when they are built, and otherwise carries the one tangent dz through
+    the nets, as `predict_batch` does.
     """
     dz = z_curr - z_prev
     tags = model.mono_spec.tags[:, None, :]
     second = model.order is TaylorOrder.SECOND
-    if second or need_blocks:
+    blocks = Hdz = None
+    if need_blocks:
         raw, blocks = tape.forward_and_jacobian(z_prev)
+    elif second:
+        raw, Hdz = tape.forward_and_jacobian(z_prev, dz)
     else:
-        raw, blocks = tape.forward(z_prev), None
+        raw = tape.forward(z_prev)
     rows = raw
     if model.gated:
         # called through the module so that a wrapper installed there
         # (the benchmark's traced run) sees it
         rows = constraints.apply_sign_gate_graph(raw, tags)
+        # step-function gate derivative: detached, a.e. exact
         if blocks is not None:
-            # step-function gate derivative: detached, a.e. exact
-            mask = gate_derivative_mask(raw.value, tags)
-            blocks = graph.mul(blocks, mask[..., None])
+            blocks = graph.mul(blocks, gate_derivative_mask(raw.value, tags)[..., None])
+        elif Hdz is not None:
+            Hdz = graph.mul(Hdz, gate_derivative_mask(raw.value, tags))
     if blocks is not None and model.symmetrize_hessian:
         blocks = graph.scale(blocks + graph.transpose_last(blocks), 0.5)
     incr = graph.dot_rows(rows, dz)
     if second:
-        Hdz = graph.bmat_vec(blocks, dz)
+        if blocks is not None:
+            Hdz = graph.bmat_vec(blocks, dz)
         incr = incr + graph.scale(graph.dot_rows(Hdz, dz), 0.5)
     return incr, rows, blocks
 

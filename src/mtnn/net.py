@@ -16,7 +16,10 @@ The input-Jacobian is assembled analytically as the layer-chain product
 J = W_L diag(act') ... diag(act') W_1, accumulated forward through the net.
 Building that product out of graph primitives makes reverse mode return
 exact d(loss)/d(theta) for losses that read J, which is the nested
-forward-inside-reverse scheme the second-order terms need.
+forward-inside-reverse scheme the curvature penalties need. A second-order
+Taylor step reads only the directional derivative J v; both paths take a
+direction v and then carry that one tangent forward instead of the I
+columns of J.
 
 Networks optionally carry fixed input/output affine maps (standardization),
 (S, I) and (S, O). These are part of the function the net computes, so the
@@ -229,14 +232,28 @@ def forward(net: DenseNet, z) -> Array:
     return out[:, 0] if single else out
 
 
-def input_jacobian(net: DenseNet, z) -> Array:
+def input_jacobian(net: DenseNet, z, v=None) -> Array:
     """Exact d(output)/d(input); (I,) -> (S, O, I) or (B, I) -> (S, B, O, I).
 
     Forward accumulation of the layer chain, so cost is one pass regardless
     of output count. Each hidden layer folds diag(act') and the next weight
     into one contraction, so no (S, B, H, H) product is held.
+
+    With a direction v shaped like z, returns the directional derivative
+    J v instead, (S, O) or (S, B, O): one tangent is carried through the
+    layers in place of the I Jacobian columns.
     """
     a, single = _standardized_input(net, z)
+    if v is not None:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != np.shape(z):
+            raise ValueError(f"direction {v.shape} does not match input {np.shape(z)}")
+        t = np.atleast_2d(v) / net.in_scale[:, None, :]  # (S, B, I)
+        for W, b in zip(net.weights[:-1], net.biases[:-1]):
+            a = _act(net.activation, _layer(a, W, b))
+            t = _act_deriv_from_h(net.activation, a) * (t @ np.swapaxes(W, -1, -2))
+        t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
+        return t[:, 0] if single else t
     S, B = a.shape[:2]
     G = (net.weights[0] * (1.0 / net.in_scale)[:, None, :])[:, None]  # (S, 1, H, I)
     for W_next, W, b in zip(net.weights[1:], net.weights, net.biases):
@@ -280,11 +297,16 @@ class NetTape:
         out, _ = self._run(z, need_jac=False)
         return out
 
-    def forward_and_jacobian(self, z):
-        """(B, I) input -> ((S, B, O) outputs, (S, B, O, I) input-Jacobians)."""
-        return self._run(z, need_jac=True)
+    def forward_and_jacobian(self, z, v=None):
+        """(B, I) input -> ((S, B, O) outputs, (S, B, O, I) input-Jacobians).
 
-    def _run(self, z, need_jac: bool):
+        With a (B, I) direction v (an array or a Var), the second output is
+        the directional derivative J v, (S, B, O): one tangent through the
+        `linear` and activation-derivative nodes instead of the Jacobian chain.
+        """
+        return self._run(z, need_jac=True, v=v)
+
+    def _run(self, z, need_jac: bool, v=None):
         net = self.net
         in_shift = net.in_shift[:, None, :]
         in_scale = net.in_scale[:, None, :]
@@ -298,7 +320,13 @@ class NetTape:
             B = zv.shape[0]
             a = graph.constant((zv - in_shift) / in_scale)
         G = None
-        if need_jac:
+        if v is not None:
+            v_shape = v.shape if isinstance(v, Var) else np.shape(v)
+            if v_shape != (B, net.n_in):
+                raise ValueError(f"direction {v_shape} does not match input ({B}, {net.n_in})")
+            # the tangent through the input standardization
+            G = graph.mul(v, 1.0 / in_scale)
+        elif need_jac:
             # diag(1 / in_scale) per member, broadcast over the batch
             G = graph.constant((np.eye(net.n_in) * (1.0 / in_scale))[:, None])
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -311,14 +339,20 @@ class NetTape:
                 d = h - h * h
             else:
                 d = None
-            if need_jac:
+            if v is not None:
+                G = graph.linear(G, W)
+                if d is not None:
+                    G = d * G
+            elif need_jac:
                 G = graph.mat_chain(W, G)
                 if d is not None:
                     G = graph.scale_rows(d, G)
             a = h
         out = graph.linear(a, self.weights[-1], self.biases[-1])
         out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
-        if need_jac:
+        if v is not None:
+            G = graph.linear(G, self.weights[-1]) * net.out_scale[:, None, :]
+        elif need_jac:
             G = graph.mat_chain(self.weights[-1], G)
             G = graph.scale_rows(
                 graph.constant(

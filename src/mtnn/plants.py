@@ -206,12 +206,13 @@ def to_transitions(series: Series) -> list:
 
 
 def transitions_to_arrays(transitions) -> tuple:
-    """Stack a transition list into (Z_prev, Z_curr, X_next) batch arrays."""
+    """Stack a transition list into float64 (Z_prev, Z_curr, X_next) batch
+    arrays; rows of unequal length are a ValueError."""
     if not transitions:
         raise ValueError("empty transition list")
-    Zp = np.stack([tr.z_prev for tr in transitions])
-    Zc = np.stack([tr.z_curr for tr in transitions])
-    Xn = np.stack([tr.x_next for tr in transitions])
+    Zp = np.array([tr.z_prev for tr in transitions], dtype=np.float64)
+    Zc = np.array([tr.z_curr for tr in transitions], dtype=np.float64)
+    Xn = np.array([tr.x_next for tr in transitions], dtype=np.float64)
     return Zp, Zc, Xn
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mtnn import graph as g
+from mtnn import net as nn
 
 RNG = np.random.default_rng(20240811)
 
@@ -125,6 +126,34 @@ class TestLinear:
         np.testing.assert_allclose(
             g.linear(g.Var(x), W, b).value, [[11.5, 16.5]]
         )
+        np.testing.assert_allclose(g.linear(g.Var(x), W).value, [[11.0, 17.0]])
+
+    def test_no_bias_grads(self):
+        x = RNG.normal(size=(2, 5, 4))
+        W = RNG.normal(size=(2, 3, 4))
+        check_grads(lambda xx, WW: g.sum_all(g.tanh(g.linear(xx, WW))), [x, W])
+
+
+class TestNetTangent:
+    """The net's directional-derivative graph, differentiated in its inputs."""
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 4, 2], [3, 4, 3, 2]])
+    def test_grads_in_point_and_direction(self, activation, dims):
+        net = nn.init_dense(dims, RNG, activation, n_stack=2)
+        for bias in net.biases:
+            bias[:] = RNG.normal(size=bias.shape)
+        net.in_scale[:] = RNG.uniform(0.5, 2.0, size=net.in_scale.shape)
+        Z, V = RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3))
+        w = RNG.normal(size=(2, 3, 2))
+
+        def value(z, v):
+            out, Jv = nn.NetTape(net).forward_and_jacobian(z, v)
+            return g.sum_all((out + Jv * w) * Jv)
+
+        check_grads(value, [Z, V])
+        # the direction may be a Var while the point is a plain array
+        check_grads(lambda v: value(Z, v), [V])
 
 
 class TestBatchedMatrixOps:

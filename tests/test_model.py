@@ -303,19 +303,50 @@ class TestBundles:
 
     def test_second_order_gated_predict_runs_nets_forward_once(self, monkeypatch):
         m = md.load_bundle(DATA / "mono2_bundle_v1.json")
-        calls = []
-        forward = nn.forward
+        calls = {"forward": [], "input_jacobian": [], "hessian_stack_batch": []}
 
-        def counted(*args):
-            calls.append(args)
-            return forward(*args)
+        def counted(module, name):
+            inner = getattr(module, name)
 
-        monkeypatch.setattr(nn, "forward", counted)
+            def wrapper(*args):
+                calls[name].append(args)
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(nn, "forward")
+        counted(nn, "input_jacobian")
+        counted(md, "hessian_stack_batch")
         md.predict_batch(m, RNG.normal(size=(5, 4)), RNG.normal(size=(5, 4)))
-        assert len(calls) == 1
+        assert len(calls["forward"]) == 1
+        # one directional derivative (net, z, v), no Hessian blocks
+        assert [len(args) for args in calls["input_jacobian"]] == [3]
+        assert calls["hessian_stack_batch"] == []
 
 
 class TestValidation:
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_predict_batch_shapes_must_match(self, baseline):
+        m = md.BaselineModel(nn.init_dense([4, 5, 2], 3), nx=2) if baseline \
+            else random_model(2, 2, seed=21, order=md.TaylorOrder.SECOND)
+        Zc, Zp = RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))
+        with pytest.raises(ValueError, match=r"\(1, 4\).*\(3, 4\)"):
+            md.predict_batch(m, Zc[:1], Zp)
+        with pytest.raises(ValueError, match=r"\(3, 4\).*\(2, 4\)"):
+            md.predict_batch(m, Zc, Zp[:2])
+        with pytest.raises(ValueError, match=r"\(4,\)"):
+            md.predict_batch(m, Zc[0], Zp[0])
+        with pytest.raises(ValueError, match=r"\(3, 3\)"):
+            md.predict_batch(m, Zc[:, :3], Zp[:, :3])
+
+    def test_batch_functions_need_two_dimensional_rows(self):
+        m = random_model(2, 2, seed=22)
+        for fn in (md.jacobian_matrix_batch, md.hessian_stack_batch):
+            with pytest.raises(ValueError, match=r"\(4,\).*\(B, 4\)"):
+                fn(m, RNG.normal(size=4))
+            with pytest.raises(ValueError, match=r"\(1, 2, 4\)"):
+                fn(m, RNG.normal(size=(1, 2, 4)))
+
     def test_net_dims_must_be_square_in_n(self):
         bad = nn.init_dense([3, 4, 2], 1)
         with pytest.raises(ValueError):
@@ -329,6 +360,58 @@ class TestValidation:
     def test_baseline_output_dim_checked(self):
         with pytest.raises(ValueError):
             md.BaselineModel(nn.init_dense([3, 4, 3], 3), nx=2)
+
+
+def block_formula_predict(m, Zc, Zp):
+    """The second-order step from full Hessian blocks, x + J dz + 1/2 dz' H dz:
+    the oracle for the directional-derivative evaluators."""
+    dz = Zc - Zp
+    X = Zc[:, : m.nx] + np.einsum("bjn,bn->bj", md.jacobian_matrix_batch(m, Zp), dz)
+    X += 0.5 * np.einsum("bm,bjmn,bn->bj", dz, md.hessian_stack_batch(m, Zp), dz)
+    zero = ~dz.any(axis=1)
+    X[zero] = Zc[zero, : m.nx]
+    return X
+
+
+class TestSecondOrderTerm:
+    @pytest.mark.parametrize("gate", list(md.GateMode))
+    @pytest.mark.parametrize("sym", [False, True])
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    def test_directional_step_matches_block_formula(self, gate, sym, act):
+        rng = np.random.default_rng(23)
+        nets = [nn.init_dense([4, 5, 4], rng, act) for _ in range(2)]
+        for net in nets:  # offset outputs so some gates are shut
+            net.biases[-1][:] = rng.normal(size=4)
+        m = md.MtnnModel(nets, MonoSpec.from_symbols(["+.-+", "-+.."]),
+                         md.TaylorOrder.SECOND, gate, sym)
+        Zp = rng.normal(size=(40, 4))
+        Zc = Zp + 0.5 * rng.normal(size=Zp.shape)
+        Zc[7] = Zp[7]
+        want = block_formula_predict(m, Zc, Zp)
+        np.testing.assert_allclose(md.predict_batch(m, Zc, Zp), want, rtol=1e-12)
+        # the graph twin without blocks carries the tangent; with blocks for a
+        # penalty it reads H dz from them
+        for need_blocks in (False, True):
+            incr, _, blocks = md.taylor_increments(nn.NetTape(m.net), m, Zc, Zp,
+                                                   need_blocks=need_blocks)
+            assert (blocks is None) is not need_blocks
+            np.testing.assert_allclose(Zc[:, :2] + incr.value.T, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("need_blocks", [False, True])
+    def test_graph_builds_blocks_only_when_asked(self, need_blocks, monkeypatch):
+        m = random_model(2, 1, seed=24, order=md.TaylorOrder.SECOND)
+        directions = []
+        inner = nn.NetTape.forward_and_jacobian
+
+        def counted(self, z, v=None):
+            directions.append(v)
+            return inner(self, z, v)
+
+        monkeypatch.setattr(nn.NetTape, "forward_and_jacobian", counted)
+        Zp = RNG.normal(size=(3, 3))
+        md.taylor_increments(nn.NetTape(m.net), m, Zp + 0.1, Zp, need_blocks=need_blocks)
+        assert len(directions) == 1
+        assert (directions[0] is None) is need_blocks
 
 
 class TestEvaluatorsAgree:

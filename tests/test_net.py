@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtnn import graph as g
 from mtnn import net as nn
@@ -106,6 +108,77 @@ class TestInputJacobian:
         Jfd = nn.fd_input_jacobian(net, z)
         err = np.abs(nn.input_jacobian(net, z) - Jfd) / np.maximum(1.0, np.abs(Jfd))
         assert err.max() < 1e-6
+
+
+def random_full_net(rng, dims, activation="tanh", n_stack=1):
+    """A stack with random biases and random affine maps, so every term of
+    the chain rule is exercised."""
+    net = nn.init_dense(dims, rng, activation, n_stack=n_stack)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    S, n_in, n_out = n_stack, dims[0], dims[-1]
+    sign = rng.choice([-1.0, 1.0], size=(S, n_in))
+    return replace(net, in_shift=rng.normal(size=(S, n_in)),
+                   in_scale=sign * rng.uniform(0.5, 2.0, size=(S, n_in)),
+                   out_shift=rng.normal(size=(S, n_out)),
+                   out_scale=rng.uniform(0.5, 2.0, size=(S, n_out)))
+
+
+class TestDirectionalDerivative:
+    """input_jacobian(net, z, v) and forward_and_jacobian(z, v) are J v."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_numpy_and_graph_equal_jacobian_times_direction(self, data):
+        act = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
+        S = data.draw(st.integers(1, 3), label="stack")
+        hidden = data.draw(st.lists(st.integers(1, 5), max_size=2), label="hidden")
+        n_in, n_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        batch = data.draw(st.one_of(st.none(), st.integers(1, 4)), label="batch")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        net = random_full_net(rng, [n_in, *hidden, n_out], act, S)
+        shape = (n_in,) if batch is None else (batch, n_in)
+        z, v = rng.normal(size=shape), rng.normal(size=shape)
+
+        want = np.einsum("...oi,...i->...o", nn.input_jacobian(net, z),
+                         v if batch is None else v[None])
+        got = nn.input_jacobian(net, z, v)
+        assert got.shape == want.shape == (S,) + shape[:-1] + (n_out,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+        Z, V = np.atleast_2d(z), np.atleast_2d(v)
+        out, Jv = nn.NetTape(net).forward_and_jacobian(Z, V)
+        np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Jv.value, nn.input_jacobian(net, Z, V),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 4, 2], [3, 4, 3, 2]])
+    def test_graph_parameter_gradients_match_fd(self, activation, dims):
+        # gradients with respect to Var z and Var v: tests/test_graph.py::TestNetTangent
+        rng = np.random.default_rng(61)
+        net = random_full_net(rng, dims, activation, n_stack=2)
+        Z, V = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        w = rng.normal(size=(2, 3, 2))
+
+        def loss(tape):
+            out, Jv = tape.forward_and_jacobian(Z, V)
+            return g.sum_all((out + Jv * w) * Jv)
+
+        _, grad = nn.loss_gradient(net, loss)
+        fd = nn.fd_loss_gradient(net, loss)
+        for got, want in zip(grad.weights + grad.biases, fd.weights + fd.biases):
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() < 1e-5
+
+    def test_direction_shape_must_match_input(self):
+        net = random_net([3, 4, 2])
+        with pytest.raises(ValueError, match="direction"):
+            nn.input_jacobian(net, np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="direction"):
+            nn.input_jacobian(net, np.zeros(3), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="direction"):
+            nn.NetTape(net).forward_and_jacobian(np.zeros((2, 3)), g.Var(np.zeros((1, 3))))
 
 
 class TestTape:

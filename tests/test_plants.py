@@ -1,5 +1,7 @@
 """Plant simulators, excitation, transitions, CSV IO, benchmark splits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,8 +195,19 @@ class TestTransitions:
         trs = pl.to_transitions(self.series(6))
         Zp, Zc, Xn = pl.transitions_to_arrays(trs)
         assert Zp.shape == (4, 2) and Zc.shape == (4, 2) and Xn.shape == (4, 1)
+        for arr, field in ((Zp, "z_prev"), (Zc, "z_curr"), (Xn, "x_next")):
+            assert arr.dtype == np.float64
+            np.testing.assert_array_equal(arr, [getattr(tr, field) for tr in trs])
         with pytest.raises(ValueError):
             pl.transitions_to_arrays([])
+
+    def test_arrays_reject_ragged_rows(self):
+        trs = pl.to_transitions(self.series(6))
+        for field in ("z_prev", "z_curr", "x_next"):
+            bad = list(trs)
+            bad[2] = replace(trs[2], **{field: np.append(getattr(trs[2], field), 0.0)})
+            with pytest.raises(ValueError):
+                pl.transitions_to_arrays(bad)
 
 
 class TestCsv:
