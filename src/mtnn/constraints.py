@@ -98,12 +98,14 @@ class PenaltyWeights:
     lam_matrix: Array | None = None  # per-entry lambda, wins over the scalars
 
     def __post_init__(self):
-        if self.lam_inc < 0 or self.lam_dec < 0 or self.gamma < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        for name in ("lam_inc", "lam_dec", "gamma"):
+            w = getattr(self, name)
+            if not (np.isfinite(w) and w >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {w!r}")
         if self.lam_matrix is not None:
             self.lam_matrix = np.asarray(self.lam_matrix, dtype=np.float64)
-            if (self.lam_matrix < 0).any():
-                raise ValueError("lam_matrix entries must be nonnegative")
+            if not (np.isfinite(self.lam_matrix).all() and (self.lam_matrix >= 0).all()):
+                raise ValueError("lam_matrix entries must be finite and nonnegative")
 
     def lambdas_for(self, spec: MonoSpec) -> Array:
         """Per-entry lambda matrix (zero on Free entries)."""

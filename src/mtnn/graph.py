@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A deliberately small engine: the handful of primitives below is exactly what
-the dense-network forward pass, the analytic input-Jacobian chain, and the
-penalty terms need. Everything is double precision. Each primitive stores a
+the dense-network forward pass, its forward-mode input tangents (one
+direction, or the basis directions for a full Jacobian), and the penalty
+terms need. Everything is double precision. Each primitive stores a
 vector-Jacobian closure; `backward` walks the graph once in reverse
 topological order and accumulates gradients on the leaves.
 
@@ -132,26 +133,6 @@ def linear(x, W, b=None) -> Var:
     )
 
 
-def mat_chain(W, G) -> Var:
-    """C[..., B, O, N] = W[..., O, H] @ G[..., B, H, N] (per batch element)."""
-    Wv, Gv = _as_value(W), _as_value(G)
-    return _node(
-        Wv[..., None, :, :] @ Gv,
-        (W, lambda g: (g @ np.swapaxes(Gv, -1, -2)).sum(axis=-3)),
-        (G, lambda g: np.swapaxes(Wv, -1, -2)[..., None, :, :] @ g),
-    )
-
-
-def scale_rows(d, G) -> Var:
-    """out[..., o, :] = d[..., o] * G[..., o, :]."""
-    dv, Gv = _as_value(d), _as_value(G)
-    return _node(
-        dv[..., None] * Gv,
-        (d, lambda g: (g * Gv).sum(axis=-1)),
-        (G, lambda g: dv[..., None] * g),
-    )
-
-
 def bmat_vec(A, v) -> Var:
     """out[..., M] = A[..., M, N] @ v[..., N] (per batch element)."""
     Av, vv = _as_value(A), _as_value(v)
@@ -226,6 +207,12 @@ def concat_last(parts: Sequence) -> Var:
         return tuple(g[..., a:b] for a, b in spans)
 
     return Var(val, parents, vjp)
+
+
+def moveaxis(x: Var, source: int, destination: int) -> Var:
+    """x with one axis moved, as np.moveaxis; the gradient is moved back."""
+    value = np.moveaxis(x.value, source, destination)
+    return Var(value, (x,), lambda g: (np.moveaxis(g, destination, source),))
 
 
 def reshape(x: Var, shape) -> Var:

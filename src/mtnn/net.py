@@ -12,18 +12,17 @@ Two evaluation paths for the same architecture:
     the controller, where the loss may contain input-Jacobian entries and the
     gradient has to flow through them exactly.
 
-The input-Jacobian is assembled analytically as the layer-chain product
-J = W_L diag(act') ... diag(act') W_1, accumulated forward through the net.
-Building that product out of graph primitives makes reverse mode return
-exact d(loss)/d(theta) for losses that read J, which is the nested
-forward-inside-reverse scheme the curvature penalties need. A second-order
-Taylor step reads only the directional derivative J v; both paths take a
-direction v and then carry that one tangent forward instead of the I
-columns of J.
+Both paths differentiate a net in its input by forward mode: a tangent is
+carried through the layers beside the activations. A second-order Taylor
+step reads only the directional derivative J v and carries the one tangent
+v; the full Jacobian carries the I basis directions at once. Built out of
+graph primitives, the tangent lets reverse mode return exact
+d(loss)/d(theta) for losses that read J or J v, the nested
+forward-inside-reverse scheme the curvature penalties need.
 
 Networks optionally carry fixed input/output affine maps (standardization),
 (S, I) and (S, O). These are part of the function the net computes, so the
-Jacobian is chained through them: J = out_scale[:,None] * J_core / in_scale[None,:].
+tangent passes through them: J = out_scale[:,None] * J_core / in_scale[None,:].
 """
 
 from __future__ import annotations
@@ -235,35 +234,30 @@ def forward(net: DenseNet, z) -> Array:
 def input_jacobian(net: DenseNet, z, v=None) -> Array:
     """Exact d(output)/d(input); (I,) -> (S, O, I) or (B, I) -> (S, B, O, I).
 
-    Forward accumulation of the layer chain, so cost is one pass regardless
-    of output count. Each hidden layer folds diag(act') and the next weight
-    into one contraction, so no (S, B, H, H) product is held.
+    Forward mode: a tangent is carried through the layers beside the
+    activations. The full Jacobian carries the I basis directions at once,
+    so it costs one pass with I tangents and holds no (S, B, H, H) product.
 
     With a direction v shaped like z, returns the directional derivative
-    J v instead, (S, O) or (S, B, O): one tangent is carried through the
-    layers in place of the I Jacobian columns.
+    J v instead, (S, O) or (S, B, O): the one tangent v is carried.
     """
     a, single = _standardized_input(net, z)
-    if v is not None:
+    if v is None:
+        n, B = net.n_in, a.shape[1]
+        t = np.broadcast_to(np.eye(n)[:, None, None, :], (n, 1, B, n))
+    else:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != np.shape(z):
             raise ValueError(f"direction {v.shape} does not match input {np.shape(z)}")
-        t = np.atleast_2d(v) / net.in_scale[:, None, :]  # (S, B, I)
-        for W, b in zip(net.weights[:-1], net.biases[:-1]):
-            a = _act(net.activation, _layer(a, W, b))
-            t = _act_deriv_from_h(net.activation, a) * (t @ np.swapaxes(W, -1, -2))
-        t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
-        return t[:, 0] if single else t
-    S, B = a.shape[:2]
-    G = (net.weights[0] * (1.0 / net.in_scale)[:, None, :])[:, None]  # (S, 1, H, I)
-    for W_next, W, b in zip(net.weights[1:], net.weights, net.biases):
+        t = np.atleast_2d(v)
+    t = t / net.in_scale[:, None, :]  # (..., S, B, I)
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
         a = _act(net.activation, _layer(a, W, b))
-        d = _act_deriv_from_h(net.activation, a)
-        G = np.einsum("soh,sbh,sbhi->sboi", W_next, d, G)
-    G *= net.out_scale[:, None, :, None]
-    if G.shape[1] != B:  # a single-layer net's Jacobian is input-independent
-        G = np.broadcast_to(G, (S, B) + G.shape[2:]).copy()
-    return G[:, 0] if single else G
+        t = _act_deriv_from_h(net.activation, a) * (t @ np.swapaxes(W, -1, -2))
+    t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
+    if v is None:
+        t = np.moveaxis(t, 0, -1)  # (I, S, B, O) -> (S, B, O, I)
+    return t[:, 0] if single else t
 
 
 def fd_input_jacobian(net: DenseNet, z, step: float = 1e-5) -> Array:
@@ -294,73 +288,61 @@ class NetTape:
 
     def forward(self, z) -> Var:
         """(B, I) input -> (S, B, O) outputs of every member."""
-        out, _ = self._run(z, need_jac=False)
-        return out
+        return self._run(self._input(z))[0]
 
     def forward_and_jacobian(self, z, v=None):
         """(B, I) input -> ((S, B, O) outputs, (S, B, O, I) input-Jacobians).
 
-        With a (B, I) direction v (an array or a Var), the second output is
-        the directional derivative J v, (S, B, O): one tangent through the
-        `linear` and activation-derivative nodes instead of the Jacobian chain.
+        The Jacobian is the tangent of the I basis directions, carried
+        through the net at once and moved to the last axis. With a (B, I)
+        direction v (an array or a Var), the second output is the
+        directional derivative J v, (S, B, O): the one tangent v is carried.
         """
-        return self._run(z, need_jac=True, v=v)
+        a = self._input(z)
+        B, n = a.shape[1], self.net.n_in
+        if v is None:
+            basis = np.broadcast_to(np.eye(n)[:, None, None, :], (n, 1, B, n))
+            out, T = self._run(a, basis)
+            return out, graph.moveaxis(T, 0, -1)
+        v_shape = v.shape if isinstance(v, Var) else np.shape(v)
+        if v_shape != (B, n):
+            raise ValueError(f"direction {v_shape} does not match input ({B}, {n})")
+        return self._run(a, v)
 
-    def _run(self, z, need_jac: bool, v=None):
-        net = self.net
-        in_shift = net.in_shift[:, None, :]
-        in_scale = net.in_scale[:, None, :]
+    def _input(self, z) -> Var:
+        """(B, I) array or Var -> (S, B, I) standardized input."""
+        in_shift = self.net.in_shift[:, None, :]
+        in_scale = self.net.in_scale[:, None, :]
         if isinstance(z, Var):
             if z.value.ndim != 2:
                 raise ValueError("Var inputs must be batched (B, I)")
-            B = z.value.shape[0]
-            a = (z - in_shift) * (1.0 / in_scale)
-        else:
-            zv = np.atleast_2d(np.asarray(z, dtype=np.float64))
-            B = zv.shape[0]
-            a = graph.constant((zv - in_shift) / in_scale)
-        G = None
-        if v is not None:
-            v_shape = v.shape if isinstance(v, Var) else np.shape(v)
-            if v_shape != (B, net.n_in):
-                raise ValueError(f"direction {v_shape} does not match input ({B}, {net.n_in})")
-            # the tangent through the input standardization
-            G = graph.mul(v, 1.0 / in_scale)
-        elif need_jac:
-            # diag(1 / in_scale) per member, broadcast over the batch
-            G = graph.constant((np.eye(net.n_in) * (1.0 / in_scale))[:, None])
+            return (z - in_shift) * (1.0 / in_scale)
+        zv = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        return graph.constant((zv - in_shift) / in_scale)
+
+    def _run(self, a: Var, t=None):
+        """Outputs (S, B, O) from the standardized input and, given an input
+        tangent t (..., B, I), its image (..., S, B, O); else None."""
+        net = self.net
+        if t is not None:
+            t = graph.mul(t, 1.0 / net.in_scale[:, None, :])
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = graph.linear(a, W, b)
+            a = graph.linear(a, W, b)
             if net.activation == "tanh":
-                h = graph.tanh(h)
-                d = 1.0 - h * h
+                a = graph.tanh(a)
             elif net.activation == "sigmoid":
-                h = graph.sigmoid(h)
-                d = h - h * h
-            else:
-                d = None
-            if v is not None:
-                G = graph.linear(G, W)
-                if d is not None:
-                    G = d * G
-            elif need_jac:
-                G = graph.mat_chain(W, G)
-                if d is not None:
-                    G = graph.scale_rows(d, G)
-            a = h
+                a = graph.sigmoid(a)
+            if t is not None:
+                t = graph.linear(t, W)
+                if net.activation == "tanh":
+                    t = (1.0 - a * a) * t
+                elif net.activation == "sigmoid":
+                    t = (a - a * a) * t
         out = graph.linear(a, self.weights[-1], self.biases[-1])
         out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
-        if v is not None:
-            G = graph.linear(G, self.weights[-1]) * net.out_scale[:, None, :]
-        elif need_jac:
-            G = graph.mat_chain(self.weights[-1], G)
-            G = graph.scale_rows(
-                graph.constant(
-                    np.broadcast_to(net.out_scale[:, None, :], (net.n_stack, B, net.n_out))
-                ),
-                G,
-            )
-        return out, G
+        if t is not None:
+            t = graph.linear(t, self.weights[-1]) * net.out_scale[:, None, :]
+        return out, t
 
     def gradients(self) -> "ParamGradient":
         """Collect parameter gradients after graph.backward (zeros if unused)."""

@@ -61,16 +61,21 @@ class TrainConfig:
 
     def __post_init__(self):
         self.mode = TrainMode(self.mode)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("decay terms must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        for name in ("epochs",) if self.batch_size is None else ("epochs", "batch_size"):
+            n = getattr(self, name)
+            if not (np.isfinite(n) and n >= 1 and n == int(n)):
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+            setattr(self, name, int(n))
+        for name in ("learning_rate", "adam_eps"):
+            x = getattr(self, name)
+            if not (np.isfinite(x) and x > 0):
+                raise ValueError(f"{name} must be finite and positive, got {x!r}")
+        wd = self.weight_decay
+        if not (np.isfinite(wd) and wd >= 0):
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {wd!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -466,7 +471,7 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
     """Build and train a named variant under the shared benchmark recipe.
 
     Keyword overrides are forwarded to TrainConfig.  Returns (model, history);
-    the baseline comes back wrapped so it rolls out like any other model.
+    the baseline is a `BaselineModel`, so it rolls out like any other model.
     """
     data = list(data)
     cfg_kw = dict(
@@ -476,12 +481,7 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
     )
     cfg_kw.update(overrides)
     cfg = TrainConfig(seed=seed, mode=variant_train_mode(name), **cfg_kw)
-    if variant_recipe(name)["baseline"]:
-        Zp, Zc, Xn = _batch_arrays(data)
-        net, hist = train_baseline([Zc.shape[1], width, Xn.shape[1]], data, cfg)
-        return BaselineModel(net, nx=Xn.shape[1]), hist
-    model = build_variant(name, mono_spec, data, width=width, seed=seed)
-    return train(model, data, cfg)
+    return train(build_variant(name, mono_spec, data, width=width, seed=seed), data, cfg)
 
 
 def lr_sweep(build_fn, data, cfg: TrainConfig, rates=SWEEP_RATES):

@@ -291,6 +291,17 @@ class TestPenaltyWeights:
         with pytest.raises(ValueError):
             con.PenaltyWeights(gamma=-0.5)
 
+    @pytest.mark.parametrize("field", ["lam_inc", "lam_dec", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            con.PenaltyWeights(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_bad_lam_matrix_entry_rejected(self, value):
+        with pytest.raises(ValueError, match="lam_matrix"):
+            con.PenaltyWeights(lam_matrix=[[1.0, value]])
+
     def test_lambdas_for_zero_on_free(self):
         spec = con.MonoSpec.from_symbols(["+.-"])
         lam = con.PenaltyWeights(lam_inc=2.0, lam_dec=3.0).lambdas_for(spec)

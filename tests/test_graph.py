@@ -157,16 +157,6 @@ class TestNetTangent:
 
 
 class TestBatchedMatrixOps:
-    def test_mat_chain(self):
-        W = RNG.normal(size=(3, 5))
-        G = RNG.normal(size=(4, 5, 2))
-        check_grads(lambda WW, GG: g.sum_all(g.mat_chain(WW, GG) * RNG_WEIGHTS), [W, G])
-
-    def test_scale_rows(self):
-        d = RNG.normal(size=(4, 3))
-        G = RNG.normal(size=(4, 3, 2))
-        check_grads(lambda dd, GG: g.sum_all(g.scale_rows(dd, GG) * RNG_WEIGHTS), [d, G])
-
     def test_bmat_vec(self):
         A = RNG.normal(size=(3, 4, 5))
         v = RNG.normal(size=(3, 5))
@@ -177,12 +167,6 @@ class TestBatchedMatrixOps:
         v = RNG.normal(size=(5, 3))
         check_grads(lambda uu, vv: g.sum_all(g.dot_rows(uu, vv) * np.arange(1.0, 6.0)), [u, v])
 
-    def test_mat_chain_value(self):
-        W = np.array([[1.0, 0.0], [0.0, 2.0]])
-        G = np.ones((1, 2, 3))
-        out = g.mat_chain(g.Var(W), g.Var(G))
-        np.testing.assert_allclose(out.value[0], [[1, 1, 1], [2, 2, 2]])
-
     def test_transpose_last(self):
         A = RNG.normal(size=(4, 3, 2))
         out = g.transpose_last(g.Var(A))
@@ -191,6 +175,14 @@ class TestBatchedMatrixOps:
             lambda AA: g.sum_all(g.transpose_last(AA) * np.swapaxes(RNG_WEIGHTS, -1, -2)),
             [A],
         )
+
+    @pytest.mark.parametrize("source, destination", [(0, -1), (-1, 1), (2, 0)])
+    def test_moveaxis(self, source, destination):
+        A = RNG.normal(size=(2, 4, 3, 2))
+        w = np.moveaxis(RNG.normal(size=A.shape), source, destination)
+        out = g.moveaxis(g.Var(A), source, destination)
+        np.testing.assert_array_equal(out.value, np.moveaxis(A, source, destination))
+        check_grads(lambda AA: g.sum_all(g.tanh(g.moveaxis(AA, source, destination)) * w), [A])
 
 
 RNG_WEIGHTS = np.random.default_rng(7).normal(size=(4, 3, 2))
@@ -205,15 +197,6 @@ class TestStackedOps:
         b = RNG.normal(size=(2, 5))
         w = RNG.normal(size=(2, 4, 5))
         check_grads(lambda xx, WW, bb: g.sum_all(g.tanh(g.linear(xx, WW, bb)) * w), [x, W, b])
-
-    def test_mat_chain_and_scale_rows_batch_one_operand(self):
-        W = RNG.normal(size=(2, 3, 5))
-        G = RNG.normal(size=(2, 1, 5, 2))
-        d = RNG.normal(size=(2, 4, 3))
-        w = RNG.normal(size=(2, 4, 3, 2))
-        check_grads(
-            lambda WW, GG, dd: g.sum_all(g.scale_rows(dd, g.mat_chain(WW, GG)) * w), [W, G, d]
-        )
 
     def test_bmat_vec_and_dot_rows_shared_vector(self):
         A = RNG.normal(size=(2, 4, 3, 3))
@@ -300,8 +283,8 @@ class TestBackward:
         assert y.grad is None
 
     def test_composite_network_like_graph(self):
-        # One hidden layer with the analytic Jacobian chained in, then a
-        # mixed loss over both, mirroring how the trainer uses the engine.
+        # One hidden layer with the input Jacobian carried as basis tangents,
+        # then a mixed loss over both, mirroring how the trainer uses the engine.
         x = RNG.normal(size=(3, 4))
         W1 = RNG.normal(size=(5, 4)) * 0.5
         b1 = RNG.normal(size=(5,))
@@ -313,8 +296,8 @@ class TestBackward:
             h = g.tanh(g.linear(g.Var(x), W1v, b1v))
             out = g.linear(h, W2v, b2v)
             ones = 1.0 - h * h  # tanh' at the hidden preactivation
-            eye = np.broadcast_to(np.eye(4), (3, 4, 4))
-            J = g.mat_chain(W2v, g.scale_rows(ones, g.mat_chain(W1v, g.Var(eye))))
+            basis = np.broadcast_to(np.eye(4)[:, None, :], (4, 3, 4))  # (I, B, I)
+            J = g.moveaxis(g.linear(ones * g.linear(basis, W1v), W2v), 0, -1)
             corr = g.bmat_vec(J, g.Var(dz))
             return g.mean_all((out + corr) * (out + corr))
 

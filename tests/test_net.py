@@ -124,6 +124,32 @@ def random_full_net(rng, dims, activation="tanh", n_stack=1):
                    out_scale=rng.uniform(0.5, 2.0, size=(S, n_out)))
 
 
+class TestFullJacobian:
+    """input_jacobian(net, z) and forward_and_jacobian(z) carry the basis tangents."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_and_graph_match_finite_differences(self, data):
+        act = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
+        S = data.draw(st.integers(1, 3), label="stack")
+        hidden = data.draw(st.lists(st.integers(1, 5), max_size=2), label="hidden")
+        n_in, n_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        B = data.draw(st.integers(2, 4), label="batch")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        net = random_full_net(rng, [n_in, *hidden, n_out], act, S)
+        Z = rng.normal(size=(B, n_in))
+
+        fd = np.stack([nn.fd_input_jacobian(net, z) for z in Z], axis=1)
+        J = nn.input_jacobian(net, Z)
+        out, J_graph = nn.NetTape(net).forward_and_jacobian(Z)
+        assert J.shape == J_graph.shape == fd.shape == (S, B, n_out, n_in)
+        for got in (J, J_graph.value):
+            assert (np.abs(got - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
+        np.testing.assert_allclose(J_graph.value, J, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(nn.input_jacobian(net, Z[0]), J[:, 0], rtol=1e-12, atol=1e-12)
+
+
 class TestDirectionalDerivative:
     """input_jacobian(net, z, v) and forward_and_jacobian(z, v) are J v."""
 

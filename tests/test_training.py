@@ -1,5 +1,7 @@
 """Loss composition, gradient training, variants, and the LR sweep."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -385,6 +387,17 @@ class TestVariants:
         assert isinstance(m, BaselineModel)
         assert len(hist.total) == 5
 
+    def test_train_variant_baseline_is_train_baseline(self):
+        b = pl.hvac_benchmark(seed=0)
+        data = b.train[:40]
+        m, hist = tr.train_variant("baseline", b.plant.mono_spec(), data, seed=2, epochs=6)
+        cfg = tr.TrainConfig(seed=2, epochs=6, learning_rate=tr.STUDY_LEARNING_RATE,
+                             weight_decay=tr.STUDY_WEIGHT_DECAY)
+        net, want = tr.train_baseline([3, tr.STUDY_WIDTH, 1], data, cfg)
+        np.testing.assert_array_equal(hist.total, want.total)
+        for got, ref in zip(m.net.weights + m.net.biases, net.weights + net.biases):
+            np.testing.assert_array_equal(got, ref)
+
     def test_train_variant_matches_manual_path(self):
         b = pl.hvac_benchmark(seed=0)
         spec = b.plant.mono_spec()
@@ -431,6 +444,25 @@ class TestConfig:
             tr.TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             tr.TrainConfig(beta1=1.0)
+        # each error names its field
+        for field, value in [
+            ("learning_rate", np.nan), ("learning_rate", np.inf),
+            ("weight_decay", np.nan), ("weight_decay", np.inf),
+            ("adam_eps", -1.0), ("adam_eps", 0.0), ("adam_eps", np.nan), ("adam_eps", np.inf),
+            ("epochs", 2.5), ("epochs", np.nan), ("epochs", np.inf),
+            ("batch_size", 1.5), ("batch_size", np.inf),
+            ("beta1", np.nan), ("beta2", -0.1),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                tr.TrainConfig(**{field: value})
+        # a config file's NaN parses as a float
+        with pytest.raises(ValueError, match="learning_rate"):
+            tr.TrainConfig.from_dict(json.loads('{"learning_rate": NaN}'))
+
+    def test_integral_counts_become_ints(self):
+        cfg = tr.TrainConfig(epochs=3.0, batch_size=np.int64(4))
+        assert (cfg.epochs, cfg.batch_size) == (3, 4)
+        assert type(cfg.epochs) is int and type(cfg.batch_size) is int
 
 
 class TestLrSweep:
