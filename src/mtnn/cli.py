@@ -31,6 +31,16 @@ class ConfigError(Exception):
 
 HVAC_NAMES = (["T"], ["Ts", "mdot"])
 TCLAB_NAMES = (["T1", "T2"], ["Q1", "Q2"])
+PLANTS = {"hvac": pl.HvacPlant, "tclab": pl.TcLabPlant}
+
+# accepted keys of the root and fixed sections; plant takes kind, noise_sigma and
+# its plant class's fields, mpc takes bundle, steps and the fields of MpcConfig
+TOP_KEYS = {"seed", "out_dir", "plant", "split", "train", "eval", "mpc"}
+SECTION_KEYS = {
+    "split": {"n_train", "n_test"},
+    "train": {"variants", "width", "epochs", "weight_decay", "learning_rate"},
+    "eval": {"steps"},
+}
 
 
 def _load_config(path) -> dict:
@@ -44,7 +54,16 @@ def _load_config(path) -> dict:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(config, TOP_KEYS, "top-level")
+    for key in sorted(SECTION_KEYS.keys() & config.keys()):
+        _check_keys(_section(config, key), SECTION_KEYS[key], key)
     return config
+
+
+def _check_keys(section: dict, known, where: str) -> None:
+    unknown = section.keys() - known
+    if unknown:
+        raise ConfigError(f"unknown {where} config keys: {sorted(unknown)}")
 
 
 def _section(config: dict, key: str) -> dict:
@@ -54,6 +73,15 @@ def _section(config: dict, key: str) -> dict:
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {key!r} must be an object")
     return sec
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int; an integral float such as 3.0 is accepted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _out_dir(config: dict) -> Path:
@@ -67,13 +95,15 @@ def _out_dir(config: dict) -> Path:
 def _seed(config: dict) -> int:
     if "seed" not in config:
         raise ConfigError("config missing required key 'seed'")
-    return int(config["seed"])
+    return _integer(config["seed"], "seed")
 
 
 def _plant_kind(section: dict) -> str:
     kind = section.get("kind")
-    if kind not in ("hvac", "tclab"):
+    if kind not in PLANTS:
         raise ConfigError("plant section needs kind 'hvac' or 'tclab'")
+    _check_keys(section, {"kind", "noise_sigma", *PLANTS[kind].__dataclass_fields__},
+                "plant")
     return kind
 
 
@@ -106,15 +136,15 @@ def cmd_gen_data(config: dict) -> int:
     split = config.get("split", {})
     noise = float(plant_sec.get("noise_sigma", 0.05))
     if kind == "hvac":
-        n_train = int(split.get("n_train", 180))
-        n_test = int(split.get("n_test", 100))
+        n_train = _integer(split.get("n_train", 180), "split.n_train")
+        n_test = _integer(split.get("n_test", 100), "split.n_test")
         bench = pl.hvac_benchmark(
             seed=seed, n_train=n_train, n_test=n_test, noise_sigma=noise
         )
         plant, series = bench.plant, bench.series
     else:
-        n_train = int(split.get("n_train", 250))
-        n_test = int(split.get("n_test", 60))
+        n_train = _integer(split.get("n_train", 250), "split.n_train")
+        n_test = _integer(split.get("n_test", 60), "split.n_test")
         ds = pl.tclab_dataset(seed, n_train=n_train, n_test=n_test, noise_sigma=noise)
         plant, series = ds.plant, ds.series
     state_names, input_names = HVAC_NAMES if kind == "hvac" else TCLAB_NAMES
@@ -139,11 +169,6 @@ def _load_transitions(path) -> list:
     return pl.to_transitions(pl.load_csv(path))
 
 
-def _mono_spec_for(kind: str):
-    plant = pl.HvacPlant() if kind == "hvac" else pl.TcLabPlant()
-    return plant.mono_spec()
-
-
 def cmd_train(config: dict, variants=None) -> int:
     """Fit the requested variants on train.csv; one bundle file each."""
     out = _out_dir(config)
@@ -152,9 +177,9 @@ def cmd_train(config: dict, variants=None) -> int:
     train_sec = _section(config, "train")
     names = _variant_list(config, variants)
     data = _load_transitions(out / "train.csv")
-    spec = _mono_spec_for(kind)
-    width = int(train_sec.get("width", tr.STUDY_WIDTH))
-    epochs = int(train_sec.get("epochs", tr.STUDY_EPOCHS))
+    spec = PLANTS[kind]().mono_spec()
+    width = _integer(train_sec.get("width", tr.STUDY_WIDTH), "train.width")
+    epochs = _integer(train_sec.get("epochs", tr.STUDY_EPOCHS), "train.epochs")
     wd = float(train_sec.get("weight_decay", tr.STUDY_WEIGHT_DECAY))
     fixed_rate = train_sec.get("learning_rate")
     manifest = {"seed": seed, "width": width, "epochs": epochs,
@@ -165,8 +190,7 @@ def cmd_train(config: dict, variants=None) -> int:
         entry = {"mode": mode.value}
         try:
             if fixed_rate is None:
-                cfg = tr.TrainConfig(seed=seed, mode=mode, epochs=epochs,
-                                     weight_decay=wd)
+                cfg = tr.TrainConfig(mode=mode, epochs=epochs, weight_decay=wd)
                 build = functools.partial(
                     tr.build_variant, name, spec, data, width=width, seed=seed
                 )
@@ -204,7 +228,7 @@ def cmd_eval(config: dict) -> int:
     out = _out_dir(config)
     names = _variant_list(config)
     data = _load_transitions(out / "test.csv")
-    steps = int(config.get("eval", {}).get("steps", 5))
+    steps = _integer(config.get("eval", {}).get("steps", 5), "eval.steps")
     models = {}
     for name in names:
         path = out / f"{name}.json"
@@ -225,7 +249,7 @@ def cmd_mpc(config: dict) -> int:
     plant_sec = _section(config, "plant")
     kind = _plant_kind(plant_sec)
     params = {k: v for k, v in plant_sec.items() if k not in ("kind", "noise_sigma")}
-    plant = pl.HvacPlant(**params) if kind == "hvac" else pl.TcLabPlant(**params)
+    plant = PLANTS[kind](**params)
     mpc_sec = _section(config, "mpc")
     if "bundle" not in mpc_sec:
         raise ConfigError("mpc section needs a 'bundle' path")
@@ -235,7 +259,7 @@ def cmd_mpc(config: dict) -> int:
     if not bundle.exists():
         raise ConfigError(f"bundle {bundle} not found")
     model = md.load_bundle(bundle)
-    steps = int(mpc_sec.get("steps", 60))
+    steps = _integer(mpc_sec.get("steps", 60), "mpc.steps")
     cfg = ctrl.MpcConfig.from_dict(
         {k: v for k, v in mpc_sec.items() if k not in ("bundle", "steps")}
     )

@@ -1,4 +1,5 @@
-"""Loss assembly and gradient training for Taylor predictors and baselines.
+"""Loss assembly and full-batch gradient training for Taylor predictors and
+baselines.
 
 The total loss is the batch-mean squared prediction error plus, per mode,
 a sign-violation hinge on the learned Jacobian rows and/or a determinant
@@ -6,6 +7,10 @@ hinge on the learned Hessian blocks, both evaluated at the expansion point
 z_prev of each sample.  Gradients are exact (a.e. for the gates/hinges):
 the penalty terms read in-graph Jacobians, so their parameter gradients
 flow through the nested derivative.
+
+Every variant trains through one loop, `train`: each epoch evaluates the
+loss on the whole data set and takes one Adam step, and the run returns the
+parameters of its best recorded epoch.
 """
 
 import time
@@ -16,15 +21,19 @@ import numpy as np
 
 from . import constraints, graph
 from . import net as nn
-from .constraints import DECREASING, INCREASING, MonoSpec, PenaltyWeights
+from .constraints import DECREASING, MonoSpec, PenaltyWeights
 from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
-from .net import DenseNet, TrainingFault
+from .net import TrainingFault
 from .plants import transitions_to_arrays
 
 Array = np.ndarray
 
 DIVERGENCE_LIMIT = 1e12
 SWEEP_RATES = (1e-2, 3e-3, 1e-3, 3e-4)
+# Adam's moment decay rates and denominator floor, at the defaults of
+# Kingma & Ba ("Adam", ICLR 2015)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_DENOM_EPS = 1e-8
 
 # variant name -> (taylor order, gate mode, training mode)
 VARIANTS = ("baseline", "taylor1", "taylor2", "mono1", "mono2", "soft1", "soft2")
@@ -47,46 +56,27 @@ class TrainMode(str, Enum):
 
 @dataclass
 class TrainConfig:
+    """Settings of one full-batch `train` run (Adam at fixed moment rates)."""
+
     learning_rate: float = 1e-3
     epochs: int = 300
-    batch_size: int | None = None  # None = full batch
-    seed: int = 0
     penalty: PenaltyWeights = field(default_factory=PenaltyWeights)
     mode: TrainMode = TrainMode.MSE
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0  # decoupled, weight matrices only
     strict_minors: bool = False  # hinge all leading principal minors, not just det
 
     def __post_init__(self):
         self.mode = TrainMode(self.mode)
-        for name in ("epochs",) if self.batch_size is None else ("epochs", "batch_size"):
-            n = getattr(self, name)
-            if not (np.isfinite(n) and n >= 1 and n == int(n)):
-                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-            setattr(self, name, int(n))
-        for name in ("learning_rate", "adam_eps"):
-            x = getattr(self, name)
-            if not (np.isfinite(x) and x > 0):
-                raise ValueError(f"{name} must be finite and positive, got {x!r}")
+        n = self.epochs
+        if not (np.isfinite(n) and n >= 1 and n == int(n)):
+            raise ValueError(f"epochs must be an integer >= 1, got {n!r}")
+        self.epochs = int(n)
+        lr = self.learning_rate
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {lr!r}")
         wd = self.weight_decay
         if not (np.isfinite(wd) and wd >= 0):
             raise ValueError(f"weight_decay must be finite and nonnegative, got {wd!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "penalty" in d:
-            d["penalty"] = PenaltyWeights(**d["penalty"])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -125,11 +115,9 @@ class TrainHistory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _batch_arrays(batch):
-    batch = list(batch)
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    return transitions_to_arrays(batch)
+def _check_mode(model, cfg: TrainConfig) -> None:
+    if cfg.mode is not TrainMode.MSE and isinstance(model, BaselineModel):
+        raise ValueError("penalty modes need a Taylor model, not a baseline")
 
 
 def loss_components(model, batch, cfg: TrainConfig):
@@ -140,7 +128,8 @@ def loss_components(model, batch, cfg: TrainConfig):
     """
     from . import model as md
 
-    Zp, Zc, Xn = _batch_arrays(batch)
+    _check_mode(model, cfg)
+    Zp, Zc, Xn = transitions_to_arrays(batch)
     B = Zp.shape[0]
     pred = md.predict_batch(model, Zc, Zp)
     per_sample = np.sum((Xn - pred) ** 2, axis=1)
@@ -149,9 +138,6 @@ def loss_components(model, batch, cfg: TrainConfig):
         raise TrainingFault(f"non-finite loss at sample {bad}")
     mse = float(np.mean(per_sample))
     mono = convex = 0.0
-    if cfg.mode.wants_mono or cfg.mode.wants_convex:
-        if isinstance(model, BaselineModel):
-            raise ValueError("penalty modes need a Taylor model, not a baseline")
     if cfg.mode.wants_mono:
         J = md.jacobian_matrix_batch(model, Zp)
         mono = sum(
@@ -217,12 +203,13 @@ class _Adam:
     gradient) and skips entries flagged as biases.
     """
 
-    def __init__(self, arrays, cfg: TrainConfig, is_bias=None):
+    def __init__(self, arrays, cfg: TrainConfig, is_bias):
         self.arrays = arrays
         self.lr = cfg.learning_rate
-        self.b1, self.b2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
+        self.b1, self.b2 = ADAM_BETAS
+        self.eps = ADAM_DENOM_EPS
         self.wd = cfg.weight_decay
-        self.is_bias = is_bias if is_bias is not None else [False] * len(arrays)
+        self.is_bias = is_bias
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
@@ -263,117 +250,69 @@ def _partial_history(rows, t0) -> TrainHistory:
     )
 
 
-def train(model, data, cfg: TrainConfig):
-    """Gradient-train a copy of `model`; returns (best model, history).
+def _fault(message: str, rows, t0) -> TrainingFault:
+    fault = TrainingFault(message)
+    fault.history = _partial_history(rows, t0)
+    return fault
 
-    Full-batch runs record the loss at the pre-update parameters of each
-    epoch and return exactly the parameters of the best recorded epoch.
-    Mini-batch runs record per-epoch mean batch losses and snapshot the
-    end-of-epoch parameters instead.
+
+def train(model, data, cfg: TrainConfig):
+    """Gradient-train a copy of `model` on the transition list `data`;
+    returns (best model, history).
+
+    Each epoch records the loss at its pre-update parameters, then takes
+    one Adam step on the gradient over all of `data`.  The returned model
+    carries exactly the parameters of the best recorded epoch.  A penalty
+    mode on a `BaselineModel` is a ValueError; divergence is a
+    `TrainingFault` whose `history` holds the completed epochs.
     """
-    data = list(data)
-    if len(data) < 2:
+    _check_mode(model, cfg)
+    Zp, Zc, Xn = transitions_to_arrays(data)
+    if len(Zp) < 2:
         raise ValueError("need at least 2 training samples")
-    Zp, Zc, Xn = _batch_arrays(data)
-    n = len(data)
     model = model.copy()
     if Zp.shape[1] != model.n:
         raise ValueError(f"data z-dim {Zp.shape[1]} vs model {model.n}")
-    nx = model.nx
-    if Xn.shape[1] != nx:
-        raise ValueError(f"data x-dim {Xn.shape[1]} vs model {nx}")
-    bs = cfg.batch_size if cfg.batch_size is not None else n
-    if bs > n:
-        raise ValueError(f"batch_size {bs} exceeds data size {n}")
-    full_batch = bs >= n
+    if Xn.shape[1] != model.nx:
+        raise ValueError(f"data x-dim {Xn.shape[1]} vs model {model.nx}")
 
     net = model.net
     arrays = [*net.weights, *net.biases]
     is_bias = [False] * len(net.weights) + [True] * len(net.biases)
     opt = _Adam(arrays, cfg, is_bias)
-    rng = np.random.default_rng(cfg.seed)
 
     rows = []
     best_total = np.inf
     best_params = None
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
-        order = np.arange(n) if full_batch else rng.permutation(n)
-        acc = np.zeros(4)
-        for k0 in range(0, n, bs):
-            idx = order[k0 : k0 + bs]
-            tape = nn.NetTape(net)
-            with np.errstate(over="ignore", invalid="ignore"):
-                total_var, comps = _loss_graph(
-                    tape, model, Zp[idx], Zc[idx], Xn[idx], cfg
-                )
-            tot = float(total_var.value)
-            if not np.isfinite(tot) or tot > DIVERGENCE_LIMIT:
-                bad = _offending_sample(model, Zp[idx], Zc[idx], Xn[idx])
-                fault = TrainingFault(
-                    f"training diverged at epoch {epoch} "
-                    f"(loss {tot!r}, worst sample {int(idx[bad])})"
-                )
-                fault.history = _partial_history(rows, t0)
-                raise fault
-            if full_batch and tot < best_total:
-                best_total = tot
-                best_params = [A.copy() for A in arrays]
-            graph.backward(total_var)
-            pg = tape.gradients()
-            grads = [*pg.weights, *pg.biases]
-            for garr in grads:
-                if not np.all(np.isfinite(garr)):
-                    fault = TrainingFault(
-                        f"non-finite parameter gradient at epoch {epoch}"
-                    )
-                    fault.history = _partial_history(rows, t0)
-                    raise fault
-            opt.step(grads)
-            acc += len(idx) * np.array([tot, *comps])
-        acc /= n
-        rows.append(acc)
-        if not full_batch and acc[0] < best_total:
-            best_total = acc[0]
+        tape = nn.NetTape(net)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total_var, comps = _loss_graph(tape, model, Zp, Zc, Xn, cfg)
+        tot = float(total_var.value)
+        if not np.isfinite(tot) or tot > DIVERGENCE_LIMIT:
+            bad = _offending_sample(model, Zp, Zc, Xn)
+            raise _fault(f"training diverged at epoch {epoch} "
+                         f"(loss {tot!r}, worst sample {bad})", rows, t0)
+        if tot < best_total:
+            best_total = tot
             best_params = [A.copy() for A in arrays]
-    assert best_params is not None and best_total <= rows[0][0]
+        graph.backward(total_var)
+        pg = tape.gradients()
+        grads = [*pg.weights, *pg.biases]
+        for garr in grads:
+            if not np.all(np.isfinite(garr)):
+                raise _fault(f"non-finite parameter gradient at epoch {epoch}", rows, t0)
+        opt.step(grads)
+        rows.append((tot, *comps))
     for A, snap in zip(arrays, best_params):
         np.copyto(A, snap)
     return model, _partial_history(rows, t0)
 
 
-def train_baseline(dims, data, cfg: TrainConfig):
-    """Train a direct z_curr -> x_next net; returns (DenseNet, history)."""
-    if cfg.mode is not TrainMode.MSE:
-        raise ValueError("baseline training supports MSE mode only")
-    data = list(data)
-    if len(data) < 2:
-        raise ValueError("need at least 2 training samples")
-    Zp, Zc, Xn = _batch_arrays(data)
-    dims = [int(d) for d in dims]
-    if dims[0] != Zc.shape[1] or dims[-1] != Xn.shape[1]:
-        raise ValueError(f"dims {dims} do not match data ({Zc.shape[1]} -> {Xn.shape[1]})")
-    net = init_standardized_net(dims, Zc, Xn, cfg.seed)
-    model = BaselineModel(net, nx=Xn.shape[1])
-    trained, hist = train(model, data, cfg)
-    return trained.net, hist
-
-
 def _guarded_std(A: Array, axis=0) -> Array:
     s = np.std(A, axis=axis)
     return np.where(s > 1e-8, s, 1.0)
-
-
-def init_standardized_net(dims, Z: Array, Y: Array, seed, activation="tanh") -> DenseNet:
-    """Glorot net with input/output affine standardization fitted to data."""
-    net = nn.init_dense(dims, np.random.default_rng(seed), activation)
-    return replace(
-        net,
-        in_shift=np.mean(Z, axis=0),
-        in_scale=_guarded_std(Z),
-        out_shift=np.mean(Y, axis=0),
-        out_scale=_guarded_std(Y),
-    )
 
 
 GATE_ANCHOR_FLOOR = 0.05
@@ -407,13 +346,17 @@ def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
     anchor is clamped to the tagged sign so every gate starts live.
     """
     recipe = variant_recipe(name)
-    Zp, Zc, Xn = _batch_arrays(data)
+    Zp, Zc, Xn = transitions_to_arrays(data)
     N = Zp.shape[1]
     nx = Xn.shape[1]
     if (mono_spec.n_states, mono_spec.n_inputs) != (nx, N):
         raise ValueError("mono spec does not match data dimensions")
     if recipe["baseline"]:
-        return BaselineModel(init_standardized_net([N, width, nx], Zc, Xn, seed), nx=nx)
+        # a Glorot net with input/output standardization fitted to the data
+        net = nn.init_dense([N, width, nx], np.random.default_rng(seed), "tanh")
+        net = replace(net, in_shift=np.mean(Zc, axis=0), in_scale=_guarded_std(Zc),
+                      out_shift=np.mean(Xn, axis=0), out_scale=_guarded_std(Xn))
+        return BaselineModel(net, nx=nx)
 
     dz_scale = _guarded_std(Zc - Zp)
     dx_scale = _guarded_std(Xn - Zc[:, :nx])
@@ -480,7 +423,7 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
         weight_decay=STUDY_WEIGHT_DECAY,
     )
     cfg_kw.update(overrides)
-    cfg = TrainConfig(seed=seed, mode=variant_train_mode(name), **cfg_kw)
+    cfg = TrainConfig(mode=variant_train_mode(name), **cfg_kw)
     return train(build_variant(name, mono_spec, data, width=width, seed=seed), data, cfg)
 
 

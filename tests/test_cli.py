@@ -277,6 +277,56 @@ class TestMpc:
         assert "mpc" in capsys.readouterr().err
 
 
+class TestConfigKeys:
+    INTEGER_KEYS = [  # (command, section or None for the root, key)
+        ("gen-data", None, "seed"),
+        ("gen-data", "split", "n_train"),
+        ("gen-data", "split", "n_test"),
+        ("train", "train", "width"),
+        ("train", "train", "epochs"),
+        ("eval", "eval", "steps"),
+        ("mpc", "mpc", "steps"),
+    ]
+
+    def run_with(self, trained_run, tmp_path, command, section, key, value):
+        """Run `command` on a copy of the shared run with one config key set."""
+        dest, _ = clone_run(trained_run, tmp_path)
+        cfg = dict(base_config(dest), mpc=TestMpc().mpc_section())
+        (cfg if section is None else cfg[section])[key] = value
+        return run(command, "--config", write_config(cfg, tmp_path / "k.json"))
+
+    @pytest.mark.parametrize("value", [2.5, float("inf"), "3", True])
+    @pytest.mark.parametrize("command,section,key", INTEGER_KEYS)
+    def test_non_integer_is_an_error_naming_the_key(self, trained_run, tmp_path, capsys,
+                                                     command, section, key, value):
+        assert self.run_with(trained_run, tmp_path, command, section, key, value) == 1
+        name = key if section is None else f"{section}.{key}"
+        assert f"error: {name} must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_is_accepted(self, trained_run, tmp_path):
+        assert self.run_with(trained_run, tmp_path, "train", "train", "epochs", 3.0) == 0
+        manifest = json.loads((tmp_path / "run" / "train_manifest.json").read_text())
+        assert manifest["epochs"] == 3 and isinstance(manifest["epochs"], int)
+        assert len((tmp_path / "run" / "taylor1_history.csv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("gen-data", None, "sed"),
+        ("gen-data", "split", "n_trian"),
+        ("train", "train", "learning_rte"),
+        ("eval", "eval", "step"),
+        ("gen-data", "plant", "bogus"),
+        ("mpc", "plant", "bogus"),
+    ])
+    def test_unknown_key_is_an_error_naming_it(self, trained_run, tmp_path, capsys,
+                                               command, section, key):
+        assert self.run_with(trained_run, tmp_path, command, section, key, 1) == 1
+        where = "top-level" if section is None else section
+        assert f"unknown {where} config keys: ['{key}']" in capsys.readouterr().err
+
+    def test_plant_fields_are_accepted(self, trained_run, tmp_path):
+        assert self.run_with(trained_run, tmp_path, "mpc", "plant", "k_loss", 0.008) == 0
+
+
 class TestFullChain:
     def test_gen_train_eval_rerun_matches_bytes(self, tmp_path):
         tables = []
