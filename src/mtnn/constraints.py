@@ -4,7 +4,8 @@ A MonoSpec tags each learned Jacobian entry as Increasing (the partial must
 stay >= 0), Decreasing (<= 0), or Free. Two enforcement routes:
 
   * gate the network outputs through ReLU / -ReLU so tagged entries cannot
-    leave their half-line (architecture route),
+    leave their half-line (architecture route), computed as the raw output
+    times its derivative mask (`gate_derivative_mask`),
   * leave the outputs raw and add a hinge penalty on violations to the
     training loss (soft route).
 
@@ -121,47 +122,29 @@ class PenaltyWeights:
         return lam
 
 
+def gate_derivative_mask(raw, tags) -> Array:
+    """d(gated)/d(raw) entrywise, in {-1, 0, 1} (subgradient 0 at the kink).
+
+    The gate is piecewise linear, so the gated output is raw times this mask.
+    """
+    tags = np.asarray(tags, dtype=np.int8)
+    return np.where(tags == FREE, 1.0, tags * (np.asarray(raw) > 0.0))
+
+
 def apply_sign_gate(raw, tags) -> Array:
     """Increasing -> ReLU(raw), Decreasing -> -ReLU(raw), Free -> raw.
 
-    Both gates rectify the raw output and the Decreasing gate then flips the
-    sign, so a tagged entry can never leave its half-line. Elementwise; `raw`
+    Computed as raw * gate_derivative_mask(raw, tags), which equals the
+    ReLU / -ReLU form (a rectified entry may read -0.0). Elementwise; `raw`
     may carry leading batch axes as long as the trailing axes match `tags`.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    tags = np.asarray(tags, dtype=np.int8)
-    inc = tags == INCREASING
-    dec = tags == DECREASING
-    rect = np.maximum(raw, 0.0)
-    out = raw.copy()
-    out = np.where(inc, rect, out)
-    out = np.where(dec, -rect, out)
-    return out
-
-
-def gate_derivative_mask(raw, tags) -> Array:
-    """d(gated)/d(raw) entrywise, in {-1, 0, 1} (subgradient 0 at the kink)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    tags = np.asarray(tags, dtype=np.int8)
-    step = (raw > 0.0).astype(np.float64)
-    mask = np.ones_like(raw)
-    mask = np.where(tags == INCREASING, step, mask)
-    mask = np.where(tags == DECREASING, -step, mask)
-    return mask
+    return raw * gate_derivative_mask(raw, tags)
 
 
 def apply_sign_gate_graph(raw: Var, tags) -> Var:
-    """Graph twin of apply_sign_gate; `tags` broadcasts against raw's trailing axes."""
-    tags = np.asarray(tags, dtype=np.int8)
-    inc = (tags == INCREASING).astype(np.float64)
-    dec = (tags == DECREASING).astype(np.float64)
-    fre = (tags == FREE).astype(np.float64)
-    out = graph.mul(raw, fre)
-    if inc.any():
-        out = out + graph.mul(graph.relu(raw), inc)
-    if dec.any():
-        out = out - graph.mul(graph.relu(raw), dec)
-    return out
+    """Graph twin of apply_sign_gate: one product node with the detached mask."""
+    return graph.mul(raw, gate_derivative_mask(raw.value, tags))
 
 
 def mono_penalty(jac, spec: MonoSpec, weights: PenaltyWeights) -> float:
@@ -177,13 +160,10 @@ def mono_penalty(jac, spec: MonoSpec, weights: PenaltyWeights) -> float:
 
 
 def mono_penalty_rows_graph(rows: Var, spec: MonoSpec, weights: PenaltyWeights) -> Var:
-    """Graph twin over the ungated Jacobian rows (Nx, B, N), summed over all entries."""
-    lam = weights.lambdas_for(spec)
-    inc = (lam * (spec.tags == INCREASING))[:, None, :]
-    dec = (lam * (spec.tags == DECREASING))[:, None, :]
-    return graph.sum_all(
-        graph.mul(graph.relu(-rows), inc) + graph.mul(graph.relu(rows), dec)
-    )
+    """Graph twin over the ungated Jacobian rows (Nx, B, N): sum lam * ReLU(-tag * J)."""
+    lam = weights.lambdas_for(spec)[:, None, :]
+    neg_tags = -spec.tags[:, None, :].astype(np.float64)
+    return graph.sum_all(graph.mul(graph.relu(graph.mul(rows, neg_tags)), lam))
 
 
 def convex_penalty(hessian_blocks, gamma: float) -> float:

@@ -16,10 +16,12 @@ returns x_curr exactly.
 The step never builds H_j: dz^T H_j dz needs only H_j dz, the derivative of
 row j along dz, so one tangent dz is carried forward through the nets
 (`net.input_jacobian(net, z, v)`, `NetTape.forward_and_jacobian(z, v)`)
-instead of N Jacobian columns. The full blocks are built only for the
-curvature penalties (`hessian_stack_batch`, or `need_blocks` on the graph),
-and only there does `symmetrize_hessian` matter: it cannot change a
-quadratic form.
+instead of N Jacobian columns; both return the net outputs too, so a step
+runs the net stack once. The full blocks are built only for the curvature
+penalties (`hessian_stack_batch`, or `need_blocks` on the graph), and only
+there does `symmetrize_hessian` matter: it cannot change a quadratic form.
+The architecture gate multiplies the rows, H_j dz and the block rows by one
+detached mask, `constraints.gate_derivative_mask`.
 
 The step has exactly two evaluators, both batched: `predict_batch` in
 numpy for prediction and rollout, and `taylor_increments` on the reverse-mode
@@ -158,15 +160,15 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     """Input-derivatives of the (gated) Jacobian rows: (B, N) -> (B, Nx, N, N).
 
     Under the architecture gate the block rows are masked by the gate
-    derivative (a step function of the raw output), which is the almost-
-    everywhere exact derivative of the gated rows. The Taylor step does not
-    build these blocks; the numpy loss of the curvature penalties
-    (`training.loss_components`) and the tests read them.
+    derivative (a step function of the raw output, read from the same net
+    pass), which is the almost-everywhere exact derivative of the gated
+    rows. The Taylor step does not build these blocks; the numpy loss of the
+    curvature penalties (`training.loss_components`) and the tests read them.
     """
     Z = _as_z(Z_prev, model.n)
-    blocks = np.swapaxes(nn.input_jacobian(model.net, Z), 0, 1)
+    raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z))
     if model.gated:
-        blocks *= gate_derivative_mask(_raw_rows(model, Z), model.mono_spec.tags)[..., None]
+        blocks = blocks * gate_derivative_mask(raw, model.mono_spec.tags)[..., None]
     if model.symmetrize_hessian:
         blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
     return blocks
@@ -182,8 +184,9 @@ def predict(model, z_curr, z_prev) -> Array:
 def predict_batch(model, Z_curr, Z_prev) -> Array:
     """(B, N) pairs -> (B, Nx); dispatches on the model kind.
 
-    The second-order term is 1/2 dz . (m_j * (D_j dz)), with D_j dz the
-    derivative of net j along dz and m_j the gate derivative mask.
+    The rows are m_j * raw_j and the second-order term 1/2 dz . (m_j * (D_j dz)),
+    with m_j the gate derivative mask (1 ungated) and D_j dz the derivative
+    of net j along dz, read from the same net pass as raw_j.
     """
     Z_c = _as_z(Z_curr, model.n)
     Z_p = _as_z(Z_prev, model.n)
@@ -194,14 +197,14 @@ def predict_batch(model, Z_curr, Z_prev) -> Array:
     dz = Z_c - Z_p
     if not np.isfinite(dz).all():
         raise ValueError("non-finite increment between z_curr and z_prev")
-    raw = _raw_rows(model, Z_p)
-    J = apply_sign_gate(raw, model.mono_spec.tags) if model.gated else raw
-    x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", J, dz)
     if model.order == TaylorOrder.SECOND:
-        Hdz = np.swapaxes(nn.input_jacobian(model.net, Z_p, dz), 0, 1)
-        if model.gated:
-            Hdz *= gate_derivative_mask(raw, model.mono_spec.tags)
-        x_hat = x_hat + 0.5 * np.einsum("bjn,bn->bj", Hdz, dz)
+        raw, Hdz = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z_p, dz))
+    else:
+        raw, Hdz = _raw_rows(model, Z_p), None
+    mask = gate_derivative_mask(raw, model.mono_spec.tags) if model.gated else 1.0
+    x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", raw * mask, dz)
+    if Hdz is not None:
+        x_hat = x_hat + 0.5 * np.einsum("bjn,bn->bj", Hdz * mask, dz)
     # restore the exact fixpoint for rows with a literally zero increment
     zero = ~dz.any(axis=1)
     if zero.any():

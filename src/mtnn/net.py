@@ -7,7 +7,8 @@ biases are read as a stack of one.
 
 Two evaluation paths for the same architecture:
 
-  * plain numpy (`forward`, `input_jacobian`) for prediction and rollout,
+  * plain numpy (`forward`, and `input_jacobian`, which returns the outputs
+    with their input derivative) for prediction and rollout,
   * graph-building (`NetTape`) for training and for differentiating through
     the controller, where the loss may contain input-Jacobian entries and the
     gradient has to flow through them exactly.
@@ -231,15 +232,18 @@ def forward(net: DenseNet, z) -> Array:
     return out[:, 0] if single else out
 
 
-def input_jacobian(net: DenseNet, z, v=None) -> Array:
-    """Exact d(output)/d(input); (I,) -> (S, O, I) or (B, I) -> (S, B, O, I).
+def input_jacobian(net: DenseNet, z, v=None) -> tuple:
+    """(outputs, exact d(output)/d(input)) from one pass through the stack.
+
+    The same contract as `NetTape.forward_and_jacobian`: the outputs are
+    `forward`'s, and the Jacobian is (I,) -> (S, O, I) or (B, I) -> (S, B, O, I).
 
     Forward mode: a tangent is carried through the layers beside the
     activations. The full Jacobian carries the I basis directions at once,
     so it costs one pass with I tangents and holds no (S, B, H, H) product.
 
-    With a direction v shaped like z, returns the directional derivative
-    J v instead, (S, O) or (S, B, O): the one tangent v is carried.
+    With a direction v shaped like z, the second value is the directional
+    derivative J v instead, (S, O) or (S, B, O): the one tangent v is carried.
     """
     a, single = _standardized_input(net, z)
     if v is None:
@@ -254,10 +258,12 @@ def input_jacobian(net: DenseNet, z, v=None) -> Array:
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         a = _act(net.activation, _layer(a, W, b))
         t = _act_deriv_from_h(net.activation, a) * (t @ np.swapaxes(W, -1, -2))
+    out = _layer(a, net.weights[-1], net.biases[-1])
+    out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
     t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
     if v is None:
         t = np.moveaxis(t, 0, -1)  # (I, S, B, O) -> (S, B, O, I)
-    return t[:, 0] if single else t
+    return (out[:, 0], t[:, 0]) if single else (out, t)
 
 
 def fd_input_jacobian(net: DenseNet, z, step: float = 1e-5) -> Array:

@@ -29,10 +29,12 @@ Array = np.ndarray
 
 @dataclass
 class HvacPlant:
+    """Room heat balance; the defaults are `hvac_benchmark`'s hot-ambient room."""
+
     C: float = 500.0  # kJ/degF
     c_p: float = 1.0  # kJ/(kg degF)
-    k_a: float = 0.02  # kW/degF
-    T_amb: float = 70.0  # degF
+    k_a: float = 0.2  # kW/degF
+    T_amb: float = 85.0  # degF
     dt: float = 300.0  # s
     mdot_max: float = 1.0  # kg/s, audited operating range
 
@@ -314,7 +316,7 @@ def hvac_benchmark(
     than the room everywhere, so dT'/dmdot < 0 holds throughout and the
     sign prior (T: +, Ts: +, mdot: -) is true ground truth.
     """
-    plant = HvacPlant(C=500.0, c_p=1.0, k_a=0.2, T_amb=85.0, dt=300.0)
+    plant = HvacPlant()
     n = n_train + n_test + 2
     rng = np.random.default_rng(seed)
     x = np.empty((n, 1))

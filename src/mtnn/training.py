@@ -413,9 +413,12 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
                   width=STUDY_WIDTH, **overrides):
     """Build and train a named variant under the shared benchmark recipe.
 
-    Keyword overrides are forwarded to TrainConfig.  Returns (model, history);
-    the baseline is a `BaselineModel`, so it rolls out like any other model.
+    Keyword overrides are forwarded to TrainConfig; the variant fixes `mode`.
+    Returns (model, history); the baseline is a `BaselineModel`, so it rolls
+    out like any other model.
     """
+    if "mode" in overrides:
+        raise ValueError(f"variant {name!r} fixes its training mode; do not override mode")
     data = list(data)
     cfg_kw = dict(
         epochs=STUDY_EPOCHS,

@@ -4,6 +4,7 @@ contract (same config, same seed => byte-identical outputs)."""
 
 import json
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,31 @@ class TestMpc:
         rc = run("mpc", "--config", write_config(cfg, tmp_path / "m.json"))
         assert rc == 1
         assert "mpc" in capsys.readouterr().err
+
+
+class TestHvacRoom:
+    def test_mpc_controls_the_room_gen_data_simulates(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = {"seed": 0, "out_dir": str(out), "plant": {"kind": "hvac"},
+               "train": {"variants": ["taylor1"], "width": 4, "epochs": 30,
+                         "learning_rate": 1e-3},
+               "mpc": {"bundle": "taylor1.json", "steps": 4, "horizon": 2,
+                       "iterations": 3, "x_ref": [72.0], "u_min": [55.0, 0.1],
+                       "u_max": [60.0, 1.0], "x0": [74.0]}}
+        path = write_config(cfg, tmp_path / "c.json")
+        for command in ("gen-data", "train", "mpc"):
+            assert run(command, "--config", path) == 0
+        manifest = json.loads((out / "gen_manifest.json").read_text())
+        assert manifest["plant"] == {"kind": "hvac", **asdict(pl.HvacPlant())}
+        # every traced state is the manifest's plant stepped from the last one
+        fields = {k: v for k, v in manifest["plant"].items() if k != "kind"}
+        plant = pl.HvacPlant(**fields)
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in (out / "trace.csv").read_text().splitlines()[1:]])
+        x, u = rows[:, 1:2], rows[:, 2:4]
+        want = [plant.step(np.array([74.0]), np.zeros(2))]
+        want += [plant.step(x[k], u[k]) for k in range(len(x) - 1)]
+        assert np.array_equal(x, np.array(want))
 
 
 class TestConfigKeys:

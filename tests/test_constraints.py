@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mtnn import constraints as con
 from mtnn import graph as g
+from test_graph import check_grads
 
 RNG = np.random.default_rng(314)
 
@@ -109,6 +110,72 @@ class TestSignGate:
         np.testing.assert_array_equal(
             con.gate_derivative_mask(raw, tags), [1.0, 0.0, -1.0, 0.0, 1.0, 0.0]
         )
+
+
+def maximum_gate(raw, tags):
+    """The ReLU / -ReLU gate written with np.maximum: the oracle for raw * mask."""
+    rect = np.maximum(raw, 0.0)
+    return np.where(tags == con.INCREASING, rect,
+                    np.where(tags == con.DECREASING, -rect, raw))
+
+
+def graph_nodes(root, stop):
+    """Nodes reachable from root without passing through `stop` (root included)."""
+    seen, todo = set(), [root]
+    while todo:
+        v = todo.pop()
+        if v is stop or id(v) in seen:
+            continue
+        seen.add(id(v))
+        todo.extend(v.parents)
+    return len(seen)
+
+
+tag_codes = st.sampled_from([con.INCREASING, con.DECREASING, con.FREE])
+raw_or_zero = st.one_of(st.just(0.0), st.just(-0.0), finite_floats)
+
+
+class TestOneMaskGate:
+    """The gate is raw * gate_derivative_mask(raw, tags), in numpy and on the graph."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_relu_gate_and_differentiates(self, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        B = data.draw(st.integers(1, 3), label="batch")
+        tags = np.array(data.draw(st.lists(tag_codes, min_size=rows * cols,
+                                           max_size=rows * cols)),
+                        dtype=np.int8).reshape(rows, cols)
+        raw = np.array(data.draw(st.lists(raw_or_zero, min_size=B * rows * cols,
+                                          max_size=B * rows * cols))).reshape(B, rows, cols)
+        want = maximum_gate(raw, tags)
+        assert np.array_equal(con.apply_sign_gate(raw, tags), want)
+        assert np.array_equal(con.apply_sign_gate_graph(g.Var(raw), tags).value, want)
+
+        off_kink = np.where(np.abs(raw) < 1e-3, 0.5, raw)
+        w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=raw.shape)
+        check_grads(lambda x: g.sum_all(con.apply_sign_gate_graph(x, tags) * w), [off_kink])
+
+    def test_graph_gate_is_one_node(self):
+        raw = g.Var(RNG.normal(size=(2, 5, 3)))
+        tags = np.array([[con.INCREASING, con.DECREASING, con.FREE],
+                         [con.DECREASING, con.INCREASING, con.INCREASING]], dtype=np.int8)
+        gated = con.apply_sign_gate_graph(raw, tags[:, None, :])
+        assert gated.parents == (raw,)
+        assert graph_nodes(gated, raw) == 1
+
+    def test_hinge_matches_numpy_penalty_with_lam_matrix(self):
+        spec = con.MonoSpec.from_symbols(["+-.", "-.+"])
+        lam = np.array([[2.5, 0.3, 9.0], [1.1, 7.0, 0.6]])
+        w = con.PenaltyWeights(lam_inc=4.0, lam_dec=5.0, lam_matrix=lam)
+        rows = RNG.normal(size=(2, 6, 3))
+        rows[0, 0, 0] = 0.0  # exact kink on a tagged entry
+        rows_var = g.Var(rows)
+        pen = con.mono_penalty_rows_graph(rows_var, spec, w)
+        expect = sum(con.mono_penalty(rows[:, b], spec, w) for b in range(6))
+        assert pen.value == pytest.approx(expect, rel=1e-12)
+        assert expect > 0.0
+        assert graph_nodes(pen, rows_var) == 4
 
 
 class TestMonoPenalty:

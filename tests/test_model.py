@@ -301,8 +301,7 @@ class TestBundles:
         with pytest.raises(ValueError, match="lacks the field"):
             md.model_from_dict(d)
 
-    def test_second_order_gated_predict_runs_nets_forward_once(self, monkeypatch):
-        m = md.load_bundle(DATA / "mono2_bundle_v1.json")
+    def count_net_calls(self, monkeypatch):
         calls = {"forward": [], "input_jacobian": [], "hessian_stack_batch": []}
 
         def counted(module, name):
@@ -317,11 +316,24 @@ class TestBundles:
         counted(nn, "forward")
         counted(nn, "input_jacobian")
         counted(md, "hessian_stack_batch")
+        return calls
+
+    def test_second_order_gated_predict_runs_nets_forward_once(self, monkeypatch):
+        m = md.load_bundle(DATA / "mono2_bundle_v1.json")
+        calls = self.count_net_calls(monkeypatch)
         md.predict_batch(m, RNG.normal(size=(5, 4)), RNG.normal(size=(5, 4)))
-        assert len(calls["forward"]) == 1
-        # one directional derivative (net, z, v), no Hessian blocks
+        # one directional derivative (net, z, v) gives the rows and H dz
+        assert calls["forward"] == []
         assert [len(args) for args in calls["input_jacobian"]] == [3]
         assert calls["hessian_stack_batch"] == []
+
+    def test_gated_hessian_stack_runs_nets_forward_once(self, monkeypatch):
+        m = md.load_bundle(DATA / "mono2_bundle_v1.json")
+        calls = self.count_net_calls(monkeypatch)
+        md.hessian_stack_batch(m, RNG.normal(size=(5, 4)))
+        # the mask rows come from the pass that builds the blocks
+        assert calls["forward"] == []
+        assert [len(args) for args in calls["input_jacobian"]] == [2]
 
 
 class TestValidation:

@@ -71,20 +71,20 @@ class TestInputJacobian:
     def test_linear_net_is_weight_matrix(self):
         W = RNG.normal(size=(2, 4))
         net = nn.DenseNet([W], [np.zeros(2)], activation="linear")
-        np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=4))[0], W)
+        np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=4))[1][0], W)
 
     def test_tanh_scalar_at_zero(self):
         net = nn.DenseNet([np.eye(1)], [np.zeros(1)], activation="tanh")
         # hidden tanh only exists with >= 2 layers; emulate with 2 layers
         net = nn.DenseNet([np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)], activation="tanh")
-        np.testing.assert_allclose(nn.input_jacobian(net, np.zeros(1))[0], [[1.0]])
+        np.testing.assert_allclose(nn.input_jacobian(net, np.zeros(1))[1][0], [[1.0]])
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "linear"])
     @pytest.mark.parametrize("dims", [[3, 3], [2, 7, 2], [4, 6, 6, 4]])
     def test_matches_finite_differences(self, activation, dims):
         net = random_net(dims, activation, seed=hash((activation, tuple(dims))) % 2**31)
         z = np.random.default_rng(3).normal(size=dims[0])
-        J = nn.input_jacobian(net, z)
+        J = nn.input_jacobian(net, z)[1]
         Jfd = nn.fd_input_jacobian(net, z)
         err = np.abs(J - Jfd) / np.maximum(1.0, np.abs(Jfd))
         assert err.max() < 1e-6
@@ -92,9 +92,9 @@ class TestInputJacobian:
     def test_batched_equals_loop(self):
         net = random_net([3, 5, 3], seed=2)
         Z = RNG.normal(size=(4, 3))
-        batched = nn.input_jacobian(net, Z)
+        batched = nn.input_jacobian(net, Z)[1]
         for k in range(4):
-            np.testing.assert_allclose(batched[:, k], nn.input_jacobian(net, Z[k]), rtol=1e-13)
+            np.testing.assert_allclose(batched[:, k], nn.input_jacobian(net, Z[k])[1], rtol=1e-13)
 
     def test_standardization_chain_rule(self):
         core = random_net([2, 5, 2], seed=11)
@@ -102,11 +102,11 @@ class TestInputJacobian:
         out_scale = np.array([4.0, 0.5])
         net = replace(core, in_shift=in_shift, in_scale=in_scale, out_scale=out_scale)
         z = np.array([69.0, 0.61])
-        J_core = nn.input_jacobian(core, (z - in_shift) / in_scale)
+        J_core = nn.input_jacobian(core, (z - in_shift) / in_scale)[1]
         want = out_scale[:, None] * J_core / in_scale[None, :]
-        np.testing.assert_allclose(nn.input_jacobian(net, z), want, rtol=1e-12)
+        np.testing.assert_allclose(nn.input_jacobian(net, z)[1], want, rtol=1e-12)
         Jfd = nn.fd_input_jacobian(net, z)
-        err = np.abs(nn.input_jacobian(net, z) - Jfd) / np.maximum(1.0, np.abs(Jfd))
+        err = np.abs(nn.input_jacobian(net, z)[1] - Jfd) / np.maximum(1.0, np.abs(Jfd))
         assert err.max() < 1e-6
 
 
@@ -140,14 +140,17 @@ class TestFullJacobian:
         Z = rng.normal(size=(B, n_in))
 
         fd = np.stack([nn.fd_input_jacobian(net, z) for z in Z], axis=1)
-        J = nn.input_jacobian(net, Z)
+        out_np, J = nn.input_jacobian(net, Z)
         out, J_graph = nn.NetTape(net).forward_and_jacobian(Z)
         assert J.shape == J_graph.shape == fd.shape == (S, B, n_out, n_in)
         for got in (J, J_graph.value):
             assert (np.abs(got - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
         np.testing.assert_allclose(J_graph.value, J, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(nn.input_jacobian(net, Z[0]), J[:, 0], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(out_np, nn.forward(net, Z))
+        out0, J0 = nn.input_jacobian(net, Z[0])
+        assert np.array_equal(out0, nn.forward(net, Z[0]))
+        np.testing.assert_allclose(J0, J[:, 0], rtol=1e-12, atol=1e-12)
 
 
 class TestDirectionalDerivative:
@@ -166,16 +169,17 @@ class TestDirectionalDerivative:
         shape = (n_in,) if batch is None else (batch, n_in)
         z, v = rng.normal(size=shape), rng.normal(size=shape)
 
-        want = np.einsum("...oi,...i->...o", nn.input_jacobian(net, z),
+        want = np.einsum("...oi,...i->...o", nn.input_jacobian(net, z)[1],
                          v if batch is None else v[None])
-        got = nn.input_jacobian(net, z, v)
+        out_np, got = nn.input_jacobian(net, z, v)
+        assert np.array_equal(out_np, nn.forward(net, z))
         assert got.shape == want.shape == (S,) + shape[:-1] + (n_out,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
         Z, V = np.atleast_2d(z), np.atleast_2d(v)
         out, Jv = nn.NetTape(net).forward_and_jacobian(Z, V)
         np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(Jv.value, nn.input_jacobian(net, Z, V),
+        np.testing.assert_allclose(Jv.value, nn.input_jacobian(net, Z, V)[1],
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
@@ -214,7 +218,7 @@ class TestTape:
         tape = nn.NetTape(net)
         out, J = tape.forward_and_jacobian(Z)
         np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-14)
-        np.testing.assert_allclose(J.value, nn.input_jacobian(net, Z), rtol=1e-14)
+        np.testing.assert_allclose(J.value, nn.input_jacobian(net, Z)[1], rtol=1e-14)
 
     def test_var_input_gradient_matches_fd(self):
         # the controller differentiates the net w.r.t. its inputs
@@ -365,11 +369,11 @@ class TestStack:
     def test_members_evaluate_as_alone(self, activation):
         members, net = distinct_stack(activation)
         Z = RNG.normal(size=(6, 3))
-        out, J = nn.forward(net, Z), nn.input_jacobian(net, Z)
+        out, J = nn.forward(net, Z), nn.input_jacobian(net, Z)[1]
         assert out.shape == (3, 6, 2) and J.shape == (3, 6, 2, 3)
         for j, member in enumerate(members):
             np.testing.assert_allclose(out[j], nn.forward(member, Z)[0], rtol=1e-13)
-            np.testing.assert_allclose(J[j], nn.input_jacobian(member, Z)[0], rtol=1e-13)
+            np.testing.assert_allclose(J[j], nn.input_jacobian(member, Z)[1][0], rtol=1e-13)
 
     def test_tape_gradients_are_per_member(self):
         members, net = distinct_stack()

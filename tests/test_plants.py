@@ -12,7 +12,7 @@ RNG = np.random.default_rng(99)
 
 class TestHvacStep:
     def test_equilibrium(self):
-        p = pl.HvacPlant()
+        p = pl.HvacPlant(k_a=0.02, T_amb=70.0)
         assert pl.hvac_step(p, 70.0, 70.0, 0.5) == 70.0
 
     def test_isolated_room(self):
@@ -30,7 +30,7 @@ class TestHvacStep:
             pl.hvac_step(pl.HvacPlant(), 70.0, 55.0, -0.1)
 
     def test_step_method_wraps_vectors(self):
-        p = pl.HvacPlant()
+        p = pl.HvacPlant(k_a=0.02, T_amb=70.0)
         out = p.step(np.array([70.0]), np.array([55.0, 0.5]))
         np.testing.assert_allclose(out, [65.5])
 

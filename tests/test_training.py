@@ -329,6 +329,12 @@ class TestVariants:
         with pytest.raises(ValueError, match="unknown variant"):
             tr.variant_recipe("taylor3")
 
+    @pytest.mark.parametrize("name,mode", [("soft1", "mse"), ("taylor1", tr.TrainMode.MONO_SOFT)])
+    def test_train_variant_rejects_mode_override(self, name, mode):
+        b = pl.hvac_benchmark(seed=0)
+        with pytest.raises(ValueError, match="fixes its training mode"):
+            tr.train_variant(name, b.plant.mono_spec(), b.train[:10], epochs=1, mode=mode)
+
     def test_build_shapes_hvac(self):
         b = pl.hvac_benchmark(seed=0)
         m = tr.build_variant("taylor1", b.plant.mono_spec(), b.train, 32, seed=0)
