@@ -107,6 +107,16 @@ def _plant_kind(section: dict) -> str:
     return kind
 
 
+def _plant(section: dict):
+    """(kind, plant) of the plant section: the kind's class on its fields."""
+    kind = _plant_kind(section)
+    fields = {k: v for k, v in section.items() if k not in ("kind", "noise_sigma")}
+    try:
+        return kind, PLANTS[kind](**fields)
+    except TypeError as e:  # a field of the wrong type
+        raise ConfigError(f"bad plant field: {e}") from None
+
+
 def _variant_list(config: dict, override=None) -> list:
     names = override or _section(config, "train").get("variants") or list(tr.VARIANTS)
     unknown = [n for n in names if n not in tr.VARIANTS]
@@ -132,21 +142,22 @@ def cmd_gen_data(config: dict) -> int:
     out = _out_dir(config)
     seed = _seed(config)
     plant_sec = _section(config, "plant")
-    kind = _plant_kind(plant_sec)
+    kind, plant = _plant(plant_sec)
     split = config.get("split", {})
     noise = float(plant_sec.get("noise_sigma", 0.05))
     if kind == "hvac":
         n_train = _integer(split.get("n_train", 180), "split.n_train")
         n_test = _integer(split.get("n_test", 100), "split.n_test")
-        bench = pl.hvac_benchmark(
-            seed=seed, n_train=n_train, n_test=n_test, noise_sigma=noise
-        )
-        plant, series = bench.plant, bench.series
+        try:
+            series = pl.hvac_benchmark(seed=seed, n_train=n_train, n_test=n_test,
+                                       noise_sigma=noise, plant=plant).series
+        except RuntimeError as e:  # the range shift failed on this room
+            raise ConfigError(f"hvac benchmark on {plant}: {e}") from None
     else:
         n_train = _integer(split.get("n_train", 250), "split.n_train")
         n_test = _integer(split.get("n_test", 60), "split.n_test")
-        ds = pl.tclab_dataset(seed, n_train=n_train, n_test=n_test, noise_sigma=noise)
-        plant, series = ds.plant, ds.series
+        series = pl.tclab_dataset(seed, n_train=n_train, n_test=n_test,
+                                  noise_sigma=noise, plant=plant).series
     state_names, input_names = HVAC_NAMES if kind == "hvac" else TCLAB_NAMES
     # consecutive transitions need a 2-sample overlap between the files
     pl.save_csv(_slice(series, 0, n_train + 2), out / "train.csv",
@@ -246,10 +257,7 @@ def cmd_eval(config: dict) -> int:
 def cmd_mpc(config: dict) -> int:
     """Closed-loop run of a saved model against the configured simulator."""
     out = _out_dir(config)
-    plant_sec = _section(config, "plant")
-    kind = _plant_kind(plant_sec)
-    params = {k: v for k, v in plant_sec.items() if k not in ("kind", "noise_sigma")}
-    plant = PLANTS[kind](**params)
+    _, plant = _plant(_section(config, "plant"))
     mpc_sec = _section(config, "mpc")
     if "bundle" not in mpc_sec:
         raise ConfigError("mpc section needs a 'bundle' path")

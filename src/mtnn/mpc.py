@@ -1,11 +1,16 @@
-"""Receding-horizon control by projected gradient through the predictor.
+"""Receding-horizon control by projected Gauss-Newton through the predictor.
 
 The learned model plays the role of the plant constraint: a candidate input
 sequence is rolled through the numpy predictor feeding predicted states back,
-and the quadratic tracking cost is read off the predicted trajectory. Its
-exact gradient is an adjoint recursion over the horizon, run in numpy on the
-step Jacobians of every recorded pair, which one batched reverse-mode graph
-of the Taylor step yields at once; one path serves every model kind. Input
+and the quadratic tracking cost is read off the predicted trajectory. One
+batched reverse-mode graph of the Taylor step yields the step Jacobians of
+every recorded pair at once, for every model kind. A forward recursion over
+them gives the sensitivities S_k = dx_k/dU of the predicted states to the
+whole input sequence, including the path through the expansion point
+z_prev. They give the exact gradient and the Gauss-Newton matrix, which a
+projected Newton method for box constraints (Bertsekas, SIAM J. Control
+Optim. 1982) uses: Newton steps on the free inputs, scaled gradient steps on
+the active ones, and Armijo backtracking along the projection arc. Input
 boxes are handled by projection (so feasibility is exact), state boxes by a
 soft quadratic penalty, since hard state constraints under a learned model
 are easily infeasible.
@@ -30,6 +35,7 @@ Array = np.ndarray
 
 ARMIJO_SIGMA = 1e-4
 MAX_BACKTRACKS = 40
+ACTIVE_EPS = 1e-3  # widest active-set margin, as a fraction of the input box
 
 
 def _vector(v, name: str, size: int | None = None, allow_inf: bool = False) -> Array:
@@ -58,7 +64,11 @@ class MpcConfig:
     Q, R, P are diagonal, given as their diagonals (scalars broadcast).
     x_min/x_max are optional soft state bounds with quadratic weight
     `state_weight` (an infinite bound leaves that side free); x0 is the
-    closed-loop initial state. Everything else must be finite.
+    closed-loop initial state. `iterations` caps the solver's iterations
+    and `tol` ends a solve whose last step moved every input by less.
+    `step_size` is inert: the Gauss-Newton step sets its own length, so
+    the field is only validated, and kept so that existing configs load.
+    Everything else must be finite.
     """
 
     x_ref: Array
@@ -197,8 +207,9 @@ def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
 
 
 def _step_jacobians(model, Z: Array, cfg: MpcConfig):
-    """d x_hat_k / d (x_k, u_k, z_prev_k) of every step x_hat_k =
-    predict(Z[k+1], Z[k]): (H, nx, nx), (H, nx, nu), (H, nx, N).
+    """d x_hat_k / d z_curr_k and d x_hat_k / d z_prev_k of every step
+    x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]: two
+    (H, nx, N) arrays.
 
     One graph: each pair is repeated nx times and batch row (k, i) picks
     output i, so one backward leaves row i of step k's Jacobians on the
@@ -210,32 +221,75 @@ def _step_jacobians(model, Z: Array, cfg: MpcConfig):
     x_hat = _predict_graph(nn.NetTape(model.net), model, x, graph.concat_last([x, u]), zp)
     graph.backward(graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1)))))
     Jp = np.zeros((H, nx, N)) if zp.grad is None else zp.grad.reshape(H, nx, N)
-    return x.grad.reshape(H, nx, nx), u.grad.reshape(H, nx, cfg.nu), Jp
+    return np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N), Jp
 
 
 def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
-    """(cost, d cost / dU) by an adjoint recursion; (inf, None) on blowup.
+    """(cost, d cost / dU, Gauss-Newton matrix) of U; (inf, None, None) on
+    blowup. The gradient has U's shape; the matrix is (H nu, H nu) over the
+    inputs flattened stage by stage.
 
-    With lam_k = d cost / d x_k, e the tracking error, v the signed soft-box
-    excess and w the state weight, it runs back from lam_H = 2 P e_H + 2 w v_H:
+    One forward recursion over the step Jacobians gives the sensitivities
+    S_k = d x_k / dU. With D_k = d Z_k / dU (D_0 = 0, since Z_0 = z_prev is
+    fixed, and D_{k+1} = [S_k; E_k], E_k picking u_k out of U):
 
-        G_k   = 2 R u_k + lam_{k+1}' dx_hat_k/du + carry_u
-        lam_k = 2 Q e_k + 2 w v_k + lam_{k+1}' dx_hat_k/dx + carry_x
-        carry = lam_{k+1}' dx_hat_k/dz_prev   (z_prev_k = [x_{k-1}; u_{k-1}])
+        S_{k+1} = dx_hat_k/dz_curr D_{k+1} + dx_hat_k/dz_prev D_k
+
+    With W_k = Q (P at the terminal), e the tracking error, v the signed
+    soft-box excess and w the state weight,
+
+        grad = sum_k 2 S_k' (W_k e_k + w v_k) + 2 R U
+        B    = sum_k 2 S_k' (W_k + w [v_k != 0]) S_k + 2 R
     """
     cost, X, Z = _rollout(model, U, x0, z_prev, cfg)
     if not np.isfinite(cost):
-        return float("inf"), None
-    nx = cfg.nx
+        return float("inf"), None, None
+    H, nx, nu = cfg.horizon, cfg.nx, cfg.nu
     with np.errstate(all="ignore"):
-        Jx, Ju, Jp = _step_jacobians(model, Z, cfg)
-        E2, V2 = 2.0 * (X - cfg.x_ref), 2.0 * cfg.state_weight * _excess(X, cfg)
-        G = 2.0 * cfg.r_diag * U
-        lam, carry = cfg.p_diag * E2[-1] + V2[-1], np.zeros(nx + cfg.nu)
-        for k in range(cfg.horizon - 1, -1, -1):
-            G[k] += lam @ Ju[k] + carry[nx:]
-            lam, carry = cfg.q_diag * E2[k] + V2[k] + lam @ Jx[k] + carry[:nx], lam @ Jp[k]
-    return cost, (G if np.isfinite(G).all() else None)
+        Jc, Jp = _step_jacobians(model, Z, cfg)
+        S = np.zeros((H + 1, nx, H * nu))
+        D_prev = np.zeros((nx + nu, H * nu))
+        for k in range(H):
+            D = np.zeros_like(D_prev)
+            D[:nx] = S[k]
+            D[nx:, k * nu:(k + 1) * nu] = np.eye(nu)
+            S[k + 1] = Jc[k] @ D + Jp[k] @ D_prev
+            D_prev = D
+        W = np.vstack([np.tile(cfg.q_diag, (H, 1)), cfg.p_diag])
+        V = _excess(X, cfg)
+        r = W * (X - cfg.x_ref) + cfg.state_weight * V
+        S2 = S.reshape((H + 1) * nx, H * nu)
+        r_diag = np.tile(cfg.r_diag, H)
+        G = 2.0 * (S2.T @ r.reshape(-1) + r_diag * U.reshape(-1))
+        curv = (W + cfg.state_weight * (V != 0.0)).reshape(-1, 1)
+        B = 2.0 * (S2.T @ (curv * S2) + np.diag(r_diag))
+    if not (np.isfinite(G).all() and np.isfinite(B).all()):
+        return cost, None, None
+    return cost, G.reshape(U.shape), B
+
+
+def _projected_newton_direction(u: Array, g: Array, B: Array, lo: Array, hi: Array):
+    """Bertsekas's projected Newton direction d (the step is u - alpha d).
+
+    An input within eps of a bound whose gradient points out of the box is
+    active; eps = min(ACTIVE_EPS (hi - lo), w), where w is the size of the
+    diagonally scaled projected gradient, so the rule tightens as the solve
+    converges. Active inputs take a gradient step scaled by the inverse
+    diagonal of B; the free ones a Newton step on B restricted to them.
+    """
+    diag = np.diag(B)
+    # a rank-deficient B (no input weight, more inputs than states) stays solvable
+    ridge = max(1e-12 * float(diag.max()), np.finfo(float).tiny)
+    scale = 1.0 / (diag + ridge)
+    w = float(np.linalg.norm(u - np.clip(u - scale * g, lo, hi)))
+    eps = np.minimum(ACTIVE_EPS * (hi - lo), w)
+    active = ((u <= lo + eps) & (g > 0.0)) | ((u >= hi - eps) & (g < 0.0))
+    d = scale * g
+    free = ~active
+    if free.any():
+        Bf = B[np.ix_(free, free)] + ridge * np.eye(int(free.sum()))
+        d[free] = np.linalg.solve(Bf, g[free])
+    return d
 
 
 @dataclass
@@ -244,13 +298,17 @@ class SolveResult:
 
     `exit` is "tolerance" (the last step moved less than tol), "stationary"
     (the line search found no decrease), "budget" (the iterations ran out)
-    or "nonfinite" (the cost or its gradient left the finite range).
+    or "nonfinite" (the cost or its derivatives left the finite range).
+    `backtracks` counts rejected line-search trials and `full_steps` the
+    iterations that accepted the full (alpha = 1) step.
     """
 
     u_seq: Array
     cost: float
     iterations: int
     exit: str
+    backtracks: int
+    full_steps: int
 
     @property
     def converged(self) -> bool:
@@ -260,10 +318,16 @@ class SolveResult:
 def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult:
     """Minimize the horizon cost over box-feasible input sequences.
 
-    Projected gradient with a backtracking (Armijo) line search; every
-    iterate is clipped into [u_min, u_max], so the returned sequence is
-    feasible by construction. Returns the best iterate seen and how the
-    solve ended (see `SolveResult`).
+    Projected Gauss-Newton (Bertsekas's projected Newton method for simple
+    bounds): each iteration takes the cost, gradient and Gauss-Newton matrix
+    from one `_cost_and_grad` call, builds the projected Newton direction,
+    and backtracks along the projection arc U(alpha) = clip(U - alpha d)
+    from alpha = 1 until the Armijo test
+    cost(U(alpha)) <= cost + ARMIJO_SIGMA * min(g . (U(alpha) - U), 0)
+    holds, pricing each trial with `horizon_cost`. Every iterate is clipped
+    into [u_min, u_max], so the returned sequence is feasible by
+    construction. Returns the best iterate seen and how the solve ended
+    (see `SolveResult`).
     """
     _check_dims(model, cfg)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -273,56 +337,56 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     else:
         U = _u_matrix(u_init, cfg).copy()
     U = np.clip(U, cfg.u_min, cfg.u_max)
+    lo, hi = np.tile(cfg.u_min, cfg.horizon), np.tile(cfg.u_max, cfg.horizon)
     best_U, best_cost = U.copy(), horizon_cost(model, U, x0, z_prev, cfg)
-    exit = "budget"
-    step = 0.5 * cfg.step_size  # trials open at twice the last accepted step
-    prev = None
-    it = 0
+    exit, it, backtracks, full_steps = "budget", 0, 0, 0
     for it in range(1, cfg.iterations + 1):
-        cost, G = _cost_and_grad(model, U, x0, z_prev, cfg)
+        cost, G, B = _cost_and_grad(model, U, x0, z_prev, cfg)
         if G is None:
             exit = "nonfinite"
             break  # nothing to descend along; keep the best iterate
-        trial = step * 2.0
-        if prev is not None:
-            # spectral (Barzilai-Borwein) trial step: curvature along the
-            # last move; backtracking below keeps descent monotone
-            s = (U - prev[0]).ravel()
-            y = (G - prev[1]).ravel()
-            sy = float(s @ y)
-            if sy > 0.0:
-                trial = min(max(float(s @ s) / sy, 1e-12), 1e12)
-        prev = (U.copy(), G)
-        moved = None
+        with np.errstate(all="ignore"):
+            d = _projected_newton_direction(U.reshape(-1), G.reshape(-1), B, lo, hi)
+        d = d.reshape(U.shape)
+        alpha, moved = 1.0, None
         for _ in range(MAX_BACKTRACKS):
-            U_new = np.clip(U - trial * G, cfg.u_min, cfg.u_max)
+            U_new = np.clip(U - alpha * d, cfg.u_min, cfg.u_max)
             delta = U_new - U
             c_new = horizon_cost(model, U_new, x0, z_prev, cfg)
-            if c_new <= cost - (ARMIJO_SIGMA / trial) * float(np.sum(delta * delta)):
-                moved = (U_new, c_new, trial)
+            if c_new <= cost + ARMIJO_SIGMA * min(float(np.sum(G * delta)), 0.0):
+                moved = (U_new, c_new)
                 break
-            trial *= 0.5
+            backtracks += 1
+            alpha *= 0.5
         if moved is None:
             exit = "stationary"  # line search can no longer improve
             break
-        U, cost, step = moved
+        full_steps += alpha == 1.0
+        U, cost = moved
         if cost < best_cost:
             best_cost, best_U = cost, U.copy()
         if np.max(np.abs(delta)) < cfg.tol:
             exit = "tolerance"
             break
-    return SolveResult(best_U, best_cost, it, exit)
+    return SolveResult(best_U, best_cost, it, exit, backtracks, full_steps)
 
 
 @dataclass
 class ClosedLoopTrace:
-    """Per control step: measured state, applied input, solver outcome."""
+    """Per control step: measured state, applied input, solver outcome.
+
+    `iterations` and `exit` come from the step's `SolveResult`; a solve that
+    raised FloatingPointError records exit "floating_point_error" and 0
+    iterations. `solve_time` is wall clock, so it stays out of the CSV.
+    """
 
     t: Array
     x: Array  # (steps, nx) measured
     u: Array  # (steps, nu) applied
     cost: Array
     converged: Array  # bool per step
+    iterations: Array  # solver iterations per step
+    exit: Array  # solver exit reason per step
     solve_time: Array  # seconds per solve
 
     def __post_init__(self):
@@ -331,8 +395,11 @@ class ClosedLoopTrace:
         self.u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
         self.cost = np.asarray(self.cost, dtype=np.float64)
         self.converged = np.asarray(self.converged, dtype=bool)
+        self.iterations = np.asarray(self.iterations, dtype=np.int64)
+        self.exit = np.asarray(self.exit, dtype=str)
         self.solve_time = np.asarray(self.solve_time, dtype=np.float64)
-        columns = (self.x, self.u, self.cost, self.converged, self.solve_time)
+        columns = (self.x, self.u, self.cost, self.converged, self.iterations, self.exit,
+                   self.solve_time)
         if any(len(c) != len(self.t) for c in columns):
             raise ValueError("trace columns must have equal length")
 
@@ -342,11 +409,12 @@ class ClosedLoopTrace:
     def save_csv(self, path) -> None:
         nx, nu = self.x.shape[1], self.u.shape[1]
         header = ["t", *(f"T{i + 1}" for i in range(nx)),
-                  *(f"Q{j + 1}" for j in range(nu)), "cost", "converged"]
+                  *(f"Q{j + 1}" for j in range(nu)), "cost", "converged", "iterations", "exit"]
         lines = [",".join(header)]
         for k in range(len(self)):
             nums = [self.t[k], *self.x[k], *self.u[k], self.cost[k]]
-            lines.append(",".join([repr(float(v)) for v in nums] + [str(int(self.converged[k]))]))
+            tail = [str(int(self.converged[k])), str(int(self.iterations[k])), str(self.exit[k])]
+            lines.append(",".join([repr(float(v)) for v in nums] + tail))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -361,7 +429,8 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     plant is stepped from cfg.x0 at u_min and at u_max, so an input box the
     plant rejects fails up front with a ValueError. A solver fault
     (non-finite cost or a FloatingPointError) falls back to holding the
-    last applied input, flagged non-converged in the trace. Any other
+    last applied input, flagged non-converged in the trace with its reason
+    as the exit ("nonfinite" or "floating_point_error"). Any other
     exception is a bug, not a fault, and propagates.
     """
     _check_dims(model, cfg)
@@ -386,13 +455,17 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     t = np.arange(steps, dtype=np.float64) * plant.dt
     xs, us = np.empty((steps, cfg.nx)), np.empty((steps, cfg.nu))
     costs, flags, times = np.empty(steps), np.empty(steps, dtype=bool), np.empty(steps)
+    iters, exits = np.zeros(steps, dtype=np.int64), []
     for k in range(steps):
         t0 = time.perf_counter()
         try:
             res = solve_horizon(model, x_meas, z_prev, cfg, u_init=warm)
             fault = not np.isfinite(res.cost)
+            iters[k] = res.iterations
+            exits.append(res.exit)
         except FloatingPointError:
             res, fault = None, True
+            exits.append("floating_point_error")
         times[k] = time.perf_counter() - t0
         if fault:
             u_apply, costs[k], flags[k] = u_held, float("inf"), False
@@ -403,4 +476,4 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
         z_prev = np.concatenate([x_meas, u_apply])
         x_meas = np.asarray(plant.step(x_meas, u_apply), dtype=np.float64)
         u_held = u_apply
-    return ClosedLoopTrace(t, xs, us, costs, flags, times)
+    return ClosedLoopTrace(t, xs, us, costs, flags, iters, exits, times)

@@ -304,7 +304,8 @@ class HvacBenchmark:
 
 
 def hvac_benchmark(
-    seed: int, n_train: int = 180, n_test: int = 100, noise_sigma: float = 0.05
+    seed: int, n_train: int = 180, n_test: int = 100, noise_sigma: float = 0.05,
+    plant: HvacPlant | None = None,
 ) -> HvacBenchmark:
     """Range-shifted identification benchmark on the room-temperature plant.
 
@@ -315,8 +316,12 @@ def hvac_benchmark(
     overlap by well under the 1 degF budget. The supply stays 8+ degF colder
     than the room everywhere, so dT'/dmdot < 0 holds throughout and the
     sign prior (T: +, Ts: +, mdot: -) is true ground truth.
+
+    `plant` replaces that room (None keeps the default `HvacPlant()`); the
+    schedule is tuned for the default, so another room may miss the range
+    shift, which raises RuntimeError.
     """
-    plant = HvacPlant()
+    plant = HvacPlant() if plant is None else plant
     n = n_train + n_test + 2
     rng = np.random.default_rng(seed)
     x = np.empty((n, 1))
@@ -430,10 +435,12 @@ class TcLabDataset:
 
 
 def tclab_dataset(
-    seed: int, n_train: int = 250, n_test: int = 60, noise_sigma: float = 0.05
+    seed: int, n_train: int = 250, n_test: int = 60, noise_sigma: float = 0.05,
+    plant: TcLabPlant | None = None,
 ) -> TcLabDataset:
-    """Identification data: heaters wander 10-50 % with 120/150 s dwells."""
-    plant = TcLabPlant()
+    """Identification data: heaters wander 10-50 % with 120/150 s dwells,
+    on `plant` (None: the default `TcLabPlant()`)."""
+    plant = TcLabPlant() if plant is None else plant
     policy = ExcitePolicy(
         lo=np.array([10.0, 10.0]),
         hi=np.array([50.0, 50.0]),

@@ -171,13 +171,6 @@ def test_criterion_6_second_order_benefit(hvac_step5_r2):
            f"taylor2 {r['taylor2']:+.3f} vs taylor1 {r['taylor1']:+.3f}")
 
 
-@pytest.fixture(scope="session")
-def tclab_mono1():
-    ds = pl.tclab_dataset(seed=0)
-    model, _ = tr.train_variant("mono1", ds.plant.mono_spec(), ds.train, seed=0)
-    return ds, model
-
-
 def test_criterion_7_solver_matches_grid_oracle(tclab_mono1):
     _, model = tclab_mono1
     x_ref = np.array([55.0, 45.0])

@@ -105,6 +105,32 @@ class TestGenData:
             blobs.append((tmp_path / str(seed) / "train.csv").read_bytes())
         assert blobs[0] != blobs[1]
 
+    def test_simulates_the_configured_plant(self, tmp_path):
+        cfg = dict(base_config(tmp_path / "d"),
+                   plant={"kind": "tclab", "alpha1": 0.008, "noise_sigma": 0.0})
+        assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 0
+        manifest = json.loads((tmp_path / "d" / "gen_manifest.json").read_text())
+        assert manifest["plant"] == {"kind": "tclab",
+                                     **asdict(pl.TcLabPlant(alpha1=0.008))}
+        # noise-free, so every sample is the configured plant stepped
+        plant = pl.TcLabPlant(alpha1=0.008)
+        series = pl.load_csv(tmp_path / "d" / "train.csv")
+        np.testing.assert_allclose(series.x[1:], plant.step(series.x[:-1], series.u[:-1]),
+                                   rtol=1e-14)
+        default = pl.TcLabPlant().step(series.x[:-1], series.u[:-1])
+        assert not np.allclose(series.x[1:], default)
+
+    @pytest.mark.parametrize("k_a,message", [(0.5, "range shift failed"),
+                                             ("hot", "bad plant field")])
+    def test_unusable_room_is_a_one_line_error(self, tmp_path, capsys, k_a, message):
+        cfg = {"seed": 0, "out_dir": str(tmp_path / "d"),
+               "plant": {"kind": "hvac", "k_a": k_a}}
+        assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d" / "gen_manifest.json").exists()
+
     def test_missing_plant_section_names_the_key(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "d")
         del cfg["plant"]
@@ -248,8 +274,19 @@ class TestMpc:
         cfg = dict(base_config(dest), mpc=self.mpc_section())
         assert run("mpc", "--config", write_config(cfg, tmp_path / "m.json")) == 0
         lines = (dest / "trace.csv").read_text().splitlines()
-        assert lines[0] == "t,T1,T2,Q1,Q2,cost,converged"
+        assert lines[0] == "t,T1,T2,Q1,Q2,cost,converged,iterations,exit"
         assert len(lines) == 1 + 4
+
+    def test_rerun_is_byte_identical(self, trained_run, tmp_path):
+        blobs = []
+        for tag in ("a", "b"):
+            dest, _ = clone_run(trained_run, tmp_path / tag)
+            cfg = dict(base_config(dest), mpc=self.mpc_section(steps=6, iterations=20))
+            assert run("mpc", "--config", write_config(cfg, tmp_path / f"{tag}.json")) == 0
+            blobs.append((dest / "trace.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+        rows = blobs[0].decode().splitlines()[1:]
+        assert len(rows) == 6 and all(int(r.split(",")[-2]) >= 1 for r in rows)
 
     def test_pinned_inputs_stay_pinned(self, trained_run, tmp_path):
         dest, _ = clone_run(trained_run, tmp_path)
@@ -295,7 +332,7 @@ class TestHvacRoom:
         # every traced state is the manifest's plant stepped from the last one
         fields = {k: v for k, v in manifest["plant"].items() if k != "kind"}
         plant = pl.HvacPlant(**fields)
-        rows = np.array([[float(v) for v in line.split(",")]
+        rows = np.array([[float(v) for v in line.split(",")[:-1]]  # the last is the exit
                          for line in (out / "trace.csv").read_text().splitlines()[1:]])
         x, u = rows[:, 1:2], rows[:, 2:4]
         want = [plant.step(np.array([74.0]), np.zeros(2))]

@@ -1,6 +1,7 @@
 """Taylor predictor: Jacobian assembly, Hessian stack, predictions, bundles."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,37 @@ class TestBundles:
         np.testing.assert_array_equal(
             md.predict(back, z, np.zeros(4)), md.predict(m, z, np.zeros(4))
         )
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_reproduces_record_and_predictions(self, data):
+        kind = data.draw(st.sampled_from(["mtnn", "baseline"]), label="kind")
+        nx, nu = data.draw(st.integers(1, 3), label="nx"), data.draw(st.integers(1, 2), label="nu")
+        width = data.draw(st.integers(1, 9), label="width")
+        activation = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        n = nx + nu
+        out = nx if kind == "baseline" else n
+        nets = [nn.init_dense([n, width, out], rng, activation)
+                for _ in range(1 if kind == "baseline" else nx)]
+        for net in nets:  # init_dense leaves the biases at zero
+            for b in net.biases:
+                b += rng.normal(0.0, 0.5, size=b.shape)
+        if kind == "baseline":
+            m = md.BaselineModel(nets[0], nx)
+        else:
+            order = data.draw(st.sampled_from(list(md.TaylorOrder)), label="order")
+            gate = data.draw(st.sampled_from(list(md.GateMode)), label="gate")
+            sym = data.draw(st.booleans(), label="symmetrize_hessian")
+            spec = MonoSpec(rng.integers(-1, 2, size=(nx, n)).astype(np.int8))
+            m = md.MtnnModel(nets, spec, order, gate, sym)
+        with tempfile.TemporaryDirectory() as d:
+            md.save_bundle(m, Path(d) / "m.json")
+            back = md.load_bundle(Path(d) / "m.json")
+        assert md.model_to_dict(back) == md.model_to_dict(m)
+        Zc, Zp = rng.normal(0.0, 3.0, (2, 16, n))
+        np.testing.assert_array_equal(md.predict_batch(back, Zc, Zp),
+                                      md.predict_batch(m, Zc, Zp))
 
     def test_save_byte_deterministic(self, tmp_path):
         m = random_model(2, 1, seed=20)

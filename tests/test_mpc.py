@@ -1,4 +1,5 @@
-"""Controller: config, horizon cost, projected-gradient solve, closed loop."""
+"""Controller: config, horizon cost, Gauss-Newton solve against a projected-gradient
+oracle, closed loop."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from mtnn.constraints import MonoSpec
 from mtnn.model import BaselineModel, GateMode, MtnnModel, TaylorOrder
 
 
-def const_row_model(rows, nx=None, order=TaylorOrder.FIRST, gate=GateMode.NONE):
-    """Taylor model whose Jacobian rows are the given constants."""
+def const_row_model(rows, nx=None, order=TaylorOrder.FIRST, gate=GateMode.NONE, spec=None):
+    """Taylor model whose Jacobian rows are the given constants; spec None
+    tags no entry."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     nx = nx or rows.shape[0]
     N = rows.shape[1]
@@ -23,7 +25,7 @@ def const_row_model(rows, nx=None, order=TaylorOrder.FIRST, gate=GateMode.NONE):
         net.weights[0][:] = 0.0
         net.biases[0][:] = row
         nets.append(net)
-    return MtnnModel(nets, MonoSpec.free(nx, N), order, gate)
+    return MtnnModel(nets, spec or MonoSpec.free(nx, N), order, gate)
 
 
 def tclab_exact_model():
@@ -71,6 +73,57 @@ def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
     graph.backward(total)
     G = np.array([uv.grad[0] for uv in u_vars])
     return float(total.value), G
+
+
+def pg_oracle_solve(model, x0, z_prev, cfg, u_init=None):
+    """Reference solver: projected gradient with Barzilai-Borwein trial steps
+    and Armijo backtracking, returned as a `SolveResult`. It reads only the
+    cost and the gradient, so it checks the library's solve independently
+    of the Gauss-Newton matrix and the active-set rule."""
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    z_prev = np.asarray(z_prev, dtype=np.float64).reshape(-1)
+    if u_init is None:
+        U = np.tile(0.5 * (cfg.u_min + cfg.u_max), (cfg.horizon, 1))
+    else:
+        U = np.array(u_init, dtype=np.float64)
+    U = np.clip(U, cfg.u_min, cfg.u_max)
+    best_U, best_cost = U.copy(), mpc.horizon_cost(model, U, x0, z_prev, cfg)
+    exit, step, prev, it, backtracks, full_steps = "budget", 0.5 * cfg.step_size, None, 0, 0, 0
+    for it in range(1, cfg.iterations + 1):
+        cost, G, _ = mpc._cost_and_grad(model, U, x0, z_prev, cfg)
+        if G is None:
+            exit = "nonfinite"
+            break
+        trial = step * 2.0
+        if prev is not None:
+            s = (U - prev[0]).ravel()
+            y = (G - prev[1]).ravel()
+            sy = float(s @ y)
+            if sy > 0.0:
+                trial = min(max(float(s @ s) / sy, 1e-12), 1e12)
+        prev = (U.copy(), G)
+        moved, first = None, True
+        for _ in range(mpc.MAX_BACKTRACKS):
+            U_new = np.clip(U - trial * G, cfg.u_min, cfg.u_max)
+            delta = U_new - U
+            c_new = mpc.horizon_cost(model, U_new, x0, z_prev, cfg)
+            if c_new <= cost - (mpc.ARMIJO_SIGMA / trial) * float(np.sum(delta * delta)):
+                moved = (U_new, c_new, trial)
+                break
+            backtracks += 1
+            trial *= 0.5
+            first = False
+        if moved is None:
+            exit = "stationary"
+            break
+        full_steps += first
+        U, cost, step = moved
+        if cost < best_cost:
+            best_cost, best_U = cost, U.copy()
+        if np.max(np.abs(delta)) < cfg.tol:
+            exit = "tolerance"
+            break
+    return mpc.SolveResult(best_U, best_cost, it, exit, backtracks, full_steps)
 
 
 def small_cfg(**kw):
@@ -245,7 +298,7 @@ class TestCostGradient:
         x0 = np.array([0.3, 0.1])
         zp = np.array([0.2, 0.0, 0.1, -0.1])
         U = rng.uniform(-0.8, 0.8, size=(horizon, 2))
-        c, G = mpc._cost_and_grad(model, U, x0, zp, cfg)
+        c, G, _ = mpc._cost_and_grad(model, U, x0, zp, cfg)
         assert c == pytest.approx(mpc.horizon_cost(model, U, x0, zp, cfg), rel=1e-12)
         h = 1e-6
         for k in range(horizon):
@@ -282,7 +335,7 @@ class TestCostGradient:
             horizon=horizon, x_min=x_min if bounds in ("min", "both") else None,
             x_max=x_max if bounds in ("max", "both") else None, state_weight=50.0,
         )
-        c, G = mpc._cost_and_grad(model, U, x0, zp, cfg)
+        c, G, _ = mpc._cost_and_grad(model, U, x0, zp, cfg)
         c_ref, G_ref = graph_rollout_cost_and_grad(model, U, x0, zp, cfg)
         assert c == pytest.approx(c_ref, rel=1e-12)
         # relative to the largest entry: single entries may cancel to ~0
@@ -291,8 +344,8 @@ class TestCostGradient:
     def test_nonfinite_rollout_has_no_gradient(self):
         model = const_row_model([[1e160, 0.0]])
         cfg = small_cfg(horizon=3)
-        c, G = mpc._cost_and_grad(model, np.zeros((3, 1)), np.ones(1), np.zeros(2), cfg)
-        assert c == float("inf") and G is None
+        c, G, B = mpc._cost_and_grad(model, np.zeros((3, 1)), np.ones(1), np.zeros(2), cfg)
+        assert c == float("inf") and G is None and B is None
 
 
 class TestSolveHorizon:
@@ -320,6 +373,16 @@ class TestSolveHorizon:
         assert abs(u_star) < 5.0  # interior
         res = mpc.solve_horizon(model, [x0], [xp, up], cfg)
         assert res.u_seq[0, 0] == pytest.approx(u_star, abs=1e-6)
+
+    def test_rank_deficient_matrix_still_reaches_the_minimum(self):
+        # two inputs, one state, one stage and no input weight: the
+        # Gauss-Newton matrix has rank one and a line of minimizers
+        model = const_row_model([[0.4, 2.0, 1.0]])
+        cfg = small_cfg(u_min=[-1.0, -1.0], u_max=[1.0, 1.0], horizon=1, q_diag=0.0,
+                        r_diag=0.0, p_diag=1.0, x_ref=[1.0])
+        res = mpc.solve_horizon(model, [0.3], [0.1, 0.2, 0.0], cfg)
+        assert res.converged
+        assert res.cost <= 1e-12
 
     def test_zero_jacobian_settles_at_projected_zero(self):
         model = const_row_model([[0.0, 0.0]])
@@ -391,10 +454,12 @@ class TestSolveHorizon:
     def test_call_pattern_read_by_the_benchmark_trace(self, monkeypatch):
         # the traced benchmark rebuilds line-search outcomes from this order:
         # one horizon_cost for the start point, then per iteration one
-        # _cost_and_grad followed by 1..MAX_BACKTRACKS trial horizon_costs
-        _, model = tclab_exact_model()
+        # _cost_and_grad followed by 1..MAX_BACKTRACKS trial horizon_costs.
+        # The model is nonlinear: on a linear one the full Gauss-Newton step
+        # is exact and the line search never backtracks.
+        model = rand_model(1, spec=MonoSpec.from_symbols(["+++.", "++.+"]))
         cfg = mpc.MpcConfig(
-            x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0],
+            x_ref=[0.5, -0.2], u_min=[-1.0, -1.0], u_max=[1.0, 1.0],
             horizon=6, iterations=30, tol=1e-8,
         )
         events, inside = [], []
@@ -422,7 +487,7 @@ class TestSolveHorizon:
         monkeypatch.setattr(mpc, "_cost_and_grad", grad)
         monkeypatch.setattr(mpc, "horizon_cost", cost)
         monkeypatch.setattr(mpc, "_rollout", rollout)
-        res = mpc.solve_horizon(model, [40.0, 38.0], [39.0, 37.5, 45.0, 30.0], cfg)
+        res = mpc.solve_horizon(model, [0.3, 0.1], [0.2, 0.0, 0.1, -0.1], cfg)
         calls = "".join(e for e in events if e != "r")
         # each of the two callers prices its sequence by exactly one rollout
         assert "".join(events) == "".join(e + "r" for e in calls)
@@ -433,6 +498,88 @@ class TestSolveHorizon:
         assert all(1 <= t <= mpc.MAX_BACKTRACKS for t in trials)
         assert calls.count("c") == 1 + sum(trials)
         assert sum(trials) > res.iterations  # the line search did backtrack
+        assert res.converged and res.exit == "tolerance"
+        # every iteration accepted one trial; the others were backtracks
+        assert res.backtracks == sum(trials) - res.iterations
+        assert res.full_steps == trials.count(1)
+
+
+CRITERION_8_CFG = dict(
+    x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0], x0=[30.0, 30.0],
+    horizon=8, iterations=60, step_size=1.0, tol=1e-6,
+)
+
+
+class TestAgainstOracle:
+    """Projected Gauss-Newton never ends above the projected-gradient oracle
+    by more than 1e-6 relative where the oracle's answer is trusted."""
+
+    def test_criterion_8_loop_costs_at_most_the_oracle(self, tclab_mono1, monkeypatch):
+        ds, model = tclab_mono1
+        cfg = mpc.MpcConfig(**CRITERION_8_CFG)
+        real_solve, ratios, exits = mpc.solve_horizon, [], []
+
+        def both(model, x0, z_prev, cfg, u_init=None):
+            res = real_solve(model, x0, z_prev, cfg, u_init=u_init)
+            ref = pg_oracle_solve(model, x0, z_prev, cfg, u_init=u_init)
+            ratios.append(res.cost / ref.cost)
+            exits.append(res.exit)
+            return res
+
+        monkeypatch.setattr(mpc, "solve_horizon", both)
+        mpc.run_closed_loop(ds.plant, model, cfg, steps=60)
+        assert len(ratios) == 60
+        assert max(ratios) <= 1.0 + 1e-6, max(ratios)
+        assert exits.count("tolerance") == 60
+
+    def test_criterion_7_fixture_costs_at_most_the_oracle(self, tclab_mono1):
+        _, model = tclab_mono1
+        cfg = mpc.MpcConfig(x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0],
+                            horizon=2, iterations=120, tol=1e-9)
+        args = (model, [48.0, 41.0], [46.5, 40.0, 55.0, 35.0], cfg)
+        res, ref = mpc.solve_horizon(*args), pg_oracle_solve(*args)
+        assert res.converged
+        assert res.cost <= ref.cost * (1.0 + 1e-6)
+        assert res.iterations < ref.iterations
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_feasible_descending_and_optimal_when_convex(self, data):
+        kind = data.draw(st.sampled_from(["mtnn", "baseline"]), label="kind")
+        order = data.draw(st.sampled_from(list(TaylorOrder)), label="order")
+        gate = data.draw(st.sampled_from(list(GateMode)), label="gate")
+        bounds = data.draw(st.sampled_from(["none", "min", "max", "both"]), label="bounds")
+        convex = data.draw(st.booleans(), label="constant rows")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        spec = MonoSpec.from_symbols(["".join(r) for r in rng.choice(list("+-."), (2, 4))])
+        if not convex:
+            model = rand_model(seed, kind, order, gate, spec=spec)
+        elif kind == "baseline":  # a linear baseline is an affine plant
+            model = BaselineModel(nn.init_dense([4, 2], rng, "linear"), 2)
+        else:  # constant Jacobian rows make the predictor affine in U
+            rows = rng.normal(0.0, 0.5, (2, 4))
+            model = const_row_model(rows, order=order, gate=gate, spec=spec)
+        x0 = rng.uniform(-0.5, 0.5, 2)
+        zp = np.concatenate([x0 + rng.normal(0.0, 0.2, 2), rng.uniform(-1.0, 1.0, 2)])
+        x_max = rng.uniform(-0.3, 0.4, 2)
+        x_min = x_max - rng.uniform(0.1, 0.8, 2)
+        cfg = mpc.MpcConfig(
+            x_ref=rng.uniform(-0.5, 0.5, 2), u_min=rng.uniform(-1.0, 0.0, 2),
+            u_max=rng.uniform(0.0, 1.0, 2), horizon=int(rng.integers(1, 5)),
+            x_min=x_min if bounds in ("min", "both") else None,
+            x_max=x_max if bounds in ("max", "both") else None,
+            state_weight=50.0, iterations=200,
+            r_diag=data.draw(st.sampled_from([0.0, 0.01]), label="r_diag"),
+        )
+        u_init = rng.uniform(-1.0, 1.0, (cfg.horizon, 2))
+        res = mpc.solve_horizon(model, x0, zp, cfg, u_init=u_init)
+        assert ((res.u_seq >= cfg.u_min) & (res.u_seq <= cfg.u_max)).all()
+        start = mpc.horizon_cost(model, np.clip(u_init, cfg.u_min, cfg.u_max), x0, zp, cfg)
+        assert res.cost <= start
+        if convex:
+            ref = pg_oracle_solve(model, x0, zp, cfg, u_init=u_init)
+            assert res.cost <= ref.cost * (1.0 + 1e-6)
 
 
 class TestClosedLoop:
@@ -473,6 +620,29 @@ class TestClosedLoop:
         assert np.isinf(trace.cost).all()
         # held input is the projection of the quiet input into the box
         np.testing.assert_array_equal(trace.u, np.tile([30.0, 20.0], (5, 1)))
+        assert list(trace.exit) == ["nonfinite"] * 5
+
+    def test_floating_point_error_is_a_fault_with_its_reason(self, monkeypatch):
+        plant, model = tclab_exact_model()
+        cfg = mpc.MpcConfig(
+            x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0],
+            x0=[30.0, 30.0], horizon=3, iterations=4,
+        )
+        real_solve = mpc.solve_horizon
+
+        def raising_once(*args, **kwargs):
+            if not calls:
+                calls.append(1)
+                raise FloatingPointError("overflow")
+            return real_solve(*args, **kwargs)
+
+        calls = []
+        monkeypatch.setattr(mpc, "solve_horizon", raising_once)
+        trace = mpc.run_closed_loop(plant, model, cfg, steps=3)
+        assert trace.exit[0] == "floating_point_error" and trace.iterations[0] == 0
+        assert not trace.converged[0] and np.isinf(trace.cost[0])
+        assert list(trace.exit[1:]) == ["tolerance"] * 2
+        assert (trace.iterations[1:] >= 1).all() and trace.converged[1:].all()
 
     def test_solver_value_error_propagates(self, monkeypatch):
         # shapes are validated up front, so a ValueError inside the solve is
@@ -521,18 +691,19 @@ class TestClosedLoop:
         u = np.array([[40.0, 20.0], [41.0, 21.0]])
         trace = mpc.ClosedLoopTrace(
             t, x, u, np.array([5.5, 4.25]), np.array([True, False]),
-            np.array([0.01, 0.02]),
+            np.array([7, 60]), ["tolerance", "budget"], np.array([0.01, 0.02]),
         )
         path = tmp_path / "trace.csv"
         trace.save_csv(path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,T1,T2,Q1,Q2,cost,converged"
-        assert lines[1] == "0.0,30.0,31.0,40.0,20.0,5.5,1"
-        assert lines[2] == "15.0,32.5,33.5,41.0,21.0,4.25,0"
+        assert lines[0] == "t,T1,T2,Q1,Q2,cost,converged,iterations,exit"
+        assert lines[1] == "0.0,30.0,31.0,40.0,20.0,5.5,1,7,tolerance"
+        assert lines[2] == "15.0,32.5,33.5,41.0,21.0,4.25,0,60,budget"
 
     def test_trace_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             mpc.ClosedLoopTrace(
                 np.arange(3), np.zeros((2, 1)), np.zeros((3, 1)),
-                np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3),
+                np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3), ["budget"] * 3,
+                np.zeros(3),
             )
