@@ -51,10 +51,10 @@ def rollout(model, series, steps: int) -> RolloutResult:
     if I < 1:
         raise ValueError("steps must be >= 1")
     n = len(series)
-    if n < I:
+    if n < I + 1:  # the last step needs two origins for its r2
         raise ValueError(
             f"series has {n} transitions ({n + 2} samples); "
-            f"{I}-step rollout needs at least {I + 2} samples"
+            f"{I}-step rollout needs at least {I + 3} samples"
         )
     Zp, Zc, XN = transitions_to_arrays(series)
     U = Zc[:, model.nx :]  # measured inputs, kept as Zc rolls forward

@@ -10,7 +10,9 @@ whole input sequence, including the path through the expansion point
 z_prev. They give the exact gradient and the Gauss-Newton matrix, which a
 projected Newton method for box constraints (Bertsekas, SIAM J. Control
 Optim. 1982) uses: Newton steps on the free inputs, scaled gradient steps on
-the active ones, and Armijo backtracking along the projection arc. Input
+the active ones, and Armijo backtracking along the projection arc. Each
+trial is rolled out once; the trajectory that priced an accepted trial is
+the one the next gradient differentiates, so no rollout is repeated. Input
 boxes are handled by projection (so feasibility is exact), state boxes by a
 soft quadratic penalty, since hard state constraints under a learned model
 are easily infeasible.
@@ -154,14 +156,21 @@ def _excess(X: Array, cfg: MpcConfig) -> Array:
     return v
 
 
-def _rollout(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
+def _buffers(cfg: MpcConfig) -> tuple:
+    """A fresh (X, Z) pair shaped for one rollout: (H+1, nx) and (H+1, N)."""
+    return np.empty((cfg.horizon + 1, cfg.nx)), np.empty((cfg.horizon + 1, cfg.nx + cfg.nu))
+
+
+def _rollout(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig, out=None):
     """(cost, X, Z) of the input sequence U: states X (H+1, nx) and pairs
     Z (H+1, N), Z[0] = z_prev and Z[k+1] = [x_k; u_k], so that
-    x_{k+1} = predict(Z[k+1], Z[k]). A rollout that leaves the finite range
-    prices as inf, and X is then filled only up to the first bad state.
+    x_{k+1} = predict(Z[k+1], Z[k]). X and Z are written into `out` when
+    given, else into a fresh `_buffers` pair. A rollout that leaves the
+    finite range prices as inf, and X is then filled only up to the first
+    bad state.
     """
     H, nx = cfg.horizon, cfg.nx
-    X, Z = np.empty((H + 1, nx)), np.empty((H + 1, nx + cfg.nu))
+    X, Z = _buffers(cfg) if out is None else out
     X[0], Z[0], Z[1:, nx:] = x0, z_prev, U
     with np.errstate(all="ignore"):
         for k in range(H):
@@ -178,20 +187,32 @@ def _rollout(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
     return (cost if np.isfinite(cost) else float("inf")), X, Z
 
 
-def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig) -> float:
+def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig, *, out=None) -> float:
     """Quadratic tracking cost of one input sequence under the model.
 
     Rolls the predictor horizon steps forward feeding predicted states back,
     accumulating ||x - x_ref||_Q^2 + ||u||_R^2 per stage plus the terminal
     ||x - x_ref||_P^2; soft state-bound violations are added at every stage
     and the terminal. A rollout that leaves the finite range prices as inf.
+
+    `out`, as in numpy, is an optional pair of preallocated float64 arrays
+    shaped (H+1, nx) and (H+1, N) that receive the predicted states X and
+    the pairs Z of the rollout (see `_rollout`), so that `_cost_and_grad`
+    can differentiate the trajectory this call priced without rolling it
+    out again. The return value is the cost either way.
     """
     _check_dims(model, cfg)
     U = _u_matrix(u_seq, cfg)
     x0, zp = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (x0, z_prev))
     if x0.shape != (cfg.nx,) or zp.shape != (cfg.nx + cfg.nu,):
         raise ValueError(f"x0 and z_prev must have lengths {cfg.nx} and {cfg.nx + cfg.nu}")
-    return _rollout(model, U, x0, zp, cfg)[0]
+    if out is not None:
+        shapes = ((cfg.horizon + 1, cfg.nx), (cfg.horizon + 1, cfg.nx + cfg.nu))
+        if len(out) != 2 or not all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                                    and a.shape == s for a, s in zip(out, shapes)):
+            raise ValueError(f"out must be a pair of float64 arrays shaped {shapes[0]} "
+                             f"and {shapes[1]}")
+    return _rollout(model, U, x0, zp, cfg, out)[0]
 
 
 def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
@@ -224,10 +245,14 @@ def _step_jacobians(model, Z: Array, cfg: MpcConfig):
     return np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N), Jp
 
 
-def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
-    """(cost, d cost / dU, Gauss-Newton matrix) of U; (inf, None, None) on
-    blowup. The gradient has U's shape; the matrix is (H nu, H nu) over the
-    inputs flattened stage by stage.
+def _cost_and_grad(model, U: Array, priced: tuple, cfg: MpcConfig):
+    """(d cost / dU, Gauss-Newton matrix) of U; (None, None) on blowup.
+    The gradient has U's shape; the matrix is (H nu, H nu) over the inputs
+    flattened stage by stage.
+
+    `priced` is the (cost, X, Z) of U's rollout, as `horizon_cost` priced it
+    with `out=(X, Z)`; nothing is rolled out here. A non-finite cost has no
+    derivatives.
 
     One forward recursion over the step Jacobians gives the sensitivities
     S_k = d x_k / dU. With D_k = d Z_k / dU (D_0 = 0, since Z_0 = z_prev is
@@ -241,9 +266,9 @@ def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
         grad = sum_k 2 S_k' (W_k e_k + w v_k) + 2 R U
         B    = sum_k 2 S_k' (W_k + w [v_k != 0]) S_k + 2 R
     """
-    cost, X, Z = _rollout(model, U, x0, z_prev, cfg)
+    cost, X, Z = priced
     if not np.isfinite(cost):
-        return float("inf"), None, None
+        return None, None
     H, nx, nu = cfg.horizon, cfg.nx, cfg.nu
     with np.errstate(all="ignore"):
         Jc, Jp = _step_jacobians(model, Z, cfg)
@@ -264,8 +289,8 @@ def _cost_and_grad(model, U: Array, x0: Array, z_prev: Array, cfg: MpcConfig):
         curv = (W + cfg.state_weight * (V != 0.0)).reshape(-1, 1)
         B = 2.0 * (S2.T @ (curv * S2) + np.diag(r_diag))
     if not (np.isfinite(G).all() and np.isfinite(B).all()):
-        return cost, None, None
-    return cost, G.reshape(U.shape), B
+        return None, None
+    return G.reshape(U.shape), B
 
 
 def _projected_newton_direction(u: Array, g: Array, B: Array, lo: Array, hi: Array):
@@ -319,15 +344,18 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     """Minimize the horizon cost over box-feasible input sequences.
 
     Projected Gauss-Newton (Bertsekas's projected Newton method for simple
-    bounds): each iteration takes the cost, gradient and Gauss-Newton matrix
-    from one `_cost_and_grad` call, builds the projected Newton direction,
-    and backtracks along the projection arc U(alpha) = clip(U - alpha d)
-    from alpha = 1 until the Armijo test
+    bounds): each iteration takes the gradient and Gauss-Newton matrix from
+    one `_cost_and_grad` call, builds the projected Newton direction, and
+    backtracks along the projection arc U(alpha) = clip(U - alpha d) from
+    alpha = 1 until the Armijo test
     cost(U(alpha)) <= cost + ARMIJO_SIGMA * min(g . (U(alpha) - U), 0)
-    holds, pricing each trial with `horizon_cost`. Every iterate is clipped
-    into [u_min, u_max], so the returned sequence is feasible by
-    construction. Returns the best iterate seen and how the solve ended
-    (see `SolveResult`).
+    holds, pricing each trial with `horizon_cost`. One rollout per trial;
+    the gradient reuses the accepted one: the start and every trial are
+    priced into one of two (X, Z) buffer pairs, and an accepted trial's pair
+    becomes the current one that the next `_cost_and_grad` differentiates.
+    Every iterate is clipped into [u_min, u_max], so the returned sequence
+    is feasible by construction. Returns the best iterate seen and how the
+    solve ended (see `SolveResult`).
     """
     _check_dims(model, cfg)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -338,10 +366,12 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
         U = _u_matrix(u_init, cfg).copy()
     U = np.clip(U, cfg.u_min, cfg.u_max)
     lo, hi = np.tile(cfg.u_min, cfg.horizon), np.tile(cfg.u_max, cfg.horizon)
-    best_U, best_cost = U.copy(), horizon_cost(model, U, x0, z_prev, cfg)
+    current, trial = _buffers(cfg), _buffers(cfg)
+    cost = horizon_cost(model, U, x0, z_prev, cfg, out=current)
+    best_U, best_cost = U.copy(), cost
     exit, it, backtracks, full_steps = "budget", 0, 0, 0
     for it in range(1, cfg.iterations + 1):
-        cost, G, B = _cost_and_grad(model, U, x0, z_prev, cfg)
+        G, B = _cost_and_grad(model, U, (cost, *current), cfg)
         if G is None:
             exit = "nonfinite"
             break  # nothing to descend along; keep the best iterate
@@ -352,7 +382,7 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
         for _ in range(MAX_BACKTRACKS):
             U_new = np.clip(U - alpha * d, cfg.u_min, cfg.u_max)
             delta = U_new - U
-            c_new = horizon_cost(model, U_new, x0, z_prev, cfg)
+            c_new = horizon_cost(model, U_new, x0, z_prev, cfg, out=trial)
             if c_new <= cost + ARMIJO_SIGMA * min(float(np.sum(G * delta)), 0.0):
                 moved = (U_new, c_new)
                 break
@@ -363,6 +393,7 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
             break
         full_steps += alpha == 1.0
         U, cost = moved
+        current, trial = trial, current
         if cost < best_cost:
             best_cost, best_U = cost, U.copy()
         if np.max(np.abs(delta)) < cfg.tol:

@@ -283,7 +283,11 @@ def load_csv(path, state_cols=None, input_cols=None) -> Series:
         raise ValueError(f"{path}: no data rows")
     t = np.array([v[idx["t"]] for _, v in rows])
     if len(t) >= 2:
-        dts = np.diff(t)
+        with np.errstate(over="ignore"):
+            dts = np.diff(t)
+        if not np.isfinite(dts).all():
+            bad = rows[int(np.argmax(~np.isfinite(dts))) + 1][0]
+            raise ValueError(f"{path}:{bad}: timestamp step overflows")
         if np.any(dts <= 0):
             bad = rows[int(np.argmax(dts <= 0)) + 1][0]
             raise ValueError(f"{path}:{bad}: non-increasing timestamp")

@@ -104,8 +104,15 @@ class TestRollout:
 
     def test_short_series_rejected(self):
         series = tclab_series(4)
-        with pytest.raises(ValueError, match="7 samples"):
+        with pytest.raises(ValueError, match="8 samples"):
             ev.rollout(small_model(nx=2, nu=2), series, steps=5)
+
+    def test_one_transition_per_step_is_too_short(self):
+        # the last step would have a single origin, and r2 needs two
+        model = small_model(nx=2, nu=2)
+        with pytest.raises(ValueError, match="5 transitions .7 samples.*needs at least 8"):
+            ev.rollout(model, tclab_series(5), steps=5)
+        assert ev.rollout(model, tclab_series(6), steps=5).predicted[-1].shape == (2, 2)
 
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):

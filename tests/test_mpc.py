@@ -75,6 +75,14 @@ def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
     return float(total.value), G
 
 
+def cost_and_grad(model, U, x0, z_prev, cfg):
+    """(cost, gradient, Gauss-Newton matrix) of U: priced by `horizon_cost`
+    into fresh buffers, then differentiated by `_cost_and_grad`."""
+    out = mpc._buffers(cfg)
+    cost = mpc.horizon_cost(model, U, x0, z_prev, cfg, out=out)
+    return (cost, *mpc._cost_and_grad(model, U, (cost, *out), cfg))
+
+
 def pg_oracle_solve(model, x0, z_prev, cfg, u_init=None):
     """Reference solver: projected gradient with Barzilai-Borwein trial steps
     and Armijo backtracking, returned as a `SolveResult`. It reads only the
@@ -90,7 +98,7 @@ def pg_oracle_solve(model, x0, z_prev, cfg, u_init=None):
     best_U, best_cost = U.copy(), mpc.horizon_cost(model, U, x0, z_prev, cfg)
     exit, step, prev, it, backtracks, full_steps = "budget", 0.5 * cfg.step_size, None, 0, 0, 0
     for it in range(1, cfg.iterations + 1):
-        cost, G, _ = mpc._cost_and_grad(model, U, x0, z_prev, cfg)
+        cost, G, _ = cost_and_grad(model, U, x0, z_prev, cfg)
         if G is None:
             exit = "nonfinite"
             break
@@ -241,6 +249,32 @@ class TestHorizonCost:
         c = mpc.horizon_cost(model, np.zeros((3, 1)), [1.0], [0.0, 0.0], cfg)
         assert c == float("inf")
 
+    def test_out_receives_the_priced_rollout(self):
+        model, x0, zp, cfg = backtracking_problem()
+        U = np.random.default_rng(2).uniform(-1.0, 1.0, (cfg.horizon, cfg.nu))
+        out = (np.full((7, 2), np.nan), np.full((7, 4), np.nan))
+        c = mpc.horizon_cost(model, U, x0, zp, cfg, out=out)
+        c_ref, X, Z = mpc._rollout(model, U, x0, zp, cfg)
+        assert c == c_ref == mpc.horizon_cost(model, U, x0, zp, cfg)
+        np.testing.assert_array_equal(out[0], X)
+        np.testing.assert_array_equal(out[1], Z)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            pytest.param((np.empty((6, 2)), np.empty((7, 4))), id="short-states"),
+            pytest.param((np.empty((7, 2)), np.empty((7, 2))), id="narrow-pairs"),
+            pytest.param((np.empty((7, 4)), np.empty((7, 2))), id="swapped"),
+            pytest.param((np.empty((7, 2), np.float32), np.empty((7, 4))), id="float32"),
+            pytest.param((np.empty((7, 2)),), id="one-array"),
+            pytest.param((np.empty((7, 2)), np.empty((7, 4)), np.empty(1)), id="three-arrays"),
+        ],
+    )
+    def test_out_of_the_wrong_shape_is_rejected(self, out):
+        model, x0, zp, cfg = backtracking_problem()
+        with pytest.raises(ValueError, match="out must be a pair"):
+            mpc.horizon_cost(model, np.zeros((cfg.horizon, cfg.nu)), x0, zp, cfg, out=out)
+
     def test_shape_errors(self):
         model = const_row_model([[0.4, 2.0]])
         cfg = small_cfg()
@@ -266,6 +300,18 @@ def rand_model(seed, kind="mtnn", order=TaylorOrder.FIRST, gate=GateMode.NONE,
     if spec is None:
         spec = MonoSpec.from_symbols(["".join(r) for r in rng.choice(list("+-."), (2, 4))])
     return MtnnModel(nets, spec, order, gate, symmetrize)
+
+
+def backtracking_problem():
+    """(model, x0, z_prev, cfg) of a solve whose line search backtracks. The
+    model is nonlinear: on a linear one the full Gauss-Newton step is exact
+    and the line search never backtracks."""
+    model = rand_model(1, spec=MonoSpec.from_symbols(["+++.", "++.+"]))
+    cfg = mpc.MpcConfig(
+        x_ref=[0.5, -0.2], u_min=[-1.0, -1.0], u_max=[1.0, 1.0],
+        horizon=6, iterations=30, tol=1e-8,
+    )
+    return model, np.array([0.3, 0.1]), np.array([0.2, 0.0, 0.1, -0.1]), cfg
 
 
 class TestCostGradient:
@@ -298,7 +344,7 @@ class TestCostGradient:
         x0 = np.array([0.3, 0.1])
         zp = np.array([0.2, 0.0, 0.1, -0.1])
         U = rng.uniform(-0.8, 0.8, size=(horizon, 2))
-        c, G, _ = mpc._cost_and_grad(model, U, x0, zp, cfg)
+        c, G, _ = cost_and_grad(model, U, x0, zp, cfg)
         assert c == pytest.approx(mpc.horizon_cost(model, U, x0, zp, cfg), rel=1e-12)
         h = 1e-6
         for k in range(horizon):
@@ -335,7 +381,7 @@ class TestCostGradient:
             horizon=horizon, x_min=x_min if bounds in ("min", "both") else None,
             x_max=x_max if bounds in ("max", "both") else None, state_weight=50.0,
         )
-        c, G, _ = mpc._cost_and_grad(model, U, x0, zp, cfg)
+        c, G, _ = cost_and_grad(model, U, x0, zp, cfg)
         c_ref, G_ref = graph_rollout_cost_and_grad(model, U, x0, zp, cfg)
         assert c == pytest.approx(c_ref, rel=1e-12)
         # relative to the largest entry: single entries may cancel to ~0
@@ -344,7 +390,7 @@ class TestCostGradient:
     def test_nonfinite_rollout_has_no_gradient(self):
         model = const_row_model([[1e160, 0.0]])
         cfg = small_cfg(horizon=3)
-        c, G, B = mpc._cost_and_grad(model, np.zeros((3, 1)), np.ones(1), np.zeros(2), cfg)
+        c, G, B = cost_and_grad(model, np.zeros((3, 1)), np.ones(1), np.zeros(2), cfg)
         assert c == float("inf") and G is None and B is None
 
 
@@ -455,13 +501,7 @@ class TestSolveHorizon:
         # the traced benchmark rebuilds line-search outcomes from this order:
         # one horizon_cost for the start point, then per iteration one
         # _cost_and_grad followed by 1..MAX_BACKTRACKS trial horizon_costs.
-        # The model is nonlinear: on a linear one the full Gauss-Newton step
-        # is exact and the line search never backtracks.
-        model = rand_model(1, spec=MonoSpec.from_symbols(["+++.", "++.+"]))
-        cfg = mpc.MpcConfig(
-            x_ref=[0.5, -0.2], u_min=[-1.0, -1.0], u_max=[1.0, 1.0],
-            horizon=6, iterations=30, tol=1e-8,
-        )
+        model, x0, zp, cfg = backtracking_problem()
         events, inside = [], []
         real_grad, real_cost, real_rollout = (
             mpc._cost_and_grad, mpc.horizon_cost, mpc._rollout
@@ -487,21 +527,49 @@ class TestSolveHorizon:
         monkeypatch.setattr(mpc, "_cost_and_grad", grad)
         monkeypatch.setattr(mpc, "horizon_cost", cost)
         monkeypatch.setattr(mpc, "_rollout", rollout)
-        res = mpc.solve_horizon(model, [0.3, 0.1], [0.2, 0.0, 0.1, -0.1], cfg)
+        res = mpc.solve_horizon(model, x0, zp, cfg)
         calls = "".join(e for e in events if e != "r")
-        # each of the two callers prices its sequence by exactly one rollout
-        assert "".join(events) == "".join(e + "r" for e in calls)
+        # every horizon_cost rolls out exactly once; _cost_and_grad never does
+        assert "".join(events) == "".join(e + "r" if e == "c" else e for e in calls)
         assert calls.count("g") == res.iterations > 1
         assert calls[0] == "c"
         trials = [len(run) for run in calls[1:].split("g")[1:]]
         assert len(trials) == res.iterations
         assert all(1 <= t <= mpc.MAX_BACKTRACKS for t in trials)
         assert calls.count("c") == 1 + sum(trials)
+        assert events.count("r") == 1 + sum(trials)  # the start and each trial
         assert sum(trials) > res.iterations  # the line search did backtrack
         assert res.converged and res.exit == "tolerance"
         # every iteration accepted one trial; the others were backtracks
         assert res.backtracks == sum(trials) - res.iterations
         assert res.full_steps == trials.count(1)
+
+    def test_gradient_differentiates_the_current_iterate(self, monkeypatch):
+        # the (cost, X, Z) handed to _cost_and_grad must be the rollout of the
+        # U it differentiates, never a stale or rejected trial's buffers
+        model, x0, zp, cfg = backtracking_problem()
+        real_grad, checked = mpc._cost_and_grad, []
+
+        def grad(model, U, priced, cfg):
+            cost, X, Z = mpc._rollout(model, U, x0, zp, cfg)
+            assert priced[0] == cost
+            np.testing.assert_array_equal(priced[1], X)
+            np.testing.assert_array_equal(priced[2], Z)
+            checked.append(U.copy())
+            return real_grad(model, U, priced, cfg)
+
+        monkeypatch.setattr(mpc, "_cost_and_grad", grad)
+        res = mpc.solve_horizon(model, x0, zp, cfg)
+        assert len(checked) == res.iterations > 1
+        assert res.backtracks > 0  # rejected trials were priced into a buffer
+        assert not np.array_equal(checked[0], checked[-1])
+
+    @pytest.mark.parametrize("name,bad", [("x0", [0.3]), ("z_prev", [0.2, 0.0, 0.1])])
+    def test_wrong_length_state_or_pair_is_named(self, name, bad):
+        model, x0, zp, cfg = backtracking_problem()
+        args = {"x0": x0, "z_prev": zp, name: bad}
+        with pytest.raises(ValueError, match=name):
+            mpc.solve_horizon(model, args["x0"], args["z_prev"], cfg)
 
 
 CRITERION_8_CFG = dict(

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mtnn import plants as pl
 
@@ -210,6 +212,44 @@ class TestTransitions:
                 pl.transitions_to_arrays(bad)
 
 
+def _csv_like():
+    """Text shaped like a trajectory CSV: a native or odd header, then rows
+    of numbers, near-numbers and junk, often with a uniform time column."""
+    number = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(["", " ", "nan", "-inf", "1e999", "1_0", "0x1", "+1.5", " 2 ",
+                         "1.7e308", "-1.7e308"]),
+        st.text(max_size=4),
+    )
+    header = st.one_of(
+        st.sampled_from(["t,T,Ts,mdot", "t,T1,T2,Q1,Q2", "t,T1,T2,Q1", "T,t,Ts,mdot", ""]),
+        st.text(max_size=12),
+    )
+
+    @st.composite
+    def table(draw):
+        head = draw(header)
+        width = max(len(head.split(",")), 1)
+        dt = draw(st.sampled_from([1.0, 15.0, 1e-300, 1e300, -1.0]))
+        n = draw(st.integers(0, 6))
+        rows = []
+        for k in range(n):
+            cells = draw(st.lists(number, min_size=width, max_size=width))
+            if draw(st.booleans()):
+                cells[0] = repr(k * dt)
+            if draw(st.integers(0, 5)) == 0:
+                cells = cells[:-1]
+            rows.append(",".join(cells))
+        eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        return eol.join([head, *rows]) + draw(st.sampled_from(["", eol, eol + eol]))
+
+    return table()
+
+
+CSV_LIKE = _csv_like()
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         s = pl.excite(
@@ -244,6 +284,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="non-increasing"):
             pl.load_csv(p)
 
+    def test_overflowing_timestamp_step_rejected_with_line(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("t,T,Ts,mdot\n-1.7e308,70,55,0.2\n1.7e308,69,55,0.2\n")
+        with pytest.raises(ValueError, match=r"huge.csv:3: timestamp step overflows"):
+            pl.load_csv(p)
+
     def test_nan_rejected_with_line(self, tmp_path):
         p = tmp_path / "nan.csv"
         p.write_text("t,T,Ts,mdot\n0.0,70,55,0.2\n300.0,nan,55,0.2\n")
@@ -263,6 +309,22 @@ class TestCsv:
             pl.load_csv(p)
         s = pl.load_csv(p, state_cols=["room"], input_cols=["supply", "flow"])
         np.testing.assert_array_equal(s.x[:, 0], [70.0, 69.0])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_text_loads_finite_or_is_rejected_naming_the_path(self, tmp_path, data):
+        text = data.draw(st.one_of(st.text(), CSV_LIKE), label="text")
+        p = tmp_path / "fuzz.csv"
+        p.write_text(text, encoding="utf-8")
+        try:
+            s = pl.load_csv(p)
+        except ValueError as e:
+            assert str(p) in str(e)
+            return
+        assert isinstance(s, pl.Series) and len(s) >= 1
+        assert s.x.shape[0] == s.u.shape[0] == len(s)
+        assert all(np.isfinite(a).all() for a in (s.t, s.x, s.u))
 
     def test_save_byte_deterministic(self, tmp_path):
         s = pl.Series(np.array([0.0, 15.0]), np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))

@@ -24,3 +24,27 @@ def test_every_wrapped_attribute_exists_and_is_restored(monkeypatch):
         assert all(vars(owner)[attr] is not orig for owner, attr, orig in patched)
     assert len(patched) > 20
     assert all(vars(owner)[attr] is orig for owner, attr, orig in patched)
+
+
+def test_traced_solver_counts_match_the_solve(monkeypatch):
+    # the benchmark's solver metrics are rebuilt from the wrapped calls; they
+    # must agree with what the solve itself reports
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from test_mpc import backtracking_problem
+    from tracer import Tracer
+
+    from mtnn import mpc
+
+    model, x0, zp, cfg = backtracking_problem()
+    with Tracer() as tracer:
+        layers.install(tracer)
+        res = mpc.solve_horizon(model, x0, zp, cfg)
+    assert res.exit == "tolerance" and res.backtracks > 0
+    counters = tracer.counters
+    assert counters["mpc.solves"] == 1
+    assert counters["mpc.iterations"] == res.iterations
+    assert counters["mpc.trials"] == res.iterations + res.backtracks
+    assert counters["mpc.accepted"] == res.iterations
+    assert tracer.calls("mpc.horizon_cost") == 1 + res.iterations + res.backtracks
+    assert tracer.calls("model.predict") == cfg.horizon * tracer.calls("mpc.horizon_cost")
