@@ -15,10 +15,13 @@ trial is rolled out once; the trajectory that priced an accepted trial is
 the one the next gradient differentiates, so no rollout is repeated. Input
 boxes are handled by projection (so feasibility is exact), state boxes by a
 soft quadratic penalty, since hard state constraints under a learned model
-are easily infeasible.
+are easily infeasible. A solve ends when a step moves every input by less
+than `tol`, or when a full step stops lowering the cost by more than a
+DECREASE_RTOL share of its controllable part, whichever comes first.
 
 The stage cost keeps the k = 0 state term even though the current state is
-not controllable; it is a constant offset that leaves the argmin alone.
+not controllable; it is a constant offset that leaves the argmin alone, and
+the decrease rule measures against the cost without it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ Array = np.ndarray
 ARMIJO_SIGMA = 1e-4
 MAX_BACKTRACKS = 40
 ACTIVE_EPS = 1e-3  # widest active-set margin, as a fraction of the input box
+DECREASE_RTOL = 1e-9  # a full step that lowers the cost by less ends the solve
 
 
 def _vector(v, name: str, size: int | None = None, allow_inf: bool = False) -> Array:
@@ -67,10 +71,10 @@ class MpcConfig:
     x_min/x_max are optional soft state bounds with quadratic weight
     `state_weight` (an infinite bound leaves that side free); x0 is the
     closed-loop initial state. `iterations` caps the solver's iterations
-    and `tol` ends a solve whose last step moved every input by less.
-    `step_size` is inert: the Gauss-Newton step sets its own length, so
-    the field is only validated, and kept so that existing configs load.
-    Everything else must be finite.
+    and `tol` ends a solve whose last step moved every input by less. A
+    solve also ends, with no knob of its own, at a full step that lowered
+    the cost by at most DECREASE_RTOL times its controllable part (see
+    `solve_horizon`). Everything else must be finite.
     """
 
     x_ref: Array
@@ -85,7 +89,6 @@ class MpcConfig:
     x0: Array | None = None
     state_weight: float = 1e3
     iterations: int = 80
-    step_size: float = 1.0
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -109,9 +112,9 @@ class MpcConfig:
         if self.x_min is not None and self.x_max is not None and np.any(self.x_min > self.x_max):
             raise ValueError("need x_min <= x_max elementwise")
         self.state_weight = float(_weights(self.state_weight, 1, "state_weight")[0])
-        _vector([self.step_size, self.tol], "step_size and tol")
-        if self.step_size <= 0 or self.tol <= 0:
-            raise ValueError("step_size and tol must be positive")
+        self.tol = float(_vector(self.tol, "tol", 1)[0])
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
     @property
     def nx(self) -> int:
@@ -321,9 +324,11 @@ def _projected_newton_direction(u: Array, g: Array, B: Array, lo: Array, hi: Arr
 class SolveResult:
     """Best input sequence found, its cost, and how the solve ended.
 
-    `exit` is "tolerance" (the last step moved less than tol), "stationary"
-    (the line search found no decrease), "budget" (the iterations ran out)
-    or "nonfinite" (the cost or its derivatives left the finite range).
+    `exit` is "tolerance" (the last step moved less than tol), "decrease"
+    (a full step lowered the cost by at most DECREASE_RTOL times its
+    controllable part), "stationary" (the line search found no decrease),
+    "budget" (the iterations ran out) or "nonfinite" (the cost or its
+    derivatives left the finite range). The first three count as converged.
     `backtracks` counts rejected line-search trials and `full_steps` the
     iterations that accepted the full (alpha = 1) step.
     """
@@ -337,7 +342,7 @@ class SolveResult:
 
     @property
     def converged(self) -> bool:
-        return self.exit in ("tolerance", "stationary")
+        return self.exit in ("tolerance", "decrease", "stationary")
 
 
 def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult:
@@ -353,6 +358,19 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     the gradient reuses the accepted one: the start and every trial are
     priced into one of two (X, Z) buffer pairs, and an accepted trial's pair
     becomes the current one that the next `_cost_and_grad` differentiates.
+
+    Two rules end a converging solve, tested in this order: "tolerance",
+    when the accepted step moved every input by less than `tol`, and
+    "decrease", when the iteration accepted the full step (alpha = 1) and
+    that lowered the cost by at most DECREASE_RTOL (c_new - c_0). c_0 is the
+    k = 0 state term (q e_0^2 plus the soft-box term of x0), which no input
+    can change, so the rule is equally strict however far x0 starts from
+    x_ref. Near the optimum the Gauss-Newton matrix, which leaves out the
+    curvature of the path through z_prev, converges only linearly: without
+    the second rule the last iterations still move the inputs by more than
+    `tol` while the cost no longer changes. A backtracked step never ends a
+    solve this way, since a small alpha alone makes a small decrease.
+
     Every iterate is clipped into [u_min, u_max], so the returned sequence
     is feasible by construction. Returns the best iterate seen and how the
     solve ended (see `SolveResult`).
@@ -368,6 +386,8 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     lo, hi = np.tile(cfg.u_min, cfg.horizon), np.tile(cfg.u_max, cfg.horizon)
     current, trial = _buffers(cfg), _buffers(cfg)
     cost = horizon_cost(model, U, x0, z_prev, cfg, out=current)
+    e0 = x0 - cfg.x_ref
+    c0 = float(e0 @ (cfg.q_diag * e0) + cfg.state_weight * np.sum(_excess(x0, cfg) ** 2))
     best_U, best_cost = U.copy(), cost
     exit, it, backtracks, full_steps = "budget", 0, 0, 0
     for it in range(1, cfg.iterations + 1):
@@ -392,12 +412,16 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
             exit = "stationary"  # line search can no longer improve
             break
         full_steps += alpha == 1.0
+        decrease = cost - moved[1]
         U, cost = moved
         current, trial = trial, current
         if cost < best_cost:
             best_cost, best_U = cost, U.copy()
         if np.max(np.abs(delta)) < cfg.tol:
             exit = "tolerance"
+            break
+        if alpha == 1.0 and decrease <= DECREASE_RTOL * (cost - c0):
+            exit = "decrease"
             break
     return SolveResult(best_U, best_cost, it, exit, backtracks, full_steps)
 
@@ -406,7 +430,8 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
 class ClosedLoopTrace:
     """Per control step: measured state, applied input, solver outcome.
 
-    `iterations` and `exit` come from the step's `SolveResult`; a solve that
+    `iterations` and `exit` come from the step's `SolveResult` ("tolerance",
+    "decrease", "stationary", "budget" or "nonfinite"); a solve that
     raised FloatingPointError records exit "floating_point_error" and 0
     iterations. `solve_time` is wall clock, so it stays out of the CSV.
     """

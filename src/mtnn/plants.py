@@ -321,16 +321,27 @@ def hvac_benchmark(
     than the room everywhere, so dT'/dmdot < 0 holds throughout and the
     sign prior (T: +, Ts: +, mdot: -) is true ground truth.
 
-    `plant` replaces that room (None keeps the default `HvacPlant()`); the
-    schedule is tuned for the default, so another room may miss the range
-    shift, which raises RuntimeError.
+    `plant` replaces that room (None keeps the default `HvacPlant()`). The
+    schedule's temperatures are written for the default room and carried
+    onto this one by the affine map that fixes the 55 degF supply and sends
+    85 degF to its T_amb; the heat balance at a given flow is invariant
+    under that map, so the bands keep their places between supply and
+    ambient. The settle phase's holding flow is read from the room's own
+    k_a, c_p and T_amb. Flows and dwell times are not rescaled, so a room
+    with another k_a may still miss the range shift, which raises
+    RuntimeError.
     """
     plant = HvacPlant() if plant is None else plant
+    scale = (plant.T_amb - 55.0) / (85.0 - 55.0)
+
+    def deg(t):
+        return 55.0 + (t - 55.0) * scale
+
     n = n_train + n_test + 2
     rng = np.random.default_rng(seed)
     x = np.empty((n, 1))
     u = np.empty((n, 2))
-    x[0, 0] = 70.0
+    x[0, 0] = deg(70.0)
     # flow is slew-limited so consecutive samples stay close in mdot; the
     # supply setpoint still jumps at dwell boundaries
     max_dm = 0.015
@@ -350,67 +361,67 @@ def hvac_benchmark(
         T = x[k, 0]
         if dip_start <= k < dip_end:
             if k < dip_start + 10:
-                m_tgt, Ts = 0.26, 52.0  # pre-cool toward the band floor
+                m_tgt, Ts = 0.26, deg(52.0)  # pre-cool toward the band floor
             elif k < dip_start + 20:
-                m_tgt, Ts = 0.08, 52.5  # glide down through medium flow
+                m_tgt, Ts = 0.08, deg(52.5)  # glide down through medium flow
             else:
-                m_tgt = 0.078 if T < 71.3 else 0.105  # regulated light flow
-                Ts = 53.0
+                m_tgt = 0.078 if T < deg(71.3) else 0.105  # regulated light flow
+                Ts = deg(53.0)
             remaining = 0
         elif climb_start <= k < climb_end:
             m_tgt, Ts = 0.115, 55.0
             remaining = 0  # force a fresh draw right after the window
         elif remaining == 0:
             if k < settle_start:  # low-band phase
-                if T < 70.6 and m_cur < 0.17 and rng.random() < 0.5:
+                if T < deg(70.6) and m_cur < 0.17 and rng.random() < 0.5:
                     # dip into the low-flow range the test band lives in, so
                     # flow is interpolated there even though T is not; cool
                     # supply keeps the room from warming out of band too fast
                     m_tgt = rng.uniform(0.075, 0.095)
-                    Ts = rng.uniform(52.0, 54.0)
+                    Ts = deg(rng.uniform(52.0, 54.0))
                     remaining = int(rng.integers(4, 8))
                 else:
-                    if T < 68.8:
+                    if T < deg(68.8):
                         # recover slowly: low flow here chains into a dip
                         m_tgt = rng.uniform(0.085, 0.12)
-                        Ts = rng.uniform(52.0, 55.0)
-                    elif T > 72.2:
+                        Ts = deg(rng.uniform(52.0, 55.0))
+                    elif T > deg(72.2):
                         m_tgt = rng.uniform(0.20, 0.26)
-                        Ts = rng.uniform(52.0, 58.0)
+                        Ts = deg(rng.uniform(52.0, 58.0))
                     else:
                         m_tgt = rng.uniform(0.13, 0.22)
-                        Ts = rng.uniform(52.0, 58.0)
+                        Ts = deg(rng.uniform(52.0, 58.0))
                     remaining = int(rng.integers(4, 8))
             elif k < climb_start:  # settle just under the crossing
-                hold = 0.2 * (85.0 - T) / max(T - 55.0, 1.0)
-                if T < 71.2:
+                hold = plant.k_a * (plant.T_amb - T) / (plant.c_p * max(T - 55.0, 1.0))
+                if T < deg(71.2):
                     m_tgt = max(hold - 0.02, 0.06)
-                elif T > 72.2:
+                elif T > deg(72.2):
                     m_tgt = min(hold + 0.02, 0.26)
                 else:
                     m_tgt = hold + rng.uniform(-0.008, 0.008)
-                Ts = rng.uniform(54.0, 56.0)
+                Ts = deg(rng.uniform(54.0, 56.0))
                 remaining = int(rng.integers(2, 4))
             else:  # high-band phase: long alternating warm/cool plateaus in 73-76
-                if T < 73.5:
+                if T < deg(73.5):
                     m_tgt = rng.uniform(0.082, 0.09)
-                elif T > 76.5:
+                elif T > deg(76.5):
                     m_tgt = rng.uniform(0.124, 0.135)
                 elif cool_turn:
                     m_tgt = rng.uniform(0.124, 0.135)
                 else:
                     m_tgt = rng.uniform(0.082, 0.09)
                 cool_turn = not cool_turn
-                Ts = rng.uniform(54.0, 56.0)
+                Ts = deg(rng.uniform(54.0, 56.0))
                 remaining = int(rng.integers(14, 23))
         else:
             remaining -= 1
             # escape valves: abort a dwell that is drifting out of its band
-            if k < settle_start and T > 71.5 and m_tgt < 0.11:
+            if k < settle_start and T > deg(71.5) and m_tgt < 0.11:
                 remaining = 0  # low-flow dip has warmed the room enough
-            elif k < settle_start and T > 72.2 and m_tgt < 0.20:
+            elif k < settle_start and T > deg(72.2) and m_tgt < 0.20:
                 remaining = 0
-            elif k >= climb_end and T < 73.3 and m_tgt > 0.10:
+            elif k >= climb_end and T < deg(73.3) and m_tgt > 0.10:
                 remaining = 0
         m_cur += float(np.clip(m_tgt - m_cur, -max_dm, max_dm))
         u[k] = (Ts, m_cur)

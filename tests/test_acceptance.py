@@ -218,7 +218,7 @@ def test_criterion_8_closed_loop_tracking(tclab_mono1):
                          u_min=np.array([30.0, 20.0]),
                          u_max=np.array([65.0, 65.0]),
                          x0=np.array([30.0, 30.0]),
-                         horizon=8, iterations=60, step_size=1.0, tol=1e-6)
+                         horizon=8, iterations=60, tol=1e-6)
     t0 = time.perf_counter()
     trace = ctrl.run_closed_loop(ds.plant, model, cfg, steps=60)
     dt = time.perf_counter() - t0

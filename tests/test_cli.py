@@ -120,6 +120,16 @@ class TestGenData:
         default = pl.TcLabPlant().step(series.x[:-1], series.u[:-1])
         assert not np.allclose(series.x[1:], default)
 
+    def test_cooler_room_keeps_the_range_shift(self, tmp_path):
+        cfg = {"seed": 0, "out_dir": str(tmp_path / "d"),
+               "plant": {"kind": "hvac", "T_amb": 70.0}}
+        assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 0
+        manifest = json.loads((tmp_path / "d" / "gen_manifest.json").read_text())
+        assert manifest["plant"]["T_amb"] == 70.0
+        train = pl.to_transitions(pl.load_csv(tmp_path / "d" / "train.csv"))
+        test = pl.to_transitions(pl.load_csv(tmp_path / "d" / "test.csv"))
+        assert max(t.x_next[0] for t in train) < min(t.x_next[0] for t in test) + 1.0
+
     @pytest.mark.parametrize("k_a,message", [(0.5, "range shift failed"),
                                              ("hot", "bad plant field")])
     def test_unusable_room_is_a_one_line_error(self, tmp_path, capsys, k_a, message):

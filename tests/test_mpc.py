@@ -96,7 +96,7 @@ def pg_oracle_solve(model, x0, z_prev, cfg, u_init=None):
         U = np.array(u_init, dtype=np.float64)
     U = np.clip(U, cfg.u_min, cfg.u_max)
     best_U, best_cost = U.copy(), mpc.horizon_cost(model, U, x0, z_prev, cfg)
-    exit, step, prev, it, backtracks, full_steps = "budget", 0.5 * cfg.step_size, None, 0, 0, 0
+    exit, step, prev, it, backtracks, full_steps = "budget", 0.5, None, 0, 0, 0
     for it in range(1, cfg.iterations + 1):
         cost, G, _ = cost_and_grad(model, U, x0, z_prev, cfg)
         if G is None:
@@ -172,7 +172,7 @@ class TestMpcConfig:
             small_cfg(u_max=[np.nan])
         with pytest.raises(ValueError, match="x0"):
             small_cfg(x0=[np.inf])
-        for name in ("q_diag", "r_diag", "p_diag", "state_weight", "step_size", "tol"):
+        for name in ("q_diag", "r_diag", "p_diag", "state_weight", "tol"):
             for bad in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=name):
                     small_cfg(**{name: bad})
@@ -195,6 +195,14 @@ class TestMpcConfig:
         with pytest.raises(ValueError, match="horizon_len"):
             mpc.MpcConfig.from_dict(
                 {"x_ref": [0.0], "u_min": [0.0], "u_max": [1.0], "horizon_len": 3}
+            )
+
+    def test_from_dict_names_the_removed_step_size(self):
+        # the Gauss-Newton step sets its own length; a config that still
+        # sets step_size is told so rather than silently ignored
+        with pytest.raises(ValueError, match="step_size"):
+            mpc.MpcConfig.from_dict(
+                {"x_ref": [0.0], "u_min": [0.0], "u_max": [1.0], "step_size": 1.0}
             )
 
 
@@ -539,7 +547,7 @@ class TestSolveHorizon:
         assert calls.count("c") == 1 + sum(trials)
         assert events.count("r") == 1 + sum(trials)  # the start and each trial
         assert sum(trials) > res.iterations  # the line search did backtrack
-        assert res.converged and res.exit == "tolerance"
+        assert res.converged and res.exit == "decrease"
         # every iteration accepted one trial; the others were backtracks
         assert res.backtracks == sum(trials) - res.iterations
         assert res.full_steps == trials.count(1)
@@ -572,9 +580,132 @@ class TestSolveHorizon:
             mpc.solve_horizon(model, args["x0"], args["z_prev"], cfg)
 
 
+def state_blind_model(seed=3):
+    """Scalar tanh baseline that ignores its state input: every predicted
+    state after k = 0 depends on the inputs alone, so x0 only moves the
+    constant k = 0 term of the cost."""
+    net = nn.init_dense([2, 4, 1], seed, "tanh")
+    net.weights[0][0, :, 0] = 0.0
+    return BaselineModel(net, 1)
+
+
+def slow_problem(**kw):
+    """(model, z_prev, cfg) of a nonlinear solve that Gauss-Newton finishes
+    only linearly, so the cost decrease shrinks over about a dozen steps."""
+    cfg = small_cfg(x_ref=[1.0], u_min=[-3.0], u_max=[3.0], horizon=3, r_diag=0.05,
+                    iterations=200, tol=1e-13, **kw)
+    return state_blind_model(), np.zeros(2), cfg
+
+
+def k0_term(x0, cfg):
+    """q e_0^2 plus the soft-box term of x0: the part of the cost that no
+    input can change."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    e = x0 - cfg.x_ref
+    lo = -np.inf if cfg.x_min is None else cfg.x_min
+    hi = np.inf if cfg.x_max is None else cfg.x_max
+    return float(e @ (cfg.q_diag * e) + cfg.state_weight * np.sum((x0 - np.clip(x0, lo, hi)) ** 2))
+
+
+def logged_solve(monkeypatch, model, x0, zp, cfg, reject_full=False):
+    """(result, start cost, costs of each iteration's trials): the last trial
+    of an iteration is the one it accepted. With reject_full, the full
+    (alpha = 1) trial of every iteration prices as inf, so every accepted
+    step has backtracked."""
+    real_grad, real_cost = mpc._cost_and_grad, mpc.horizon_cost
+    start, iters = [], []
+
+    def grad(*a, **k):
+        iters.append([])
+        return real_grad(*a, **k)
+
+    def cost(*a, **k):
+        c = real_cost(*a, **k)
+        if not iters:
+            start.append(c)
+        else:
+            if reject_full and not iters[-1]:
+                c = float("inf")
+            iters[-1].append(c)
+        return c
+
+    monkeypatch.setattr(mpc, "_cost_and_grad", grad)
+    monkeypatch.setattr(mpc, "horizon_cost", cost)
+    res = mpc.solve_horizon(model, x0, zp, cfg)
+    monkeypatch.undo()
+    return res, start[0], iters
+
+
+def accepted_steps(start, iters):
+    """(decrease, new cost, full step?) of every accepted iteration."""
+    steps, cost = [], start
+    for trials in iters:
+        steps.append((cost - trials[-1], trials[-1], len(trials) == 1))
+        cost = trials[-1]
+    return steps
+
+
+class TestDecreaseStop:
+    """A full step that lowers the cost by at most DECREASE_RTOL of its
+    controllable part ends the solve with exit "decrease"."""
+
+    def test_first_small_full_step_ends_the_solve(self, monkeypatch):
+        model, zp, cfg = slow_problem()
+        x0 = np.array([1.0])
+        res, start, iters = logged_solve(monkeypatch, model, x0, zp, cfg)
+        assert res.exit == "decrease" and res.converged
+        c0 = k0_term(x0, cfg)
+        steps = accepted_steps(start, iters)
+        assert len(steps) == res.iterations > 5
+        decrease, c_new, full = steps[-1]
+        assert full and decrease <= mpc.DECREASE_RTOL * (c_new - c0)
+        assert all(d > mpc.DECREASE_RTOL * (c - c0) for d, c, f in steps[:-1] if f)
+        assert res.cost == c_new
+
+    def test_backtracked_step_does_not_end_the_solve(self, monkeypatch):
+        model, zp, cfg = slow_problem()
+        x0 = np.array([1.0])
+        res, start, iters = logged_solve(monkeypatch, model, x0, zp, cfg, reject_full=True)
+        c0 = k0_term(x0, cfg)
+        steps = accepted_steps(start, iters)
+        assert res.full_steps == 0 and not any(f for _, _, f in steps)
+        small = [i for i, (d, c, _) in enumerate(steps) if d <= mpc.DECREASE_RTOL * (c - c0)]
+        assert small and small[0] < res.iterations - 1  # the solve went on past it
+        assert res.exit != "decrease"
+
+    def test_tolerance_wins_when_both_rules_hold(self, monkeypatch):
+        # on a linear model the first Gauss-Newton step is exact, so the
+        # second moves the inputs by rounding only and lowers nothing
+        _, model = tclab_exact_model()
+        cfg = mpc.MpcConfig(x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0],
+                            horizon=4)
+        x0, zp = np.array([40.0, 38.0]), np.array([39.0, 37.5, 45.0, 30.0])
+        res, start, iters = logged_solve(monkeypatch, model, x0, zp, cfg)
+        c0 = k0_term(x0, cfg)
+        decrease, c_new, full = accepted_steps(start, iters)[-1]
+        assert full and decrease <= mpc.DECREASE_RTOL * (c_new - c0)
+        assert res.exit == "tolerance" and res.converged
+
+    @pytest.mark.parametrize("x0,bounds", [(121.0, {}), (7.0, {"x_max": [3.0]})],
+                             ids=["tracking", "soft_box"])
+    def test_large_k0_term_does_not_loosen_the_rule(self, monkeypatch, x0, bounds):
+        # x0 moves only the k = 0 term; the solve must not stop sooner for it
+        model, zp, cfg = slow_problem(**bounds)
+        near = mpc.solve_horizon(model, [1.0], zp, cfg)
+        far, start, iters = logged_solve(monkeypatch, model, [x0], zp, cfg)
+        c0 = k0_term([x0], cfg)
+        assert c0 > 1e4 * near.cost
+        assert far.exit == near.exit == "decrease"
+        assert far.iterations == near.iterations
+        np.testing.assert_allclose(far.u_seq, near.u_seq, rtol=0.0, atol=1e-9)
+        # measured against the whole cost, the rule would have stopped sooner
+        steps = accepted_steps(start, iters)
+        assert any(f and d <= mpc.DECREASE_RTOL * c for d, c, f in steps[:-1])
+
+
 CRITERION_8_CFG = dict(
     x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0], x0=[30.0, 30.0],
-    horizon=8, iterations=60, step_size=1.0, tol=1e-6,
+    horizon=8, iterations=60, tol=1e-6,
 )
 
 
@@ -585,20 +716,20 @@ class TestAgainstOracle:
     def test_criterion_8_loop_costs_at_most_the_oracle(self, tclab_mono1, monkeypatch):
         ds, model = tclab_mono1
         cfg = mpc.MpcConfig(**CRITERION_8_CFG)
-        real_solve, ratios, exits = mpc.solve_horizon, [], []
+        real_solve, ratios, results = mpc.solve_horizon, [], []
 
         def both(model, x0, z_prev, cfg, u_init=None):
             res = real_solve(model, x0, z_prev, cfg, u_init=u_init)
             ref = pg_oracle_solve(model, x0, z_prev, cfg, u_init=u_init)
             ratios.append(res.cost / ref.cost)
-            exits.append(res.exit)
+            results.append(res)
             return res
 
         monkeypatch.setattr(mpc, "solve_horizon", both)
         mpc.run_closed_loop(ds.plant, model, cfg, steps=60)
         assert len(ratios) == 60
         assert max(ratios) <= 1.0 + 1e-6, max(ratios)
-        assert exits.count("tolerance") == 60
+        assert all(r.converged and r.exit in ("tolerance", "decrease") for r in results)
 
     def test_criterion_7_fixture_costs_at_most_the_oracle(self, tclab_mono1):
         _, model = tclab_mono1
@@ -767,6 +898,19 @@ class TestClosedLoop:
         assert lines[0] == "t,T1,T2,Q1,Q2,cost,converged,iterations,exit"
         assert lines[1] == "0.0,30.0,31.0,40.0,20.0,5.5,1,7,tolerance"
         assert lines[2] == "15.0,32.5,33.5,41.0,21.0,4.25,0,60,budget"
+
+    def test_seeded_reruns_write_identical_traces(self, tclab_mono1, tmp_path):
+        # criterion 9: the decrease rule must not make a rerun drift
+        ds, model = tclab_mono1
+        cfg = mpc.MpcConfig(**CRITERION_8_CFG)
+        blobs, exits = [], set()
+        for tag in ("a", "b"):
+            trace = mpc.run_closed_loop(ds.plant, model, cfg, steps=12)
+            trace.save_csv(tmp_path / f"{tag}.csv")
+            blobs.append((tmp_path / f"{tag}.csv").read_bytes())
+            exits.update(trace.exit)
+        assert blobs[0] == blobs[1]
+        assert "decrease" in exits
 
     def test_trace_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):

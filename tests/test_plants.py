@@ -380,6 +380,22 @@ class TestHvacBenchmark:
         assert np.array_equal(a.series.x, b.series.x)
         assert np.array_equal(a.series.u, b.series.u)
 
+    @pytest.mark.parametrize("T_amb", [70.0, 90.0])
+    def test_other_ambient_keeps_the_range_shift(self, T_amb):
+        room = pl.HvacPlant(T_amb=T_amb)
+        b = pl.hvac_benchmark(seed=0, plant=room)
+        assert max(t.x_next[0] for t in b.train) < min(t.x_next[0] for t in b.test) + 1.0
+        # without noise the run is the default room's, carried by the map
+        # that fixes the 55 degF supply and sends 85 degF to T_amb
+        scale = (T_amb - 55.0) / 30.0
+        want = pl.hvac_benchmark(seed=0, noise_sigma=0.0)
+        got = pl.hvac_benchmark(seed=0, noise_sigma=0.0, plant=room)
+        np.testing.assert_allclose(got.series.x, 55.0 + (want.series.x - 55.0) * scale,
+                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(got.series.u[:, 0], 55.0 + (want.series.u[:, 0] - 55.0) * scale,
+                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(got.series.u[:, 1], want.series.u[:, 1], rtol=0.0, atol=1e-12)
+
 
 class TestTcLabDataset:
     def test_sizes_and_bounds(self):

@@ -40,7 +40,7 @@ def test_traced_solver_counts_match_the_solve(monkeypatch):
     with Tracer() as tracer:
         layers.install(tracer)
         res = mpc.solve_horizon(model, x0, zp, cfg)
-    assert res.exit == "tolerance" and res.backtracks > 0
+    assert res.exit == "decrease" and res.backtracks > 0
     counters = tracer.counters
     assert counters["mpc.solves"] == 1
     assert counters["mpc.iterations"] == res.iterations
