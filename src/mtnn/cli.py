@@ -84,6 +84,13 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """`value` as a float; it must be a finite int or float, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and np.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def _out_dir(config: dict) -> Path:
     if "out_dir" not in config:
         raise ConfigError("config missing required key 'out_dir'")
@@ -113,7 +120,7 @@ def _plant(section: dict):
     fields = {k: v for k, v in section.items() if k not in ("kind", "noise_sigma")}
     try:
         return kind, PLANTS[kind](**fields)
-    except TypeError as e:  # a field of the wrong type
+    except ValueError as e:  # a field of the wrong type or out of range
         raise ConfigError(f"bad plant field: {e}") from None
 
 
@@ -144,7 +151,7 @@ def cmd_gen_data(config: dict) -> int:
     plant_sec = _section(config, "plant")
     kind, plant = _plant(plant_sec)
     split = config.get("split", {})
-    noise = float(plant_sec.get("noise_sigma", 0.05))
+    noise = _real(plant_sec.get("noise_sigma", 0.05), "plant.noise_sigma")
     if kind == "hvac":
         n_train = _integer(split.get("n_train", 180), "split.n_train")
         n_test = _integer(split.get("n_test", 100), "split.n_test")
@@ -187,12 +194,14 @@ def cmd_train(config: dict, variants=None) -> int:
     kind = _plant_kind(_section(config, "plant"))
     train_sec = _section(config, "train")
     names = _variant_list(config, variants)
-    data = _load_transitions(out / "train.csv")
-    spec = PLANTS[kind]().mono_spec()
     width = _integer(train_sec.get("width", tr.STUDY_WIDTH), "train.width")
     epochs = _integer(train_sec.get("epochs", tr.STUDY_EPOCHS), "train.epochs")
-    wd = float(train_sec.get("weight_decay", tr.STUDY_WEIGHT_DECAY))
+    wd = _real(train_sec.get("weight_decay", tr.STUDY_WEIGHT_DECAY), "train.weight_decay")
     fixed_rate = train_sec.get("learning_rate")
+    if fixed_rate is not None:
+        fixed_rate = _real(fixed_rate, "train.learning_rate")
+    data = _load_transitions(out / "train.csv")
+    spec = PLANTS[kind]().mono_spec()
     manifest = {"seed": seed, "width": width, "epochs": epochs,
                 "weight_decay": wd, "variants": {}}
     failures = []
@@ -214,9 +223,9 @@ def cmd_train(config: dict, variants=None) -> int:
             else:
                 model, hist = tr.train_variant(
                     name, spec, data, seed=seed, width=width, epochs=epochs,
-                    weight_decay=wd, learning_rate=float(fixed_rate),
+                    weight_decay=wd, learning_rate=fixed_rate,
                 )
-                entry["learning_rate"] = float(fixed_rate)
+                entry["learning_rate"] = fixed_rate
             md.save_bundle(model, out / f"{name}.json")
             hist.save_csv(out / f"{name}_history.csv")
             entry["bundle"] = f"{name}.json"

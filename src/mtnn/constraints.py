@@ -12,6 +12,9 @@ stay >= 0), Decreasing (<= 0), or Free. Two enforcement routes:
 A determinant-based penalty on the Hessian blocks discourages negative
 curvature; det >= 0 is weaker than positive semidefiniteness, so a stricter
 leading-principal-minor variant is also available.
+
+The penalties exist only as graph ops, weighted by SIGN_WEIGHT and
+CURVATURE_WEIGHT; their numpy reference versions are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ Array = np.ndarray
 INCREASING = 1
 DECREASING = -1
 FREE = 0
+
+# hinge weights of the soft route: every sign violation, and gamma on every
+# negative determinant (or leading minor) of a Hessian block
+SIGN_WEIGHT = 1.0
+CURVATURE_WEIGHT = 0.1
 
 _SYMBOLS = {INCREASING: "+", DECREASING: "-", FREE: "."}
 _CODES = {v: k for k, v in _SYMBOLS.items()}
@@ -79,48 +87,6 @@ class MonoSpec:
     def to_symbols(self) -> list:
         return ["".join(_SYMBOLS[int(t)] for t in row) for row in self.tags]
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("\n".join(self.to_symbols()) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MonoSpec":
-        with open(path) as f:
-            return cls.from_symbols(f.read())
-
-
-@dataclass
-class PenaltyWeights:
-    """Hinge weights: one scalar per tag class by default, entrywise override."""
-
-    lam_inc: float = 1.0
-    lam_dec: float = 1.0
-    gamma: float = 0.1
-    lam_matrix: Array | None = None  # per-entry lambda, wins over the scalars
-
-    def __post_init__(self):
-        for name in ("lam_inc", "lam_dec", "gamma"):
-            w = getattr(self, name)
-            if not (np.isfinite(w) and w >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {w!r}")
-        if self.lam_matrix is not None:
-            self.lam_matrix = np.asarray(self.lam_matrix, dtype=np.float64)
-            if not (np.isfinite(self.lam_matrix).all() and (self.lam_matrix >= 0).all()):
-                raise ValueError("lam_matrix entries must be finite and nonnegative")
-
-    def lambdas_for(self, spec: MonoSpec) -> Array:
-        """Per-entry lambda matrix (zero on Free entries)."""
-        lam = np.where(
-            spec.tags == INCREASING,
-            self.lam_inc,
-            np.where(spec.tags == DECREASING, self.lam_dec, 0.0),
-        ).astype(np.float64)
-        if self.lam_matrix is not None:
-            if self.lam_matrix.shape != spec.tags.shape:
-                raise ValueError("lam_matrix shape does not match spec")
-            lam = np.where(spec.tags != FREE, self.lam_matrix, 0.0)
-        return lam
-
 
 def gate_derivative_mask(raw, tags) -> Array:
     """d(gated)/d(raw) entrywise, in {-1, 0, 1} (subgradient 0 at the kink).
@@ -147,69 +113,33 @@ def apply_sign_gate_graph(raw: Var, tags) -> Var:
     return graph.mul(raw, gate_derivative_mask(raw.value, tags))
 
 
-def mono_penalty(jac, spec: MonoSpec, weights: PenaltyWeights) -> float:
-    """Hinge on sign violations: sum lam * ReLU(-J[inc]) + lam * ReLU(J[dec])."""
-    jac = np.asarray(jac, dtype=np.float64)
-    if jac.shape != spec.tags.shape:
-        raise ValueError(f"jacobian {jac.shape} vs spec {spec.tags.shape}")
-    lam = weights.lambdas_for(spec)
-    inc = spec.tags == INCREASING
-    dec = spec.tags == DECREASING
-    pen = (lam * np.maximum(-jac, 0.0))[inc].sum() + (lam * np.maximum(jac, 0.0))[dec].sum()
-    return float(pen)
-
-
-def mono_penalty_rows_graph(rows: Var, spec: MonoSpec, weights: PenaltyWeights) -> Var:
-    """Graph twin over the ungated Jacobian rows (Nx, B, N): sum lam * ReLU(-tag * J)."""
-    lam = weights.lambdas_for(spec)[:, None, :]
+def mono_penalty_rows_graph(rows: Var, spec: MonoSpec) -> Var:
+    """Sign hinge over the ungated Jacobian rows (Nx, B, N):
+    SIGN_WEIGHT * sum ReLU(-tag * J), zero on Free entries."""
     neg_tags = -spec.tags[:, None, :].astype(np.float64)
-    return graph.sum_all(graph.mul(graph.relu(graph.mul(rows, neg_tags)), lam))
+    return graph.scale(graph.sum_all(graph.relu(graph.mul(rows, neg_tags))), SIGN_WEIGHT)
 
 
-def convex_penalty(hessian_blocks, gamma: float) -> float:
-    """sum_j gamma * ReLU(-det(block_j)); penalizes negative determinants."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    blocks = np.asarray(hessian_blocks, dtype=np.float64)
-    if blocks.ndim == 2:
-        blocks = blocks[None]
-    if blocks.shape[-1] != blocks.shape[-2]:
-        raise ValueError("Hessian blocks must be square")
-    dets = np.linalg.det(blocks)
-    return float(gamma * np.maximum(-dets, 0.0).sum())
+def convex_penalty_blocks_graph(blocks: Var) -> Var:
+    """CURVATURE_WEIGHT * sum ReLU(-det(block)) over the Hessian blocks
+    (Nx, B, N, N); penalizes negative determinants."""
+    return graph.scale(graph.sum_all(graph.relu(-graph.det(blocks))), CURVATURE_WEIGHT)
 
 
-def convex_penalty_blocks_graph(blocks: Var, gamma: float) -> Var:
-    """Graph twin over the Hessian blocks (Nx, B, N, N), summed over all blocks."""
-    return graph.scale(graph.sum_all(graph.relu(-graph.det(blocks))), float(gamma))
-
-
-def principal_minor_penalty(hessian_blocks, gamma: float) -> float:
-    """Stricter variant: hinge every leading principal minor, not just det.
+def principal_minor_penalty_blocks_graph(blocks: Var) -> Var:
+    """Stricter variant over the blocks (Nx, B, N, N): hinge every leading
+    principal minor, not just det.
 
     det >= 0 alone does not give positive semidefiniteness; nonnegative
     leading principal minors give positive *semi*definiteness only in the
     limit (they certify PD when strict), which is still a much tighter
     surrogate than the bare determinant.
     """
-    blocks = np.asarray(hessian_blocks, dtype=np.float64)
-    if blocks.ndim == 2:
-        blocks = blocks[None]
-    n = blocks.shape[-1]
-    pen = 0.0
-    for m in range(1, n + 1):
-        dets = np.linalg.det(blocks[:, :m, :m]) if m > 1 else blocks[:, 0, 0]
-        pen += np.maximum(-dets, 0.0).sum()
-    return float(gamma * pen)
-
-
-def principal_minor_penalty_blocks_graph(blocks: Var, gamma: float) -> Var:
-    """Graph twin of principal_minor_penalty over the blocks (Nx, B, N, N)."""
     total = None
     for m in range(1, blocks.value.shape[-1] + 1):
         term = graph.sum_all(graph.relu(-graph.det(_leading_block(blocks, m))))
         total = term if total is None else total + term
-    return graph.scale(total, float(gamma))
+    return graph.scale(total, CURVATURE_WEIGHT)
 
 
 def _leading_block(blk: Var, m: int) -> Var:

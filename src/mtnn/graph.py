@@ -225,11 +225,6 @@ def sum_all(x: Var) -> Var:
     return Var(x.value.sum(), (x,), lambda g: (np.broadcast_to(g, shp).copy(),))
 
 
-def mean_all(x: Var) -> Var:
-    n = x.value.size
-    return scale(sum_all(x), 1.0 / n)
-
-
 def backward(root: Var) -> None:
     """Populate .grad on every node reachable from a scalar root."""
     if root.value.shape != ():

@@ -162,8 +162,8 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     Under the architecture gate the block rows are masked by the gate
     derivative (a step function of the raw output, read from the same net
     pass), which is the almost-everywhere exact derivative of the gated
-    rows. The Taylor step does not build these blocks; the numpy loss of the
-    curvature penalties (`training.loss_components`) and the tests read them.
+    rows. The Taylor step does not build these blocks; only the tests read
+    them, among them the numpy loss oracle in `tests/oracles.py`.
     """
     Z = _as_z(Z_prev, model.n)
     raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z))
@@ -285,12 +285,15 @@ def model_from_dict(d: dict):
         if kind == "baseline":
             return BaselineModel(nn.net_from_dict(d["net"]), int(d["nx"]))
         if kind == "mtnn":
+            if not isinstance(d["symmetrize_hessian"], bool):
+                raise ValueError("symmetrize_hessian must be a JSON boolean, "
+                                 f"got {d['symmetrize_hessian']!r}")
             return MtnnModel(
                 nn.stack(nn.net_from_dict(nd) for nd in d["nets"]),
                 MonoSpec.from_symbols(d["mono_spec"]),
                 TaylorOrder(d["order"]),
                 GateMode(d["gate_mode"]),
-                bool(d["symmetrize_hessian"]),
+                d["symmetrize_hessian"],
             )
     except KeyError as e:
         raise ValueError(f"bundle record lacks the field {e.args[0]!r}") from None

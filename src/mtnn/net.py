@@ -28,7 +28,6 @@ tangent passes through them: J = out_scale[:,None] * J_core / in_scale[None,:].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +92,6 @@ class DenseNet:
     @property
     def layer_dims(self) -> list:
         return [self.n_in] + [W.shape[1] for W in self.weights]
-
-    @property
-    def n_params(self) -> int:
-        return sum(W.size for W in self.weights) + sum(b.size for b in self.biases)
 
     def copy(self) -> "DenseNet":
         return DenseNet(
@@ -266,25 +261,13 @@ def input_jacobian(net: DenseNet, z, v=None) -> tuple:
     return (out[:, 0], t[:, 0]) if single else (out, t)
 
 
-def fd_input_jacobian(net: DenseNet, z, step: float = 1e-5) -> Array:
-    """Central-difference Jacobian, the validation oracle for input_jacobian."""
-    z = np.asarray(z, dtype=np.float64)
-    J = np.zeros((net.n_stack, net.n_out, net.n_in))
-    for i in range(net.n_in):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += step
-        zm[i] -= step
-        J[:, :, i] = (forward(net, zp) - forward(net, zm)) / (2 * step)
-    return J
-
-
 class NetTape:
     """Records evaluations of one net stack with its parameters as graph leaves.
 
-    A loss callback receives the tape, calls `forward` / `forward_and_jacobian`
-    on plain-array inputs (or Var inputs, for the controller), combines the
-    resulting Vars into a scalar with `mtnn.graph` ops, and returns it.
-    `loss_gradient` then backpropagates to every parameter.
+    A caller runs `forward` / `forward_and_jacobian` on plain-array inputs
+    (or Var inputs, for the controller) and combines the resulting Vars into
+    a scalar with `mtnn.graph` ops; `graph.backward` on that scalar, then
+    `gradients`, gives d(scalar)/d(theta) for every parameter.
     """
 
     def __init__(self, net: DenseNet):
@@ -365,51 +348,6 @@ class ParamGradient:
     biases: list
 
 
-def loss_gradient(net: DenseNet, loss_fn):
-    """Evaluate loss_fn(tape) and return (loss value, ParamGradient).
-
-    loss_fn builds a scalar Var from tape.forward / tape.forward_and_jacobian
-    calls; the gradient is exact, including paths through Jacobian entries.
-    """
-    tape = NetTape(net)
-    out = loss_fn(tape)
-    val = float(out.value)
-    if not np.isfinite(val):
-        raise TrainingFault(f"non-finite loss value {val!r}")
-    graph.backward(out)
-    grad = tape.gradients()
-    for arr in grad.weights + grad.biases:
-        if not np.all(np.isfinite(arr)):
-            raise TrainingFault("non-finite parameter gradient")
-    return val, grad
-
-
-def fd_loss_gradient(net: DenseNet, loss_fn, step: float = 1e-6) -> ParamGradient:
-    """Central-difference gradient of loss_fn over every parameter (test oracle)."""
-
-    def value():
-        tape = NetTape(net)
-        return float(loss_fn(tape).value)
-
-    gw, gb = [], []
-    for arrs, out in ((net.weights, gw), (net.biases, gb)):
-        for A in arrs:
-            G = np.zeros_like(A)
-            it = np.nditer(A, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = A[idx]
-                A[idx] = orig + step
-                fp = value()
-                A[idx] = orig - step
-                fm = value()
-                A[idx] = orig
-                G[idx] = (fp - fm) / (2 * step)
-                it.iternext()
-            out.append(G)
-    return ParamGradient(gw, gb)
-
-
 def net_to_dict(net: DenseNet) -> dict:
     """An `mtnn-v1` record; it holds one net, so a stack is saved member by member."""
     if net.n_stack != 1:
@@ -444,14 +382,3 @@ def net_from_dict(d: dict) -> DenseNet:
     if net.layer_dims != list(d["layer_dims"]):
         raise ValueError("layer_dims field disagrees with stored weights")
     return net
-
-
-def save_net(net: DenseNet, path) -> None:
-    with open(path, "w") as f:
-        json.dump(net_to_dict(net), f, sort_keys=True)
-        f.write("\n")
-
-
-def load_net(path) -> DenseNet:
-    with open(path) as f:
-        return net_from_dict(json.load(f))

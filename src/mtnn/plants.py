@@ -18,13 +18,29 @@ sign priors the models train against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
 from .constraints import MonoSpec
 
 Array = np.ndarray
+
+
+def _check_fields(plant, positive) -> None:
+    """Every field of `plant` is a finite real; those named in `positive` are > 0."""
+    for f in fields(plant):
+        v, name = getattr(plant, f.name), f"{type(plant).__name__}.{f.name}"
+        if isinstance(v, bool) or not isinstance(v, Real) or not np.isfinite(v):
+            raise ValueError(f"{name} must be a finite real number, got {v!r}")
+        if f.name in positive and not v > 0:
+            raise ValueError(f"{name} must be > 0, got {v!r}")
+
+
+def _check_noise(sigma) -> None:
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {sigma!r}")
 
 
 @dataclass
@@ -42,8 +58,9 @@ class HvacPlant:
     nu = 2
 
     def __post_init__(self):
-        if self.C <= 0 or self.c_p <= 0 or self.k_a < 0:
-            raise ValueError("need C > 0, c_p > 0, k_a >= 0")
+        _check_fields(self, positive=("C", "c_p", "dt", "mdot_max"))
+        if self.k_a < 0:
+            raise ValueError(f"HvacPlant.k_a must be >= 0, got {self.k_a!r}")
         # monotone audit over the declared flow range: dT'/dT >= 0 needs
         # (dt/C)(mdot c_p + k_a) <= 1, worst at mdot_max; dT'/dTs >= 0 always
         for m in np.linspace(0.0, self.mdot_max, 101):
@@ -90,6 +107,7 @@ class TcLabPlant:
     nu = 2
 
     def __post_init__(self):
+        _check_fields(self, positive=("dt",))
         if min(self.alpha1, self.alpha2, self.k_loss, self.k_couple) < 0:
             raise ValueError("coefficients must be nonnegative")
         # own-temperature partial 1 - dt (k_loss + k_couple) must stay >= 0
@@ -166,6 +184,7 @@ class ExcitePolicy:
             raise ValueError("need lo <= hi per channel")
         if not self.dwell_choices or any(d < 1 for d in self.dwell_choices):
             raise ValueError("dwell choices must be positive sample counts")
+        _check_noise(self.noise_sigma)
 
 
 def excite(plant, policy: ExcitePolicy, n: int, seed: int, x0) -> Series:
@@ -331,6 +350,7 @@ def hvac_benchmark(
     with another k_a may still miss the range shift, which raises
     RuntimeError.
     """
+    _check_noise(noise_sigma)
     plant = HvacPlant() if plant is None else plant
     scale = (plant.T_amb - 55.0) / (85.0 - 55.0)
 

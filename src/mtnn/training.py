@@ -4,9 +4,11 @@ baselines.
 The total loss is the batch-mean squared prediction error plus, per mode,
 a sign-violation hinge on the learned Jacobian rows and/or a determinant
 hinge on the learned Hessian blocks, both evaluated at the expansion point
-z_prev of each sample.  Gradients are exact (a.e. for the gates/hinges):
-the penalty terms read in-graph Jacobians, so their parameter gradients
-flow through the nested derivative.
+z_prev of each sample and weighted by the `constraints` constants.  The
+loss exists only on the graph; its numpy reference is `tests/oracles.py`.
+Gradients are exact (a.e. for the gates/hinges): the penalty terms read
+in-graph Jacobians, so their parameter gradients flow through the nested
+derivative.
 
 Every variant trains through one loop, `train`: each epoch evaluates the
 loss on the whole data set and takes one Adam step, and the run returns the
@@ -14,14 +16,15 @@ parameters of its best recorded epoch.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import constraints, graph
+from . import model as md
 from . import net as nn
-from .constraints import DECREASING, MonoSpec, PenaltyWeights
+from .constraints import DECREASING, MonoSpec
 from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
 from .net import TrainingFault
 from .plants import transitions_to_arrays
@@ -56,11 +59,11 @@ class TrainMode(str, Enum):
 
 @dataclass
 class TrainConfig:
-    """Settings of one full-batch `train` run (Adam at fixed moment rates)."""
+    """Settings of one full-batch `train` run; Adam's rates and the hinge
+    weights are constants."""
 
     learning_rate: float = 1e-3
     epochs: int = 300
-    penalty: PenaltyWeights = field(default_factory=PenaltyWeights)
     mode: TrainMode = TrainMode.MSE
     weight_decay: float = 0.0  # decoupled, weight matrices only
     strict_minors: bool = False  # hinge all leading principal minors, not just det
@@ -115,51 +118,6 @@ class TrainHistory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _check_mode(model, cfg: TrainConfig) -> None:
-    if cfg.mode is not TrainMode.MSE and isinstance(model, BaselineModel):
-        raise ValueError("penalty modes need a Taylor model, not a baseline")
-
-
-def loss_components(model, batch, cfg: TrainConfig):
-    """(total, mse, mono, convex) on a batch, all batch means.
-
-    Reference implementation in plain numpy; training itself uses the graph
-    twin below, which must agree with this one to rounding.
-    """
-    from . import model as md
-
-    _check_mode(model, cfg)
-    Zp, Zc, Xn = transitions_to_arrays(batch)
-    B = Zp.shape[0]
-    pred = md.predict_batch(model, Zc, Zp)
-    per_sample = np.sum((Xn - pred) ** 2, axis=1)
-    if not np.all(np.isfinite(per_sample)):
-        bad = int(np.argmax(~np.isfinite(per_sample)))
-        raise TrainingFault(f"non-finite loss at sample {bad}")
-    mse = float(np.mean(per_sample))
-    mono = convex = 0.0
-    if cfg.mode.wants_mono:
-        J = md.jacobian_matrix_batch(model, Zp)
-        mono = sum(
-            constraints.mono_penalty(J[b], model.mono_spec, cfg.penalty)
-            for b in range(B)
-        ) / B
-    if cfg.mode.wants_convex:
-        H = md.hessian_stack_batch(model, Zp)
-        pen_fn = (
-            constraints.principal_minor_penalty
-            if cfg.strict_minors
-            else constraints.convex_penalty
-        )
-        convex = sum(pen_fn(H[b], cfg.penalty.gamma) for b in range(B)) / B
-    total = mse + mono + convex
-    return total, mse, mono, convex
-
-
-def total_loss(model, batch, cfg: TrainConfig) -> float:
-    return loss_components(model, batch, cfg)[0]
-
-
 def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
     """Build the batch loss as a scalar Var; returns (total, components).
 
@@ -180,7 +138,7 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
     total = mse
     mono_val = convex_val = 0.0
     if cfg.mode.wants_mono:
-        pen = constraints.mono_penalty_rows_graph(rows, model.mono_spec, cfg.penalty)
+        pen = constraints.mono_penalty_rows_graph(rows, model.mono_spec)
         pen = graph.scale(pen, 1.0 / B)
         mono_val = float(pen.value)
         total = total + pen
@@ -190,7 +148,7 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
             if cfg.strict_minors
             else constraints.convex_penalty_blocks_graph
         )
-        pen = graph.scale(pen_fn(blocks, cfg.penalty.gamma), 1.0 / B)
+        pen = graph.scale(pen_fn(blocks), 1.0 / B)
         convex_val = float(pen.value)
         total = total + pen
     return total, (float(mse.value), mono_val, convex_val)
@@ -231,8 +189,6 @@ class _Adam:
 
 
 def _offending_sample(model, Zp, Zc, Xn) -> int:
-    from . import model as md
-
     with np.errstate(all="ignore"):
         pred = md.predict_batch(model, Zc, Zp)
         per = np.sum((Xn - pred) ** 2, axis=1)
@@ -266,7 +222,8 @@ def train(model, data, cfg: TrainConfig):
     mode on a `BaselineModel` is a ValueError; divergence is a
     `TrainingFault` whose `history` holds the completed epochs.
     """
-    _check_mode(model, cfg)
+    if cfg.mode is not TrainMode.MSE and isinstance(model, BaselineModel):
+        raise ValueError("penalty modes need a Taylor model, not a baseline")
     Zp, Zc, Xn = transitions_to_arrays(data)
     if len(Zp) < 2:
         raise ValueError("need at least 2 training samples")
@@ -430,6 +387,14 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
     return train(build_variant(name, mono_spec, data, width=width, seed=seed), data, cfg)
 
 
+def _heldout_mse(model, data) -> float:
+    """Batch-mean squared prediction error on `data`; inf if non-finite."""
+    Zp, Zc, Xn = transitions_to_arrays(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = float(np.mean(np.sum((Xn - md.predict_batch(model, Zc, Zp)) ** 2, axis=1)))
+    return mse if np.isfinite(mse) else np.inf
+
+
 def lr_sweep(build_fn, data, cfg: TrainConfig, rates=SWEEP_RATES):
     """Pick a learning rate by chronological 80/20 validation, then refit.
 
@@ -443,14 +408,13 @@ def lr_sweep(build_fn, data, cfg: TrainConfig, rates=SWEEP_RATES):
     if n_fit < 2 or n - n_fit < 1:
         raise ValueError(f"too few samples ({n}) for a sweep split")
     fit, val = data[:n_fit], data[n_fit:]
-    mse_cfg = replace(cfg, mode=TrainMode.MSE)
     report = {}
     for rate in rates:
         if rate <= 0:
             raise ValueError("sweep rates must be positive")
         try:
             candidate, _ = train(build_fn(), fit, replace(cfg, learning_rate=rate))
-            report[rate] = total_loss(candidate, val, mse_cfg)
+            report[rate] = _heldout_mse(candidate, val)
         except TrainingFault:
             report[rate] = np.inf
     best_rate = min(report, key=lambda r: (report[r], r))

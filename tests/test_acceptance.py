@@ -5,13 +5,16 @@ benchmark study shared by the ordering criteria."""
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtnn
 from mtnn import constraints as ct
 from mtnn import evaluation as ev
 from mtnn import graph as g
@@ -20,6 +23,7 @@ from mtnn import mpc as ctrl
 from mtnn import net as nn
 from mtnn import plants as pl
 from mtnn import training as tr
+import oracles
 
 
 def report(num, label, ok, detail):
@@ -46,17 +50,18 @@ def test_criterion_1_differentiation_matches_finite_differences():
         assert n_params <= 200
         z = rng.normal(size=n_in)
         worst = max(worst, rel_err(nn.input_jacobian(net, z)[1],
-                                   nn.fd_input_jacobian(net, z)))
+                                   oracles.fd_input_jacobian(net, z)))
         Z = rng.normal(size=(3, n_in))
         dz = rng.normal(size=(3, n_in))
 
         def loss(tape):
             out, J = tape.forward_and_jacobian(Z)
             resid = out + g.bmat_vec(J, g.constant(dz))
-            return g.mean_all(resid * resid) + g.scale(g.sum_all(J * J), 0.1)
+            mse = g.scale(g.sum_all(resid * resid), 1.0 / resid.value.size)
+            return mse + g.scale(g.sum_all(J * J), 0.1)
 
-        _, grad = nn.loss_gradient(net, loss)
-        fd = nn.fd_loss_gradient(net, loss)
+        _, grad = oracles.loss_gradient(net, loss)
+        fd = oracles.fd_loss_gradient(net, loss)
         for got, want in zip(grad.weights + grad.biases, fd.weights + fd.biases):
             worst = max(worst, rel_err(got, want))
     dt = time.perf_counter() - t0
@@ -236,6 +241,9 @@ def test_criterion_8_closed_loop_tracking(tclab_mono1):
 def test_criterion_9_cli_rerun_is_byte_identical(tmp_path):
     files = ("train.csv", "test.csv", "taylor1.json", "mono1.json",
              "train_manifest.json", "table.csv")
+    # the CLI runs the mtnn this test imported, installed or from src/
+    paths = (str(Path(mtnn.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     blobs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
@@ -250,7 +258,7 @@ def test_criterion_9_cli_rerun_is_byte_identical(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "mtnn.cli", command,
                  "--config", str(cfg_path)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
         blobs.append(b"".join((out / name).read_bytes() for name in files))
     report(9, "determinism", blobs[0] == blobs[1],

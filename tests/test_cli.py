@@ -399,6 +399,38 @@ class TestConfigKeys:
     def test_plant_fields_are_accepted(self, trained_run, tmp_path):
         assert self.run_with(trained_run, tmp_path, "mpc", "plant", "k_loss", 0.008) == 0
 
+    @pytest.mark.parametrize("command,kind,section,key,value", [
+        ("gen-data", "tclab", "plant", "noise_sigma", None),
+        ("gen-data", "tclab", "plant", "noise_sigma", [1]),
+        ("gen-data", "tclab", "plant", "noise_sigma", -0.05),
+        ("gen-data", "hvac", "plant", "noise_sigma", -0.05),
+        ("gen-data", "hvac", "plant", "T_amb", None),
+        ("gen-data", "tclab", "plant", "T_amb", None),
+        ("gen-data", "tclab", "plant", "T_amb", float("nan")),
+        ("gen-data", "tclab", "plant", "dt", 0),
+        ("gen-data", "hvac", "plant", "mdot_max", 0.0),
+        ("train", "tclab", "train", "weight_decay", None),
+        ("train", "tclab", "train", "learning_rate", "0.01"),
+        ("mpc", "tclab", "bundle", "symmetrize_hessian", "false"),
+    ])
+    def test_malformed_number_is_an_error_naming_its_key(self, trained_run, tmp_path, capsys,
+                                                          command, kind, section, key, value):
+        dest, _ = clone_run(trained_run, tmp_path)
+        cfg = dict(base_config(dest), mpc=TestMpc().mpc_section())
+        if kind == "hvac":  # the default room and split, whose range shift holds
+            cfg["plant"] = {"kind": "hvac"}
+            del cfg["split"]
+        if section == "bundle":  # a field of the bundle the mpc section names
+            path = dest / cfg["mpc"]["bundle"]
+            path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+        else:
+            cfg[section][key] = value
+        csvs = {p.name: p.read_bytes() for p in dest.glob("*.csv")}
+        assert run(command, "--config", write_config(cfg, tmp_path / "k.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert {p.name: p.read_bytes() for p in dest.glob("*.csv")} == csvs
+
 
 class TestFullChain:
     def test_gen_train_eval_rerun_matches_bytes(self, tmp_path):

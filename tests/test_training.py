@@ -1,6 +1,7 @@
 """Loss composition, gradient training, variants, and the LR sweep."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mtnn import plants as pl
 from mtnn import training as tr
 from mtnn.model import BaselineModel, GateMode, MtnnModel, TaylorOrder
 from mtnn.net import TrainingFault
+import oracles
 
 
 def make_transitions(rng, B, nx, nu, scale=1.0):
@@ -39,6 +41,10 @@ def flat_params(model):
     return [*model.net.weights, *model.net.biases]
 
 
+def total_loss(model, data, cfg):
+    return oracles.loss_components(model, data, cfg)[0]
+
+
 class TestTotalLoss:
     def test_zero_residual(self):
         # zero increment predicts x_curr exactly; make that the target
@@ -46,7 +52,7 @@ class TestTotalLoss:
         Z = rng.normal(size=(6, 3))
         data = [pl.Transition(Z[i], Z[i], Z[i, :1]) for i in range(6)]
         model = make_model(1, nx=1, nu=2)
-        assert tr.total_loss(model, data, tr.TrainConfig()) == 0.0
+        assert total_loss(model, data, tr.TrainConfig()) == 0.0
 
     def test_single_sample_squared_residual(self):
         net = nn.init_dense([2, 2], 0, "linear")
@@ -55,20 +61,20 @@ class TestTotalLoss:
         model = MtnnModel([net], ct.MonoSpec.free(1, 2), TaylorOrder.FIRST, GateMode.NONE)
         z = np.array([1.0, 2.0])
         data = [pl.Transition(z, z + 1.0, np.array([2.3]))]  # pred = x_curr = 2.0
-        assert tr.total_loss(model, data, tr.TrainConfig()) == pytest.approx(0.09, abs=1e-15)
+        assert total_loss(model, data, tr.TrainConfig()) == pytest.approx(0.09, abs=1e-15)
 
     def test_mono_soft_composition(self):
         rng = np.random.default_rng(3)
         data = make_transitions(rng, 8, 2, 1)
         model = make_model(4, nx=2, nu=1, tags=["+-.", ".+-"])
         cfg = tr.TrainConfig(mode=tr.TrainMode.MONO_SOFT)
-        total, mse, mono, convex = tr.loss_components(model, data, cfg)
+        total, mse, mono, convex = oracles.loss_components(model, data, cfg)
         assert convex == 0.0
         assert mono > 0  # random nets should violate something
-        mse_only = tr.total_loss(model, data, tr.TrainConfig(mode=tr.TrainMode.MSE))
+        mse_only = total_loss(model, data, tr.TrainConfig(mode=tr.TrainMode.MSE))
         from mtnn import model as md
         J = md.jacobian_matrix_batch(model, np.stack([t.z_prev for t in data]))
-        pen = np.mean([ct.mono_penalty(J[b], model.mono_spec, cfg.penalty)
+        pen = np.mean([oracles.mono_penalty(J[b], model.mono_spec)
                        for b in range(len(data))])
         assert total == mse_only + pen
 
@@ -77,7 +83,7 @@ class TestTotalLoss:
         model = BaselineModel(net, nx=1)
         data = make_transitions(np.random.default_rng(0), 4, 1, 2)
         with pytest.raises(ValueError):
-            tr.total_loss(model, data, tr.TrainConfig(mode=tr.TrainMode.MONO_SOFT))
+            tr.train(model, data, tr.TrainConfig(mode=tr.TrainMode.MONO_SOFT))
 
     def test_strict_minors_tighter_than_det(self):
         # H = -I has det +1 (no det hinge) but a negative leading minor
@@ -86,8 +92,8 @@ class TestTotalLoss:
         net.biases[0][:] = 0.0
         model = MtnnModel([net], ct.MonoSpec.free(1, 2), TaylorOrder.SECOND, GateMode.NONE)
         data = make_transitions(np.random.default_rng(1), 5, 1, 1)
-        loose = tr.loss_components(model, data, tr.TrainConfig(mode=tr.TrainMode.CONVEX))
-        strict = tr.loss_components(
+        loose = oracles.loss_components(model, data, tr.TrainConfig(mode=tr.TrainMode.CONVEX))
+        strict = oracles.loss_components(
             model, data, tr.TrainConfig(mode=tr.TrainMode.CONVEX, strict_minors=True)
         )
         assert loose[3] == 0.0
@@ -115,7 +121,7 @@ class TestLossGraphTwin:
         Zp, Zc, Xn = pl.transitions_to_arrays(data)
         tape = nn.NetTape(model.net)
         total_var, comps = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
-        ref = tr.loss_components(model, data, cfg)
+        ref = oracles.loss_components(model, data, cfg)
         np.testing.assert_allclose(float(total_var.value), ref[0], rtol=1e-12)
         np.testing.assert_allclose(comps, ref[1:], rtol=1e-12)
 
@@ -129,7 +135,7 @@ class TestLossGraphTwin:
         tape = nn.NetTape(model.net)
         total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         np.testing.assert_allclose(
-            float(total_var.value), tr.total_loss(model, data, cfg), rtol=1e-12
+            float(total_var.value), total_loss(model, data, cfg), rtol=1e-12
         )
 
     @pytest.mark.parametrize("order,gate,mode,strict", CASES)
@@ -152,9 +158,9 @@ class TestLossGraphTwin:
                 idx = it.multi_index
                 orig = A[idx]
                 A[idx] = orig + step
-                fp = tr.total_loss(model, data, cfg)
+                fp = total_loss(model, data, cfg)
                 A[idx] = orig - step
-                fm = tr.total_loss(model, data, cfg)
+                fm = total_loss(model, data, cfg)
                 A[idx] = orig
                 fd = (fp - fm) / (2 * step)
                 assert abs(G[idx] - fd) < 1e-5 * max(1.0, abs(fd)), (idx, G[idx], fd)
@@ -177,14 +183,14 @@ class TestTrain:
         data = self.linear_problem()
         cfg = tr.TrainConfig(learning_rate=3e-2, epochs=500)
         model, hist = tr.train(self.linear_model(), data, cfg)
-        assert tr.total_loss(model, data, cfg) < 1e-8
+        assert total_loss(model, data, cfg) < 1e-8
         assert len(hist) == 500
 
     def test_returns_best_recorded_epoch(self):
         data = self.linear_problem()
         cfg = tr.TrainConfig(learning_rate=0.5, epochs=40)  # oscillatory
         model, hist = tr.train(self.linear_model(), data, cfg)
-        got = tr.total_loss(model, data, cfg)
+        got = total_loss(model, data, cfg)
         np.testing.assert_allclose(got, hist.total.min(), rtol=1e-9)
         assert hist.total.min() <= hist.total[-1]
 
@@ -248,9 +254,9 @@ class TestTrain:
                              mode=tr.variant_train_mode(name))
         trained, hist = tr.train(model, data, cfg)
         np.testing.assert_allclose(
-            hist.total[0], tr.loss_components(model, data, cfg)[0], rtol=1e-12
+            hist.total[0], oracles.loss_components(model, data, cfg)[0], rtol=1e-12
         )
-        got = tr.loss_components(trained, data, cfg)
+        got = oracles.loss_components(trained, data, cfg)
         best = int(np.argmin(hist.total))
         np.testing.assert_allclose(got[0], hist.total.min(), rtol=1e-9)
         np.testing.assert_allclose(
@@ -463,9 +469,50 @@ class TestLrSweep:
         assert rate == 3e-2
         assert set(report) == {3e-2, 1e-9}
         assert report[3e-2] < report[1e-9]
-        assert tr.total_loss(model, prob, cfg) < 1e-6
+        assert total_loss(model, prob, cfg) < 1e-6
 
     def test_too_small_split_rejected(self):
         prob = TestTrain().linear_problem(B=2)
         with pytest.raises(ValueError):
             tr.lr_sweep(lambda: TestTrain().linear_model(), prob, tr.TrainConfig(epochs=1))
+
+    def test_report_is_the_heldout_mse(self):
+        # a soft mode, so the loss the candidates train on is not the MSE
+        prob = TestTrain().linear_problem(B=40)
+        spec = ct.MonoSpec.from_symbols(["-+"])
+
+        def build():
+            return MtnnModel([nn.init_dense([2, 2], 3, "linear")], spec)
+
+        cfg = tr.TrainConfig(epochs=60, mode=tr.TrainMode.MONO_SOFT)
+        _, _, _, report = tr.lr_sweep(build, prob, cfg, rates=(3e-2, 1e-3))
+        fit, val = prob[:32], prob[32:]  # the chronological 80/20 split
+        for rate, got in report.items():
+            candidate, _ = tr.train(build(), fit, replace(cfg, learning_rate=rate))
+            comps = oracles.loss_components(candidate, val, cfg)
+            assert got == comps[1]
+            assert comps[2] > 0.0  # the penalty is left out of the report
+
+    def test_nonfinite_heldout_prediction_reads_inf(self, monkeypatch):
+        prob = TestTrain().linear_problem(B=40)
+        real_train = tr.train
+
+        def train(model, data, cfg):
+            # the 1e-9 candidate predicts NaN everywhere; its training was fine
+            model, hist = real_train(model, data, cfg)
+            if cfg.learning_rate == 1e-9:
+                model.net.biases[-1][:] = np.nan
+            return model, hist
+
+        monkeypatch.setattr(tr, "train", train)
+        _, _, rate, report = tr.lr_sweep(lambda: TestTrain().linear_model(), prob,
+                                         tr.TrainConfig(epochs=20), rates=(3e-2, 1e-9))
+        assert rate == 3e-2
+        assert report[1e-9] == np.inf and np.isfinite(report[3e-2])
+
+    def test_every_rate_diverging_is_a_fault(self):
+        prob = TestTrain().linear_problem(B=40)
+        prob[3] = pl.Transition(prob[3].z_prev, prob[3].z_curr, np.array([1e200]))
+        with pytest.raises(TrainingFault, match="every sweep rate diverged"):
+            tr.lr_sweep(lambda: TestTrain().linear_model(), prob,
+                        tr.TrainConfig(epochs=5), rates=(3e-2, 1e-3))
