@@ -86,7 +86,7 @@ def _integer(value, name: str) -> int:
 
 def _real(value, name: str) -> float:
     """`value` as a float; it must be a finite int or float, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float)) and np.isfinite(value)):
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and pl.finite(value)):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 

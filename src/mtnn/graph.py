@@ -161,12 +161,22 @@ def transpose_last(A: Var) -> Var:
 
 
 def det(A: Var) -> Var:
-    """Batched determinant of A[..., N, N] via LU; gradient is the cofactor matrix."""
+    """Batched determinant of A[..., N, N] via LU; gradient is the cofactor matrix.
+
+    The VJP builds cofactors only for the blocks whose upstream gradient is
+    nonzero (a NaN or inf counts as nonzero, so it still propagates); the
+    others get exact zeros. A determinant hinge is live on few blocks, so
+    most of them are skipped.
+    """
     Av = A.value
     val = np.linalg.det(Av)
 
     def vjp(g):
-        return (g[..., None, None] * _cofactor(Av),)
+        out = np.zeros_like(Av)
+        live = g != 0.0
+        if live.any():
+            out[live] = g[live][..., None, None] * _cofactor(Av[live])
+        return (out,)
 
     return Var(val, (A,), vjp)
 
@@ -176,19 +186,16 @@ def _cofactor(A: Array) -> Array:
 
     Computed from minors so it stays exact at singular matrices, where
     det(A) * inv(A).T is unavailable. N is small here (a handful of states
-    and inputs), so the N^2 minor determinants are cheap.
+    and inputs), so all N^2 minors go through one batched determinant.
     """
     n = A.shape[-1]
     if n == 1:
         return np.ones_like(A)
-    C = np.empty_like(A)
-    rows = np.arange(n)
-    for i in range(n):
-        minor_rows = A[..., rows != i, :]
-        for j in range(n):
-            minor = minor_rows[..., rows != j]
-            C[..., i, j] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
-    return C
+    idx = np.arange(n)
+    keep = np.array([idx[idx != i] for i in range(n)])  # row/column i struck out
+    minors = A[..., keep[:, None, :, None], keep[None, :, None, :]]  # (..., n, n, n-1, n-1)
+    sign = (-1.0) ** (idx[:, None] + idx[None, :])
+    return sign * np.linalg.det(minors)
 
 
 def concat_last(parts: Sequence) -> Var:
@@ -226,40 +233,42 @@ def sum_all(x: Var) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Populate .grad on every node reachable from a scalar root."""
+    """Populate .grad on every node reachable from a scalar root.
+
+    Each reached node's .grad is reset before the walk, so a graph can be
+    walked again from another root; a node not reached keeps its old .grad.
+    Gradients are summed in reverse topological order of one depth-first
+    walk, so the sums run in the same order on every call.
+    """
     if root.value.shape != ():
         raise ValueError(f"backward expects a scalar root, got shape {root.value.shape}")
 
     order: list[Var] = []
-    seen: set[int] = set()
+    seen: set[Var] = set()
     stack: list[tuple[Var, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
+        node.grad = None
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, Array] = {id(root): np.ones(())}
+    root.grad = np.ones(())
     for node in reversed(order):
-        g = grads.get(id(node))
-        node.grad = g
+        g = node.grad
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
             if pg.shape != parent.value.shape:
                 pg = _sum_to(pg, parent.value.shape)
-            pid = id(parent)
-            if pid in grads:
-                grads[pid] = grads[pid] + pg
-            else:
-                grads[pid] = pg
+            parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
 def _sum_to(g: Array, shape: tuple) -> Array:

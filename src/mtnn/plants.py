@@ -18,6 +18,7 @@ sign priors the models train against.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from numbers import Real
 
@@ -28,18 +29,24 @@ from .constraints import MonoSpec
 Array = np.ndarray
 
 
+def finite(v) -> bool:
+    """Whether the real number `v` is finite as a float. An int too large
+    for a float is not; np.isfinite would raise TypeError on it."""
+    return bool(abs(v) <= sys.float_info.max)
+
+
 def _check_fields(plant, positive) -> None:
     """Every field of `plant` is a finite real; those named in `positive` are > 0."""
     for f in fields(plant):
         v, name = getattr(plant, f.name), f"{type(plant).__name__}.{f.name}"
-        if isinstance(v, bool) or not isinstance(v, Real) or not np.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, Real) or not finite(v):
             raise ValueError(f"{name} must be a finite real number, got {v!r}")
         if f.name in positive and not v > 0:
             raise ValueError(f"{name} must be > 0, got {v!r}")
 
 
 def _check_noise(sigma) -> None:
-    if not (np.isfinite(sigma) and sigma >= 0):
+    if not (finite(sigma) and sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {sigma!r}")
 
 

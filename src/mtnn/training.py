@@ -27,7 +27,7 @@ from . import net as nn
 from .constraints import DECREASING, MonoSpec
 from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
 from .net import TrainingFault
-from .plants import transitions_to_arrays
+from .plants import finite, transitions_to_arrays
 
 Array = np.ndarray
 
@@ -71,14 +71,14 @@ class TrainConfig:
     def __post_init__(self):
         self.mode = TrainMode(self.mode)
         n = self.epochs
-        if not (np.isfinite(n) and n >= 1 and n == int(n)):
+        if not (finite(n) and n >= 1 and n == int(n)):
             raise ValueError(f"epochs must be an integer >= 1, got {n!r}")
         self.epochs = int(n)
         lr = self.learning_rate
-        if not (np.isfinite(lr) and lr > 0):
+        if not (finite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr!r}")
         wd = self.weight_decay
-        if not (np.isfinite(wd) and wd >= 0):
+        if not (finite(wd) and wd >= 0):
             raise ValueError(f"weight_decay must be finite and nonnegative, got {wd!r}")
 
 
@@ -155,37 +155,51 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
 
 
 class _Adam:
-    """Adaptive moment estimation over a flat list of live arrays.
+    """Adaptive moment estimation over one flat parameter vector, updated
+    in place.
 
     Weight decay is decoupled (applied directly to the iterate, not the
-    gradient) and skips entries flagged as biases.
+    gradient) and touches only the leading `n_decay` entries, the weights.
     """
 
-    def __init__(self, arrays, cfg: TrainConfig, is_bias):
-        self.arrays = arrays
+    def __init__(self, theta: Array, cfg: TrainConfig, n_decay: int):
+        self.theta = theta
         self.lr = cfg.learning_rate
         self.b1, self.b2 = ADAM_BETAS
         self.eps = ADAM_DENOM_EPS
         self.wd = cfg.weight_decay
-        self.is_bias = is_bias
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.n_decay = n_decay
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
-    def step(self, grads) -> None:
+    def step(self, g: Array) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for a, g, m, v, skip_wd in zip(
-            self.arrays, grads, self.m, self.v, self.is_bias
-        ):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            a -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if self.wd > 0.0 and not skip_wd:
-                a -= self.lr * self.wd * a
+        m, v, theta = self.m, self.v, self.theta
+        m *= self.b1
+        m += (1.0 - self.b1) * g
+        v *= self.b2
+        v += (1.0 - self.b2) * (g * g)
+        theta -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        if self.wd > 0.0:
+            w = theta[: self.n_decay]
+            w -= self.lr * self.wd * w
+
+
+def _flatten_params(net: nn.DenseNet):
+    """Copy the net's weights, then biases, into one flat vector and rebind
+    them to views of it; returns (vector, number of weight entries)."""
+    params = [*net.weights, *net.biases]
+    theta = np.concatenate([A.reshape(-1) for A in params])
+    views, start = [], 0
+    for A in params:
+        views.append(theta[start:start + A.size].reshape(A.shape))
+        start += A.size
+    k = len(net.weights)
+    net.weights, net.biases = views[:k], views[k:]
+    return theta, sum(W.size for W in net.weights)
 
 
 def _offending_sample(model, Zp, Zc, Xn) -> int:
@@ -217,10 +231,13 @@ def train(model, data, cfg: TrainConfig):
     returns (best model, history).
 
     Each epoch records the loss at its pre-update parameters, then takes
-    one Adam step on the gradient over all of `data`.  The returned model
-    carries exactly the parameters of the best recorded epoch.  A penalty
-    mode on a `BaselineModel` is a ValueError; divergence is a
-    `TrainingFault` whose `history` holds the completed epochs.
+    one Adam step on the gradient over all of `data`.  The copy's weights
+    and biases are views of one flat vector, so Adam, the finiteness check
+    and the best-epoch snapshot each act on a single array; the returned
+    model carries exactly the parameters of the best recorded epoch, in
+    memory of its own.  A penalty mode on a `BaselineModel` is a
+    ValueError; divergence is a `TrainingFault` whose `history` holds the
+    completed epochs.
     """
     if cfg.mode is not TrainMode.MSE and isinstance(model, BaselineModel):
         raise ValueError("penalty modes need a Taylor model, not a baseline")
@@ -234,13 +251,12 @@ def train(model, data, cfg: TrainConfig):
         raise ValueError(f"data x-dim {Xn.shape[1]} vs model {model.nx}")
 
     net = model.net
-    arrays = [*net.weights, *net.biases]
-    is_bias = [False] * len(net.weights) + [True] * len(net.biases)
-    opt = _Adam(arrays, cfg, is_bias)
+    theta, n_weights = _flatten_params(net)
+    opt = _Adam(theta, cfg, n_weights)
 
     rows = []
     best_total = np.inf
-    best_params = None
+    best_theta = None
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         tape = nn.NetTape(net)
@@ -253,17 +269,15 @@ def train(model, data, cfg: TrainConfig):
                          f"(loss {tot!r}, worst sample {bad})", rows, t0)
         if tot < best_total:
             best_total = tot
-            best_params = [A.copy() for A in arrays]
+            best_theta = theta.copy()
         graph.backward(total_var)
         pg = tape.gradients()
-        grads = [*pg.weights, *pg.biases]
-        for garr in grads:
-            if not np.all(np.isfinite(garr)):
-                raise _fault(f"non-finite parameter gradient at epoch {epoch}", rows, t0)
-        opt.step(grads)
+        g = np.concatenate([G.reshape(-1) for G in (*pg.weights, *pg.biases)])
+        if not np.isfinite(g).all():
+            raise _fault(f"non-finite parameter gradient at epoch {epoch}", rows, t0)
+        opt.step(g)
         rows.append((tot, *comps))
-    for A, snap in zip(arrays, best_params):
-        np.copyto(A, snap)
+    np.copyto(theta, best_theta)
     return model, _partial_history(rows, t0)
 
 

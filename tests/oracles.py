@@ -4,7 +4,8 @@ against.
 The library computes its losses and penalties on the reverse-mode graph
 only. Here are their numpy twins, each written out as directly as it can
 be, together with the central-difference oracles for input Jacobians and
-parameter gradients. None of this runs outside the tests.
+parameter gradients, the per-minor cofactor loop and the per-array Adam
+training loop. None of this runs outside the tests.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from mtnn import constraints as con
 from mtnn import graph
 from mtnn import model as md
 from mtnn import net as nn
+from mtnn import training as tr
 from mtnn.constraints import DECREASING, INCREASING, MonoSpec
 from mtnn.net import TrainingFault
 from mtnn.plants import transitions_to_arrays
@@ -125,3 +127,75 @@ def fd_loss_gradient(net: nn.DenseNet, loss_fn, step: float = 1e-6) -> nn.ParamG
                 it.iternext()
             out.append(G)
     return nn.ParamGradient(gw, gb)
+
+
+def cofactor(A):
+    """Cofactor matrix of A[..., N, N], one np.linalg.det call per minor:
+    the loop that `graph._cofactor` runs as one batched determinant."""
+    n = A.shape[-1]
+    if n == 1:
+        return np.ones_like(A)
+    C = np.empty_like(A)
+    rows = np.arange(n)
+    for i in range(n):
+        minor_rows = A[..., rows != i, :]
+        for j in range(n):
+            minor = minor_rows[..., rows != j]
+            C[..., i, j] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
+    return C
+
+
+class ArrayAdam:
+    """Adam with one moment pair per parameter array; decoupled weight
+    decay skips the arrays flagged as biases."""
+
+    def __init__(self, arrays, cfg, is_bias):
+        self.arrays = arrays
+        self.lr = cfg.learning_rate
+        self.b1, self.b2 = tr.ADAM_BETAS
+        self.eps = tr.ADAM_DENOM_EPS
+        self.wd = cfg.weight_decay
+        self.is_bias = is_bias
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.t = 0
+
+    def step(self, grads) -> None:
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        for a, g, m, v, skip_wd in zip(
+            self.arrays, grads, self.m, self.v, self.is_bias
+        ):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * (g * g)
+            a -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if self.wd > 0.0 and not skip_wd:
+                a -= self.lr * self.wd * a
+
+
+def train_per_array(model, data, cfg):
+    """`training.train` with an `ArrayAdam` over the net's own arrays and
+    without its fault checks; returns (best model, (epochs, 4) array of
+    total, mse, mono and convex per epoch)."""
+    Zp, Zc, Xn = transitions_to_arrays(data)
+    model = model.copy()
+    net = model.net
+    arrays = [*net.weights, *net.biases]
+    opt = ArrayAdam(arrays, cfg, [False] * len(net.weights) + [True] * len(net.biases))
+    rows, best_total, best_params = [], np.inf, None
+    for _ in range(cfg.epochs):
+        tape = nn.NetTape(net)
+        total_var, comps = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
+        tot = float(total_var.value)
+        if tot < best_total:
+            best_total, best_params = tot, [A.copy() for A in arrays]
+        graph.backward(total_var)
+        pg = tape.gradients()
+        opt.step([*pg.weights, *pg.biases])
+        rows.append((tot, *comps))
+    for A, snap in zip(arrays, best_params):
+        np.copyto(A, snap)
+    return model, np.array(rows)

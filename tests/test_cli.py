@@ -412,6 +412,17 @@ class TestConfigKeys:
         ("train", "tclab", "train", "weight_decay", None),
         ("train", "tclab", "train", "learning_rate", "0.01"),
         ("mpc", "tclab", "bundle", "symmetrize_hessian", "false"),
+        # integers too large for a float
+        pytest.param("gen-data", "tclab", "plant", "T_amb", 10**400,
+                     id="gen-data-tclab-plant-T_amb-huge_int"),
+        pytest.param("gen-data", "tclab", "plant", "noise_sigma", 10**400,
+                     id="gen-data-tclab-plant-noise_sigma-huge_int"),
+        pytest.param("train", "tclab", "train", "epochs", 10**400,
+                     id="train-tclab-train-epochs-huge_int"),
+        pytest.param("train", "tclab", "train", "learning_rate", 10**400,
+                     id="train-tclab-train-learning_rate-huge_int"),
+        pytest.param("train", "tclab", "train", "weight_decay", 10**400,
+                     id="train-tclab-train-weight_decay-huge_int"),
     ])
     def test_malformed_number_is_an_error_naming_its_key(self, trained_run, tmp_path, capsys,
                                                           command, kind, section, key, value):

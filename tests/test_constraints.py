@@ -315,6 +315,15 @@ class TestPrincipalMinorMode:
         assert got.value == pytest.approx(expect, rel=1e-10)
 
 
+    def test_graph_gradient_matches_fd(self):
+        # minors of both signs, each well away from the hinge's kink at 0
+        blocks = np.random.default_rng(0).normal(size=(2, 5, 3, 3))
+        for m in (1, 2, 3):
+            assert np.abs(np.linalg.det(blocks[..., :m, :m])).min() > 1e-2
+        check_grads(con.principal_minor_penalty_blocks_graph, [blocks],
+                    atol=1e-6, rtol=1e-4)
+
+
 class TestMonoSpec:
     def test_symbol_round_trip(self):
         spec = con.MonoSpec.from_symbols(["+-.", "..+"])

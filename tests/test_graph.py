@@ -10,6 +10,7 @@ import pytest
 
 from mtnn import graph as g
 from mtnn import net as nn
+import oracles
 
 RNG = np.random.default_rng(20240811)
 
@@ -235,6 +236,63 @@ class TestDet:
         np.testing.assert_allclose(v.grad, np.ones((2, 1, 1)))
 
 
+class TestDetVjp:
+    """The det VJP: batched cofactors, built only where the upstream
+    gradient is nonzero."""
+
+    @staticmethod
+    def blocks(n):
+        A = RNG.normal(size=(3, 4, n, n))
+        A[1, 2] = np.outer(np.arange(1.0, n + 1), RNG.normal(size=n))  # rank 1
+        A[2, 0] = 0.0
+        return A
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cofactor_matches_per_minor_loop_bit_for_bit(self, n):
+        A = self.blocks(n)
+        got = g._cofactor(A)
+        assert got.shape == A.shape
+        assert got.tobytes() == oracles.cofactor(A).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dead_blocks_get_exact_zeros(self, n):
+        A = self.blocks(n)
+        w = RNG.normal(size=(3, 4))
+        w[0] = 0.0
+        w[1, 1:] = -0.0
+        v = g.Var(A)
+        g.backward(g.sum_all(g.det(v) * w))
+        live = w != 0.0
+        assert np.all(v.grad[~live] == 0.0)
+        want = w[live][:, None, None] * oracles.cofactor(A[live])
+        assert v.grad[live].tobytes() == want.tobytes()
+
+    def test_nan_upstream_propagates(self):
+        A = self.blocks(3)
+        w = np.zeros((3, 4))
+        w[1, 2] = np.nan  # on the rank-1 block, whose cofactors are finite
+        w[0, 3] = 1.0
+        v = g.Var(A)
+        g.backward(g.sum_all(g.det(v) * w))
+        assert np.isnan(v.grad[1, 2]).all()
+        np.testing.assert_array_equal(v.grad[0, 3], oracles.cofactor(A[0, 3]))
+        rest = np.ones((3, 4), dtype=bool)
+        rest[1, 2] = rest[0, 3] = False
+        assert np.all(v.grad[rest] == 0.0)
+
+    def test_no_live_block(self):
+        A = self.blocks(3)
+        v = g.Var(A)
+        g.backward(g.sum_all(g.det(v) * np.zeros((3, 4))))
+        assert v.grad.shape == A.shape and np.all(v.grad == 0.0)
+
+    def test_single_matrix(self):
+        A = RNG.normal(size=(3, 3))
+        v = g.Var(A)
+        g.backward(g.det(v))
+        assert v.grad.tobytes() == oracles.cofactor(A).tobytes()
+
+
 class TestStructuralOps:
     def test_concat_last(self):
         a = RNG.normal(size=(4, 2))
@@ -277,6 +335,25 @@ class TestBackward:
         y = g.Var(np.ones((2, 2)))
         g.backward(g.sum_all(x * 2.0))
         assert y.grad is None
+
+    def test_second_backward_gives_fresh_grads(self):
+        x = g.Var(np.ones((2, 2)))
+        y = g.sum_all(x * 2.0)
+        g.backward(y)
+        g.backward(y)  # the same graph again: not summed onto the first call
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+        g.backward(g.sum_all(x * 3.0))  # a new root over the same leaf
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
+
+    def test_unreached_node_keeps_old_grad(self):
+        x = g.Var(np.ones((2, 2)))
+        y = g.Var(np.full((2, 2), 5.0))
+        g.backward(g.sum_all(x * y))
+        old = y.grad
+        g.backward(g.sum_all(x * 2.0))
+        assert y.grad is old
+        np.testing.assert_array_equal(y.grad, np.ones((2, 2)))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
 
     def test_composite_network_like_graph(self):
         # One hidden layer with the input Jacobian carried as basis tangents,

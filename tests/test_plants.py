@@ -166,6 +166,17 @@ class TestExcite:
         with pytest.raises(ValueError):
             pl.ExcitePolicy(lo=np.array([1.0]), hi=np.array([2.0]), dwell_choices=())
 
+    def test_integer_too_large_for_a_float_is_a_named_error(self):
+        huge = 10**400  # np.isfinite raises TypeError on it
+        with pytest.raises(ValueError, match="noise_sigma"):
+            self.policy(noise_sigma=huge)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            pl.hvac_benchmark(seed=0, noise_sigma=huge)
+        with pytest.raises(ValueError, match="TcLabPlant.T_amb"):
+            pl.TcLabPlant(T_amb=huge)
+        with pytest.raises(ValueError, match="HvacPlant.T_amb"):
+            pl.HvacPlant(T_amb=huge)
+
 
 class TestTransitions:
     def series(self, n):
