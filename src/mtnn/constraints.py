@@ -93,8 +93,16 @@ def gate_derivative_mask(raw, tags) -> Array:
 
     The gate is piecewise linear, so the gated output is raw times this mask.
     """
+    return gate_mask_of(tags)(raw)
+
+
+def gate_mask_of(tags):
+    """raw -> gate_derivative_mask(raw, tags), with the tag arrays derived once:
+    a tagged entry reads its tag where raw > 0 and 0 elsewhere, a free one 1."""
     tags = np.asarray(tags, dtype=np.int8)
-    return np.where(tags == FREE, 1.0, tags * (np.asarray(raw) > 0.0))
+    free = tags == FREE
+    on, off = np.where(free, 1.0, tags), np.where(free, 1.0, 0.0)
+    return lambda raw: np.where(np.asarray(raw) > 0.0, on, off)
 
 
 def apply_sign_gate(raw, tags) -> Array:
@@ -109,8 +117,9 @@ def apply_sign_gate(raw, tags) -> Array:
 
 
 def apply_sign_gate_graph(raw: Var, tags) -> Var:
-    """Graph twin of apply_sign_gate: one product node with the detached mask."""
-    return graph.mul(raw, gate_derivative_mask(raw.value, tags))
+    """Graph twin of apply_sign_gate: one node, raw times its detached mask,
+    which every forward recomputes from raw."""
+    return graph.masked(raw, gate_mask_of(tags))
 
 
 def mono_penalty_rows_graph(rows: Var, spec: MonoSpec) -> Var:
@@ -152,4 +161,4 @@ def _leading_block(blk: Var, m: int) -> Var:
         gx[..., :m, :m] = g
         return (gx,)
 
-    return Var(blk.value[..., :m, :m], (blk,), vjp)
+    return graph.op(lambda: blk.value[..., :m, :m], (blk,), vjp)

@@ -3,9 +3,18 @@
 A deliberately small engine: the handful of primitives below is exactly what
 the dense-network forward pass, its forward-mode input tangents (one
 direction, or the basis directions for a full Jacobian), and the penalty
-terms need. Everything is double precision. Each primitive stores a
-vector-Jacobian closure; `backward` walks the graph once in reverse
-topological order and accumulates gradients on the leaves.
+terms need. Everything is double precision.
+
+Each primitive stores two closures. Its forward closure recomputes the
+node's value from its operands' current `.value`, and its vector-Jacobian
+closure reads those values, and anything the forward pass cached (the mask
+of `relu` and `masked`), when it is called; neither holds an array taken
+at build time. So a graph is built once and replayed many times: set new
+values on its leaves, `replay` the nodes in `topological_order`, and
+`backward` with that same order. A build runs the same forward closures
+once, so a replay gives bit for bit the values and gradients of a fresh
+build at the same leaf values. `backward` walks the order in reverse and
+accumulates gradients on every node.
 
 Shape conventions are batch-first throughout:
     (B, N)       batched vectors
@@ -27,15 +36,21 @@ Array = np.ndarray
 
 
 class Var:
-    """A node in the computation graph: a value plus how to push gradients back."""
+    """A node in the computation graph: a value, how to recompute it from
+    its operands, and how to push gradients back to them.
 
-    __slots__ = ("value", "grad", "parents", "vjp")
+    `Var(value)` makes a leaf; `op` makes every other node.
+    """
 
-    def __init__(self, value, parents: tuple = (), vjp: Callable | None = None):
+    __slots__ = ("value", "grad", "parents", "vjp", "fwd", "after")
+
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
-        self.parents = parents
-        self.vjp = vjp  # maps grad w.r.t. this node -> tuple of grads per parent
+        self.parents: tuple = ()
+        self.vjp: Callable | None = None  # grad w.r.t. this node -> grads per parent
+        self.fwd: Callable | None = None  # recomputes .value; None on a leaf
+        self.after: tuple = ()  # forward-only dependencies (see `op`)
 
     @property
     def shape(self):
@@ -65,99 +80,157 @@ class Var:
         return f"Var(shape={self.value.shape})"
 
 
+def op(fwd: Callable, parents: tuple, vjp: Callable | None, after: tuple = ()) -> Var:
+    """A node valued fwd(), which reads its operands' current values.
+
+    vjp maps the node's gradient to one gradient per parent. `after` lists
+    forward-only dependencies: nodes whose values fwd reads but that get no
+    gradient through this node. `topological_order` puts them before the
+    node, so a replay recomputes them first; `backward` never sends them a
+    gradient from here.
+    """
+    node = Var.__new__(Var)
+    node.value = fwd()
+    node.grad = None
+    node.parents = parents
+    node.vjp = vjp
+    node.fwd = fwd
+    node.after = after
+    return node
+
+
 def constant(value) -> Var:
     """Wrap a plain array as a leaf that receives no gradient."""
     return Var(value)
 
 
-def _as_value(x) -> Array:
-    if isinstance(x, Var):
-        return x.value
-    return np.asarray(x, dtype=np.float64)
+class _Const:
+    """A constant operand: read like a Var's value, never differentiated."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=np.float64)
 
 
-def _node(value, *pairs) -> Var:
-    """A node from its value and (operand, vjp) pairs; constant operands drop out."""
-    pairs = [(op, vjp) for op, vjp in pairs if isinstance(op, Var)]
-    return Var(value, tuple(op for op, _ in pairs), lambda g: tuple(f(g) for _, f in pairs))
+def _operand(x):
+    return x if isinstance(x, Var) else _Const(x)
+
+
+def _node(fwd: Callable, *pairs) -> Var:
+    """A node from its forward closure and (operand, vjp) pairs; constant
+    operands drop out."""
+    pairs = [(p, f) for p, f in pairs if isinstance(p, Var)]
+    return op(fwd, tuple(p for p, _ in pairs), lambda g: tuple(f(g) for _, f in pairs))
 
 
 def add(a, b) -> Var:
-    return _node(_as_value(a) + _as_value(b), (a, lambda g: g), (b, lambda g: g))
+    a, b = _operand(a), _operand(b)
+    return _node(lambda: a.value + b.value, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Var:
-    return _node(_as_value(a) - _as_value(b), (a, lambda g: g), (b, lambda g: -g))
+    a, b = _operand(a), _operand(b)
+    return _node(lambda: a.value - b.value, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Var:
-    av, bv = _as_value(a), _as_value(b)
-    return _node(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
+    a, b = _operand(a), _operand(b)
+    return _node(lambda: a.value * b.value,
+                 (a, lambda g: g * b.value), (b, lambda g: g * a.value))
 
 
 def neg(a: Var) -> Var:
-    return Var(-a.value, (a,), lambda g: (-g,))
+    return op(lambda: -a.value, (a,), lambda g: (-g,))
 
 
 def scale(a: Var, c: float) -> Var:
     c = float(c)
-    return Var(a.value * c, (a,), lambda g: (g * c,))
+    return op(lambda: a.value * c, (a,), lambda g: (g * c,))
 
 
 def tanh(a: Var) -> Var:
-    t = np.tanh(a.value)
-    return Var(t, (a,), lambda g: (g * (1.0 - t * t),))
+    t = None
 
+    def fwd():
+        nonlocal t
+        t = np.tanh(a.value)
+        return t
 
-def sigmoid(a: Var) -> Var:
-    s = 0.5 * (np.tanh(0.5 * a.value) + 1.0)  # overflow-free logistic
-    return Var(s, (a,), lambda g: (g * s * (1.0 - s),))
+    return op(fwd, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def relu(a: Var) -> Var:
-    mask = a.value > 0.0  # subgradient 0 at the kink
-    return Var(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+    mask = None
+
+    def fwd():
+        nonlocal mask
+        mask = a.value > 0.0  # subgradient 0 at the kink
+        return np.where(mask, a.value, 0.0)
+
+    return op(fwd, (a,), lambda g: (g * mask,))
+
+
+def masked(x: Var, mask_of: Callable, src: Var | None = None) -> Var:
+    """x * mask_of(src.value), the mask detached: no gradient flows through it.
+
+    The mask is recomputed from src's current value on every forward and
+    held for the VJP. src defaults to x; another src is a forward-only
+    dependency (see `op`), so a replay recomputes src before the mask.
+    """
+    src_var = x if src is None else src
+    mask = None
+
+    def fwd():
+        nonlocal mask
+        mask = mask_of(src_var.value)
+        return x.value * mask
+
+    return op(fwd, (x,), lambda g: (g * mask,), () if src is None else (src,))
 
 
 def linear(x, W, b=None) -> Var:
     """y[..., B, O] = x[..., B, I] @ W[..., O, I].T + b[..., O]; no bias if b is None."""
-    xv, Wv = _as_value(x), _as_value(W)
-    y = xv @ np.swapaxes(Wv, -1, -2)
-    if b is not None:
-        y = y + _as_value(b)[..., None, :]
+    x, W = _operand(x), _operand(W)
+    if b is None:
+        def fwd():
+            return x.value @ W.value.swapaxes(-1, -2)
+    else:
+        b = _operand(b)
+
+        def fwd():
+            return x.value @ W.value.swapaxes(-1, -2) + b.value[..., None, :]
     return _node(
-        y,
-        (x, lambda g: g @ Wv),
-        (W, lambda g: np.swapaxes(g, -1, -2) @ xv),
+        fwd,
+        (x, lambda g: g @ W.value),
+        (W, lambda g: g.swapaxes(-1, -2) @ x.value),
         (b, lambda g: g.sum(axis=-2)),
     )
 
 
 def bmat_vec(A, v) -> Var:
     """out[..., M] = A[..., M, N] @ v[..., N] (per batch element)."""
-    Av, vv = _as_value(A), _as_value(v)
+    A, v = _operand(A), _operand(v)
     return _node(
-        (Av @ vv[..., None])[..., 0],
-        (A, lambda g: g[..., :, None] * vv[..., None, :]),
-        (v, lambda g: (np.swapaxes(Av, -1, -2) @ g[..., None])[..., 0]),
+        lambda: (A.value @ v.value[..., None])[..., 0],
+        (A, lambda g: g[..., :, None] * v.value[..., None, :]),
+        (v, lambda g: (A.value.swapaxes(-1, -2) @ g[..., None])[..., 0]),
     )
 
 
 def dot_rows(u, v) -> Var:
     """out[...] = sum_n u[..., n] * v[..., n]."""
-    uv, vv = _as_value(u), _as_value(v)
+    u, v = _operand(u), _operand(v)
     return _node(
-        (uv * vv).sum(axis=-1),
-        (u, lambda g: g[..., None] * vv),
-        (v, lambda g: g[..., None] * uv),
+        lambda: (u.value * v.value).sum(axis=-1),
+        (u, lambda g: g[..., None] * v.value),
+        (v, lambda g: g[..., None] * u.value),
     )
 
 
 def transpose_last(A: Var) -> Var:
     """Swap the last two axes."""
-    return Var(
-        np.swapaxes(A.value, -1, -2), (A,), lambda g: (np.swapaxes(g, -1, -2),)
-    )
+    return op(lambda: A.value.swapaxes(-1, -2), (A,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def det(A: Var) -> Var:
@@ -168,17 +241,16 @@ def det(A: Var) -> Var:
     others get exact zeros. A determinant hinge is live on few blocks, so
     most of them are skipped.
     """
-    Av = A.value
-    val = np.linalg.det(Av)
 
     def vjp(g):
+        Av = A.value
         out = np.zeros_like(Av)
         live = g != 0.0
         if live.any():
             out[live] = g[live][..., None, None] * _cofactor(Av[live])
         return (out,)
 
-    return Var(val, (A,), vjp)
+    return op(lambda: np.linalg.det(A.value), (A,), vjp)
 
 
 def _cofactor(A: Array) -> Array:
@@ -200,49 +272,44 @@ def _cofactor(A: Array) -> Array:
 
 def concat_last(parts: Sequence) -> Var:
     """Concatenate (..., k_i) pieces along the last axis."""
-    values = [_as_value(p) for p in parts]
-    val = np.concatenate(values, axis=-1)
-    widths = [v.shape[-1] for v in values]
-    offsets = np.cumsum([0] + widths)
+    parts = [_operand(p) for p in parts]
+    offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
+    spans = [(offsets[i], offsets[i + 1]) for i, p in enumerate(parts) if isinstance(p, Var)]
 
-    spans = [
-        (offsets[i], offsets[i + 1]) for i, p in enumerate(parts) if isinstance(p, Var)
-    ]
-    parents = tuple(p for p in parts if isinstance(p, Var))
+    def fwd():
+        return np.concatenate([p.value for p in parts], axis=-1)
 
     def vjp(g):
         return tuple(g[..., a:b] for a, b in spans)
 
-    return Var(val, parents, vjp)
+    return op(fwd, tuple(p for p in parts if isinstance(p, Var)), vjp)
 
 
 def moveaxis(x: Var, source: int, destination: int) -> Var:
     """x with one axis moved, as np.moveaxis; the gradient is moved back."""
-    value = np.moveaxis(x.value, source, destination)
-    return Var(value, (x,), lambda g: (np.moveaxis(g, destination, source),))
+    return op(lambda: np.moveaxis(x.value, source, destination), (x,),
+              lambda g: (np.moveaxis(g, destination, source),))
 
 
 def reshape(x: Var, shape) -> Var:
     """x with its value reshaped; the gradient is reshaped back."""
-    return Var(x.value.reshape(shape), (x,), lambda g: (g.reshape(x.value.shape),))
+    shp = x.value.shape
+    return op(lambda: x.value.reshape(shape), (x,), lambda g: (g.reshape(shp),))
 
 
 def sum_all(x: Var) -> Var:
     shp = x.value.shape
-    return Var(x.value.sum(), (x,), lambda g: (np.broadcast_to(g, shp).copy(),))
+    return op(lambda: x.value.sum(), (x,), lambda g: (np.full(shp, g),))
 
 
-def backward(root: Var) -> None:
-    """Populate .grad on every node reachable from a scalar root.
+def topological_order(root: Var) -> list:
+    """Every node that root depends on, root last, each after its operands.
 
-    Each reached node's .grad is reset before the walk, so a graph can be
-    walked again from another root; a node not reached keeps its old .grad.
-    Gradients are summed in reverse topological order of one depth-first
-    walk, so the sums run in the same order on every call.
+    The post-order of one depth-first walk. Below each node it walks the
+    parents first and the forward-only dependencies last, so the parents
+    and everything placed before them keep the places they would have
+    without those dependencies.
     """
-    if root.value.shape != ():
-        raise ValueError(f"backward expects a scalar root, got shape {root.value.shape}")
-
     order: list[Var] = []
     seen: set[Var] = set()
     stack: list[tuple[Var, bool]] = [(root, False)]
@@ -254,12 +321,42 @@ def backward(root: Var) -> None:
         if node in seen:
             continue
         seen.add(node)
-        node.grad = None
         stack.append((node, True))
+        for p in node.after:
+            if p not in seen:
+                stack.append((p, False))
         for p in node.parents:
             if p not in seen:
                 stack.append((p, False))
+    return order
 
+
+def replay(order: Sequence[Var]) -> None:
+    """Recompute every node of `order` from its operands' current values.
+
+    `order` is a `topological_order`; leaves keep the values they hold.
+    """
+    for node in order:
+        if node.fwd is not None:
+            node.value = node.fwd()
+
+
+def backward(root: Var, order: Sequence[Var] | None = None) -> None:
+    """Populate .grad on every node reachable from a scalar root.
+
+    `order` is `topological_order(root)`, computed here when not given; a
+    caller that replays a graph passes the order it replays with. Every
+    node of it has its .grad reset first, so a graph can be walked again
+    from another root; a node outside it keeps its old .grad. Gradients are
+    summed in reverse order, so the sums run in the same order on every
+    call.
+    """
+    if root.value.shape != ():
+        raise ValueError(f"backward expects a scalar root, got shape {root.value.shape}")
+    if order is None:
+        order = topological_order(root)
+    for node in order:
+        node.grad = None
     root.grad = np.ones(())
     for node in reversed(order):
         g = node.grad

@@ -240,11 +240,13 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
         # called through the module so that a wrapper installed there
         # (the benchmark's traced run) sees it
         rows = constraints.apply_sign_gate_graph(raw, tags)
-        # step-function gate derivative: detached, a.e. exact
+        # step-function gate derivative: detached, a.e. exact, and read from
+        # raw's current value on every forward
+        mask_of = constraints.gate_mask_of(tags)
         if blocks is not None:
-            blocks = graph.mul(blocks, gate_derivative_mask(raw.value, tags)[..., None])
+            blocks = graph.masked(blocks, lambda r: mask_of(r)[..., None], raw)
         elif Hdz is not None:
-            Hdz = graph.mul(Hdz, gate_derivative_mask(raw.value, tags))
+            Hdz = graph.masked(Hdz, mask_of, raw)
     if blocks is not None and model.symmetrize_hessian:
         blocks = graph.scale(blocks + graph.transpose_last(blocks), 0.5)
     incr = graph.dot_rows(rows, dz)

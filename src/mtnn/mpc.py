@@ -230,32 +230,53 @@ def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
     return x + graph.transpose_last(incr)
 
 
-def _step_jacobians(model, Z: Array, cfg: MpcConfig):
-    """d x_hat_k / d z_curr_k and d x_hat_k / d z_prev_k of every step
-    x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]: two
-    (H, nx, N) arrays.
+def _step_jacobians(model, cfg: MpcConfig):
+    """A function Z -> (d x_hat_k / d z_curr_k, d x_hat_k / d z_prev_k) of
+    every step x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]:
+    two (H, nx, N) arrays.
 
     One graph: each pair is repeated nx times and batch row (k, i) picks
     output i, so one backward leaves row i of step k's Jacobians on the
-    inputs. A baseline has no z_prev path; that Jacobian is zero.
+    inputs. The first call builds the graph; later calls set the pairs of
+    their Z on its input leaves and replay it, which gives bit for bit what
+    a fresh build gives. A baseline has no z_prev path; that Jacobian is
+    zero.
     """
     H, nx, N = cfg.horizon, cfg.nx, cfg.nx + cfg.nu
-    pairs = np.repeat(Z, nx, axis=0)
-    x, u, zp = (graph.Var(a) for a in (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx]))
-    x_hat = _predict_graph(nn.NetTape(model.net), model, x, graph.concat_last([x, u]), zp)
-    graph.backward(graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1)))))
-    Jp = np.zeros((H, nx, N)) if zp.grad is None else zp.grad.reshape(H, nx, N)
-    return np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N), Jp
+    built = None
+
+    def jacobians(Z: Array):
+        nonlocal built
+        pairs = np.repeat(Z, nx, axis=0)
+        inputs = (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx])
+        if built is None:
+            x, u, zp = (graph.Var(a) for a in inputs)
+            x_hat = _predict_graph(nn.NetTape(model.net), model, x,
+                                   graph.concat_last([x, u]), zp)
+            root = graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1))))
+            built = (x, u, zp), root, graph.topological_order(root)
+        else:
+            for leaf, a in zip(built[0], inputs):
+                leaf.value = a
+            graph.replay(built[2])
+        (x, u, zp), root, order = built
+        graph.backward(root, order)
+        Jp = np.zeros((H, nx, N)) if zp.grad is None else zp.grad.reshape(H, nx, N)
+        return np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N), Jp
+
+    return jacobians
 
 
-def _cost_and_grad(model, U: Array, priced: tuple, cfg: MpcConfig):
+def _cost_and_grad(model, U: Array, priced: tuple, cfg: MpcConfig, jacobians=None):
     """(d cost / dU, Gauss-Newton matrix) of U; (None, None) on blowup.
     The gradient has U's shape; the matrix is (H nu, H nu) over the inputs
     flattened stage by stage.
 
     `priced` is the (cost, X, Z) of U's rollout, as `horizon_cost` priced it
     with `out=(X, Z)`; nothing is rolled out here. A non-finite cost has no
-    derivatives.
+    derivatives. `jacobians` is the solve's `_step_jacobians` function,
+    whose graph is built once per solve; without it, a graph is built for
+    this call alone.
 
     One forward recursion over the step Jacobians gives the sensitivities
     S_k = d x_k / dU. With D_k = d Z_k / dU (D_0 = 0, since Z_0 = z_prev is
@@ -274,7 +295,7 @@ def _cost_and_grad(model, U: Array, priced: tuple, cfg: MpcConfig):
         return None, None
     H, nx, nu = cfg.horizon, cfg.nx, cfg.nu
     with np.errstate(all="ignore"):
-        Jc, Jp = _step_jacobians(model, Z, cfg)
+        Jc, Jp = (jacobians or _step_jacobians(model, cfg))(Z)
         S = np.zeros((H + 1, nx, H * nu))
         D_prev = np.zeros((nx + nu, H * nu))
         for k in range(H):
@@ -358,6 +379,9 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     the gradient reuses the accepted one: the start and every trial are
     priced into one of two (X, Z) buffer pairs, and an accepted trial's pair
     becomes the current one that the next `_cost_and_grad` differentiates.
+    The solve owns one step-Jacobian graph (`_step_jacobians`): the first
+    `_cost_and_grad` builds it, and each later one sets the current pairs
+    on its input leaves and replays it.
 
     Two rules end a converging solve, tested in this order: "tolerance",
     when the accepted step moved every input by less than `tol`, and
@@ -389,9 +413,10 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     e0 = x0 - cfg.x_ref
     c0 = float(e0 @ (cfg.q_diag * e0) + cfg.state_weight * np.sum(_excess(x0, cfg) ** 2))
     best_U, best_cost = U.copy(), cost
+    jacobians = _step_jacobians(model, cfg)
     exit, it, backtracks, full_steps = "budget", 0, 0, 0
     for it in range(1, cfg.iterations + 1):
-        G, B = _cost_and_grad(model, U, (cost, *current), cfg)
+        G, B = _cost_and_grad(model, U, (cost, *current), cfg, jacobians)
         if G is None:
             exit = "nonfinite"
             break  # nothing to descend along; keep the best iterate

@@ -39,7 +39,7 @@ Array = np.ndarray
 
 CHECKPOINT_VERSION = "mtnn-v1"
 
-ACTIVATIONS = ("tanh", "sigmoid", "linear")
+ACTIVATIONS = ("tanh",)
 
 
 class TrainingFault(RuntimeError):
@@ -50,7 +50,7 @@ class TrainingFault(RuntimeError):
 class DenseNet:
     weights: list  # layer l: (S, dims[l+1], dims[l])
     biases: list  # layer l: (S, dims[l+1])
-    activation: str = "tanh"  # hidden layers; output layer is linear
+    activation: str = "tanh"  # hidden layers, the one in ACTIVATIONS; output layer is linear
     in_shift: Array | None = None  # (S, dims[0]); a vector is shared by all members
     in_scale: Array | None = None
     out_shift: Array | None = None  # (S, dims[-1])
@@ -58,7 +58,8 @@ class DenseNet:
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"unsupported activation {self.activation!r}; "
+                             f"hidden layers use one of {ACTIVATIONS}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias vector per weight matrix")
         self.weights = [_stacked(W, 2) for W in self.weights]
@@ -121,17 +122,15 @@ def _affine(v, default: float, S: int, n: int) -> Array:
 
 
 def stack(members) -> DenseNet:
-    """One stack from nets (or stacks) of equal layer dims and activation."""
+    """One stack from nets (or stacks) of equal layer dims."""
     members = list(members)
     if not members:
         raise ValueError("need at least one net to stack")
     first = members[0]
     for j, net in enumerate(members):
-        if net.layer_dims != first.layer_dims or net.activation != first.activation:
-            raise ValueError(
-                f"net {j} is {net.activation} {net.layer_dims}, net 0 is "
-                f"{first.activation} {first.layer_dims}; stacked nets must match"
-            )
+        if net.layer_dims != first.layer_dims:
+            raise ValueError(f"net {j} is {net.layer_dims}, net 0 is {first.layer_dims}; "
+                             "stacked nets must match")
 
     def cat(arrays):
         return np.concatenate(arrays, axis=0)
@@ -186,23 +185,6 @@ def init_dense(layer_dims, rng, activation: str = "tanh", n_stack: int = 1) -> D
     return DenseNet(weights, biases, activation)
 
 
-def _act(name: str, a: Array) -> Array:
-    if name == "tanh":
-        return np.tanh(a)
-    if name == "sigmoid":
-        return 0.5 * (np.tanh(0.5 * a) + 1.0)
-    return a
-
-
-def _act_deriv_from_h(name: str, h: Array) -> Array:
-    # derivative expressed through the activation value itself
-    if name == "tanh":
-        return 1.0 - h * h
-    if name == "sigmoid":
-        return h * (1.0 - h)
-    return np.ones_like(h)
-
-
 def _standardized_input(net: DenseNet, z):
     """(I,) or (B, I) input -> ((S, B, I) standardized input, single flag)."""
     z = np.asarray(z, dtype=np.float64)
@@ -221,7 +203,7 @@ def forward(net: DenseNet, z) -> Array:
     """Evaluate every member; (I,) -> (S, O) or (B, I) -> (S, B, O)."""
     a, single = _standardized_input(net, z)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = _act(net.activation, _layer(a, W, b))
+        a = np.tanh(_layer(a, W, b))
     out = _layer(a, net.weights[-1], net.biases[-1])
     out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
     return out[:, 0] if single else out
@@ -251,8 +233,8 @@ def input_jacobian(net: DenseNet, z, v=None) -> tuple:
         t = np.atleast_2d(v)
     t = t / net.in_scale[:, None, :]  # (..., S, B, I)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = _act(net.activation, _layer(a, W, b))
-        t = _act_deriv_from_h(net.activation, a) * (t @ np.swapaxes(W, -1, -2))
+        a = np.tanh(_layer(a, W, b))
+        t = (1.0 - a * a) * (t @ np.swapaxes(W, -1, -2))
     out = _layer(a, net.weights[-1], net.biases[-1])
     out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
     t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
@@ -298,8 +280,9 @@ class NetTape:
             raise ValueError(f"direction {v_shape} does not match input ({B}, {n})")
         return self._run(a, v)
 
-    def _input(self, z) -> Var:
-        """(B, I) array or Var -> (S, B, I) standardized input."""
+    def _input(self, z):
+        """(B, I) array or Var -> (S, B, I) standardized input, an array for
+        an array: a constant operand, which gets no gradient."""
         in_shift = self.net.in_shift[:, None, :]
         in_scale = self.net.in_scale[:, None, :]
         if isinstance(z, Var):
@@ -307,26 +290,19 @@ class NetTape:
                 raise ValueError("Var inputs must be batched (B, I)")
             return (z - in_shift) * (1.0 / in_scale)
         zv = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return graph.constant((zv - in_shift) / in_scale)
+        return (zv - in_shift) / in_scale
 
-    def _run(self, a: Var, t=None):
+    def _run(self, a, t=None):
         """Outputs (S, B, O) from the standardized input and, given an input
-        tangent t (..., B, I), its image (..., S, B, O); else None."""
+        tangent t (..., B, I), its image (..., S, B, O); else None. A constant
+        tangent stays an array until it meets the weights."""
         net = self.net
         if t is not None:
-            t = graph.mul(t, 1.0 / net.in_scale[:, None, :])
+            t = t * (1.0 / net.in_scale[:, None, :])
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = graph.linear(a, W, b)
-            if net.activation == "tanh":
-                a = graph.tanh(a)
-            elif net.activation == "sigmoid":
-                a = graph.sigmoid(a)
+            a = graph.tanh(graph.linear(a, W, b))
             if t is not None:
-                t = graph.linear(t, W)
-                if net.activation == "tanh":
-                    t = (1.0 - a * a) * t
-                elif net.activation == "sigmoid":
-                    t = (a - a * a) * t
+                t = (1.0 - a * a) * graph.linear(t, W)
         out = graph.linear(a, self.weights[-1], self.biases[-1])
         out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
         if t is not None:

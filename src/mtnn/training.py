@@ -12,10 +12,10 @@ derivative.
 
 Every variant trains through one loop, `train`: each epoch evaluates the
 loss on the whole data set and takes one Adam step, and the run returns the
-parameters of its best recorded epoch.
+parameters of its best recorded epoch. The loss graph has the same shape in
+every epoch, so a run builds it once and replays it.
 """
 
-import time
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -90,7 +90,6 @@ class TrainHistory:
     mse: Array
     mono: Array
     convex: Array
-    wall_time: float = 0.0
 
     def __post_init__(self):
         self.total = np.asarray(self.total, dtype=np.float64)
@@ -121,14 +120,18 @@ class TrainHistory:
 def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
     """Build the batch loss as a scalar Var; returns (total, components).
 
-    The Taylor step, its gated rows and its Hessian blocks come from
+    The components are the mse, mono and convex nodes of the graph, a
+    constant zero for a term the mode leaves out, so they read the values
+    of whatever parameters the graph was last built or replayed at. The
+    Taylor step, its gated rows and its Hessian blocks come from
     `model.taylor_increments`; this function adds residuals and penalties.
     """
     B = Zp.shape[0]
+    mono = convex = graph.constant(0.0)
     if isinstance(model, BaselineModel):
         resid = tape.forward(Zc) - Xn
         mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
-        return mse, (float(mse.value), 0.0, 0.0)
+        return mse, (mse, mono, convex)
 
     incr, rows, blocks = taylor_increments(
         tape, model, Zc, Zp, need_blocks=cfg.mode.wants_convex
@@ -136,22 +139,19 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
     resid = incr - (Xn - Zc[:, : model.nx]).T
     mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
     total = mse
-    mono_val = convex_val = 0.0
     if cfg.mode.wants_mono:
-        pen = constraints.mono_penalty_rows_graph(rows, model.mono_spec)
-        pen = graph.scale(pen, 1.0 / B)
-        mono_val = float(pen.value)
-        total = total + pen
+        mono = constraints.mono_penalty_rows_graph(rows, model.mono_spec)
+        mono = graph.scale(mono, 1.0 / B)
+        total = total + mono
     if cfg.mode.wants_convex:
         pen_fn = (
             constraints.principal_minor_penalty_blocks_graph
             if cfg.strict_minors
             else constraints.convex_penalty_blocks_graph
         )
-        pen = graph.scale(pen_fn(blocks), 1.0 / B)
-        convex_val = float(pen.value)
-        total = total + pen
-    return total, (float(mse.value), mono_val, convex_val)
+        convex = graph.scale(pen_fn(blocks), 1.0 / B)
+        total = total + convex
+    return total, (mse, mono, convex)
 
 
 class _Adam:
@@ -212,17 +212,14 @@ def _offending_sample(model, Zp, Zc, Xn) -> int:
     return int(np.argmax(per))
 
 
-def _partial_history(rows, t0) -> TrainHistory:
+def _partial_history(rows) -> TrainHistory:
     cols = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    return TrainHistory(
-        cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3],
-        wall_time=time.perf_counter() - t0,
-    )
+    return TrainHistory(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
 
 
-def _fault(message: str, rows, t0) -> TrainingFault:
+def _fault(message: str, rows) -> TrainingFault:
     fault = TrainingFault(message)
-    fault.history = _partial_history(rows, t0)
+    fault.history = _partial_history(rows)
     return fault
 
 
@@ -238,6 +235,12 @@ def train(model, data, cfg: TrainConfig):
     memory of its own.  A penalty mode on a `BaselineModel` is a
     ValueError; divergence is a `TrainingFault` whose `history` holds the
     completed epochs.
+
+    The loss graph is built once, on one `NetTape` whose parameter leaves
+    are those views: the first epoch builds it, and every later one
+    replays it at the parameters Adam has updated in place, then runs
+    `graph.backward` with the order computed at the build. Both give bit
+    for bit what a fresh build at the same parameters gives.
     """
     if cfg.mode is not TrainMode.MSE and isinstance(model, BaselineModel):
         raise ValueError("penalty modes need a Taylor model, not a baseline")
@@ -254,31 +257,36 @@ def train(model, data, cfg: TrainConfig):
     theta, n_weights = _flatten_params(net)
     opt = _Adam(theta, cfg, n_weights)
 
+    tape = nn.NetTape(net)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_var, parts = _loss_graph(tape, model, Zp, Zc, Xn, cfg)
+    order = graph.topological_order(total_var)
     rows = []
     best_total = np.inf
     best_theta = None
-    t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
-        tape = nn.NetTape(net)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total_var, comps = _loss_graph(tape, model, Zp, Zc, Xn, cfg)
+        if epoch:
+            with np.errstate(over="ignore", invalid="ignore"):
+                graph.replay(order)
         tot = float(total_var.value)
         if not np.isfinite(tot) or tot > DIVERGENCE_LIMIT:
             bad = _offending_sample(model, Zp, Zc, Xn)
             raise _fault(f"training diverged at epoch {epoch} "
-                         f"(loss {tot!r}, worst sample {bad})", rows, t0)
+                         f"(loss {tot!r}, worst sample {bad})", rows)
         if tot < best_total:
             best_total = tot
             best_theta = theta.copy()
-        graph.backward(total_var)
+        # called through the module, once per epoch: the benchmark times an
+        # epoch as the gap between two backward starts
+        graph.backward(total_var, order)
         pg = tape.gradients()
         g = np.concatenate([G.reshape(-1) for G in (*pg.weights, *pg.biases)])
         if not np.isfinite(g).all():
-            raise _fault(f"non-finite parameter gradient at epoch {epoch}", rows, t0)
+            raise _fault(f"non-finite parameter gradient at epoch {epoch}", rows)
         opt.step(g)
-        rows.append((tot, *comps))
+        rows.append((tot, *(float(p.value) for p in parts)))
     np.copyto(theta, best_theta)
-    return model, _partial_history(rows, t0)
+    return model, _partial_history(rows)
 
 
 def _guarded_std(A: Array, axis=0) -> Array:

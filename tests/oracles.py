@@ -177,9 +177,10 @@ class ArrayAdam:
 
 
 def train_per_array(model, data, cfg):
-    """`training.train` with an `ArrayAdam` over the net's own arrays and
-    without its fault checks; returns (best model, (epochs, 4) array of
-    total, mse, mono and convex per epoch)."""
+    """`training.train` with an `ArrayAdam` over the net's own arrays,
+    without its fault checks, and with a fresh loss graph built on a new
+    tape every epoch where `train` replays one; returns (best model,
+    (epochs, 4) array of total, mse, mono and convex per epoch)."""
     Zp, Zc, Xn = transitions_to_arrays(data)
     model = model.copy()
     net = model.net
@@ -188,14 +189,14 @@ def train_per_array(model, data, cfg):
     rows, best_total, best_params = [], np.inf, None
     for _ in range(cfg.epochs):
         tape = nn.NetTape(net)
-        total_var, comps = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
+        total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         tot = float(total_var.value)
         if tot < best_total:
             best_total, best_params = tot, [A.copy() for A in arrays]
         graph.backward(total_var)
         pg = tape.gradients()
         opt.step([*pg.weights, *pg.biases])
-        rows.append((tot, *comps))
+        rows.append((tot, *(float(p.value) for p in parts)))
     for A, snap in zip(arrays, best_params):
         np.copyto(A, snap)
     return model, np.array(rows)

@@ -38,14 +38,13 @@ def rel_err(got, want):
 
 def test_criterion_1_differentiation_matches_finite_differences():
     rng = np.random.default_rng(2024)
-    acts = ("tanh", "sigmoid", "linear")
     worst = 0.0
     t0 = time.perf_counter()
     for i in range(100):
         n_in = int(rng.integers(2, 5))
         n_out = int(rng.integers(1, 4))
         width = int(rng.integers(3, 7))
-        net = nn.init_dense([n_in, width, n_out], rng, activation=acts[i % 3])
+        net = nn.init_dense([n_in, width, n_out], rng)
         n_params = sum(W.size for W in net.weights) + sum(b.size for b in net.biases)
         assert n_params <= 200
         z = rng.normal(size=n_in)
@@ -80,8 +79,7 @@ def test_criterion_2_taylor_fixpoint_is_exact():
         n = nx + int(rng.integers(1, 3))
         spec = ct.MonoSpec(rng.integers(-1, 2, size=(nx, n)).astype(np.int8))
         width = int(rng.integers(3, 6))  # one per model: stacked nets share a shape
-        nets = [nn.init_dense([n, width, n], rng, activation=("tanh", "sigmoid")[i % 2])
-                for _ in range(nx)]
+        nets = [nn.init_dense([n, width, n], rng) for _ in range(nx)]
         model = md.MtnnModel(nets, spec, order=orders[i % 2],
                              gate_mode=gates[i % 3])
         Z = rng.normal(size=(100, n)) * 10.0

@@ -82,15 +82,6 @@ class TestActivations:
         a = RNG.normal(size=(4, 5))
         check_grads(lambda x: g.sum_all(g.tanh(x)), [a])
 
-    def test_sigmoid(self):
-        a = RNG.normal(size=(4, 5)) * 3
-        check_grads(lambda x: g.sum_all(g.sigmoid(x)), [a])
-
-    def test_sigmoid_extreme_inputs_finite(self):
-        v = g.sigmoid(g.Var(np.array([[-800.0, 800.0]])))
-        assert np.all(np.isfinite(v.value))
-        np.testing.assert_allclose(v.value, [[0.0, 1.0]], atol=1e-12)
-
     def test_relu_away_from_kink(self):
         a = RNG.normal(size=(4, 5))
         a[np.abs(a) < 0.1] = 0.5  # keep FD away from the nondifferentiable point
@@ -375,3 +366,164 @@ class TestBackward:
             return g.scale(g.sum_all((out + corr) * (out + corr)), 1.0 / out.value.size)
 
         check_grads(build, [W1, b1, W2, b2], atol=1e-6, rtol=1e-4)
+
+
+def fresh_and_replayed(build, before, after):
+    """((root value, leaf grads) of a fresh build at `after`, the same of a
+    build at `before` whose leaves were then set to `after` and replayed)."""
+    leaves = [g.Var(a.copy()) for a in before]
+    root = build(*leaves)
+    order = g.topological_order(root)
+    g.backward(root, order)
+    for leaf, a in zip(leaves, after):
+        np.copyto(leaf.value, a)
+    g.replay(order)
+    g.backward(root, order)
+    fresh_leaves = [g.Var(a.copy()) for a in after]
+    fresh_root = build(*fresh_leaves)
+    g.backward(fresh_root)
+    return ((fresh_root.value, [v.grad for v in fresh_leaves]),
+            (root.value, [v.grad for v in leaves]))
+
+
+def assert_bitwise_equal(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+    else:
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_replay_exact(build, before, after):
+    (value, grads), (replayed, replayed_grads) = fresh_and_replayed(build, before, after)
+    assert_bitwise_equal(replayed, value)
+    for got, want in zip(replayed_grads, grads):
+        assert_bitwise_equal(got, want)
+    start = build(*[g.Var(a.copy()) for a in before]).value
+    assert np.asarray(start).tobytes() != np.asarray(value).tobytes()  # replay had work
+
+
+R = np.random.default_rng(99)
+C43, W43, W234 = R.normal(size=(4, 3)), R.normal(size=(4, 3)), R.normal(size=(2, 3, 4))
+W245, X34, W53, C41 = R.normal(size=(2, 4, 5)), R.normal(size=(3, 4)), R.normal(size=(5, 3)), R.normal(size=(4, 1))
+W35, W46 = R.normal(size=(3, 5)), R.normal(size=(4, 6))
+
+# name -> (scalar graph over the leaves, leaf shapes); one or more per primitive
+REPLAY_CASES = {
+    "add_sub_mul": (lambda x, y: g.sum_all((x + y) * (x - y) * y), [(4, 3), (4, 3)]),
+    "constant_operands": (lambda x: g.sum_all(2.0 * x + (x * C43) - 1.5), [(4, 3)]),
+    "neg_scale": (lambda x: g.sum_all(g.scale(-x, 0.25) * x), [(3, 3)]),
+    "broadcast": (lambda x, y: g.sum_all((x * y - y + x) * W234), [(2, 3, 4), (3, 1)]),
+    "tanh": (lambda x: g.sum_all(g.tanh(x) * W43), [(4, 3)]),
+    "relu": (lambda x: g.sum_all(g.relu(x) * W43), [(4, 3)]),
+    "masked_by_itself": (lambda x: g.sum_all(g.masked(x, lambda r: np.where(r > 0, 2.0, -1.0))
+                                             * W43), [(4, 3)]),
+    "masked_by_another_node": (
+        lambda x, y: g.sum_all(g.masked(x, lambda r: (r > 0.0) * 1.0, g.tanh(y - 0.1)) * W43),
+        [(4, 3), (4, 3)]),
+    "linear": (lambda x, W, b: g.sum_all(g.tanh(g.linear(x, W, b)) * W245),
+               [(2, 4, 3), (2, 5, 3), (2, 5)]),
+    "linear_constant_input_no_bias": (lambda W: g.sum_all(g.linear(X34, W) * W35), [(5, 4)]),
+    "bmat_vec": (lambda A, v: g.sum_all(g.tanh(g.bmat_vec(A, v))), [(3, 4, 5), (3, 5)]),
+    "dot_rows": (lambda u, v: g.sum_all(g.dot_rows(u, v) * np.arange(1.0, 6.0)),
+                 [(5, 3), (5, 3)]),
+    "transpose_last": (lambda A: g.sum_all(g.transpose_last(A) * W53), [(3, 5)]),
+    "moveaxis": (lambda A: g.sum_all(g.tanh(g.moveaxis(A, 0, -1)) * W53), [(3, 5)]),
+    "reshape": (lambda x: g.sum_all(g.tanh(g.reshape(x, (4, 3))) * W43), [(1, 4, 3)]),
+    "concat_last": (lambda x, y: g.sum_all(g.concat_last([x, C41, y]) * W46), [(4, 2), (4, 3)]),
+    "det": (lambda A: g.sum_all(g.det(A) * np.arange(1.0, 6.0)), [(5, 3, 3)]),
+    "sum_all": (lambda x: g.scale(g.sum_all(x * x), 0.5), [(2, 3)]),
+}
+
+
+class TestReplay:
+    """A graph built once and replayed at new leaf values gives bit for bit
+    the value and gradients of a fresh build at those values."""
+
+    @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+    def test_every_primitive(self, name):
+        build, shapes = REPLAY_CASES[name]
+        rng = np.random.default_rng(len(name))
+        before = [rng.normal(size=s) for s in shapes]
+        after = [rng.normal(size=s) for s in shapes]
+        assert_replay_exact(build, before, after)
+
+    def test_relu_whose_live_set_flips(self):
+        before = np.abs(RNG.normal(size=(4, 3))) + 0.1
+        after = before * np.where(RNG.random((4, 3)) < 0.5, -1.0, 1.0)
+        assert (after < 0).any() and (after > 0).any()
+        assert_replay_exact(lambda x: g.sum_all(g.relu(x) * W43), [before], [after])
+
+    def test_det_hinge_whose_live_set_flips(self):
+        before = np.eye(3) + 0.1 * RNG.normal(size=(6, 3, 3))
+        after = before.copy()
+        after[::2, 0] *= -1.0  # flips the sign of every other determinant
+        assert (np.linalg.det(before) > 0).all()
+        assert (np.linalg.det(after) < 0).sum() == 3
+        w = np.arange(1.0, 7.0)
+        assert_replay_exact(lambda A: g.sum_all(g.relu(-g.det(A)) * w), [before], [after])
+
+    @pytest.mark.parametrize("need_blocks", [False, True])
+    def test_both_gates_of_a_gated_second_order_step(self, need_blocks):
+        # the gate on the rows reads its own operand; the mask on H dz (or on
+        # the blocks) reads the raw rows, which the walk from the loss would
+        # otherwise reach only after it
+        from mtnn import model as md
+        from mtnn.constraints import MonoSpec, gate_derivative_mask
+
+        rng = np.random.default_rng(8)
+        net = nn.init_dense([3, 5, 3], rng, n_stack=2)
+        model = md.MtnnModel(net, MonoSpec.from_symbols(["+-.", "-++"]),
+                             md.TaylorOrder.SECOND, md.GateMode.ARCHITECTURE)
+        Zp = rng.normal(size=(6, 3))
+        Zc = Zp + 0.5 * rng.normal(size=(6, 3))
+        w = rng.normal(size=(2, 6))
+
+        def build(net):
+            tape = nn.NetTape(net)
+            incr, rows, blocks = md.taylor_increments(tape, model, Zc, Zp, need_blocks)
+            loss = g.scale(g.sum_all(rows * rows), 0.1)
+            if blocks is not None:
+                loss = loss + g.sum_all(blocks * blocks)
+            # last, so that the walk reaches the masked term before raw
+            return tape, loss + g.sum_all(incr * w)
+
+        after = net.copy()
+        after.biases[-1] += rng.normal(scale=0.5, size=after.biases[-1].shape)
+        tags = model.mono_spec.tags[:, None, :]
+        masks = [gate_derivative_mask(np.swapaxes(nn.forward(n, Zp), 0, 1), tags[:, 0])
+                 for n in (net, after)]
+        assert (masks[0] != masks[1]).any()  # some gate flips between the two
+
+        tape, root = build(net.copy())
+        order = g.topological_order(root)
+        g.backward(root, order)
+        for leaf, A in zip(tape.weights + tape.biases, after.weights + after.biases):
+            np.copyto(leaf.value, A)
+        g.replay(order)
+        g.backward(root, order)
+        fresh_tape, fresh = build(after)
+        g.backward(fresh)
+        assert_bitwise_equal(root.value, fresh.value)
+        got, want = tape.gradients(), fresh_tape.gradients()
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert_bitwise_equal(a, b)
+
+    def test_order_puts_forward_only_dependencies_first(self):
+        x, y = g.Var(np.ones(3)), g.Var(np.ones(3))
+        src = g.tanh(y)
+        out = g.sum_all(g.masked(x, lambda r: (r > 0) * 1.0, src))
+        order = g.topological_order(out)
+        assert order.index(src) < order.index(out.parents[0])
+        assert out.parents[0].parents == (x,)  # src is not a parent
+        g.backward(out, order)
+        assert y.grad is None and src.grad is None
+
+    def test_backward_with_an_order_resets_only_its_nodes(self):
+        x = g.Var(np.ones((2, 2)))
+        other = g.sum_all(x * 3.0)
+        g.backward(other)
+        y = g.sum_all(x * 2.0)
+        g.backward(y, g.topological_order(y))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+        assert other.grad is not None  # not in y's order: untouched

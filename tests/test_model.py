@@ -21,12 +21,12 @@ DATA = Path(__file__).parent / "data"
 def constant_net(values, n_in):
     """Net that outputs `values` for every input."""
     values = np.asarray(values, dtype=np.float64)
-    return nn.DenseNet([np.zeros((len(values), n_in))], [values], activation="linear")
+    return nn.DenseNet([np.zeros((len(values), n_in))], [values])
 
 
 def linear_net(W):
     W = np.asarray(W, dtype=np.float64)
-    return nn.DenseNet([W], [np.zeros(W.shape[0])], activation="linear")
+    return nn.DenseNet([W], [np.zeros(W.shape[0])])
 
 
 def random_model(nx, nu, seed=0, order=md.TaylorOrder.FIRST, gate=md.GateMode.NONE, spec=None):
@@ -310,8 +310,18 @@ class TestBundles:
 
     def test_v1_nets_that_cannot_stack_rejected(self):
         d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
-        d["nets"][1]["activation"] = "sigmoid"
+        rec = d["nets"][1]  # one hidden unit fewer than net 0
+        rec["weights"] = [rec["weights"][0][:-1], [row[:-1] for row in rec["weights"][1]]]
+        rec["biases"][0] = rec["biases"][0][:-1]
+        rec["layer_dims"][1] -= 1
         with pytest.raises(ValueError, match="net 1"):
+            md.model_from_dict(d)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "linear"])
+    def test_v1_net_with_a_removed_activation_is_named(self, activation):
+        d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
+        d["nets"][1]["activation"] = activation
+        with pytest.raises(ValueError, match=f"activation '{activation}'"):
             md.model_from_dict(d)
 
     @pytest.mark.parametrize("record", [[], "mtnn", None])

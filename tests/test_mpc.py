@@ -21,7 +21,7 @@ def const_row_model(rows, nx=None, order=TaylorOrder.FIRST, gate=GateMode.NONE, 
     N = rows.shape[1]
     nets = []
     for row in rows:
-        net = nn.init_dense([N, N], 0, "linear")
+        net = nn.init_dense([N, N], 0)
         net.weights[0][:] = 0.0
         net.biases[0][:] = row
         nets.append(net)
@@ -558,13 +558,13 @@ class TestSolveHorizon:
         model, x0, zp, cfg = backtracking_problem()
         real_grad, checked = mpc._cost_and_grad, []
 
-        def grad(model, U, priced, cfg):
+        def grad(model, U, priced, cfg, jacobians):
             cost, X, Z = mpc._rollout(model, U, x0, zp, cfg)
             assert priced[0] == cost
             np.testing.assert_array_equal(priced[1], X)
             np.testing.assert_array_equal(priced[2], Z)
             checked.append(U.copy())
-            return real_grad(model, U, priced, cfg)
+            return real_grad(model, U, priced, cfg, jacobians)
 
         monkeypatch.setattr(mpc, "_cost_and_grad", grad)
         res = mpc.solve_horizon(model, x0, zp, cfg)
@@ -643,6 +643,39 @@ def accepted_steps(start, iters):
         steps.append((cost - trials[-1], trials[-1], len(trials) == 1))
         cost = trials[-1]
     return steps
+
+
+class TestStepJacobianGraph:
+    """A solve builds one step-Jacobian graph and replays it every iteration."""
+
+    @pytest.mark.parametrize("kind,order,gate", [
+        ("baseline", TaylorOrder.FIRST, GateMode.NONE),
+        ("mtnn", TaylorOrder.FIRST, GateMode.ARCHITECTURE),
+        ("mtnn", TaylorOrder.SECOND, GateMode.NONE),
+        ("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE),
+    ])
+    def test_one_graph_per_solve_and_each_iteration_matches_a_fresh_build(
+            self, monkeypatch, built_tapes, kind, order, gate):
+        _, x0, zp, cfg = backtracking_problem()
+        model = rand_model(1, kind, order, gate)
+        real_grad, checked = mpc._cost_and_grad, []
+
+        def grad(model, U, priced, cfg, jacobians):
+            G, B = real_grad(model, U, priced, cfg, jacobians)
+            n = len(built_tapes)
+            G0, B0 = real_grad(model, U, priced, cfg)  # on a graph of its own
+            del built_tapes[n:]
+            assert G.tobytes() == G0.tobytes() and B.tobytes() == B0.tobytes()
+            checked.append(U.copy())
+            return G, B
+
+        monkeypatch.setattr(mpc, "_cost_and_grad", grad)
+        res = mpc.solve_horizon(model, x0, zp, cfg)
+        assert len(checked) == res.iterations > 1
+        assert not np.array_equal(checked[0], checked[-1])
+        assert len(built_tapes) == 1
+        mpc.solve_horizon(model, x0, zp, cfg)
+        assert len(built_tapes) == 2  # the next solve builds its own
 
 
 class TestDecreaseStop:
@@ -755,7 +788,7 @@ class TestAgainstOracle:
         if not convex:
             model = rand_model(seed, kind, order, gate, spec=spec)
         elif kind == "baseline":  # a linear baseline is an affine plant
-            model = BaselineModel(nn.init_dense([4, 2], rng, "linear"), 2)
+            model = BaselineModel(nn.init_dense([4, 2], rng), 2)
         else:  # constant Jacobian rows make the predictor affine in U
             rows = rng.normal(0.0, 0.5, (2, 4))
             model = const_row_model(rows, order=order, gate=gate, spec=spec)

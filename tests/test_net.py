@@ -24,12 +24,12 @@ def random_net(dims, activation="tanh", seed=0):
 
 class TestForward:
     def test_identity_linear_layer(self):
-        net = nn.DenseNet([np.eye(3)], [np.zeros(3)], activation="linear")
+        net = nn.DenseNet([np.eye(3)], [np.zeros(3)])
         np.testing.assert_array_equal(nn.forward(net, np.array([1.0, 2.0, 3.0]))[0], [1, 2, 3])
 
     def test_zero_weights_give_bias(self):
         b = np.array([0.7, -1.2])
-        net = nn.DenseNet([np.zeros((2, 3))], [b], activation="linear")
+        net = nn.DenseNet([np.zeros((2, 3))], [b])
         for _ in range(3):
             z = RNG.normal(size=3)
             np.testing.assert_array_equal(nn.forward(net, z)[0], b)
@@ -55,6 +55,11 @@ class TestForward:
         with pytest.raises(ValueError):
             nn.forward(net, np.zeros(4))
 
+    @pytest.mark.parametrize("activation", ["sigmoid", "linear", "relu"])
+    def test_activation_other_than_tanh_is_named(self, activation):
+        with pytest.raises(ValueError, match=f"activation '{activation}'"):
+            nn.DenseNet([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)], activation)
+
     def test_pure_bit_identical(self):
         net = random_net([3, 8, 3], seed=5)
         z = RNG.normal(size=3)
@@ -75,7 +80,7 @@ class TestForward:
 class TestInputJacobian:
     def test_linear_net_is_weight_matrix(self):
         W = RNG.normal(size=(2, 4))
-        net = nn.DenseNet([W], [np.zeros(2)], activation="linear")
+        net = nn.DenseNet([W], [np.zeros(2)])
         np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=4))[1][0], W)
 
     def test_tanh_scalar_at_zero(self):
@@ -84,10 +89,9 @@ class TestInputJacobian:
         net = nn.DenseNet([np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)], activation="tanh")
         np.testing.assert_allclose(nn.input_jacobian(net, np.zeros(1))[1][0], [[1.0]])
 
-    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "linear"])
     @pytest.mark.parametrize("dims", [[3, 3], [2, 7, 2], [4, 6, 6, 4]])
-    def test_matches_finite_differences(self, activation, dims):
-        net = random_net(dims, activation, seed=hash((activation, tuple(dims))) % 2**31)
+    def test_matches_finite_differences(self, dims):
+        net = random_net(dims, seed=len(dims))
         z = np.random.default_rng(3).normal(size=dims[0])
         J = nn.input_jacobian(net, z)[1]
         Jfd = oracles.fd_input_jacobian(net, z)
@@ -253,7 +257,7 @@ class TestTape:
 class TestLossGradient:
     def test_quadratic_form_linear_net_analytic(self):
         W = RNG.normal(size=(2, 3))
-        net = nn.DenseNet([W.copy()], [np.zeros(2)], activation="linear")
+        net = nn.DenseNet([W.copy()], [np.zeros(2)])
         z = RNG.normal(size=3)
 
         def loss(tape):
@@ -275,9 +279,8 @@ class TestLossGradient:
         assert all(np.all(gw == 0) for gw in grad.weights)
         assert all(np.all(gb == 0) for gb in grad.biases)
 
-    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
-    def test_jacobian_term_loss_matches_fd(self, activation):
-        net = random_net([3, 5, 3], activation, seed=31)
+    def test_jacobian_term_loss_matches_fd(self):
+        net = random_net([3, 5, 3], seed=31)
         Z = np.random.default_rng(8).normal(size=(4, 3))
         dz = np.random.default_rng(9).normal(size=(4, 3))
 
@@ -331,12 +334,12 @@ class TestInitAndCheckpoints:
             nn.DenseNet([np.zeros((2, 3))], [np.zeros(3)])
 
 
-def distinct_stack(activation="tanh"):
+def distinct_stack():
     """Three members with unequal weights and affine maps."""
     rng = np.random.default_rng(123)
     members = []
     for j in range(3):
-        net = random_net([3, 5, 2], activation, seed=40 + j)
+        net = random_net([3, 5, 2], seed=40 + j)
         members.append(replace(
             net,
             biases=[rng.normal(size=b.shape) for b in net.biases],
@@ -349,9 +352,8 @@ def distinct_stack(activation="tanh"):
 
 
 class TestStack:
-    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "linear"])
-    def test_members_evaluate_as_alone(self, activation):
-        members, net = distinct_stack(activation)
+    def test_members_evaluate_as_alone(self):
+        members, net = distinct_stack()
         Z = RNG.normal(size=(6, 3))
         out, J = nn.forward(net, Z), nn.input_jacobian(net, Z)[1]
         assert out.shape == (3, 6, 2) and J.shape == (3, 6, 2, 3)
@@ -394,8 +396,6 @@ class TestStack:
     def test_unequal_members_rejected(self):
         with pytest.raises(ValueError, match="net 1"):
             nn.stack([random_net([3, 4, 3]), random_net([3, 5, 3])])
-        with pytest.raises(ValueError, match="net 1"):
-            nn.stack([random_net([3, 4, 3]), random_net([3, 4, 3], "sigmoid")])
 
     def test_v1_record_holds_one_net(self):
         _, net = distinct_stack()

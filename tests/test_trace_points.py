@@ -48,3 +48,25 @@ def test_traced_solver_counts_match_the_solve(monkeypatch):
     assert counters["mpc.accepted"] == res.iterations
     assert tracer.calls("mpc.horizon_cost") == 1 + res.iterations + res.backtracks
     assert tracer.calls("model.predict") == cfg.horizon * tracer.calls("mpc.horizon_cost")
+
+
+def test_train_calls_backward_through_the_module_once_per_epoch(monkeypatch):
+    # the benchmark times an hvac-study epoch as the gap between two starts
+    # of graph.backward, which it wraps as a module attribute
+    from mtnn import graph
+    from mtnn import plants as pl
+    from mtnn import training as tr
+
+    calls, real = [], graph.backward
+
+    def backward(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "backward", backward)
+    bench = pl.hvac_benchmark(0)
+    for name in ("baseline", "mono2", "soft2"):
+        calls.clear()
+        _, hist = tr.train_variant(name, bench.plant.mono_spec(), bench.train[:30], epochs=7)
+        assert len(calls) == len(hist) == 7
+        assert all(root is calls[0] for root in calls)  # one graph, replayed
