@@ -206,11 +206,10 @@ def cmd_train(config: dict, variants=None) -> int:
                 "weight_decay": wd, "variants": {}}
     failures = []
     for name in names:
-        mode = tr.variant_train_mode(name)
-        entry = {"mode": mode.value}
+        entry = {}
         try:
             if fixed_rate is None:
-                cfg = tr.TrainConfig(mode=mode, epochs=epochs, weight_decay=wd)
+                cfg = tr.TrainConfig(epochs=epochs, weight_decay=wd)
                 build = functools.partial(
                     tr.build_variant, name, spec, data, width=width, seed=seed
                 )

@@ -38,13 +38,6 @@ class RolloutResult:
         return len(self.predicted)
 
 
-def _batch_predict(model, Zc: Array, Zp: Array) -> Array:
-    # duck protocol so tests can wrap a plant as an exact oracle
-    if hasattr(model, "predict_batch"):
-        return np.asarray(model.predict_batch(Zc, Zp), dtype=np.float64)
-    return md.predict_batch(model, Zc, Zp)
-
-
 def rollout(model, series, steps: int) -> RolloutResult:
     series = list(series)
     I = int(steps)
@@ -61,7 +54,7 @@ def rollout(model, series, steps: int) -> RolloutResult:
     predicted, actual = [], []
     for i in range(1, I + 1):
         m = n - i + 1  # origins with i future samples
-        x_hat = _batch_predict(model, Zc, Zp)
+        x_hat = md.predict_batch(model, Zc, Zp)
         predicted.append(x_hat)
         actual.append(XN[i - 1 : i - 1 + m])
         if i == I:

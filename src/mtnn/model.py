@@ -57,6 +57,11 @@ class TaylorOrder(str, Enum):
 
 
 class GateMode(str, Enum):
+    """How the sign prior is enforced. ARCHITECTURE gates the Jacobian rows,
+    so every prediction obeys it. SOFT predicts exactly as NONE (no prior)
+    does; `training.train` enforces it by the sign hinge and, at second
+    order, the curvature hinge."""
+
     ARCHITECTURE = "architecture"
     SOFT = "soft"
     NONE = "none"

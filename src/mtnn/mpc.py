@@ -267,7 +267,7 @@ def _step_jacobians(model, cfg: MpcConfig):
     return jacobians
 
 
-def _cost_and_grad(model, U: Array, priced: tuple, cfg: MpcConfig, jacobians=None):
+def _cost_and_grad(U: Array, priced: tuple, cfg: MpcConfig, jacobians):
     """(d cost / dU, Gauss-Newton matrix) of U; (None, None) on blowup.
     The gradient has U's shape; the matrix is (H nu, H nu) over the inputs
     flattened stage by stage.
@@ -275,8 +275,7 @@ def _cost_and_grad(model, U: Array, priced: tuple, cfg: MpcConfig, jacobians=Non
     `priced` is the (cost, X, Z) of U's rollout, as `horizon_cost` priced it
     with `out=(X, Z)`; nothing is rolled out here. A non-finite cost has no
     derivatives. `jacobians` is the solve's `_step_jacobians` function,
-    whose graph is built once per solve; without it, a graph is built for
-    this call alone.
+    whose graph is built once per solve.
 
     One forward recursion over the step Jacobians gives the sensitivities
     S_k = d x_k / dU. With D_k = d Z_k / dU (D_0 = 0, since Z_0 = z_prev is
@@ -295,7 +294,7 @@ def _cost_and_grad(model, U: Array, priced: tuple, cfg: MpcConfig, jacobians=Non
         return None, None
     H, nx, nu = cfg.horizon, cfg.nx, cfg.nu
     with np.errstate(all="ignore"):
-        Jc, Jp = (jacobians or _step_jacobians(model, cfg))(Z)
+        Jc, Jp = jacobians(Z)
         S = np.zeros((H + 1, nx, H * nu))
         D_prev = np.zeros((nx + nu, H * nu))
         for k in range(H):
@@ -416,7 +415,7 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     jacobians = _step_jacobians(model, cfg)
     exit, it, backtracks, full_steps = "budget", 0, 0, 0
     for it in range(1, cfg.iterations + 1):
-        G, B = _cost_and_grad(model, U, (cost, *current), cfg, jacobians)
+        G, B = _cost_and_grad(U, (cost, *current), cfg, jacobians)
         if G is None:
             exit = "nonfinite"
             break  # nothing to descend along; keep the best iterate

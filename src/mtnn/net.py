@@ -21,6 +21,9 @@ graph primitives, the tangent lets reverse mode return exact
 d(loss)/d(theta) for losses that read J or J v, the nested
 forward-inside-reverse scheme the curvature penalties need.
 
+Hidden layers are tanh (`ACTIVATION`) and the output layer is linear; an
+`mtnn-v1` record names the activation, and one that names another is an error.
+
 Networks optionally carry fixed input/output affine maps (standardization),
 (S, I) and (S, O). These are part of the function the net computes, so the
 tangent passes through them: J = out_scale[:,None] * J_core / in_scale[None,:].
@@ -39,7 +42,7 @@ Array = np.ndarray
 
 CHECKPOINT_VERSION = "mtnn-v1"
 
-ACTIVATIONS = ("tanh",)
+ACTIVATION = "tanh"  # of every hidden layer
 
 
 class TrainingFault(RuntimeError):
@@ -50,16 +53,12 @@ class TrainingFault(RuntimeError):
 class DenseNet:
     weights: list  # layer l: (S, dims[l+1], dims[l])
     biases: list  # layer l: (S, dims[l+1])
-    activation: str = "tanh"  # hidden layers, the one in ACTIVATIONS; output layer is linear
     in_shift: Array | None = None  # (S, dims[0]); a vector is shared by all members
     in_scale: Array | None = None
     out_shift: Array | None = None  # (S, dims[-1])
     out_scale: Array | None = None
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unsupported activation {self.activation!r}; "
-                             f"hidden layers use one of {ACTIVATIONS}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias vector per weight matrix")
         self.weights = [_stacked(W, 2) for W in self.weights]
@@ -98,7 +97,6 @@ class DenseNet:
         return DenseNet(
             [W.copy() for W in self.weights],
             [b.copy() for b in self.biases],
-            self.activation,
             self.in_shift.copy(),
             self.in_scale.copy(),
             self.out_shift.copy(),
@@ -138,7 +136,6 @@ def stack(members) -> DenseNet:
     return DenseNet(
         [cat(Ws) for Ws in zip(*(net.weights for net in members))],
         [cat(bs) for bs in zip(*(net.biases for net in members))],
-        first.activation,
         cat([net.in_shift for net in members]),
         cat([net.in_scale for net in members]),
         cat([net.out_shift for net in members]),
@@ -152,7 +149,6 @@ def unstack(net: DenseNet) -> list:
         DenseNet(
             [W[j] for W in net.weights],
             [b[j] for b in net.biases],
-            net.activation,
             net.in_shift[j],
             net.in_scale[j],
             net.out_shift[j],
@@ -162,7 +158,7 @@ def unstack(net: DenseNet) -> list:
     ]
 
 
-def init_dense(layer_dims, rng, activation: str = "tanh", n_stack: int = 1) -> DenseNet:
+def init_dense(layer_dims, rng, n_stack: int = 1) -> DenseNet:
     """Glorot-uniform weights (±sqrt(6/(fan_in+fan_out))), zero biases.
 
     A stack of `n_stack` members draws its weights member by member, so it
@@ -182,7 +178,7 @@ def init_dense(layer_dims, rng, activation: str = "tanh", n_stack: int = 1) -> D
     members = [[glorot(*p) for p in pairs] for _ in range(n_stack)]
     weights = [np.stack(Ws) for Ws in zip(*members)]
     biases = [np.zeros((n_stack, fan_out)) for _, fan_out in pairs]
-    return DenseNet(weights, biases, activation)
+    return DenseNet(weights, biases)
 
 
 def _standardized_input(net: DenseNet, z):
@@ -331,7 +327,7 @@ def net_to_dict(net: DenseNet) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "layer_dims": net.layer_dims,
-        "activation": net.activation,
+        "activation": ACTIVATION,
         "weights": [W[0].tolist() for W in net.weights],
         "biases": [b[0].tolist() for b in net.biases],
         "in_shift": net.in_shift[0].tolist(),
@@ -346,15 +342,14 @@ def net_from_dict(d: dict) -> DenseNet:
         raise ValueError(f"a net record must be a JSON object, got {type(d).__name__}")
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-    net = DenseNet(
-        [np.asarray(W) for W in d["weights"]],
-        [np.asarray(b) for b in d["biases"]],
-        d["activation"],
-        np.asarray(d["in_shift"]),
-        np.asarray(d["in_scale"]),
-        np.asarray(d["out_shift"]),
-        np.asarray(d["out_scale"]),
-    )
+    weights = [np.asarray(W) for W in d["weights"]]
+    biases = [np.asarray(b) for b in d["biases"]]
+    activation = d["activation"]
+    affine = [np.asarray(d[k]) for k in ("in_shift", "in_scale", "out_shift", "out_scale")]
+    if activation != ACTIVATION:
+        raise ValueError(f"unsupported activation {activation!r}; "
+                         f"hidden layers use {ACTIVATION!r}")
+    net = DenseNet(weights, biases, *affine)
     if net.layer_dims != list(d["layer_dims"]):
         raise ValueError("layer_dims field disagrees with stored weights")
     return net

@@ -481,7 +481,8 @@ def tclab_dataset(
     plant: TcLabPlant | None = None,
 ) -> TcLabDataset:
     """Identification data: heaters wander 10-50 % with 120/150 s dwells,
-    on `plant` (None: the default `TcLabPlant()`)."""
+    on `plant` (None: the default `TcLabPlant()`), split chronologically by
+    `range_shift_split`, so both split sizes must be positive."""
     plant = TcLabPlant() if plant is None else plant
     policy = ExcitePolicy(
         lo=np.array([10.0, 10.0]),
@@ -491,5 +492,4 @@ def tclab_dataset(
     )
     n = n_train + n_test + 2
     series = excite(plant, policy, n, seed, x0=np.array([plant.T_amb, plant.T_amb]))
-    transitions = to_transitions(series)
-    return TcLabDataset(plant, series, transitions[:n_train], transitions[n_train:])
+    return TcLabDataset(plant, series, *range_shift_split(series, n_train, n_test))

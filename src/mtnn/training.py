@@ -1,11 +1,13 @@
 """Loss assembly and full-batch gradient training for Taylor predictors and
 baselines.
 
-The total loss is the batch-mean squared prediction error plus, per mode,
-a sign-violation hinge on the learned Jacobian rows and/or a determinant
-hinge on the learned Hessian blocks, both evaluated at the expansion point
-z_prev of each sample and weighted by the `constraints` constants.  The
-loss exists only on the graph; its numpy reference is `tests/oracles.py`.
+The total loss is the batch-mean squared prediction error. The model's
+gate mode alone picks the hinges: a soft sign prior (`GateMode.SOFT`) adds
+a sign-violation hinge on the learned Jacobian rows and, at second order, a
+determinant hinge on the learned Hessian blocks, both evaluated at the
+expansion point z_prev of each sample and weighted by the `constraints`
+constants. The loss exists only on the graph; its numpy reference is
+`tests/oracles.py`.
 Gradients are exact (a.e. for the gates/hinges): the penalty terms read
 in-graph Jacobians, so their parameter gradients flow through the nested
 derivative.
@@ -17,7 +19,6 @@ every epoch, so a run builds it once and replays it.
 """
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -38,23 +39,7 @@ SWEEP_RATES = (1e-2, 3e-3, 1e-3, 3e-4)
 ADAM_BETAS = (0.9, 0.999)
 ADAM_DENOM_EPS = 1e-8
 
-# variant name -> (taylor order, gate mode, training mode)
 VARIANTS = ("baseline", "taylor1", "taylor2", "mono1", "mono2", "soft1", "soft2")
-
-
-class TrainMode(str, Enum):
-    MSE = "mse"
-    MONO_SOFT = "mono_soft"
-    CONVEX = "convex"
-    MONO_SOFT_CONVEX = "mono_soft_convex"
-
-    @property
-    def wants_mono(self) -> bool:
-        return self in (TrainMode.MONO_SOFT, TrainMode.MONO_SOFT_CONVEX)
-
-    @property
-    def wants_convex(self) -> bool:
-        return self in (TrainMode.CONVEX, TrainMode.MONO_SOFT_CONVEX)
 
 
 @dataclass
@@ -64,12 +49,10 @@ class TrainConfig:
 
     learning_rate: float = 1e-3
     epochs: int = 300
-    mode: TrainMode = TrainMode.MSE
     weight_decay: float = 0.0  # decoupled, weight matrices only
     strict_minors: bool = False  # hinge all leading principal minors, not just det
 
     def __post_init__(self):
-        self.mode = TrainMode(self.mode)
         n = self.epochs
         if not (finite(n) and n >= 1 and n == int(n)):
             raise ValueError(f"epochs must be an integer >= 1, got {n!r}")
@@ -121,9 +104,9 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
     """Build the batch loss as a scalar Var; returns (total, components).
 
     The components are the mse, mono and convex nodes of the graph, a
-    constant zero for a term the mode leaves out, so they read the values
-    of whatever parameters the graph was last built or replayed at. The
-    Taylor step, its gated rows and its Hessian blocks come from
+    constant zero for a hinge the model's gate mode leaves out, so they read
+    the values of whatever parameters the graph was last built or replayed
+    at. The Taylor step, its gated rows and its Hessian blocks come from
     `model.taylor_increments`; this function adds residuals and penalties.
     """
     B = Zp.shape[0]
@@ -133,17 +116,17 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
         mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
         return mse, (mse, mono, convex)
 
-    incr, rows, blocks = taylor_increments(
-        tape, model, Zc, Zp, need_blocks=cfg.mode.wants_convex
-    )
+    soft = model.gate_mode is GateMode.SOFT
+    curved = soft and model.order is TaylorOrder.SECOND
+    incr, rows, blocks = taylor_increments(tape, model, Zc, Zp, need_blocks=curved)
     resid = incr - (Xn - Zc[:, : model.nx]).T
     mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
     total = mse
-    if cfg.mode.wants_mono:
+    if soft:
         mono = constraints.mono_penalty_rows_graph(rows, model.mono_spec)
         mono = graph.scale(mono, 1.0 / B)
         total = total + mono
-    if cfg.mode.wants_convex:
+    if curved:
         pen_fn = (
             constraints.principal_minor_penalty_blocks_graph
             if cfg.strict_minors
@@ -232,9 +215,8 @@ def train(model, data, cfg: TrainConfig):
     and biases are views of one flat vector, so Adam, the finiteness check
     and the best-epoch snapshot each act on a single array; the returned
     model carries exactly the parameters of the best recorded epoch, in
-    memory of its own.  A penalty mode on a `BaselineModel` is a
-    ValueError; divergence is a `TrainingFault` whose `history` holds the
-    completed epochs.
+    memory of its own.  Divergence is a `TrainingFault` whose `history`
+    holds the completed epochs.
 
     The loss graph is built once, on one `NetTape` whose parameter leaves
     are those views: the first epoch builds it, and every later one
@@ -242,8 +224,6 @@ def train(model, data, cfg: TrainConfig):
     `graph.backward` with the order computed at the build. Both give bit
     for bit what a fresh build at the same parameters gives.
     """
-    if cfg.mode is not TrainMode.MSE and isinstance(model, BaselineModel):
-        raise ValueError("penalty modes need a Taylor model, not a baseline")
     Zp, Zc, Xn = transitions_to_arrays(data)
     if len(Zp) < 2:
         raise ValueError("need at least 2 training samples")
@@ -298,21 +278,22 @@ GATE_ANCHOR_FLOOR = 0.05
 
 
 def variant_recipe(name: str) -> dict:
-    """Order / gate / loss-mode settings for each named model variant."""
+    """Order / gate settings for each named model variant; the gate mode
+    also fixes the hinges it trains with (see `_loss_graph`)."""
     table = {
-        "taylor1": (TaylorOrder.FIRST, GateMode.NONE, TrainMode.MSE),
-        "taylor2": (TaylorOrder.SECOND, GateMode.NONE, TrainMode.MSE),
-        "mono1": (TaylorOrder.FIRST, GateMode.ARCHITECTURE, TrainMode.MSE),
-        "mono2": (TaylorOrder.SECOND, GateMode.ARCHITECTURE, TrainMode.MSE),
-        "soft1": (TaylorOrder.FIRST, GateMode.SOFT, TrainMode.MONO_SOFT),
-        "soft2": (TaylorOrder.SECOND, GateMode.SOFT, TrainMode.MONO_SOFT_CONVEX),
+        "taylor1": (TaylorOrder.FIRST, GateMode.NONE),
+        "taylor2": (TaylorOrder.SECOND, GateMode.NONE),
+        "mono1": (TaylorOrder.FIRST, GateMode.ARCHITECTURE),
+        "mono2": (TaylorOrder.SECOND, GateMode.ARCHITECTURE),
+        "soft1": (TaylorOrder.FIRST, GateMode.SOFT),
+        "soft2": (TaylorOrder.SECOND, GateMode.SOFT),
     }
     if name == "baseline":
         return {"baseline": True}
     if name not in table:
         raise ValueError(f"unknown variant {name!r}; choose from {VARIANTS}")
-    order, gate, mode = table[name]
-    return {"baseline": False, "order": order, "gate_mode": gate, "mode": mode}
+    order, gate = table[name]
+    return {"baseline": False, "order": order, "gate_mode": gate}
 
 
 def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
@@ -332,7 +313,7 @@ def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
         raise ValueError("mono spec does not match data dimensions")
     if recipe["baseline"]:
         # a Glorot net with input/output standardization fitted to the data
-        net = nn.init_dense([N, width, nx], np.random.default_rng(seed), "tanh")
+        net = nn.init_dense([N, width, nx], np.random.default_rng(seed))
         net = replace(net, in_shift=np.mean(Zc, axis=0), in_scale=_guarded_std(Zc),
                       out_shift=np.mean(Xn, axis=0), out_scale=_guarded_std(Xn))
         return BaselineModel(net, nx=nx)
@@ -343,7 +324,7 @@ def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
     # weights near zero (fresh init, or pulled down by weight decay) the row
     # reverts to the best constant Jacobian instead of drifting arbitrarily
     rows0, *_ = np.linalg.lstsq(Zc - Zp, Xn - Zc[:, :nx], rcond=None)
-    glorot = nn.init_dense([N, width, N], np.random.default_rng(seed), "tanh", n_stack=nx)
+    glorot = nn.init_dense([N, width, N], np.random.default_rng(seed), n_stack=nx)
     anchor = rows0.T.copy()  # (nx, N)
     if recipe["gate_mode"] is GateMode.ARCHITECTURE:
         # nets emit pre-gate values: a decreasing entry -g comes from
@@ -372,11 +353,6 @@ def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
     )
 
 
-def variant_train_mode(name: str) -> TrainMode:
-    recipe = variant_recipe(name)
-    return TrainMode.MSE if recipe["baseline"] else recipe["mode"]
-
-
 # Shared benchmark recipe. Every variant trains with the same budget so the
 # comparison isolates the constraint handling rather than per-variant tuning.
 # The heavy decoupled weight decay pulls Jacobian rows toward their
@@ -392,12 +368,10 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
                   width=STUDY_WIDTH, **overrides):
     """Build and train a named variant under the shared benchmark recipe.
 
-    Keyword overrides are forwarded to TrainConfig; the variant fixes `mode`.
-    Returns (model, history); the baseline is a `BaselineModel`, so it rolls
-    out like any other model.
+    Keyword overrides are forwarded to TrainConfig. Returns (model,
+    history); the baseline is a `BaselineModel`, so it rolls out like any
+    other model.
     """
-    if "mode" in overrides:
-        raise ValueError(f"variant {name!r} fixes its training mode; do not override mode")
     data = list(data)
     cfg_kw = dict(
         epochs=STUDY_EPOCHS,
@@ -405,7 +379,7 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
         weight_decay=STUDY_WEIGHT_DECAY,
     )
     cfg_kw.update(overrides)
-    cfg = TrainConfig(mode=variant_train_mode(name), **cfg_kw)
+    cfg = TrainConfig(**cfg_kw)
     return train(build_variant(name, mono_spec, data, width=width, seed=seed), data, cfg)
 
 

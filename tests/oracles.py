@@ -61,7 +61,9 @@ def principal_minor_penalty(hessian_blocks, gamma: float) -> float:
 
 def loss_components(model, batch, cfg):
     """(total, mse, mono, convex) of `training.train`'s loss on a batch, all
-    batch means, from the numpy predictor, Jacobians and Hessian blocks."""
+    batch means, from the numpy predictor, Jacobians and Hessian blocks.
+    A model with a soft sign prior takes the sign hinge, and at second
+    order the curvature hinge; every other model trains on the MSE alone."""
     Zp, Zc, Xn = transitions_to_arrays(batch)
     B = Zp.shape[0]
     pred = md.predict_batch(model, Zc, Zp)
@@ -71,10 +73,11 @@ def loss_components(model, batch, cfg):
         raise TrainingFault(f"non-finite loss at sample {bad}")
     mse = float(np.mean(per_sample))
     mono = convex = 0.0
-    if cfg.mode.wants_mono:
+    soft = getattr(model, "gate_mode", None) is md.GateMode.SOFT
+    if soft:
         J = md.jacobian_matrix_batch(model, Zp)
         mono = sum(mono_penalty(J[b], model.mono_spec) for b in range(B)) / B
-    if cfg.mode.wants_convex:
+    if soft and model.order is md.TaylorOrder.SECOND:
         H = md.hessian_stack_batch(model, Zp)
         pen_fn = principal_minor_penalty if cfg.strict_minors else convex_penalty
         convex = sum(pen_fn(H[b], con.CURVATURE_WEIGHT) for b in range(B)) / B

@@ -104,7 +104,7 @@ def test_criterion_3_gated_jacobians_conform_exactly():
             if tags[j, j] < 0:
                 tags[j, j] = 1
         spec = ct.MonoSpec(tags)
-        nets = [nn.init_dense([n, 5, n], rng, activation="tanh")
+        nets = [nn.init_dense([n, 5, n], rng)
                 for _ in range(nx)]
         model = md.MtnnModel(nets, spec, order=md.TaylorOrder.FIRST,
                              gate_mode=md.GateMode.ARCHITECTURE)

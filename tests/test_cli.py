@@ -141,6 +141,14 @@ class TestGenData:
         assert err.count("\n") == 1
         assert not (tmp_path / "d" / "gen_manifest.json").exists()
 
+    @pytest.mark.parametrize("split", [{"n_train": 0}, {"n_train": -1, "n_test": 3}])
+    def test_tclab_split_sizes_must_be_positive(self, tmp_path, capsys, split):
+        cfg = dict(base_config(tmp_path / "d"), split=split)
+        assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: split sizes must be positive\n"
+        assert not (tmp_path / "d" / "train.csv").exists()
+
     def test_missing_plant_section_names_the_key(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "d")
         del cfg["plant"]
@@ -169,12 +177,14 @@ class TestTrain:
         assert (out / "taylor1_history.csv").exists()
         assert (out / "soft1_history.csv").exists()
 
-    def test_manifest_records_soft_mode_and_rate(self, trained_run):
+    def test_manifest_records_rate_and_bundle_records_soft_gate(self, trained_run):
         out, _ = trained_run
         manifest = json.loads((out / "train_manifest.json").read_text())
-        assert manifest["variants"]["soft1"]["mode"] == "mono_soft"
-        assert manifest["variants"]["taylor1"]["mode"] == "mse"
-        assert manifest["variants"]["soft1"]["learning_rate"] == 1e-3
+        entry = manifest["variants"]["soft1"]
+        assert entry["learning_rate"] == 1e-3 and entry["bundle"] == "soft1.json"
+        # the hinges a variant trains with follow from its bundle's gate mode
+        bundle = json.loads((out / "soft1.json").read_text())
+        assert (bundle["gate_mode"], bundle["order"]) == ("soft", "first")
 
     def test_bundles_load_and_roll(self, trained_run):
         out, _ = trained_run

@@ -251,11 +251,10 @@ class TestBundles:
         kind = data.draw(st.sampled_from(["mtnn", "baseline"]), label="kind")
         nx, nu = data.draw(st.integers(1, 3), label="nx"), data.draw(st.integers(1, 2), label="nu")
         width = data.draw(st.integers(1, 9), label="width")
-        activation = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         n = nx + nu
         out = nx if kind == "baseline" else n
-        nets = [nn.init_dense([n, width, out], rng, activation)
+        nets = [nn.init_dense([n, width, out], rng)
                 for _ in range(1 if kind == "baseline" else nx)]
         for net in nets:  # init_dense leaves the biases at zero
             for b in net.biases:
@@ -333,7 +332,8 @@ class TestBundles:
         with pytest.raises(ValueError, match="JSON object"):
             md.model_from_dict(d)
 
-    @pytest.mark.parametrize("path", [("nets",), ("nets", 1, "weights"), ("mono_spec",)])
+    @pytest.mark.parametrize("path", [("nets",), ("nets", 1, "weights"), ("nets", 0, "activation"),
+                                      ("mono_spec",)])
     def test_missing_field_rejected(self, path):
         d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
         record = d
@@ -430,10 +430,9 @@ def block_formula_predict(m, Zc, Zp):
 class TestSecondOrderTerm:
     @pytest.mark.parametrize("gate", list(md.GateMode))
     @pytest.mark.parametrize("sym", [False, True])
-    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
-    def test_directional_step_matches_block_formula(self, gate, sym, act):
+    def test_directional_step_matches_block_formula(self, gate, sym):
         rng = np.random.default_rng(23)
-        nets = [nn.init_dense([4, 5, 4], rng, act) for _ in range(2)]
+        nets = [nn.init_dense([4, 5, 4], rng) for _ in range(2)]
         for net in nets:  # offset outputs so some gates are shut
             net.biases[-1][:] = rng.normal(size=4)
         m = md.MtnnModel(nets, MonoSpec.from_symbols(["+.-+", "-+.."]),
@@ -481,13 +480,12 @@ class TestEvaluatorsAgree:
         order = data.draw(st.sampled_from(list(md.TaylorOrder)), label="order")
         gate = data.draw(st.sampled_from(list(md.GateMode)), label="gate")
         sym = data.draw(st.booleans(), label="symmetrize")
-        act = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
         symbols = data.draw(st.lists(st.text("+-.", min_size=n, max_size=n),
                                      min_size=nx, max_size=nx), label="spec")
         zero = np.array(data.draw(st.lists(st.booleans(), min_size=1, max_size=5),
                                   label="zero rows"))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        nets = [nn.init_dense([n, 4, n], rng, act) for _ in range(nx)]
+        nets = [nn.init_dense([n, 4, n], rng) for _ in range(nx)]
         for net in nets:  # offset outputs so some gates are shut
             net.biases[-1][:] = rng.normal(size=n)
         m = md.MtnnModel(nets, MonoSpec.from_symbols(symbols), order, gate, sym)

@@ -77,10 +77,11 @@ def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
 
 def cost_and_grad(model, U, x0, z_prev, cfg):
     """(cost, gradient, Gauss-Newton matrix) of U: priced by `horizon_cost`
-    into fresh buffers, then differentiated by `_cost_and_grad`."""
+    into fresh buffers, then differentiated by `_cost_and_grad` on a
+    step-Jacobian graph of its own."""
     out = mpc._buffers(cfg)
     cost = mpc.horizon_cost(model, U, x0, z_prev, cfg, out=out)
-    return (cost, *mpc._cost_and_grad(model, U, (cost, *out), cfg))
+    return (cost, *mpc._cost_and_grad(U, (cost, *out), cfg, mpc._step_jacobians(model, cfg)))
 
 
 def pg_oracle_solve(model, x0, z_prev, cfg, u_init=None):
@@ -301,8 +302,8 @@ def rand_model(seed, kind="mtnn", order=TaylorOrder.FIRST, gate=GateMode.NONE,
     bias so gates sit off the kink. spec=None draws random sign tags."""
     rng = np.random.default_rng(seed)
     if kind == "baseline":
-        return BaselineModel(nn.init_dense([4, 5, 2], rng, "tanh"), 2)
-    nets = [nn.init_dense([4, 5, 4], rng, "tanh") for _ in range(2)]
+        return BaselineModel(nn.init_dense([4, 5, 2], rng), 2)
+    nets = [nn.init_dense([4, 5, 4], rng) for _ in range(2)]
     for net in nets:
         net.biases[-1] += rng.normal(0.0, 0.3, size=4)
     if spec is None:
@@ -446,7 +447,7 @@ class TestSolveHorizon:
 
     def test_feasibility_always(self):
         rng = np.random.default_rng(1)
-        nets = [nn.init_dense([3, 4, 3], rng, "tanh")]
+        nets = [nn.init_dense([3, 4, 3], rng)]
         model = MtnnModel(nets, MonoSpec.free(1, 3), TaylorOrder.FIRST, GateMode.NONE)
         cfg = mpc.MpcConfig(
             x_ref=[0.0], u_min=[-0.3, 0.1], u_max=[0.4, 0.9], horizon=4, iterations=20
@@ -558,13 +559,13 @@ class TestSolveHorizon:
         model, x0, zp, cfg = backtracking_problem()
         real_grad, checked = mpc._cost_and_grad, []
 
-        def grad(model, U, priced, cfg, jacobians):
+        def grad(U, priced, cfg, jacobians):
             cost, X, Z = mpc._rollout(model, U, x0, zp, cfg)
             assert priced[0] == cost
             np.testing.assert_array_equal(priced[1], X)
             np.testing.assert_array_equal(priced[2], Z)
             checked.append(U.copy())
-            return real_grad(model, U, priced, cfg, jacobians)
+            return real_grad(U, priced, cfg, jacobians)
 
         monkeypatch.setattr(mpc, "_cost_and_grad", grad)
         res = mpc.solve_horizon(model, x0, zp, cfg)
@@ -584,7 +585,7 @@ def state_blind_model(seed=3):
     """Scalar tanh baseline that ignores its state input: every predicted
     state after k = 0 depends on the inputs alone, so x0 only moves the
     constant k = 0 term of the cost."""
-    net = nn.init_dense([2, 4, 1], seed, "tanh")
+    net = nn.init_dense([2, 4, 1], seed)
     net.weights[0][0, :, 0] = 0.0
     return BaselineModel(net, 1)
 
@@ -660,10 +661,10 @@ class TestStepJacobianGraph:
         model = rand_model(1, kind, order, gate)
         real_grad, checked = mpc._cost_and_grad, []
 
-        def grad(model, U, priced, cfg, jacobians):
-            G, B = real_grad(model, U, priced, cfg, jacobians)
+        def grad(U, priced, cfg, jacobians):
+            G, B = real_grad(U, priced, cfg, jacobians)
             n = len(built_tapes)
-            G0, B0 = real_grad(model, U, priced, cfg)  # on a graph of its own
+            G0, B0 = real_grad(U, priced, cfg, mpc._step_jacobians(model, cfg))  # a fresh graph
             del built_tapes[n:]
             assert G.tobytes() == G0.tobytes() and B.tobytes() == B0.tobytes()
             checked.append(U.copy())

@@ -18,8 +18,8 @@ import oracles
 RNG = np.random.default_rng(42)
 
 
-def random_net(dims, activation="tanh", seed=0):
-    return nn.init_dense(dims, np.random.default_rng(seed), activation)
+def random_net(dims, seed=0):
+    return nn.init_dense(dims, np.random.default_rng(seed))
 
 
 class TestForward:
@@ -57,8 +57,11 @@ class TestForward:
 
     @pytest.mark.parametrize("activation", ["sigmoid", "linear", "relu"])
     def test_activation_other_than_tanh_is_named(self, activation):
+        d = nn.net_to_dict(random_net([2, 3, 2]))
+        assert d["activation"] == nn.ACTIVATION == "tanh"
+        d["activation"] = activation
         with pytest.raises(ValueError, match=f"activation '{activation}'"):
-            nn.DenseNet([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)], activation)
+            nn.net_from_dict(d)
 
     def test_pure_bit_identical(self):
         net = random_net([3, 8, 3], seed=5)
@@ -84,9 +87,8 @@ class TestInputJacobian:
         np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=4))[1][0], W)
 
     def test_tanh_scalar_at_zero(self):
-        net = nn.DenseNet([np.eye(1)], [np.zeros(1)], activation="tanh")
-        # hidden tanh only exists with >= 2 layers; emulate with 2 layers
-        net = nn.DenseNet([np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)], activation="tanh")
+        # hidden tanh only exists with >= 2 layers
+        net = nn.DenseNet([np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)])
         np.testing.assert_allclose(nn.input_jacobian(net, np.zeros(1))[1][0], [[1.0]])
 
     @pytest.mark.parametrize("dims", [[3, 3], [2, 7, 2], [4, 6, 6, 4]])
@@ -119,10 +121,10 @@ class TestInputJacobian:
         assert err.max() < 1e-6
 
 
-def random_full_net(rng, dims, activation="tanh", n_stack=1):
+def random_full_net(rng, dims, n_stack=1):
     """A stack with random biases and random affine maps, so every term of
     the chain rule is exercised."""
-    net = nn.init_dense(dims, rng, activation, n_stack=n_stack)
+    net = nn.init_dense(dims, rng, n_stack=n_stack)
     for b in net.biases:
         b[:] = rng.normal(size=b.shape)
     S, n_in, n_out = n_stack, dims[0], dims[-1]
@@ -139,13 +141,12 @@ class TestFullJacobian:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_numpy_and_graph_match_finite_differences(self, data):
-        act = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
         S = data.draw(st.integers(1, 3), label="stack")
         hidden = data.draw(st.lists(st.integers(1, 5), max_size=2), label="hidden")
         n_in, n_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         B = data.draw(st.integers(2, 4), label="batch")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        net = random_full_net(rng, [n_in, *hidden, n_out], act, S)
+        net = random_full_net(rng, [n_in, *hidden, n_out], S)
         Z = rng.normal(size=(B, n_in))
 
         fd = np.stack([oracles.fd_input_jacobian(net, z) for z in Z], axis=1)
@@ -168,13 +169,12 @@ class TestDirectionalDerivative:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_numpy_and_graph_equal_jacobian_times_direction(self, data):
-        act = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
         S = data.draw(st.integers(1, 3), label="stack")
         hidden = data.draw(st.lists(st.integers(1, 5), max_size=2), label="hidden")
         n_in, n_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         batch = data.draw(st.one_of(st.none(), st.integers(1, 4)), label="batch")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        net = random_full_net(rng, [n_in, *hidden, n_out], act, S)
+        net = random_full_net(rng, [n_in, *hidden, n_out], S)
         shape = (n_in,) if batch is None else (batch, n_in)
         z, v = rng.normal(size=shape), rng.normal(size=shape)
 
@@ -191,12 +191,11 @@ class TestDirectionalDerivative:
         np.testing.assert_allclose(Jv.value, nn.input_jacobian(net, Z, V)[1],
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
     @pytest.mark.parametrize("dims", [[3, 2], [3, 4, 2], [3, 4, 3, 2]])
-    def test_graph_parameter_gradients_match_fd(self, activation, dims):
+    def test_graph_parameter_gradients_match_fd(self, dims):
         # gradients with respect to Var z and Var v: tests/test_graph.py::TestNetTangent
         rng = np.random.default_rng(61)
-        net = random_full_net(rng, dims, activation, n_stack=2)
+        net = random_full_net(rng, dims, n_stack=2)
         Z, V = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         w = rng.normal(size=(2, 3, 2))
 

@@ -417,3 +417,11 @@ class TestTcLabDataset:
     def test_deterministic(self):
         a, b = pl.tclab_dataset(seed=4), pl.tclab_dataset(seed=4)
         assert np.array_equal(a.series.x, b.series.x)
+
+    @pytest.mark.parametrize("n_train,n_test", [(-1, 3), (0, 5), (5, 0), (4, -2)])
+    def test_split_sizes_must_be_positive(self, n_train, n_test):
+        # a split that used to come back short or empty
+        with pytest.raises(ValueError, match="split sizes must be positive"):
+            pl.tclab_dataset(seed=0, n_train=n_train, n_test=n_test)
+        with pytest.raises(ValueError, match="split sizes must be positive"):
+            pl.hvac_benchmark(seed=0, n_train=n_train, n_test=n_test)

@@ -9,6 +9,7 @@ import pytest
 
 from mtnn import constraints as ct
 from mtnn import graph
+from mtnn import model as md
 from mtnn import net as nn
 from mtnn import plants as pl
 from mtnn import training as tr
@@ -31,7 +32,7 @@ def make_model(rng_seed, nx, nu, width=3, order=TaylorOrder.FIRST,
     rng = np.random.default_rng(rng_seed)
     nets = []
     for _ in range(nx):
-        net = nn.init_dense([N, width, N], rng, "tanh")
+        net = nn.init_dense([N, width, N], rng)
         net.biases[-1] += bias_shift
         nets.append(net)
     spec = ct.MonoSpec.free(nx, N) if tags is None else ct.MonoSpec.from_symbols(tags)
@@ -67,58 +68,51 @@ class TestTotalLoss:
     def test_mono_soft_composition(self):
         rng = np.random.default_rng(3)
         data = make_transitions(rng, 8, 2, 1)
-        model = make_model(4, nx=2, nu=1, tags=["+-.", ".+-"])
-        cfg = tr.TrainConfig(mode=tr.TrainMode.MONO_SOFT)
+        model = make_model(4, nx=2, nu=1, gate=GateMode.SOFT, tags=["+-.", ".+-"])
+        cfg = tr.TrainConfig()
         total, mse, mono, convex = oracles.loss_components(model, data, cfg)
-        assert convex == 0.0
+        assert convex == 0.0  # first order: no curvature hinge
         assert mono > 0  # random nets should violate something
-        mse_only = total_loss(model, data, tr.TrainConfig(mode=tr.TrainMode.MSE))
-        from mtnn import model as md
+        plain = model.copy()
+        plain.gate_mode = GateMode.NONE  # predicts exactly as SOFT does
+        mse_only = total_loss(plain, data, cfg)
         J = md.jacobian_matrix_batch(model, np.stack([t.z_prev for t in data]))
         pen = np.mean([oracles.mono_penalty(J[b], model.mono_spec)
                        for b in range(len(data))])
         assert total == mse_only + pen
-
-    def test_penalty_modes_reject_baseline(self):
-        net = nn.init_dense([3, 4, 1], 0)
-        model = BaselineModel(net, nx=1)
-        data = make_transitions(np.random.default_rng(0), 4, 1, 2)
-        with pytest.raises(ValueError):
-            tr.train(model, data, tr.TrainConfig(mode=tr.TrainMode.MONO_SOFT))
 
     def test_strict_minors_tighter_than_det(self):
         # H = -I has det +1 (no det hinge) but a negative leading minor
         net = nn.init_dense([2, 2], 0)
         net.weights[0][:] = -np.eye(2)
         net.biases[0][:] = 0.0
-        model = MtnnModel([net], ct.MonoSpec.free(1, 2), TaylorOrder.SECOND, GateMode.NONE)
+        model = MtnnModel([net], ct.MonoSpec.free(1, 2), TaylorOrder.SECOND, GateMode.SOFT)
         data = make_transitions(np.random.default_rng(1), 5, 1, 1)
-        loose = oracles.loss_components(model, data, tr.TrainConfig(mode=tr.TrainMode.CONVEX))
-        strict = oracles.loss_components(
-            model, data, tr.TrainConfig(mode=tr.TrainMode.CONVEX, strict_minors=True)
-        )
+        loose = oracles.loss_components(model, data, tr.TrainConfig())
+        strict = oracles.loss_components(model, data, tr.TrainConfig(strict_minors=True))
+        assert loose[2] == strict[2] == 0.0  # no sign tags
         assert loose[3] == 0.0
         assert strict[3] == pytest.approx(0.1, abs=1e-15)  # gamma * ReLU(1)
 
 
 class TestLossGraphTwin:
     CASES = [
-        (TaylorOrder.FIRST, GateMode.NONE, tr.TrainMode.MSE, False),
-        (TaylorOrder.SECOND, GateMode.NONE, tr.TrainMode.MSE, False),
-        (TaylorOrder.FIRST, GateMode.NONE, tr.TrainMode.MONO_SOFT, False),
-        (TaylorOrder.SECOND, GateMode.NONE, tr.TrainMode.MONO_SOFT_CONVEX, False),
-        (TaylorOrder.SECOND, GateMode.NONE, tr.TrainMode.CONVEX, True),
-        (TaylorOrder.FIRST, GateMode.ARCHITECTURE, tr.TrainMode.MSE, False),
-        (TaylorOrder.SECOND, GateMode.ARCHITECTURE, tr.TrainMode.MSE, False),
+        (TaylorOrder.FIRST, GateMode.NONE, False),
+        (TaylorOrder.SECOND, GateMode.NONE, False),
+        (TaylorOrder.FIRST, GateMode.SOFT, False),
+        (TaylorOrder.SECOND, GateMode.SOFT, False),
+        (TaylorOrder.SECOND, GateMode.SOFT, True),
+        (TaylorOrder.FIRST, GateMode.ARCHITECTURE, False),
+        (TaylorOrder.SECOND, GateMode.ARCHITECTURE, False),
     ]
 
-    @pytest.mark.parametrize("order,gate,mode,strict", CASES)
-    def test_graph_matches_numpy(self, order, gate, mode, strict):
+    @pytest.mark.parametrize("order,gate,strict", CASES)
+    def test_graph_matches_numpy(self, order, gate, strict):
         rng = np.random.default_rng(11)
         data = make_transitions(rng, 7, 2, 1)
         model = make_model(12, nx=2, nu=1, order=order, gate=gate,
                            tags=["+.-", "-+."], bias_shift=0.3)
-        cfg = tr.TrainConfig(mode=mode, strict_minors=strict)
+        cfg = tr.TrainConfig(strict_minors=strict)
         Zp, Zc, Xn = pl.transitions_to_arrays(data)
         tape = nn.NetTape(model.net)
         total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
@@ -129,9 +123,9 @@ class TestLossGraphTwin:
     def test_graph_matches_numpy_symmetrized(self):
         rng = np.random.default_rng(13)
         data = make_transitions(rng, 5, 1, 2)
-        model = make_model(14, nx=1, nu=2, order=TaylorOrder.SECOND)
+        model = make_model(14, nx=1, nu=2, order=TaylorOrder.SECOND, gate=GateMode.SOFT)
         model.symmetrize_hessian = True
-        cfg = tr.TrainConfig(mode=tr.TrainMode.CONVEX)
+        cfg = tr.TrainConfig()
         Zp, Zc, Xn = pl.transitions_to_arrays(data)
         tape = nn.NetTape(model.net)
         total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
@@ -139,13 +133,13 @@ class TestLossGraphTwin:
             float(total_var.value), total_loss(model, data, cfg), rtol=1e-12
         )
 
-    @pytest.mark.parametrize("order,gate,mode,strict", CASES)
-    def test_parameter_gradients_match_fd(self, order, gate, mode, strict):
+    @pytest.mark.parametrize("order,gate,strict", CASES)
+    def test_parameter_gradients_match_fd(self, order, gate, strict):
         rng = np.random.default_rng(21)
         data = make_transitions(rng, 3, 2, 1)
         model = make_model(22, nx=2, nu=1, order=order, gate=gate,
                            tags=["+.-", "-+."], bias_shift=0.35)
-        cfg = tr.TrainConfig(mode=mode, strict_minors=strict)
+        cfg = tr.TrainConfig(strict_minors=strict)
         Zp, Zc, Xn = pl.transitions_to_arrays(data)
         tape = nn.NetTape(model.net)
         total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
@@ -240,8 +234,7 @@ class TestTrain:
         data = b.train[:80]
         spec = b.plant.mono_spec()
         model = tr.build_variant("soft1", spec, data, width=16, seed=5)
-        cfg = tr.TrainConfig(learning_rate=3e-3, epochs=400,
-                             mode=tr.TrainMode.MONO_SOFT)
+        cfg = tr.TrainConfig(learning_rate=3e-3, epochs=400)
         trained, hist = tr.train(model, data, cfg)
         assert hist.mono[-1] < 1e-6
 
@@ -251,8 +244,7 @@ class TestTrain:
         b = pl.hvac_benchmark(seed=0)
         data = b.train[:40]
         model = tr.build_variant(name, b.plant.mono_spec(), data, tr.STUDY_WIDTH, seed=0)
-        cfg = tr.TrainConfig(learning_rate=0.3, epochs=30,
-                             mode=tr.variant_train_mode(name))
+        cfg = tr.TrainConfig(learning_rate=0.3, epochs=30)
         trained, hist = tr.train(model, data, cfg)
         np.testing.assert_allclose(
             hist.total[0], oracles.loss_components(model, data, cfg)[0], rtol=1e-12
@@ -279,8 +271,7 @@ class TestFlatAdam:
         b = pl.hvac_benchmark(seed=0)
         data = b.train[:40]
         model = tr.build_variant(name, b.plant.mono_spec(), data, tr.STUDY_WIDTH, seed=0)
-        cfg = tr.TrainConfig(learning_rate=0.3, epochs=30, mode=tr.variant_train_mode(name),
-                             weight_decay=tr.STUDY_WEIGHT_DECAY)
+        cfg = tr.TrainConfig(learning_rate=0.3, epochs=30, weight_decay=tr.STUDY_WEIGHT_DECAY)
         got, hist = tr.train(model, data, cfg)
         assert len(built_tapes) == 1  # one loss graph for the whole run
         monkeypatch.undo()
@@ -296,7 +287,7 @@ class TestFlatAdam:
         b = pl.hvac_benchmark(seed=0)
         data = b.train[:20]
         model = tr.build_variant("mono2", b.plant.mono_spec(), data, tr.STUDY_WIDTH, seed=0)
-        cfg = tr.TrainConfig(epochs=6, mode=tr.TrainMode.MSE)
+        cfg = tr.TrainConfig(epochs=6)
         counts, real = [], graph.backward
 
         def backward(*args):
@@ -315,7 +306,7 @@ class TestFlatAdam:
         b = pl.hvac_benchmark(seed=0)
         data = b.train[:20]
         model = tr.build_variant("soft2", b.plant.mono_spec(), data, tr.STUDY_WIDTH, seed=0)
-        cfg = tr.TrainConfig(epochs=3, mode=tr.TrainMode.MONO_SOFT_CONVEX)
+        cfg = tr.TrainConfig(epochs=3)
         first, _ = tr.train(model, data, cfg)
         second, _ = tr.train(model, data, cfg)
         for a in flat_params(first):
@@ -353,12 +344,6 @@ class TestTrainBaseline:
         for a, b in zip(flat_params(m1), flat_params(m2)):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("mode", ["mono_soft", "convex", "mono_soft_convex"])
-    def test_penalty_modes_rejected(self, mode):
-        data = make_transitions(np.random.default_rng(1), 8, 1, 2)
-        with pytest.raises(ValueError, match="penalty modes need a Taylor model"):
-            tr.train(self.baseline(data), data, tr.TrainConfig(mode=mode))
-
 
 class TestHistory:
     def test_csv_format(self, tmp_path):
@@ -382,23 +367,63 @@ class TestHistory:
             tr.TrainHistory(np.array([np.inf]), np.zeros(1), np.zeros(1), np.zeros(1))
 
 
+class TestGateModePicksTheHinges:
+    """`train` adds the sign hinge for a soft sign prior, and the curvature
+    hinge too when that model is second order; nothing else selects them."""
+
+    def count_hinges(self, monkeypatch):
+        calls = {}
+        for name in ("mono_penalty_rows_graph", "convex_penalty_blocks_graph"):
+            def counted(*a, _real=getattr(ct, name), _name=name, **k):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*a, **k)
+            monkeypatch.setattr(ct, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", tr.VARIANTS)
+    def test_hinges_follow_the_variant(self, name, monkeypatch):
+        b = pl.hvac_benchmark(seed=0)
+        calls = self.count_hinges(monkeypatch)
+        tr.train_variant(name, b.plant.mono_spec(), b.train[:20], epochs=3)
+        # one build per run, replayed every epoch
+        want = {"soft1": {"mono_penalty_rows_graph": 1},
+                "soft2": {"mono_penalty_rows_graph": 1, "convex_penalty_blocks_graph": 1}}
+        assert calls == want.get(name, {})
+
+    def test_reloaded_soft2_retrains_with_both_hinges(self, monkeypatch, tmp_path):
+        b = pl.hvac_benchmark(seed=0)
+        data = b.train[:20]
+        model, _ = tr.train_variant("soft2", b.plant.mono_spec(), data, epochs=3)
+        md.save_bundle(model, tmp_path / "soft2.json")
+        back = md.load_bundle(tmp_path / "soft2.json")
+        cfg = tr.TrainConfig(learning_rate=0.3, epochs=20)
+        calls = self.count_hinges(monkeypatch)
+        _, got = tr.train(back, data, cfg)
+        assert calls == {"mono_penalty_rows_graph": 1, "convex_penalty_blocks_graph": 1}
+        assert got.convex.max() > 0.0
+        monkeypatch.undo()
+        _, want = tr.train(model, data, cfg)
+        for col in ("total", "mse", "mono", "convex"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+
+
 class TestVariants:
     def test_recipe_table(self):
         assert tr.variant_recipe("baseline")["baseline"]
         r = tr.variant_recipe("mono2")
         assert r["order"] is TaylorOrder.SECOND
         assert r["gate_mode"] is GateMode.ARCHITECTURE
-        assert r["mode"] is tr.TrainMode.MSE
         r = tr.variant_recipe("soft2")
-        assert r["mode"] is tr.TrainMode.MONO_SOFT_CONVEX
+        assert r == {"baseline": False, "order": TaylorOrder.SECOND, "gate_mode": GateMode.SOFT}
         assert tr.variant_recipe("soft1")["gate_mode"] is GateMode.SOFT
         with pytest.raises(ValueError, match="unknown variant"):
             tr.variant_recipe("taylor3")
 
-    @pytest.mark.parametrize("name,mode", [("soft1", "mse"), ("taylor1", tr.TrainMode.MONO_SOFT)])
+    @pytest.mark.parametrize("name,mode", [("soft1", "mse"), ("taylor1", "mono_soft")])
     def test_train_variant_rejects_mode_override(self, name, mode):
+        # the variant's gate mode picks its hinges; there is no mode to override
         b = pl.hvac_benchmark(seed=0)
-        with pytest.raises(ValueError, match="fixes its training mode"):
+        with pytest.raises(TypeError, match="'mode'"):
             tr.train_variant(name, b.plant.mono_spec(), b.train[:10], epochs=1, mode=mode)
 
     def test_build_shapes_hvac(self):
@@ -539,14 +564,14 @@ class TestLrSweep:
             tr.lr_sweep(lambda: TestTrain().linear_model(), prob, tr.TrainConfig(epochs=1))
 
     def test_report_is_the_heldout_mse(self):
-        # a soft mode, so the loss the candidates train on is not the MSE
+        # a soft gate, so the loss the candidates train on is not the MSE
         prob = TestTrain().linear_problem(B=40)
         spec = ct.MonoSpec.from_symbols(["-+"])
 
         def build():
-            return MtnnModel([nn.init_dense([2, 2], 3)], spec)
+            return MtnnModel([nn.init_dense([2, 2], 3)], spec, gate_mode=GateMode.SOFT)
 
-        cfg = tr.TrainConfig(epochs=60, mode=tr.TrainMode.MONO_SOFT)
+        cfg = tr.TrainConfig(epochs=60)
         _, _, _, report = tr.lr_sweep(build, prob, cfg, rates=(3e-2, 1e-3))
         fit, val = prob[:32], prob[32:]  # the chronological 80/20 split
         for rate, got in report.items():
