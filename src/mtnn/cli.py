@@ -152,19 +152,15 @@ def cmd_gen_data(config: dict) -> int:
     kind, plant = _plant(plant_sec)
     split = config.get("split", {})
     noise = _real(plant_sec.get("noise_sigma", 0.05), "plant.noise_sigma")
-    if kind == "hvac":
-        n_train = _integer(split.get("n_train", 180), "split.n_train")
-        n_test = _integer(split.get("n_test", 100), "split.n_test")
-        try:
-            series = pl.hvac_benchmark(seed=seed, n_train=n_train, n_test=n_test,
-                                       noise_sigma=noise, plant=plant).series
-        except RuntimeError as e:  # the range shift failed on this room
-            raise ConfigError(f"hvac benchmark on {plant}: {e}") from None
-    else:
-        n_train = _integer(split.get("n_train", 250), "split.n_train")
-        n_test = _integer(split.get("n_test", 60), "split.n_test")
-        series = pl.tclab_dataset(seed, n_train=n_train, n_test=n_test,
-                                  noise_sigma=noise, plant=plant).series
+    build, n_train, n_test = ((pl.hvac_benchmark, 180, 100) if kind == "hvac"
+                              else (pl.tclab_dataset, 250, 60))
+    n_train = _integer(split.get("n_train", n_train), "split.n_train")
+    n_test = _integer(split.get("n_test", n_test), "split.n_test")
+    try:
+        series = build(seed, n_train=n_train, n_test=n_test, noise_sigma=noise,
+                       plant=plant).series
+    except RuntimeError as e:  # the hvac range shift failed on this room
+        raise ConfigError(f"{kind} benchmark on {plant}: {e}") from None
     state_names, input_names = HVAC_NAMES if kind == "hvac" else TCLAB_NAMES
     # consecutive transitions need a 2-sample overlap between the files
     pl.save_csv(_slice(series, 0, n_train + 2), out / "train.csv",
@@ -181,7 +177,7 @@ def cmd_gen_data(config: dict) -> int:
     return 0
 
 
-def _load_transitions(path) -> list:
+def _load_transitions(path) -> pl.Transitions:
     if not Path(path).exists():
         raise ConfigError(f"dataset {path} not found; run gen-data first")
     return pl.to_transitions(pl.load_csv(path))

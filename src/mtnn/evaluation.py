@@ -1,4 +1,4 @@
-"""Multi-step open-loop rollout, R2/RMSE metrics, per-step comparison tables.
+"""Multi-step rollout over a `Transitions` set, R2/RMSE metrics, comparison tables.
 
 Rollout semantics: the step-1 prediction at origin k uses the measured pair
 (z^{k-1}, z^k); from step 2 on, the state slice of the current sample is
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as md
-from .plants import transitions_to_arrays
+from .plants import Transitions
 
 Array = np.ndarray
 
@@ -38,18 +38,17 @@ class RolloutResult:
         return len(self.predicted)
 
 
-def rollout(model, series, steps: int) -> RolloutResult:
-    series = list(series)
+def rollout(model, data: Transitions, steps: int) -> RolloutResult:
     I = int(steps)
     if I < 1:
         raise ValueError("steps must be >= 1")
-    n = len(series)
+    n = len(data)
     if n < I + 1:  # the last step needs two origins for its r2
         raise ValueError(
-            f"series has {n} transitions ({n + 2} samples); "
+            f"data has {n} transitions ({n + 2} samples); "
             f"{I}-step rollout needs at least {I + 3} samples"
         )
-    Zp, Zc, XN = transitions_to_arrays(series)
+    Zp, Zc, XN = data.z_prev, data.z_curr, data.x_next
     U = Zc[:, model.nx :]  # measured inputs, kept as Zc rolls forward
     predicted, actual = [], []
     for i in range(1, I + 1):
@@ -133,15 +132,15 @@ class ComparisonTable:
             fh.write("\n".join(lines) + "\n")
 
 
-def comparison_table(models: dict, series, steps: int = 5) -> ComparisonTable:
-    """Rollout metrics for each named model over a shared test series."""
+def comparison_table(models: dict, data: Transitions, steps: int = 5) -> ComparisonTable:
+    """Rollout metrics for each named model over shared test transitions."""
     if not models:
         raise ValueError("need at least one model")
     names = list(models)
     r2s = np.zeros((steps, len(names)))
     rmses = np.zeros((steps, len(names)))
     for v, name in enumerate(names):
-        res = rollout(models[name], series, steps)
+        res = rollout(models[name], data, steps)
         r2s[:, v] = res.r2
         rmses[:, v] = res.rmse
     return ComparisonTable(names, r2s, rmses)

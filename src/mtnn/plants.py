@@ -1,4 +1,5 @@
-"""Synthetic thermal plants, excitation signals, datasets, CSV ingestion.
+"""Synthetic thermal plants, excitation signals, `Transitions` data sets,
+CSV ingestion.
 
 Two ground-truth simulators with known monotone structure:
 
@@ -19,6 +20,7 @@ sign priors the models train against.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from numbers import Real
 
@@ -82,23 +84,15 @@ class HvacPlant:
         u = np.asarray(u, dtype=np.float64)
         T = x[..., 0]
         Ts, mdot = u[..., 0], u[..., 1]
-        nxt = hvac_step(self, T, Ts, mdot)
+        if np.any(mdot < 0):
+            raise ValueError("mdot must be nonnegative")
+        gain = self.dt / self.C
+        nxt = T + gain * (mdot * self.c_p * (Ts - T) + self.k_a * (self.T_amb - T))
         return np.stack([nxt], axis=-1)
 
     def mono_spec(self) -> MonoSpec:
         """Sign prior for z = (T, Ts, mdot) in the cooling regime (Ts < T)."""
         return MonoSpec.from_symbols(["++-"])
-
-
-def hvac_step(plant: HvacPlant, T, Ts, mdot):
-    """One Euler step of the room heat balance."""
-    T = np.asarray(T, dtype=np.float64)
-    Ts = np.asarray(Ts, dtype=np.float64)
-    mdot = np.asarray(mdot, dtype=np.float64)
-    if np.any(mdot < 0):
-        raise ValueError("mdot must be nonnegative")
-    gain = plant.dt / plant.C
-    return T + gain * (mdot * plant.c_p * (Ts - T) + plant.k_a * (plant.T_amb - T))
 
 
 @dataclass
@@ -124,26 +118,18 @@ class TcLabPlant:
     def step(self, x, u):
         x = np.asarray(x, dtype=np.float64)
         u = np.asarray(u, dtype=np.float64)
-        T1n, T2n = tclab_step(self, (x[..., 0], x[..., 1]), (u[..., 0], u[..., 1]))
-        return np.stack([T1n, T2n], axis=-1)
+        T1, T2 = x[..., 0], x[..., 1]
+        Q1, Q2 = u[..., 0], u[..., 1]
+        if np.any((Q1 < 0) | (Q1 > 100) | (Q2 < 0) | (Q2 > 100)):
+            raise ValueError("heater powers must lie in [0, 100] %")
+        d1 = self.alpha1 * Q1 + self.k_loss * (self.T_amb - T1) + self.k_couple * (T2 - T1)
+        d2 = self.alpha2 * Q2 + self.k_loss * (self.T_amb - T2) + self.k_couple * (T1 - T2)
+        return np.stack([T1 + self.dt * d1, T2 + self.dt * d2], axis=-1)
 
     def mono_spec(self) -> MonoSpec:
         """Sign prior for z = (T1, T2, Q1, Q2); the other heater has no
         same-step effect, left untagged."""
         return MonoSpec.from_symbols(["+++.", "++.+"])
-
-
-def tclab_step(plant: TcLabPlant, temps, powers):
-    """One Euler step of the coupled two-heater balance."""
-    T1 = np.asarray(temps[0], dtype=np.float64)
-    T2 = np.asarray(temps[1], dtype=np.float64)
-    Q1 = np.asarray(powers[0], dtype=np.float64)
-    Q2 = np.asarray(powers[1], dtype=np.float64)
-    if np.any((Q1 < 0) | (Q1 > 100) | (Q2 < 0) | (Q2 > 100)):
-        raise ValueError("heater powers must lie in [0, 100] %")
-    d1 = plant.alpha1 * Q1 + plant.k_loss * (plant.T_amb - T1) + plant.k_couple * (T2 - T1)
-    d2 = plant.alpha2 * Q2 + plant.k_loss * (plant.T_amb - T2) + plant.k_couple * (T1 - T2)
-    return T1 + plant.dt * d1, T2 + plant.dt * d2
 
 
 @dataclass
@@ -165,13 +151,36 @@ class Series:
         return len(self.t)
 
 
-@dataclass
-class Transition:
-    """One supervised sample: (z_prev, z_curr, x_next) from consecutive steps."""
+Transition = namedtuple("Transition", "z_prev z_curr x_next")
+
+
+@dataclass(eq=False)
+class Transitions:
+    """Samples (z_prev, z_curr, x_next) of consecutive steps as read-only
+    float64 arrays, z_prev and z_curr (n, N) and x_next (n, Nx), n >= 1;
+    `data[a:b]` is a `Transitions`, `data[i]` a `Transition` of 1-D arrays."""
 
     z_prev: Array
     z_curr: Array
     x_next: Array
+
+    def __post_init__(self):
+        for name in ("z_prev", "z_curr", "x_next"):
+            a = np.asarray(getattr(self, name), dtype=np.float64).view()
+            a.flags.writeable = False  # on a view, so a caller's array keeps its flags
+            setattr(self, name, a)
+        zp, zc, xn = self.z_prev, self.z_curr, self.x_next
+        if not (zp.ndim == zc.ndim == xn.ndim == 2 and zp.shape == zc.shape
+                and len(xn) == len(zp) > 0):
+            raise ValueError("transitions need z_prev, z_curr (n, N) and x_next (n, Nx) "
+                             f"with n >= 1; got {zp.shape}, {zc.shape}, {xn.shape}")
+
+    def __len__(self) -> int:
+        return len(self.z_prev)
+
+    def __getitem__(self, key):
+        row = Transition if isinstance(key, (int, np.integer)) else Transitions
+        return row(self.z_prev[key], self.z_curr[key], self.x_next[key])
 
 
 @dataclass
@@ -220,40 +229,29 @@ def excite(plant, policy: ExcitePolicy, n: int, seed: int, x0) -> Series:
     return Series(t, x, u)
 
 
-def to_transitions(series: Series) -> list:
-    """Sliding window of consecutive triples: length = len(series) - 2."""
+def to_transitions(series: Series) -> Transitions:
+    """Sliding window of consecutive triples, len(series) - 2 of them."""
     n = len(series)
     if n < 3:
         raise ValueError(f"series of length {n} has no (prev, curr, next) triple")
-    out = []
-    for k in range(1, n - 1):
-        z_prev = np.concatenate([series.x[k - 1], series.u[k - 1]])
-        z_curr = np.concatenate([series.x[k], series.u[k]])
-        out.append(Transition(z_prev, z_curr, series.x[k + 1].copy()))
-    return out
+    z = np.concatenate([series.x, series.u], axis=1)
+    return Transitions(z[:-2], z[1:-1], z[2:, : series.x.shape[1]])
 
 
-def transitions_to_arrays(transitions) -> tuple:
-    """Stack a transition list into float64 (Z_prev, Z_curr, X_next) batch
-    arrays; rows of unequal length are a ValueError."""
-    if not transitions:
-        raise ValueError("empty transition list")
-    Zp = np.array([tr.z_prev for tr in transitions], dtype=np.float64)
-    Zc = np.array([tr.z_curr for tr in transitions], dtype=np.float64)
-    Xn = np.array([tr.x_next for tr in transitions], dtype=np.float64)
-    return Zp, Zc, Xn
+def _split_length(n_train: int, n_test: int) -> int:
+    if n_train <= 0 or n_test <= 0:
+        raise ValueError("split sizes must be positive")
+    return n_train + n_test + 2
 
 
 def range_shift_split(series: Series, n_train: int = 180, n_test: int = 100):
-    """Chronological split of the transition list: first n_train, next n_test."""
-    if n_train <= 0 or n_test <= 0:
-        raise ValueError("split sizes must be positive")
-    if len(series) < n_train + n_test + 2:
+    """Chronological split of the transitions: first n_train, next n_test."""
+    if len(series) < _split_length(n_train, n_test):
         raise ValueError(
             f"series of length {len(series)} cannot yield {n_train}+{n_test} transitions"
         )
-    transitions = to_transitions(series)
-    return transitions[:n_train], transitions[n_train : n_train + n_test]
+    data = to_transitions(series)
+    return data[:n_train], data[n_train : n_train + n_test]
 
 
 def save_csv(series: Series, path, state_names, input_names) -> None:
@@ -326,17 +324,19 @@ def load_csv(path, state_cols=None, input_cols=None) -> Series:
 
 
 @dataclass
-class HvacBenchmark:
-    plant: HvacPlant
+class Dataset:
+    """A simulated plant's series and its chronological train/test split."""
+
+    plant: HvacPlant | TcLabPlant
     series: Series
-    train: list
-    test: list
+    train: Transitions
+    test: Transitions
 
 
 def hvac_benchmark(
     seed: int, n_train: int = 180, n_test: int = 100, noise_sigma: float = 0.05,
     plant: HvacPlant | None = None,
-) -> HvacBenchmark:
+) -> Dataset:
     """Range-shifted identification benchmark on the room-temperature plant.
 
     A hot-ambient room (85 degF) is cooled by 55 degF supply air. Training
@@ -364,7 +364,7 @@ def hvac_benchmark(
     def deg(t):
         return 55.0 + (t - 55.0) * scale
 
-    n = n_train + n_test + 2
+    n = _split_length(n_train, n_test)
     rng = np.random.default_rng(seed)
     x = np.empty((n, 1))
     u = np.empty((n, 2))
@@ -458,28 +458,20 @@ def hvac_benchmark(
         x = x + rng.normal(0.0, noise_sigma, size=x.shape)
     series = Series(np.arange(n, dtype=np.float64) * plant.dt, x, u)
     train, test = range_shift_split(series, n_train, n_test)
-    max_train = max(float(tr.x_next[0]) for tr in train)
-    min_test = min(float(tr.x_next[0]) for tr in test)
+    max_train = float(train.x_next[:, 0].max())
+    min_test = float(test.x_next[:, 0].min())
     if not max_train < min_test + 1.0:
         raise RuntimeError(
             f"range shift failed: max train T {max_train:.2f} vs "
             f"min test T {min_test:.2f} exceeds the 1 degF overlap budget"
         )
-    return HvacBenchmark(plant, series, train, test)
-
-
-@dataclass
-class TcLabDataset:
-    plant: TcLabPlant
-    series: Series
-    train: list
-    test: list
+    return Dataset(plant, series, train, test)
 
 
 def tclab_dataset(
     seed: int, n_train: int = 250, n_test: int = 60, noise_sigma: float = 0.05,
     plant: TcLabPlant | None = None,
-) -> TcLabDataset:
+) -> Dataset:
     """Identification data: heaters wander 10-50 % with 120/150 s dwells,
     on `plant` (None: the default `TcLabPlant()`), split chronologically by
     `range_shift_split`, so both split sizes must be positive."""
@@ -490,6 +482,6 @@ def tclab_dataset(
         dwell_choices=(8, 10),  # 120 s or 150 s at dt = 15 s
         noise_sigma=noise_sigma,
     )
-    n = n_train + n_test + 2
+    n = _split_length(n_train, n_test)
     series = excite(plant, policy, n, seed, x0=np.array([plant.T_amb, plant.T_amb]))
-    return TcLabDataset(plant, series, *range_shift_split(series, n_train, n_test))
+    return Dataset(plant, series, *range_shift_split(series, n_train, n_test))

@@ -13,9 +13,9 @@ in-graph Jacobians, so their parameter gradients flow through the nested
 derivative.
 
 Every variant trains through one loop, `train`: each epoch evaluates the
-loss on the whole data set and takes one Adam step, and the run returns the
-parameters of its best recorded epoch. The loss graph has the same shape in
-every epoch, so a run builds it once and replays it.
+loss on a whole `Transitions` set and takes one Adam step, and the run
+returns the parameters of its best recorded epoch. The loss graph has the
+same shape in every epoch, so a run builds it once and replays it.
 """
 
 from dataclasses import dataclass, replace
@@ -28,7 +28,7 @@ from . import net as nn
 from .constraints import DECREASING, MonoSpec
 from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
 from .net import TrainingFault
-from .plants import finite, transitions_to_arrays
+from .plants import Transitions, finite
 
 Array = np.ndarray
 
@@ -206,9 +206,9 @@ def _fault(message: str, rows) -> TrainingFault:
     return fault
 
 
-def train(model, data, cfg: TrainConfig):
-    """Gradient-train a copy of `model` on the transition list `data`;
-    returns (best model, history).
+def train(model, data: Transitions, cfg: TrainConfig):
+    """Gradient-train a copy of `model` on the transitions `data`; returns
+    (best model, history).
 
     Each epoch records the loss at its pre-update parameters, then takes
     one Adam step on the gradient over all of `data`.  The copy's weights
@@ -224,7 +224,7 @@ def train(model, data, cfg: TrainConfig):
     `graph.backward` with the order computed at the build. Both give bit
     for bit what a fresh build at the same parameters gives.
     """
-    Zp, Zc, Xn = transitions_to_arrays(data)
+    Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
     if len(Zp) < 2:
         raise ValueError("need at least 2 training samples")
     model = model.copy()
@@ -296,7 +296,7 @@ def variant_recipe(name: str) -> dict:
     return {"baseline": False, "order": order, "gate_mode": gate}
 
 
-def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
+def build_variant(name: str, mono_spec: MonoSpec, data: Transitions, width: int, seed: int):
     """Construct an untrained model for a named variant, standardized to data.
 
     Jacobian nets get input standardization from the expansion points, a
@@ -306,7 +306,7 @@ def build_variant(name: str, mono_spec: MonoSpec, data, width: int, seed: int):
     anchor is clamped to the tagged sign so every gate starts live.
     """
     recipe = variant_recipe(name)
-    Zp, Zc, Xn = transitions_to_arrays(data)
+    Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
     N = Zp.shape[1]
     nx = Xn.shape[1]
     if (mono_spec.n_states, mono_spec.n_inputs) != (nx, N):
@@ -364,7 +364,7 @@ STUDY_LEARNING_RATE = 1e-3
 STUDY_WEIGHT_DECAY = 0.9
 
 
-def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
+def train_variant(name: str, mono_spec: MonoSpec, data: Transitions, seed=0,
                   width=STUDY_WIDTH, **overrides):
     """Build and train a named variant under the shared benchmark recipe.
 
@@ -372,7 +372,6 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
     history); the baseline is a `BaselineModel`, so it rolls out like any
     other model.
     """
-    data = list(data)
     cfg_kw = dict(
         epochs=STUDY_EPOCHS,
         learning_rate=STUDY_LEARNING_RATE,
@@ -383,22 +382,21 @@ def train_variant(name: str, mono_spec: MonoSpec, data, seed=0,
     return train(build_variant(name, mono_spec, data, width=width, seed=seed), data, cfg)
 
 
-def _heldout_mse(model, data) -> float:
+def _heldout_mse(model, data: Transitions) -> float:
     """Batch-mean squared prediction error on `data`; inf if non-finite."""
-    Zp, Zc, Xn = transitions_to_arrays(data)
+    Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
     with np.errstate(over="ignore", invalid="ignore"):
         mse = float(np.mean(np.sum((Xn - md.predict_batch(model, Zc, Zp)) ** 2, axis=1)))
     return mse if np.isfinite(mse) else np.inf
 
 
-def lr_sweep(build_fn, data, cfg: TrainConfig, rates=SWEEP_RATES):
+def lr_sweep(build_fn, data: Transitions, cfg: TrainConfig, rates=SWEEP_RATES):
     """Pick a learning rate by chronological 80/20 validation, then refit.
 
     build_fn() must return a freshly initialized model (same seed each call).
     Returns (model, history, best_rate, report) where report maps each rate
     to its validation MSE (inf for diverged runs).
     """
-    data = list(data)
     n = len(data)
     n_fit = int(round(0.8 * n))
     if n_fit < 2 or n - n_fit < 1:

@@ -4,8 +4,9 @@ against.
 The library computes its losses and penalties on the reverse-mode graph
 only. Here are their numpy twins, each written out as directly as it can
 be, together with the central-difference oracles for input Jacobians and
-parameter gradients, the per-minor cofactor loop and the per-array Adam
-training loop. None of this runs outside the tests.
+parameter gradients, the per-minor cofactor loop, the per-array Adam
+training loop and the per-row transition loop. None of this runs outside
+the tests.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from mtnn import net as nn
 from mtnn import training as tr
 from mtnn.constraints import DECREASING, INCREASING, MonoSpec
 from mtnn.net import TrainingFault
-from mtnn.plants import transitions_to_arrays
+from mtnn.plants import Transition
 
 
 def mono_penalty(jac, spec: MonoSpec, lam_inc=con.SIGN_WEIGHT,
@@ -64,7 +65,7 @@ def loss_components(model, batch, cfg):
     batch means, from the numpy predictor, Jacobians and Hessian blocks.
     A model with a soft sign prior takes the sign hinge, and at second
     order the curvature hinge; every other model trains on the MSE alone."""
-    Zp, Zc, Xn = transitions_to_arrays(batch)
+    Zp, Zc, Xn = batch.z_prev, batch.z_curr, batch.x_next
     B = Zp.shape[0]
     pred = md.predict_batch(model, Zc, Zp)
     per_sample = np.sum((Xn - pred) ** 2, axis=1)
@@ -184,7 +185,7 @@ def train_per_array(model, data, cfg):
     without its fault checks, and with a fresh loss graph built on a new
     tape every epoch where `train` replays one; returns (best model,
     (epochs, 4) array of total, mse, mono and convex per epoch)."""
-    Zp, Zc, Xn = transitions_to_arrays(data)
+    Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
     model = model.copy()
     net = model.net
     arrays = [*net.weights, *net.biases]
@@ -203,3 +204,16 @@ def train_per_array(model, data, cfg):
     for A, snap in zip(arrays, best_params):
         np.copyto(A, snap)
     return model, np.array(rows)
+
+
+def transitions_per_row(series) -> tuple:
+    """`plants.to_transitions` as a loop over samples: one `Transition` per
+    (prev, curr, next) triple, restacked into float64 (Z_prev, Z_curr,
+    X_next) arrays."""
+    rows = []
+    for k in range(1, len(series) - 1):
+        z_prev = np.concatenate([series.x[k - 1], series.u[k - 1]])
+        z_curr = np.concatenate([series.x[k], series.u[k]])
+        rows.append(Transition(z_prev, z_curr, series.x[k + 1].copy()))
+    return tuple(np.array([getattr(t, f) for t in rows], dtype=np.float64)
+                 for f in ("z_prev", "z_curr", "x_next"))

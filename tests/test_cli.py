@@ -141,9 +141,13 @@ class TestGenData:
         assert err.count("\n") == 1
         assert not (tmp_path / "d" / "gen_manifest.json").exists()
 
-    @pytest.mark.parametrize("split", [{"n_train": 0}, {"n_train": -1, "n_test": 3}])
-    def test_tclab_split_sizes_must_be_positive(self, tmp_path, capsys, split):
-        cfg = dict(base_config(tmp_path / "d"), split=split)
+    @pytest.mark.parametrize("kind,split", [("tclab", {"n_train": 0}),
+                                            ("tclab", {"n_train": -1, "n_test": 3}),
+                                            ("tclab", {"n_train": -5, "n_test": 1}),
+                                            ("hvac", {"n_train": -10, "n_test": 3})])
+    def test_split_sizes_must_be_positive(self, tmp_path, capsys, kind, split):
+        # checked before simulating: a split too small to simulate names itself
+        cfg = dict(base_config(tmp_path / "d"), split=split, plant={"kind": kind})
         assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 1
         err = capsys.readouterr().err
         assert err == "error: split sizes must be positive\n"

@@ -12,7 +12,7 @@ from mtnn import net as nn
 from mtnn import training as tr
 from mtnn.constraints import MonoSpec
 from mtnn.model import MtnnModel
-from mtnn.plants import Transition
+from mtnn.plants import Transitions
 import oracles
 
 RNG = np.random.default_rng(42)
@@ -299,7 +299,7 @@ class TestLossGradient:
     def test_nonfinite_loss_raises_fault(self):
         model = MtnnModel([random_net([2, 2])], MonoSpec.free(1, 2))
         z = np.ones(2)
-        data = [Transition(z, z + 1.0, np.array([np.inf]))] * 2
+        data = Transitions([z, z], [z + 1.0, z + 1.0], [[np.inf], [np.inf]])
         with pytest.raises(nn.TrainingFault, match="diverged at epoch 0"):
             tr.train(model, data, tr.TrainConfig(epochs=1))
 

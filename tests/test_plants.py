@@ -1,6 +1,6 @@
 """Plant simulators, excitation, transitions, CSV IO, benchmark splits."""
 
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mtnn import plants as pl
+import oracles
 
 RNG = np.random.default_rng(99)
 
@@ -15,21 +16,21 @@ RNG = np.random.default_rng(99)
 class TestHvacStep:
     def test_equilibrium(self):
         p = pl.HvacPlant(k_a=0.02, T_amb=70.0)
-        assert pl.hvac_step(p, 70.0, 70.0, 0.5) == 70.0
+        assert p.step([70.0], [70.0, 0.5])[0] == 70.0
 
     def test_isolated_room(self):
         p = pl.HvacPlant(k_a=0.0)
-        assert pl.hvac_step(p, 71.3, 55.0, 0.0) == 71.3
+        assert p.step([71.3], [55.0, 0.0])[0] == 71.3
 
     def test_hand_arithmetic(self):
         # T + (dt/C)(mdot c_p (Ts - T) + k_a (T_amb - T))
         # = 70 + 0.6 * (0.5 * 1.0 * (55 - 70) + 0.02 * (70 - 70)) = 65.5
         p = pl.HvacPlant(C=500.0, c_p=1.0, k_a=0.02, T_amb=70.0, dt=300.0)
-        assert pl.hvac_step(p, 70.0, 55.0, 0.5) == pytest.approx(65.5, abs=1e-12)
+        assert p.step([70.0], [55.0, 0.5])[0] == pytest.approx(65.5, abs=1e-12)
 
     def test_negative_flow_rejected(self):
         with pytest.raises(ValueError):
-            pl.hvac_step(pl.HvacPlant(), 70.0, 55.0, -0.1)
+            pl.HvacPlant().step([70.0], [55.0, -0.1])
 
     def test_step_method_wraps_vectors(self):
         p = pl.HvacPlant(k_a=0.02, T_amb=70.0)
@@ -44,12 +45,13 @@ class TestHvacStep:
     def test_monotone_partials_on_random_probes(self):
         p = pl.HvacPlant()
         rng = np.random.default_rng(1)
-        T = rng.uniform(40, 100, size=10_000)
-        Ts = rng.uniform(40, 100, size=10_000)
-        m = rng.uniform(0.0, p.mdot_max, size=10_000)
+        X = rng.uniform(40, 100, size=(10_000, 1))
+        U = np.column_stack([rng.uniform(40, 100, size=10_000),
+                             rng.uniform(0.0, p.mdot_max, size=10_000)])
         eps = 1e-4
-        dTs = (pl.hvac_step(p, T, Ts + eps, m) - pl.hvac_step(p, T, Ts - eps, m)) / (2 * eps)
-        dT = (pl.hvac_step(p, T + eps, Ts, m) - pl.hvac_step(p, T - eps, Ts, m)) / (2 * eps)
+        e_Ts = [eps, 0.0]
+        dTs = (p.step(X, U + e_Ts) - p.step(X, U - e_Ts)) / (2 * eps)
+        dT = (p.step(X + eps, U) - p.step(X - eps, U)) / (2 * eps)
         assert (dTs >= 0).all()
         assert (dT >= 0).all()
 
@@ -57,32 +59,32 @@ class TestHvacStep:
 class TestTcLabStep:
     def test_ambient_equilibrium(self):
         p = pl.TcLabPlant()
-        T1, T2 = pl.tclab_step(p, (23.0, 23.0), (0.0, 0.0))
+        T1, T2 = p.step([23.0, 23.0], [0.0, 0.0])
         assert (T1, T2) == (23.0, 23.0)
 
     def test_hand_arithmetic(self):
         # T1' = 30 + 15 (0.0065*50 + 0.008*(23-30) + 0.003*(30-30)) = 34.035
         p = pl.TcLabPlant()
-        T1, T2 = pl.tclab_step(p, (30.0, 30.0), (50.0, 50.0))
+        T1, T2 = p.step([30.0, 30.0], [50.0, 50.0])
         assert T1 == pytest.approx(34.035, abs=1e-12)
         assert T2 == pytest.approx(34.035, abs=1e-12)
 
     def test_own_heater_raises_own_and_coupled_temperature(self):
         p = pl.TcLabPlant()
-        base1, base2 = pl.tclab_step(p, (30.0, 31.0), (40.0, 25.0))
-        hot1, hot2 = pl.tclab_step(p, (30.0, 31.0), (45.0, 25.0))
+        base1, base2 = p.step([30.0, 31.0], [40.0, 25.0])
+        hot1, hot2 = p.step([30.0, 31.0], [45.0, 25.0])
         assert hot1 > base1
         assert hot2 == base2  # same step: no direct path
-        b1, b2 = pl.tclab_step(p, (base1, base2), (40.0, 25.0))
-        h1, h2 = pl.tclab_step(p, (hot1, hot2), (40.0, 25.0))
+        b1, b2 = p.step([base1, base2], [40.0, 25.0])
+        h1, h2 = p.step([hot1, hot2], [40.0, 25.0])
         assert h2 > b2  # two steps: coupling carries it over
 
     def test_power_bounds_enforced(self):
         p = pl.TcLabPlant()
         with pytest.raises(ValueError):
-            pl.tclab_step(p, (30.0, 30.0), (101.0, 50.0))
+            p.step([30.0, 30.0], [101.0, 50.0])
         with pytest.raises(ValueError):
-            pl.tclab_step(p, (30.0, 30.0), (50.0, -1.0))
+            p.step([30.0, 30.0], [50.0, -1.0])
 
     def test_construction_audit(self):
         with pytest.raises(ValueError, match="dt too large"):
@@ -93,23 +95,13 @@ class TestTcLabStep:
     def test_monotone_partials_on_random_probes(self):
         p = pl.TcLabPlant()
         rng = np.random.default_rng(2)
-        T1 = rng.uniform(20, 80, size=10_000)
-        T2 = rng.uniform(20, 80, size=10_000)
-        Q1 = rng.uniform(1, 99, size=10_000)
-        Q2 = rng.uniform(1, 99, size=10_000)
+        X = rng.uniform(20, 80, size=(10_000, 2))
+        U = rng.uniform(1, 99, size=(10_000, 2))
         eps = 1e-4
-        dQ1 = (
-            pl.tclab_step(p, (T1, T2), (Q1 + eps, Q2))[0]
-            - pl.tclab_step(p, (T1, T2), (Q1 - eps, Q2))[0]
-        ) / (2 * eps)
-        dT2 = (
-            pl.tclab_step(p, (T1, T2 + eps), (Q1, Q2))[0]
-            - pl.tclab_step(p, (T1, T2 - eps), (Q1, Q2))[0]
-        ) / (2 * eps)
-        dQ2own = (
-            pl.tclab_step(p, (T1, T2), (Q1, Q2 + eps))[1]
-            - pl.tclab_step(p, (T1, T2), (Q1, Q2 - eps))[1]
-        ) / (2 * eps)
+        e1, e2 = [eps, 0.0], [0.0, eps]
+        dQ1 = (p.step(X, U + e1) - p.step(X, U - e1))[:, 0] / (2 * eps)
+        dT2 = (p.step(X + e2, U) - p.step(X - e2, U))[:, 0] / (2 * eps)
+        dQ2own = (p.step(X, U + e2) - p.step(X, U - e2))[:, 1] / (2 * eps)
         assert (dQ1 >= 0).all()
         assert (dT2 >= 0).all()
         assert (dQ2own >= 0).all()
@@ -204,23 +196,67 @@ class TestTransitions:
         with pytest.raises(ValueError):
             pl.to_transitions(self.series(2))
 
-    def test_arrays_stacking(self):
-        trs = pl.to_transitions(self.series(6))
-        Zp, Zc, Xn = pl.transitions_to_arrays(trs)
-        assert Zp.shape == (4, 2) and Zc.shape == (4, 2) and Xn.shape == (4, 1)
-        for arr, field in ((Zp, "z_prev"), (Zc, "z_curr"), (Xn, "x_next")):
-            assert arr.dtype == np.float64
-            np.testing.assert_array_equal(arr, [getattr(tr, field) for tr in trs])
-        with pytest.raises(ValueError):
-            pl.transitions_to_arrays([])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 40),
+           widths=st.sampled_from([(pl.HvacPlant.nx, pl.HvacPlant.nu),
+                                   (pl.TcLabPlant.nx, pl.TcLabPlant.nu)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_row_oracle(self, n, widths, seed):
+        nx, nu = widths
+        rng = np.random.default_rng(seed)
+        s = pl.Series(np.arange(n) * 15.0, rng.normal(size=(n, nx)), rng.normal(size=(n, nu)))
+        got = pl.to_transitions(s)
+        for arr, want in zip((got.z_prev, got.z_curr, got.x_next),
+                             oracles.transitions_per_row(s)):
+            assert arr.dtype == want.dtype and arr.shape == want.shape
+            assert arr.tobytes() == want.tobytes()
 
-    def test_arrays_reject_ragged_rows(self):
-        trs = pl.to_transitions(self.series(6))
-        for field in ("z_prev", "z_curr", "x_next"):
-            bad = list(trs)
-            bad[2] = replace(trs[2], **{field: np.append(getattr(trs[2], field), 0.0)})
-            with pytest.raises(ValueError):
-                pl.transitions_to_arrays(bad)
+    def test_sequence_contract(self):
+        data = pl.to_transitions(self.series(6))
+        assert len(data) == 4
+        part = data[1:3]
+        assert isinstance(part, pl.Transitions) and len(part) == 2
+        np.testing.assert_array_equal(part.z_curr, data.z_curr[1:3])
+        last = data[-1]
+        assert last.z_prev.ndim == last.z_curr.ndim == last.x_next.ndim == 1
+        np.testing.assert_array_equal(last.x_next, [50.0])
+        rows = list(data)
+        assert len(rows) == 4
+        for k, t in enumerate(rows):
+            np.testing.assert_array_equal(t.z_prev, data.z_prev[k])
+            np.testing.assert_array_equal(t.z_curr, data.z_curr[k])
+            np.testing.assert_array_equal(t.x_next, data.x_next[k])
+        with pytest.raises(IndexError):
+            data[4]
+        # the read the rollout benchmark makes of its log: heater powers per sample
+        log = pl.tclab_dataset(seed=0, n_train=3, n_test=20).test
+        Q = np.stack([t.z_curr[2:] for t in log])
+        assert Q.shape == (20, 2)
+        np.testing.assert_array_equal(Q, log.z_curr[:, 2:])
+
+    def test_held_arrays_are_read_only(self):
+        Zp, Zc, Xn = np.zeros((3, 2)), np.ones((3, 2)), np.zeros((3, 1))
+        data = pl.Transitions(Zp, Zc, Xn)
+        built = pl.to_transitions(self.series(5))
+        for d in (data, built):
+            for arr in (d.z_prev, d.z_curr, d.x_next, d[0].z_curr, d[1:].x_next):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+        for arr in (Zp, Zc, Xn):  # the caller's own arrays keep their flags
+            assert arr.flags.writeable
+            arr[0] = 2.0
+
+    @pytest.mark.parametrize("shapes", [
+        ((4,), (4,), (4,)),  # not 2-D
+        ((4, 3), (4, 3), (4,)),
+        ((4, 3), (5, 3), (4, 1)),  # row counts
+        ((4, 3), (4, 3), (5, 1)),
+        ((4, 3), (4, 2), (4, 1)),  # widths
+        ((0, 3), (0, 3), (0, 1)),  # no rows
+    ])
+    def test_malformed_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match=re.escape(", ".join(map(str, shapes)))):
+            pl.Transitions(*(np.zeros(s) for s in shapes))
 
 
 def _csv_like():
@@ -418,9 +454,11 @@ class TestTcLabDataset:
         a, b = pl.tclab_dataset(seed=4), pl.tclab_dataset(seed=4)
         assert np.array_equal(a.series.x, b.series.x)
 
-    @pytest.mark.parametrize("n_train,n_test", [(-1, 3), (0, 5), (5, 0), (4, -2)])
+    @pytest.mark.parametrize("n_train,n_test",
+                             [(-1, 3), (0, 5), (5, 0), (4, -2), (-10, 3), (-5, 1)])
     def test_split_sizes_must_be_positive(self, n_train, n_test):
-        # a split that used to come back short or empty
+        # a split that used to come back short or empty, or fail inside the
+        # simulation when it leaves fewer than 3 samples
         with pytest.raises(ValueError, match="split sizes must be positive"):
             pl.tclab_dataset(seed=0, n_train=n_train, n_test=n_test)
         with pytest.raises(ValueError, match="split sizes must be positive"):

@@ -23,7 +23,14 @@ def make_transitions(rng, B, nx, nu, scale=1.0):
     Zp = rng.normal(size=(B, N)) * scale
     Zc = Zp + rng.normal(size=(B, N)) * 0.4
     Xn = Zc[:, :nx] + rng.normal(size=(B, nx)) * 0.3
-    return [pl.Transition(Zp[i], Zc[i], Xn[i]) for i in range(B)]
+    return pl.Transitions(Zp, Zc, Xn)
+
+
+def with_target(data, i, value):
+    """A copy of `data` whose sample i has the next state `value`."""
+    Xn = data.x_next.copy()
+    Xn[i] = value
+    return pl.Transitions(data.z_prev, data.z_curr, Xn)
 
 
 def make_model(rng_seed, nx, nu, width=3, order=TaylorOrder.FIRST,
@@ -52,7 +59,7 @@ class TestTotalLoss:
         # zero increment predicts x_curr exactly; make that the target
         rng = np.random.default_rng(0)
         Z = rng.normal(size=(6, 3))
-        data = [pl.Transition(Z[i], Z[i], Z[i, :1]) for i in range(6)]
+        data = pl.Transitions(Z, Z, Z[:, :1])
         model = make_model(1, nx=1, nu=2)
         assert total_loss(model, data, tr.TrainConfig()) == 0.0
 
@@ -62,7 +69,7 @@ class TestTotalLoss:
         net.biases[0][:] = 0.0
         model = MtnnModel([net], ct.MonoSpec.free(1, 2), TaylorOrder.FIRST, GateMode.NONE)
         z = np.array([1.0, 2.0])
-        data = [pl.Transition(z, z + 1.0, np.array([2.3]))]  # pred = x_curr = 2.0
+        data = pl.Transitions([z], [z + 1.0], [[2.3]])  # pred = x_curr = 2.0
         assert total_loss(model, data, tr.TrainConfig()) == pytest.approx(0.09, abs=1e-15)
 
     def test_mono_soft_composition(self):
@@ -76,7 +83,7 @@ class TestTotalLoss:
         plain = model.copy()
         plain.gate_mode = GateMode.NONE  # predicts exactly as SOFT does
         mse_only = total_loss(plain, data, cfg)
-        J = md.jacobian_matrix_batch(model, np.stack([t.z_prev for t in data]))
+        J = md.jacobian_matrix_batch(model, data.z_prev)
         pen = np.mean([oracles.mono_penalty(J[b], model.mono_spec)
                        for b in range(len(data))])
         assert total == mse_only + pen
@@ -113,7 +120,7 @@ class TestLossGraphTwin:
         model = make_model(12, nx=2, nu=1, order=order, gate=gate,
                            tags=["+.-", "-+."], bias_shift=0.3)
         cfg = tr.TrainConfig(strict_minors=strict)
-        Zp, Zc, Xn = pl.transitions_to_arrays(data)
+        Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
         tape = nn.NetTape(model.net)
         total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         ref = oracles.loss_components(model, data, cfg)
@@ -126,7 +133,7 @@ class TestLossGraphTwin:
         model = make_model(14, nx=1, nu=2, order=TaylorOrder.SECOND, gate=GateMode.SOFT)
         model.symmetrize_hessian = True
         cfg = tr.TrainConfig()
-        Zp, Zc, Xn = pl.transitions_to_arrays(data)
+        Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
         tape = nn.NetTape(model.net)
         total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         np.testing.assert_allclose(
@@ -140,7 +147,7 @@ class TestLossGraphTwin:
         model = make_model(22, nx=2, nu=1, order=order, gate=gate,
                            tags=["+.-", "-+."], bias_shift=0.35)
         cfg = tr.TrainConfig(strict_minors=strict)
-        Zp, Zc, Xn = pl.transitions_to_arrays(data)
+        Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
         tape = nn.NetTape(model.net)
         total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
         graph.backward(total_var)
@@ -168,7 +175,7 @@ class TestTrain:
         Zp = rng.normal(size=(B, 2))
         Zc = Zp + rng.normal(size=(B, 2)) * 0.5
         Xn = (Zc[:, 0] + 0.5 * (Zc[:, 1] - Zp[:, 1])).reshape(-1, 1)
-        return [pl.Transition(Zp[i], Zc[i], Xn[i]) for i in range(B)]
+        return pl.Transitions(Zp, Zc, Xn)
 
     def linear_model(self, seed=3):
         net = nn.init_dense([2, 2], seed)
@@ -222,8 +229,7 @@ class TestTrain:
             tr.train(self.linear_model(), data, tr.TrainConfig(epochs=1))
 
     def test_divergence_fault_carries_history_and_sample(self):
-        data = self.linear_problem()
-        data[7] = pl.Transition(data[7].z_prev, data[7].z_curr, np.array([1e200]))
+        data = with_target(self.linear_problem(), 7, 1e200)
         cfg = tr.TrainConfig(learning_rate=1e-3, epochs=10)
         with pytest.raises(TrainingFault, match="sample 7") as ei:
             tr.train(self.linear_model(), data, cfg)
@@ -326,7 +332,7 @@ class TestTrainBaseline:
         rng = np.random.default_rng(6)
         Zp = rng.normal(size=(16, 3))
         Zc = Zp + rng.normal(size=(16, 3)) * 0.3
-        data = [pl.Transition(Zp[i], Zc[i], np.array([4.2])) for i in range(16)]
+        data = pl.Transitions(Zp, Zc, np.full((16, 1), 4.2))
         # the recipe's weight decay pulls the hidden layer toward zero, which
         # leaves the output shift fitted to the constant target
         cfg = tr.TrainConfig(learning_rate=1e-2, epochs=600,
@@ -443,7 +449,7 @@ class TestVariants:
         b = pl.hvac_benchmark(seed=0)
         spec = b.plant.mono_spec()
         m = tr.build_variant("taylor1", spec, b.train, 8, seed=1)
-        Zp, Zc, Xn = pl.transitions_to_arrays(b.train)
+        Zp, Zc, Xn = b.train.z_prev, b.train.z_curr, b.train.x_next
         row0, *_ = np.linalg.lstsq(Zc - Zp, Xn[:, 0] - Zc[:, 0], rcond=None)
         np.testing.assert_allclose(m.net.out_shift[0], row0)
 
@@ -453,7 +459,7 @@ class TestVariants:
         Zp = rng.uniform(0, 1, size=(60, 2))
         Zc = Zp + rng.uniform(-0.5, 0.5, size=(60, 2))
         Xn = (Zc[:, :1] - 0.3 * (Zc[:, 1:] - Zp[:, 1:]))
-        data = [pl.Transition(Zp[i], Zc[i], Xn[i]) for i in range(60)]
+        data = pl.Transitions(Zp, Zc, Xn)
         spec = ct.MonoSpec.from_symbols([".+"])
         gated = tr.build_variant("mono1", spec, data, 4, seed=0)
         plain = tr.build_variant("taylor1", spec, data, 4, seed=0)
@@ -477,8 +483,7 @@ class TestVariants:
     def test_standardization_fitted(self):
         b = pl.hvac_benchmark(seed=0)
         m = tr.build_variant("taylor1", b.plant.mono_spec(), b.train, 8, seed=0)
-        Zp, _, _ = pl.transitions_to_arrays(b.train)
-        np.testing.assert_allclose(m.net.in_shift[0], Zp.mean(axis=0))
+        np.testing.assert_allclose(m.net.in_shift[0], b.train.z_prev.mean(axis=0))
 
     def test_spec_mismatch_rejected(self):
         b = pl.hvac_benchmark(seed=0)
@@ -598,8 +603,7 @@ class TestLrSweep:
         assert report[1e-9] == np.inf and np.isfinite(report[3e-2])
 
     def test_every_rate_diverging_is_a_fault(self):
-        prob = TestTrain().linear_problem(B=40)
-        prob[3] = pl.Transition(prob[3].z_prev, prob[3].z_curr, np.array([1e200]))
+        prob = with_target(TestTrain().linear_problem(B=40), 3, 1e200)
         with pytest.raises(TrainingFault, match="every sweep rate diverged"):
             tr.lr_sweep(lambda: TestTrain().linear_model(), prob,
                         tr.TrainConfig(epochs=5), rates=(3e-2, 1e-3))
