@@ -5,7 +5,7 @@ stay >= 0), Decreasing (<= 0), or Free. Two enforcement routes:
 
   * gate the network outputs through ReLU / -ReLU so tagged entries cannot
     leave their half-line (architecture route), computed as the raw output
-    times its derivative mask (`gate_derivative_mask`),
+    times its derivative mask (`gate_mask_of(tags)(raw)`),
   * leave the outputs raw and add a hinge penalty on violations to the
     training loss (soft route).
 
@@ -88,17 +88,13 @@ class MonoSpec:
         return ["".join(_SYMBOLS[int(t)] for t in row) for row in self.tags]
 
 
-def gate_derivative_mask(raw, tags) -> Array:
-    """d(gated)/d(raw) entrywise, in {-1, 0, 1} (subgradient 0 at the kink).
+def gate_mask_of(tags):
+    """raw -> d(gated)/d(raw) entrywise, in {-1, 0, 1} (subgradient 0 at the
+    kink), with the tag arrays derived once: a tagged entry reads its tag
+    where raw > 0 and 0 elsewhere, a free one 1.
 
     The gate is piecewise linear, so the gated output is raw times this mask.
     """
-    return gate_mask_of(tags)(raw)
-
-
-def gate_mask_of(tags):
-    """raw -> gate_derivative_mask(raw, tags), with the tag arrays derived once:
-    a tagged entry reads its tag where raw > 0 and 0 elsewhere, a free one 1."""
     tags = np.asarray(tags, dtype=np.int8)
     free = tags == FREE
     on, off = np.where(free, 1.0, tags), np.where(free, 1.0, 0.0)
@@ -108,12 +104,12 @@ def gate_mask_of(tags):
 def apply_sign_gate(raw, tags) -> Array:
     """Increasing -> ReLU(raw), Decreasing -> -ReLU(raw), Free -> raw.
 
-    Computed as raw * gate_derivative_mask(raw, tags), which equals the
-    ReLU / -ReLU form (a rectified entry may read -0.0). Elementwise; `raw`
-    may carry leading batch axes as long as the trailing axes match `tags`.
+    Computed as raw * gate_mask_of(tags)(raw), which equals the ReLU /
+    -ReLU form (a rectified entry may read -0.0). Elementwise; `raw` may
+    carry leading batch axes as long as the trailing axes match `tags`.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    return raw * gate_derivative_mask(raw, tags)
+    return raw * gate_mask_of(tags)(raw)
 
 
 def apply_sign_gate_graph(raw: Var, tags) -> Var:
@@ -126,13 +122,13 @@ def mono_penalty_rows_graph(rows: Var, spec: MonoSpec) -> Var:
     """Sign hinge over the ungated Jacobian rows (Nx, B, N):
     SIGN_WEIGHT * sum ReLU(-tag * J), zero on Free entries."""
     neg_tags = -spec.tags[:, None, :].astype(np.float64)
-    return graph.scale(graph.sum_all(graph.relu(graph.mul(rows, neg_tags))), SIGN_WEIGHT)
+    return graph.sum_all(graph.relu(rows * neg_tags)) * SIGN_WEIGHT
 
 
 def convex_penalty_blocks_graph(blocks: Var) -> Var:
     """CURVATURE_WEIGHT * sum ReLU(-det(block)) over the Hessian blocks
     (Nx, B, N, N); penalizes negative determinants."""
-    return graph.scale(graph.sum_all(graph.relu(-graph.det(blocks))), CURVATURE_WEIGHT)
+    return graph.sum_all(graph.relu(-graph.det(blocks))) * CURVATURE_WEIGHT
 
 
 def principal_minor_penalty_blocks_graph(blocks: Var) -> Var:
@@ -148,7 +144,7 @@ def principal_minor_penalty_blocks_graph(blocks: Var) -> Var:
     for m in range(1, blocks.value.shape[-1] + 1):
         term = graph.sum_all(graph.relu(-graph.det(_leading_block(blocks, m))))
         total = term if total is None else total + term
-    return graph.scale(total, CURVATURE_WEIGHT)
+    return total * CURVATURE_WEIGHT
 
 
 def _leading_block(blk: Var, m: int) -> Var:

@@ -1,9 +1,13 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A deliberately small engine: the handful of primitives below is exactly what
-the dense-network forward pass, its forward-mode input tangents (one
-direction, or the basis directions for a full Jacobian), and the penalty
-terms need. Everything is double precision.
+A deliberately small engine with one implementation per primitive, and just
+the primitives that the dense-network forward pass, its forward-mode input
+tangents (one direction, or the basis directions for a full Jacobian), and
+the penalty terms need: add, sub and mul (`x * c` scales, `-x` is x * -1.0);
+tanh, relu and the detached `masked`; linear, bmat_vec, dot_rows and det;
+concat_last, moveaxis (moveaxis(x, -1, -2) transposes) and reshape; sum_all.
+A leaf is `Var(value)`; a plain array operand is a constant, which no
+gradient reaches. Everything is double precision.
 
 Each primitive stores two closures. Its forward closure recomputes the
 node's value from its operands' current `.value`, and its vector-Jacobian
@@ -74,7 +78,7 @@ class Var:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -97,11 +101,6 @@ def op(fwd: Callable, parents: tuple, vjp: Callable | None, after: tuple = ()) -
     node.fwd = fwd
     node.after = after
     return node
-
-
-def constant(value) -> Var:
-    """Wrap a plain array as a leaf that receives no gradient."""
-    return Var(value)
 
 
 class _Const:
@@ -138,15 +137,6 @@ def mul(a, b) -> Var:
     a, b = _operand(a), _operand(b)
     return _node(lambda: a.value * b.value,
                  (a, lambda g: g * b.value), (b, lambda g: g * a.value))
-
-
-def neg(a: Var) -> Var:
-    return op(lambda: -a.value, (a,), lambda g: (-g,))
-
-
-def scale(a: Var, c: float) -> Var:
-    c = float(c)
-    return op(lambda: a.value * c, (a,), lambda g: (g * c,))
 
 
 def tanh(a: Var) -> Var:
@@ -226,11 +216,6 @@ def dot_rows(u, v) -> Var:
         (u, lambda g: g[..., None] * v.value),
         (v, lambda g: g[..., None] * u.value),
     )
-
-
-def transpose_last(A: Var) -> Var:
-    """Swap the last two axes."""
-    return op(lambda: A.value.swapaxes(-1, -2), (A,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def det(A: Var) -> Var:

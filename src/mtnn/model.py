@@ -21,7 +21,7 @@ runs the net stack once. The full blocks are built only for the curvature
 penalties (`hessian_stack_batch`, or `need_blocks` on the graph), and only
 there does `symmetrize_hessian` matter: it cannot change a quadratic form.
 The architecture gate multiplies the rows, H_j dz and the block rows by one
-detached mask, `constraints.gate_derivative_mask`.
+detached mask, `constraints.gate_mask_of(tags)(raw)`.
 
 The step has exactly two evaluators, both batched: `predict_batch` in
 numpy for prediction and rollout, and `taylor_increments` on the reverse-mode
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import constraints, graph
 from . import net as nn
-from .constraints import MonoSpec, apply_sign_gate, gate_derivative_mask
+from .constraints import MonoSpec, apply_sign_gate, gate_mask_of
 
 Array = np.ndarray
 
@@ -173,7 +173,7 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     Z = _as_z(Z_prev, model.n)
     raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z))
     if model.gated:
-        blocks = blocks * gate_derivative_mask(raw, model.mono_spec.tags)[..., None]
+        blocks = blocks * gate_mask_of(model.mono_spec.tags)(raw)[..., None]
     if model.symmetrize_hessian:
         blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
     return blocks
@@ -206,7 +206,7 @@ def predict_batch(model, Z_curr, Z_prev) -> Array:
         raw, Hdz = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z_p, dz))
     else:
         raw, Hdz = _raw_rows(model, Z_p), None
-    mask = gate_derivative_mask(raw, model.mono_spec.tags) if model.gated else 1.0
+    mask = gate_mask_of(model.mono_spec.tags)(raw) if model.gated else 1.0
     x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", raw * mask, dz)
     if Hdz is not None:
         x_hat = x_hat + 0.5 * np.einsum("bjn,bn->bj", Hdz * mask, dz)
@@ -253,12 +253,12 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
         elif Hdz is not None:
             Hdz = graph.masked(Hdz, mask_of, raw)
     if blocks is not None and model.symmetrize_hessian:
-        blocks = graph.scale(blocks + graph.transpose_last(blocks), 0.5)
+        blocks = (blocks + graph.moveaxis(blocks, -1, -2)) * 0.5
     incr = graph.dot_rows(rows, dz)
     if second:
         if blocks is not None:
             Hdz = graph.bmat_vec(blocks, dz)
-        incr = incr + graph.scale(graph.dot_rows(Hdz, dz), 0.5)
+        incr = incr + graph.dot_rows(Hdz, dz) * 0.5
     return incr, rows, blocks
 
 
@@ -290,7 +290,9 @@ def model_from_dict(d: dict):
     kind = d.get("kind")
     try:
         if kind == "baseline":
-            return BaselineModel(nn.net_from_dict(d["net"]), int(d["nx"]))
+            if isinstance(d["nx"], bool) or not isinstance(d["nx"], int):
+                raise ValueError(f"nx must be a JSON integer, got {d['nx']!r}")
+            return BaselineModel(nn.net_from_dict(d["net"]), d["nx"])
         if kind == "mtnn":
             if not isinstance(d["symmetrize_hessian"], bool):
                 raise ValueError("symmetrize_hessian must be a JSON boolean, "

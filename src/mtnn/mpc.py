@@ -227,7 +227,7 @@ def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
     if isinstance(model, BaselineModel):
         return graph.reshape(tape.forward(z_curr), x.shape)
     incr, _, _ = md.taylor_increments(tape, model, z_curr, z_prev)
-    return x + graph.transpose_last(incr)
+    return x + graph.moveaxis(incr, -1, -2)
 
 
 def _step_jacobians(model, cfg: MpcConfig):

@@ -5,13 +5,17 @@ weights are (S, O, I), biases (S, O), and every evaluation carries the
 member axis first. A plain net is a stack of one, so 2-D weights and 1-D
 biases are read as a stack of one.
 
-Two evaluation paths for the same architecture:
+Two evaluation paths for the same architecture, each one layer loop
+(`_run` and `NetTape._run`):
 
   * plain numpy (`forward`, and `input_jacobian`, which returns the outputs
     with their input derivative) for prediction and rollout,
   * graph-building (`NetTape`) for training and for differentiating through
     the controller, where the loss may contain input-Jacobian entries and the
     gradient has to flow through them exactly.
+
+Both take a (B, I) batch only, and any other shape is a ValueError; a single
+sample is a batch of one.
 
 Both paths differentiate a net in its input by forward mode: a tangent is
 carried through the layers beside the activations. A second-order Taylor
@@ -43,6 +47,8 @@ Array = np.ndarray
 CHECKPOINT_VERSION = "mtnn-v1"
 
 ACTIVATION = "tanh"  # of every hidden layer
+
+_AFFINE = ("in_shift", "in_scale", "out_shift", "out_scale")  # DenseNet's fixed maps
 
 
 class TrainingFault(RuntimeError):
@@ -94,14 +100,8 @@ class DenseNet:
         return [self.n_in] + [W.shape[1] for W in self.weights]
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            [W.copy() for W in self.weights],
-            [b.copy() for b in self.biases],
-            self.in_shift.copy(),
-            self.in_scale.copy(),
-            self.out_shift.copy(),
-            self.out_scale.copy(),
-        )
+        return DenseNet([W.copy() for W in self.weights], [b.copy() for b in self.biases],
+                        *(getattr(self, k).copy() for k in _AFFINE))
 
 
 def _stacked(A, member_ndim: int) -> Array:
@@ -136,24 +136,15 @@ def stack(members) -> DenseNet:
     return DenseNet(
         [cat(Ws) for Ws in zip(*(net.weights for net in members))],
         [cat(bs) for bs in zip(*(net.biases for net in members))],
-        cat([net.in_shift for net in members]),
-        cat([net.in_scale for net in members]),
-        cat([net.out_shift for net in members]),
-        cat([net.out_scale for net in members]),
+        *(cat([getattr(net, k) for net in members]) for k in _AFFINE),
     )
 
 
 def unstack(net: DenseNet) -> list:
     """The members of a stack, each a stack of one (copies)."""
     return [
-        DenseNet(
-            [W[j] for W in net.weights],
-            [b[j] for b in net.biases],
-            net.in_shift[j],
-            net.in_scale[j],
-            net.out_shift[j],
-            net.out_scale[j],
-        ).copy()
+        DenseNet([W[j] for W in net.weights], [b[j] for b in net.biases],
+                 *(getattr(net, k)[j] for k in _AFFINE)).copy()
         for j in range(net.n_stack)
     ]
 
@@ -181,62 +172,68 @@ def init_dense(layer_dims, rng, n_stack: int = 1) -> DenseNet:
     return DenseNet(weights, biases)
 
 
-def _standardized_input(net: DenseNet, z):
-    """(I,) or (B, I) input -> ((S, B, I) standardized input, single flag)."""
+def _batch(net: DenseNet, z) -> Array:
+    """A (B, I) input as float64; any other shape is a ValueError."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    a = np.atleast_2d(z)
-    if a.shape[1] != net.n_in:
-        raise ValueError(f"input dim {a.shape[1]}, net expects {net.n_in}")
-    return (a - net.in_shift[:, None, :]) / net.in_scale[:, None, :], single
+    if z.ndim != 2 or z.shape[1] != net.n_in:
+        raise ValueError(f"z has shape {z.shape}, net expects (B, {net.n_in})")
+    return z
+
+
+def _standardized(net: DenseNet, z) -> Array:
+    """(B, I) input -> (S, B, I) standardized input."""
+    return (_batch(net, z) - net.in_shift[:, None, :]) / net.in_scale[:, None, :]
+
+
+def _basis(n: int, B: int) -> Array:
+    """The n basis tangents of a (B, n) input, (n, 1, B, n): direction first."""
+    return np.broadcast_to(np.eye(n)[:, None, None, :], (n, 1, B, n))
 
 
 def _layer(a: Array, W: Array, b: Array) -> Array:
     return a @ np.swapaxes(W, -1, -2) + b[:, None, :]
 
 
-def forward(net: DenseNet, z) -> Array:
-    """Evaluate every member; (I,) -> (S, O) or (B, I) -> (S, B, O)."""
-    a, single = _standardized_input(net, z)
+def _run(net: DenseNet, z, t=None) -> tuple:
+    """Numpy twin of `NetTape._run`, from the raw (B, I) input: outputs
+    (S, B, O) and, given an input tangent t (..., B, I), its image
+    (..., S, B, O); else None."""
+    a = _standardized(net, z)
+    if t is not None:
+        t = t / net.in_scale[:, None, :]
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         a = np.tanh(_layer(a, W, b))
+        if t is not None:
+            t = (1.0 - a * a) * (t @ np.swapaxes(W, -1, -2))
     out = _layer(a, net.weights[-1], net.biases[-1])
     out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
-    return out[:, 0] if single else out
+    if t is not None:
+        t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
+    return out, t
+
+
+def forward(net: DenseNet, z) -> Array:
+    """(B, I) input -> (S, B, O) outputs of every member."""
+    return _run(net, z)[0]
 
 
 def input_jacobian(net: DenseNet, z, v=None) -> tuple:
-    """(outputs, exact d(output)/d(input)) from one pass through the stack.
+    """(B, I) input -> ((S, B, O) outputs, (S, B, O, I) exact input-Jacobians)
+    from one pass through the stack, as `NetTape.forward_and_jacobian`.
 
-    The same contract as `NetTape.forward_and_jacobian`: the outputs are
-    `forward`'s, and the Jacobian is (I,) -> (S, O, I) or (B, I) -> (S, B, O, I).
-
-    Forward mode: a tangent is carried through the layers beside the
-    activations. The full Jacobian carries the I basis directions at once,
-    so it costs one pass with I tangents and holds no (S, B, H, H) product.
-
-    With a direction v shaped like z, the second value is the directional
-    derivative J v instead, (S, O) or (S, B, O): the one tangent v is carried.
+    The Jacobian carries the I basis tangents at once, so it costs one pass
+    and holds no (S, B, H, H) product. With a (B, I) direction v, the second
+    value is the directional derivative J v instead, (S, B, O): the one
+    tangent v is carried.
     """
-    a, single = _standardized_input(net, z)
+    z = _batch(net, z)
     if v is None:
-        n, B = net.n_in, a.shape[1]
-        t = np.broadcast_to(np.eye(n)[:, None, None, :], (n, 1, B, n))
-    else:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != np.shape(z):
-            raise ValueError(f"direction {v.shape} does not match input {np.shape(z)}")
-        t = np.atleast_2d(v)
-    t = t / net.in_scale[:, None, :]  # (..., S, B, I)
-    for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.tanh(_layer(a, W, b))
-        t = (1.0 - a * a) * (t @ np.swapaxes(W, -1, -2))
-    out = _layer(a, net.weights[-1], net.biases[-1])
-    out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
-    t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
-    if v is None:
-        t = np.moveaxis(t, 0, -1)  # (I, S, B, O) -> (S, B, O, I)
-    return (out[:, 0], t[:, 0]) if single else (out, t)
+        out, t = _run(net, z, _basis(net.n_in, len(z)))
+        return out, np.moveaxis(t, 0, -1)  # (I, S, B, O) -> (S, B, O, I)
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != z.shape:
+        raise ValueError(f"direction {v.shape} does not match input {z.shape}")
+    return _run(net, z, v)
 
 
 class NetTape:
@@ -268,25 +265,19 @@ class NetTape:
         a = self._input(z)
         B, n = a.shape[1], self.net.n_in
         if v is None:
-            basis = np.broadcast_to(np.eye(n)[:, None, None, :], (n, 1, B, n))
-            out, T = self._run(a, basis)
+            out, T = self._run(a, _basis(n, B))
             return out, graph.moveaxis(T, 0, -1)
-        v_shape = v.shape if isinstance(v, Var) else np.shape(v)
-        if v_shape != (B, n):
-            raise ValueError(f"direction {v_shape} does not match input ({B}, {n})")
+        if np.shape(v) != (B, n):  # a Var's shape too
+            raise ValueError(f"direction {np.shape(v)} does not match input ({B}, {n})")
         return self._run(a, v)
 
     def _input(self, z):
         """(B, I) array or Var -> (S, B, I) standardized input, an array for
         an array: a constant operand, which gets no gradient."""
-        in_shift = self.net.in_shift[:, None, :]
-        in_scale = self.net.in_scale[:, None, :]
-        if isinstance(z, Var):
-            if z.value.ndim != 2:
-                raise ValueError("Var inputs must be batched (B, I)")
-            return (z - in_shift) * (1.0 / in_scale)
-        zv = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return (zv - in_shift) / in_scale
+        if not isinstance(z, Var):
+            return _standardized(self.net, z)
+        _batch(self.net, z.value)
+        return (z - self.net.in_shift[:, None, :]) * (1.0 / self.net.in_scale[:, None, :])
 
     def _run(self, a, t=None):
         """Outputs (S, B, O) from the standardized input and, given an input
@@ -330,10 +321,7 @@ def net_to_dict(net: DenseNet) -> dict:
         "activation": ACTIVATION,
         "weights": [W[0].tolist() for W in net.weights],
         "biases": [b[0].tolist() for b in net.biases],
-        "in_shift": net.in_shift[0].tolist(),
-        "in_scale": net.in_scale[0].tolist(),
-        "out_shift": net.out_shift[0].tolist(),
-        "out_scale": net.out_scale[0].tolist(),
+        **{k: getattr(net, k)[0].tolist() for k in _AFFINE},
     }
 
 
@@ -342,10 +330,10 @@ def net_from_dict(d: dict) -> DenseNet:
         raise ValueError(f"a net record must be a JSON object, got {type(d).__name__}")
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-    weights = [np.asarray(W) for W in d["weights"]]
-    biases = [np.asarray(b) for b in d["biases"]]
+    weights = [_finite_field(W, "weights") for W in d["weights"]]
+    biases = [_finite_field(b, "biases") for b in d["biases"]]
     activation = d["activation"]
-    affine = [np.asarray(d[k]) for k in ("in_shift", "in_scale", "out_shift", "out_scale")]
+    affine = [_finite_field(d[k], k) for k in _AFFINE]
     if activation != ACTIVATION:
         raise ValueError(f"unsupported activation {activation!r}; "
                          f"hidden layers use {ACTIVATION!r}")
@@ -353,3 +341,11 @@ def net_from_dict(d: dict) -> DenseNet:
     if net.layer_dims != list(d["layer_dims"]):
         raise ValueError("layer_dims field disagrees with stored weights")
     return net
+
+
+def _finite_field(value, name: str) -> Array:
+    """A record field as float64; JSON reads NaN and Infinity, which no net holds."""
+    a = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"net record field {name!r} holds a non-finite number")
+    return a

@@ -32,16 +32,16 @@ Array = np.ndarray
 
 
 def finite(v) -> bool:
-    """Whether the real number `v` is finite as a float. An int too large
-    for a float is not; np.isfinite would raise TypeError on it."""
-    return bool(abs(v) <= sys.float_info.max)
+    """Whether `v` is a real number, not a bool, and finite as a float. An
+    int too large for a float is not; np.isfinite would raise TypeError on it."""
+    return isinstance(v, Real) and not isinstance(v, bool) and bool(abs(v) <= sys.float_info.max)
 
 
 def _check_fields(plant, positive) -> None:
     """Every field of `plant` is a finite real; those named in `positive` are > 0."""
     for f in fields(plant):
         v, name = getattr(plant, f.name), f"{type(plant).__name__}.{f.name}"
-        if isinstance(v, bool) or not isinstance(v, Real) or not finite(v):
+        if not finite(v):
             raise ValueError(f"{name} must be a finite real number, got {v!r}")
         if f.name in positive and not v > 0:
             raise ValueError(f"{name} must be > 0, got {v!r}")
@@ -84,8 +84,8 @@ class HvacPlant:
         u = np.asarray(u, dtype=np.float64)
         T = x[..., 0]
         Ts, mdot = u[..., 0], u[..., 1]
-        if np.any(mdot < 0):
-            raise ValueError("mdot must be nonnegative")
+        if np.any((mdot < 0) | (mdot > self.mdot_max)):
+            raise ValueError(f"mdot must lie in [0, mdot_max = {self.mdot_max}] kg/s")
         gain = self.dt / self.C
         nxt = T + gain * (mdot * self.c_p * (Ts - T) + self.k_a * (self.T_amb - T))
         return np.stack([nxt], axis=-1)

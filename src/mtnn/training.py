@@ -110,21 +110,21 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
     `model.taylor_increments`; this function adds residuals and penalties.
     """
     B = Zp.shape[0]
-    mono = convex = graph.constant(0.0)
+    mono = convex = graph.Var(0.0)
     if isinstance(model, BaselineModel):
         resid = tape.forward(Zc) - Xn
-        mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
+        mse = graph.sum_all(resid * resid) * (1.0 / B)
         return mse, (mse, mono, convex)
 
     soft = model.gate_mode is GateMode.SOFT
     curved = soft and model.order is TaylorOrder.SECOND
     incr, rows, blocks = taylor_increments(tape, model, Zc, Zp, need_blocks=curved)
     resid = incr - (Xn - Zc[:, : model.nx]).T
-    mse = graph.scale(graph.sum_all(resid * resid), 1.0 / B)
+    mse = graph.sum_all(resid * resid) * (1.0 / B)
     total = mse
     if soft:
         mono = constraints.mono_penalty_rows_graph(rows, model.mono_spec)
-        mono = graph.scale(mono, 1.0 / B)
+        mono = mono * (1.0 / B)
         total = total + mono
     if curved:
         pen_fn = (
@@ -132,7 +132,7 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
             if cfg.strict_minors
             else constraints.convex_penalty_blocks_graph
         )
-        convex = graph.scale(pen_fn(blocks), 1.0 / B)
+        convex = pen_fn(blocks) * (1.0 / B)
         total = total + convex
     return total, (mse, mono, convex)
 
@@ -397,6 +397,9 @@ def lr_sweep(build_fn, data: Transitions, cfg: TrainConfig, rates=SWEEP_RATES):
     Returns (model, history, best_rate, report) where report maps each rate
     to its validation MSE (inf for diverged runs).
     """
+    rates = tuple(rates)
+    if not rates or not all(finite(r) and r > 0 for r in rates):
+        raise ValueError(f"sweep rates must be one or more finite positive numbers, got {rates!r}")
     n = len(data)
     n_fit = int(round(0.8 * n))
     if n_fit < 2 or n - n_fit < 1:
@@ -404,8 +407,6 @@ def lr_sweep(build_fn, data: Transitions, cfg: TrainConfig, rates=SWEEP_RATES):
     fit, val = data[:n_fit], data[n_fit:]
     report = {}
     for rate in rates:
-        if rate <= 0:
-            raise ValueError("sweep rates must be positive")
         try:
             candidate, _ = train(build_fn(), fit, replace(cfg, learning_rate=rate))
             report[rate] = _heldout_mse(candidate, val)

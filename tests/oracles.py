@@ -94,7 +94,7 @@ def fd_input_jacobian(net: nn.DenseNet, z, step: float = 1e-5):
         zp, zm = z.copy(), z.copy()
         zp[i] += step
         zm[i] -= step
-        J[:, :, i] = (nn.forward(net, zp) - nn.forward(net, zm)) / (2 * step)
+        J[:, :, i] = (nn.forward(net, zp[None]) - nn.forward(net, zm[None]))[:, 0] / (2 * step)
     return J
 
 

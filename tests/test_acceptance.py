@@ -48,16 +48,16 @@ def test_criterion_1_differentiation_matches_finite_differences():
         n_params = sum(W.size for W in net.weights) + sum(b.size for b in net.biases)
         assert n_params <= 200
         z = rng.normal(size=n_in)
-        worst = max(worst, rel_err(nn.input_jacobian(net, z)[1],
+        worst = max(worst, rel_err(nn.input_jacobian(net, z[None])[1][:, 0],
                                    oracles.fd_input_jacobian(net, z)))
         Z = rng.normal(size=(3, n_in))
         dz = rng.normal(size=(3, n_in))
 
         def loss(tape):
             out, J = tape.forward_and_jacobian(Z)
-            resid = out + g.bmat_vec(J, g.constant(dz))
-            mse = g.scale(g.sum_all(resid * resid), 1.0 / resid.value.size)
-            return mse + g.scale(g.sum_all(J * J), 0.1)
+            resid = out + g.bmat_vec(J, g.Var(dz))
+            mse = g.sum_all(resid * resid) * (1.0 / resid.value.size)
+            return mse + g.sum_all(J * J) * 0.1
 
         _, grad = oracles.loss_gradient(net, loss)
         fd = oracles.fd_loss_gradient(net, loss)

@@ -276,6 +276,20 @@ class TestEval:
         assert run("eval", "--config", cfg_path) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, bad", [("weights", float("nan")),
+                                            ("in_scale", float("inf"))])
+    def test_bundle_with_a_non_finite_number_is_a_clean_error(self, trained_run, tmp_path,
+                                                              capsys, field, bad):
+        dest, cfg_path = clone_run(trained_run, tmp_path)
+        d = json.loads((dest / "soft1.json").read_text())
+        row = d["nets"][0][field]
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = bad
+        (dest / "soft1.json").write_text(json.dumps(d))  # writes NaN / Infinity
+        assert run("eval", "--config", cfg_path) == 1
+        assert f"'{field}' holds a non-finite number" in capsys.readouterr().err
+
     def test_no_bundles_at_all_is_an_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "d")
         cfg_path = write_config(cfg, tmp_path / "c.json")

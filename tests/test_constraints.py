@@ -109,7 +109,7 @@ class TestSignGate:
         raw = np.array([0.5, -0.5, 0.5, -0.5, 0.7, 0.0])
         tags = np.array([1, 1, -1, -1, 0, 1], dtype=np.int8)
         np.testing.assert_array_equal(
-            con.gate_derivative_mask(raw, tags), [1.0, 0.0, -1.0, 0.0, 1.0, 0.0]
+            con.gate_mask_of(tags)(raw), [1.0, 0.0, -1.0, 0.0, 1.0, 0.0]
         )
 
 
@@ -137,7 +137,7 @@ raw_or_zero = st.one_of(st.just(0.0), st.just(-0.0), finite_floats)
 
 
 class TestOneMaskGate:
-    """The gate is raw * gate_derivative_mask(raw, tags), in numpy and on the graph."""
+    """The gate is raw * gate_mask_of(tags)(raw), in numpy and on the graph."""
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -280,7 +280,7 @@ class TestConvexPenalty:
         blk = rng.normal(size=(3, 2, 2)) + np.array([[-2.0, 0], [0, -2.0]])  # dets well negative
         v = g.Var(blk.copy())
         # at gamma 1.5: the graph's CURVATURE_WEIGHT rescaled
-        g.backward(g.scale(con.convex_penalty_blocks_graph(v), 1.5 / con.CURVATURE_WEIGHT))
+        g.backward(con.convex_penalty_blocks_graph(v) * (1.5 / con.CURVATURE_WEIGHT))
         eps = 1e-6
         fd = np.zeros_like(blk)
         for idx in np.ndindex(blk.shape):

@@ -61,8 +61,13 @@ class TestArithmetic:
         check_grads(lambda x: g.sum_all(2.0 * x + (x * c) - 1.5), [a])
 
     def test_neg_and_scale(self):
+        # both are `mul` by a constant: one node on x, negation exact
         a = RNG.normal(size=(3, 3))
-        check_grads(lambda x: g.sum_all(g.scale(-x, 0.25)), [a])
+        check_grads(lambda x: g.sum_all((-x) * 0.25), [a])
+        x = g.Var(a)
+        for y, want in ((-x, -a), (x * 0.25, a * 0.25)):
+            assert y.parents == (x,)
+            assert y.value.tobytes() == want.tobytes()
 
     def test_var_broadcast_along_leading_axis(self):
         a = RNG.normal(size=(2, 3, 4))
@@ -156,10 +161,10 @@ class TestBatchedMatrixOps:
 
     def test_transpose_last(self):
         A = RNG.normal(size=(4, 3, 2))
-        out = g.transpose_last(g.Var(A))
+        out = g.moveaxis(g.Var(A), -1, -2)
         np.testing.assert_array_equal(out.value, np.swapaxes(A, -1, -2))
         check_grads(
-            lambda AA: g.sum_all(g.transpose_last(AA) * np.swapaxes(RNG_WEIGHTS, -1, -2)),
+            lambda AA: g.sum_all(g.moveaxis(AA, -1, -2) * np.swapaxes(RNG_WEIGHTS, -1, -2)),
             [A],
         )
 
@@ -362,7 +367,7 @@ class TestBackward:
             basis = np.broadcast_to(np.eye(4)[:, None, :], (4, 3, 4))  # (I, B, I)
             J = g.moveaxis(g.linear(ones * g.linear(basis, W1v), W2v), 0, -1)
             corr = g.bmat_vec(J, g.Var(dz))
-            return g.scale(g.sum_all((out + corr) * (out + corr)), 1.0 / out.value.size)
+            return g.sum_all((out + corr) * (out + corr)) * (1.0 / out.value.size)
 
         check_grads(build, [W1, b1, W2, b2], atol=1e-6, rtol=1e-4)
 
@@ -411,7 +416,7 @@ W35, W46 = R.normal(size=(3, 5)), R.normal(size=(4, 6))
 REPLAY_CASES = {
     "add_sub_mul": (lambda x, y: g.sum_all((x + y) * (x - y) * y), [(4, 3), (4, 3)]),
     "constant_operands": (lambda x: g.sum_all(2.0 * x + (x * C43) - 1.5), [(4, 3)]),
-    "neg_scale": (lambda x: g.sum_all(g.scale(-x, 0.25) * x), [(3, 3)]),
+    "neg_scale": (lambda x: g.sum_all((-x) * 0.25 * x), [(3, 3)]),
     "broadcast": (lambda x, y: g.sum_all((x * y - y + x) * W234), [(2, 3, 4), (3, 1)]),
     "tanh": (lambda x: g.sum_all(g.tanh(x) * W43), [(4, 3)]),
     "relu": (lambda x: g.sum_all(g.relu(x) * W43), [(4, 3)]),
@@ -426,12 +431,12 @@ REPLAY_CASES = {
     "bmat_vec": (lambda A, v: g.sum_all(g.tanh(g.bmat_vec(A, v))), [(3, 4, 5), (3, 5)]),
     "dot_rows": (lambda u, v: g.sum_all(g.dot_rows(u, v) * np.arange(1.0, 6.0)),
                  [(5, 3), (5, 3)]),
-    "transpose_last": (lambda A: g.sum_all(g.transpose_last(A) * W53), [(3, 5)]),
+    "transpose_last": (lambda A: g.sum_all(g.moveaxis(A, -1, -2) * W53), [(3, 5)]),
     "moveaxis": (lambda A: g.sum_all(g.tanh(g.moveaxis(A, 0, -1)) * W53), [(3, 5)]),
     "reshape": (lambda x: g.sum_all(g.tanh(g.reshape(x, (4, 3))) * W43), [(1, 4, 3)]),
     "concat_last": (lambda x, y: g.sum_all(g.concat_last([x, C41, y]) * W46), [(4, 2), (4, 3)]),
     "det": (lambda A: g.sum_all(g.det(A) * np.arange(1.0, 6.0)), [(5, 3, 3)]),
-    "sum_all": (lambda x: g.scale(g.sum_all(x * x), 0.5), [(2, 3)]),
+    "sum_all": (lambda x: g.sum_all(x * x) * 0.5, [(2, 3)]),
 }
 
 
@@ -468,7 +473,7 @@ class TestReplay:
         # the blocks) reads the raw rows, which the walk from the loss would
         # otherwise reach only after it
         from mtnn import model as md
-        from mtnn.constraints import MonoSpec, gate_derivative_mask
+        from mtnn.constraints import MonoSpec, gate_mask_of
 
         rng = np.random.default_rng(8)
         net = nn.init_dense([3, 5, 3], rng, n_stack=2)
@@ -481,7 +486,7 @@ class TestReplay:
         def build(net):
             tape = nn.NetTape(net)
             incr, rows, blocks = md.taylor_increments(tape, model, Zc, Zp, need_blocks)
-            loss = g.scale(g.sum_all(rows * rows), 0.1)
+            loss = g.sum_all(rows * rows) * 0.1
             if blocks is not None:
                 loss = loss + g.sum_all(blocks * blocks)
             # last, so that the walk reaches the masked term before raw
@@ -490,7 +495,7 @@ class TestReplay:
         after = net.copy()
         after.biases[-1] += rng.normal(scale=0.5, size=after.biases[-1].shape)
         tags = model.mono_spec.tags[:, None, :]
-        masks = [gate_derivative_mask(np.swapaxes(nn.forward(n, Zp), 0, 1), tags[:, 0])
+        masks = [gate_mask_of(tags[:, 0])(np.swapaxes(nn.forward(n, Zp), 0, 1))
                  for n in (net, after)]
         assert (masks[0] != masks[1]).any()  # some gate flips between the two
 

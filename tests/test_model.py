@@ -56,7 +56,7 @@ class TestJacobianMatrix:
         z = RNG.normal(size=3)
         J = md.jacobian_matrix_batch(m, z[None])[0]
         for j in range(2):
-            np.testing.assert_array_equal(J[j], nn.forward(nn.unstack(m.net)[j], z)[0])
+            np.testing.assert_array_equal(J[j], nn.forward(nn.unstack(m.net)[j], z[None])[0, 0])
 
     def test_batch_matches_loop(self):
         m = random_model(2, 2, seed=6, gate=md.GateMode.ARCHITECTURE,
@@ -101,7 +101,7 @@ class TestHessianStack:
         spec = MonoSpec.from_symbols(["++-", "-.+"])
         m = random_model(2, 1, seed=9, gate=md.GateMode.ARCHITECTURE, spec=spec)
         z = RNG.normal(size=3)
-        raw = nn.forward(m.net, z)
+        raw = nn.forward(m.net, z[None])
         if np.abs(raw).min() < 1e-2:  # keep the probe off the gate kink
             z = z + 0.37
         H = md.hessian_stack_batch(m, z[None])[0]
@@ -213,7 +213,7 @@ class TestPredict:
         m = md.BaselineModel(net, nx=2)
         z_curr = RNG.normal(size=3)
         np.testing.assert_array_equal(
-            md.predict(m, z_curr, np.zeros(3)), nn.forward(net, z_curr)[0]
+            md.predict(m, z_curr, np.zeros(3)), nn.forward(net, z_curr[None])[0, 0]
         )
 
 
@@ -321,6 +321,26 @@ class TestBundles:
         d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
         d["nets"][1]["activation"] = activation
         with pytest.raises(ValueError, match=f"activation '{activation}'"):
+            md.model_from_dict(d)
+
+    @pytest.mark.parametrize("field", ["weights", "biases", "in_shift", "in_scale",
+                                       "out_shift", "out_scale"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, field, bad):
+        d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
+        row = d["nets"][1][field]
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = json.loads(bad)  # what JSON reads for these tokens
+        with pytest.raises(ValueError, match=f"'{field}' holds a non-finite number"):
+            md.model_from_dict(d)
+
+    @pytest.mark.parametrize("nx", [1.5, 1.0, True, "1", None])
+    def test_baseline_nx_must_be_a_json_integer(self, nx):
+        d = md.model_to_dict(md.BaselineModel(nn.init_dense([3, 4, 1], 0), nx=1))
+        assert md.model_from_dict(d).nx == 1
+        d["nx"] = nx
+        with pytest.raises(ValueError, match="nx must be a JSON integer"):
             md.model_from_dict(d)
 
     @pytest.mark.parametrize("record", [[], "mtnn", None])

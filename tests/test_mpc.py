@@ -50,16 +50,16 @@ def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
     def add_bound_penalty(term, x):
         if cfg.x_max is not None:
             over = graph.relu(x - cfg.x_max[None, :])
-            term = term + graph.scale(quad_form(over, np.ones(cfg.nx)), cfg.state_weight)
+            term = term + quad_form(over, np.ones(cfg.nx)) * cfg.state_weight
         if cfg.x_min is not None:
             under = graph.relu(-(x - cfg.x_min[None, :]))
-            term = term + graph.scale(quad_form(under, np.ones(cfg.nx)), cfg.state_weight)
+            term = term + quad_form(under, np.ones(cfg.nx)) * cfg.state_weight
         return term
 
     tape = nn.NetTape(model.net)
     u_vars = [graph.Var(U[k : k + 1]) for k in range(cfg.horizon)]
-    x = graph.constant(np.asarray(x0, dtype=np.float64)[None, :])
-    zp = graph.constant(np.asarray(z_prev, dtype=np.float64)[None, :])
+    x = graph.Var(np.asarray(x0, dtype=np.float64)[None, :])
+    zp = graph.Var(np.asarray(z_prev, dtype=np.float64)[None, :])
     x_ref = cfg.x_ref[None, :]
     total = None
     for k in range(cfg.horizon):
@@ -909,6 +909,14 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match=r"u_max=\[120\.0, 65\.0\]"):
             mpc.run_closed_loop(plant, model, cfg, steps=3)
         assert solves == []
+
+    def test_hvac_flow_above_its_audited_range_is_outside_the_box(self):
+        plant = pl.HvacPlant()
+        model = MtnnModel([nn.init_dense([3, 4, 3], 0)], plant.mono_spec())
+        cfg = mpc.MpcConfig(x_ref=[72.0], u_min=[55.0, 0.1], u_max=[60.0, 5.0],
+                            x0=[75.3], horizon=3, iterations=4)
+        with pytest.raises(ValueError, match=r"u_max=\[60\.0, 5\.0\].*mdot must lie"):
+            mpc.run_closed_loop(plant, model, cfg, steps=3)
 
     def test_requires_initial_state(self):
         plant, model = tclab_exact_model()

@@ -25,14 +25,15 @@ def random_net(dims, seed=0):
 class TestForward:
     def test_identity_linear_layer(self):
         net = nn.DenseNet([np.eye(3)], [np.zeros(3)])
-        np.testing.assert_array_equal(nn.forward(net, np.array([1.0, 2.0, 3.0]))[0], [1, 2, 3])
+        np.testing.assert_array_equal(nn.forward(net, np.array([[1.0, 2.0, 3.0]]))[0, 0],
+                                      [1, 2, 3])
 
     def test_zero_weights_give_bias(self):
         b = np.array([0.7, -1.2])
         net = nn.DenseNet([np.zeros((2, 3))], [b])
         for _ in range(3):
-            z = RNG.normal(size=3)
-            np.testing.assert_array_equal(nn.forward(net, z)[0], b)
+            z = RNG.normal(size=(1, 3))
+            np.testing.assert_array_equal(nn.forward(net, z)[0, 0], b)
 
     def test_two_layer_tanh_matches_straightline_reeval(self):
         net = random_net([2, 4, 2], seed=42)
@@ -40,7 +41,7 @@ class TestForward:
         # independent re-evaluation, no shared code path
         h = np.tanh(net.weights[0][0] @ z + net.biases[0][0])
         want = net.weights[1][0] @ h + net.biases[1][0]
-        np.testing.assert_allclose(nn.forward(net, z)[0], want, rtol=0, atol=0)
+        np.testing.assert_allclose(nn.forward(net, z[None])[0, 0], want, rtol=0, atol=0)
 
     def test_batched_equals_loop(self):
         net = random_net([3, 5, 2], seed=1)
@@ -48,12 +49,24 @@ class TestForward:
         batched = nn.forward(net, Z)
         for k in range(6):
             # BLAS may reorder the sums between the two shapes; only ulp-level drift
-            np.testing.assert_allclose(batched[:, k], nn.forward(net, Z[k]), rtol=1e-13)
+            np.testing.assert_allclose(batched[:, k], nn.forward(net, Z[k:k + 1])[:, 0],
+                                       rtol=1e-13)
 
     def test_dimension_mismatch_rejected(self):
         net = random_net([3, 4, 2])
         with pytest.raises(ValueError):
-            nn.forward(net, np.zeros(4))
+            nn.forward(net, np.zeros((1, 4)))
+
+    def test_single_sample_is_a_batch_of_one(self):
+        net = random_net([3, 4, 2])
+        for run in (lambda z: nn.forward(net, z), lambda z: nn.input_jacobian(net, z),
+                    lambda z: nn.input_jacobian(net, z, z),
+                    lambda z: nn.NetTape(net).forward(z),
+                    lambda z: nn.NetTape(net).forward(g.Var(z))):
+            with pytest.raises(ValueError, match=r"z has shape \(3,\), net expects \(B, 3\)"):
+                run(np.zeros(3))
+            with pytest.raises(ValueError, match=r"z has shape \(\)"):
+                run(np.zeros(()))
 
     @pytest.mark.parametrize("activation", ["sigmoid", "linear", "relu"])
     def test_activation_other_than_tanh_is_named(self, activation):
@@ -65,7 +78,7 @@ class TestForward:
 
     def test_pure_bit_identical(self):
         net = random_net([3, 8, 3], seed=5)
-        z = RNG.normal(size=3)
+        z = RNG.normal(size=(1, 3))
         a, b = nn.forward(net, z), nn.forward(net, z)
         assert np.array_equal(a, b)
 
@@ -75,7 +88,7 @@ class TestForward:
         out_shift, out_scale = np.array([-1.0, 2.0]), np.array([4.0, 0.5])
         net = replace(core, in_shift=in_shift, in_scale=in_scale,
                       out_shift=out_shift, out_scale=out_scale)
-        z = np.array([71.3, 0.44])
+        z = np.array([[71.3, 0.44]])
         want = nn.forward(core, (z - in_shift) / in_scale) * out_scale + out_shift
         np.testing.assert_allclose(nn.forward(net, z), want, rtol=1e-15)
 
@@ -84,18 +97,18 @@ class TestInputJacobian:
     def test_linear_net_is_weight_matrix(self):
         W = RNG.normal(size=(2, 4))
         net = nn.DenseNet([W], [np.zeros(2)])
-        np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=4))[1][0], W)
+        np.testing.assert_allclose(nn.input_jacobian(net, RNG.normal(size=(1, 4)))[1][0, 0], W)
 
     def test_tanh_scalar_at_zero(self):
         # hidden tanh only exists with >= 2 layers
         net = nn.DenseNet([np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)])
-        np.testing.assert_allclose(nn.input_jacobian(net, np.zeros(1))[1][0], [[1.0]])
+        np.testing.assert_allclose(nn.input_jacobian(net, np.zeros((1, 1)))[1][0, 0], [[1.0]])
 
     @pytest.mark.parametrize("dims", [[3, 3], [2, 7, 2], [4, 6, 6, 4]])
     def test_matches_finite_differences(self, dims):
         net = random_net(dims, seed=len(dims))
         z = np.random.default_rng(3).normal(size=dims[0])
-        J = nn.input_jacobian(net, z)[1]
+        J = nn.input_jacobian(net, z[None])[1][:, 0]
         Jfd = oracles.fd_input_jacobian(net, z)
         err = np.abs(J - Jfd) / np.maximum(1.0, np.abs(Jfd))
         assert err.max() < 1e-6
@@ -105,7 +118,8 @@ class TestInputJacobian:
         Z = RNG.normal(size=(4, 3))
         batched = nn.input_jacobian(net, Z)[1]
         for k in range(4):
-            np.testing.assert_allclose(batched[:, k], nn.input_jacobian(net, Z[k])[1], rtol=1e-13)
+            np.testing.assert_allclose(batched[:, k], nn.input_jacobian(net, Z[k:k + 1])[1][:, 0],
+                                       rtol=1e-13)
 
     def test_standardization_chain_rule(self):
         core = random_net([2, 5, 2], seed=11)
@@ -113,11 +127,12 @@ class TestInputJacobian:
         out_scale = np.array([4.0, 0.5])
         net = replace(core, in_shift=in_shift, in_scale=in_scale, out_scale=out_scale)
         z = np.array([69.0, 0.61])
-        J_core = nn.input_jacobian(core, (z - in_shift) / in_scale)[1]
+        J_core = nn.input_jacobian(core, ((z - in_shift) / in_scale)[None])[1][:, 0]
         want = out_scale[:, None] * J_core / in_scale[None, :]
-        np.testing.assert_allclose(nn.input_jacobian(net, z)[1], want, rtol=1e-12)
+        J = nn.input_jacobian(net, z[None])[1][:, 0]
+        np.testing.assert_allclose(J, want, rtol=1e-12)
         Jfd = oracles.fd_input_jacobian(net, z)
-        err = np.abs(nn.input_jacobian(net, z)[1] - Jfd) / np.maximum(1.0, np.abs(Jfd))
+        err = np.abs(J - Jfd) / np.maximum(1.0, np.abs(Jfd))
         assert err.max() < 1e-6
 
 
@@ -158,9 +173,9 @@ class TestFullJacobian:
         np.testing.assert_allclose(J_graph.value, J, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
         assert np.array_equal(out_np, nn.forward(net, Z))
-        out0, J0 = nn.input_jacobian(net, Z[0])
-        assert np.array_equal(out0, nn.forward(net, Z[0]))
-        np.testing.assert_allclose(J0, J[:, 0], rtol=1e-12, atol=1e-12)
+        out0, J0 = nn.input_jacobian(net, Z[:1])
+        assert np.array_equal(out0, nn.forward(net, Z[:1]))
+        np.testing.assert_allclose(J0, J[:, :1], rtol=1e-12, atol=1e-12)
 
 
 class TestDirectionalDerivative:
@@ -172,20 +187,17 @@ class TestDirectionalDerivative:
         S = data.draw(st.integers(1, 3), label="stack")
         hidden = data.draw(st.lists(st.integers(1, 5), max_size=2), label="hidden")
         n_in, n_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        batch = data.draw(st.one_of(st.none(), st.integers(1, 4)), label="batch")
+        batch = data.draw(st.integers(1, 4), label="batch")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         net = random_full_net(rng, [n_in, *hidden, n_out], S)
-        shape = (n_in,) if batch is None else (batch, n_in)
-        z, v = rng.normal(size=shape), rng.normal(size=shape)
+        Z, V = rng.normal(size=(batch, n_in)), rng.normal(size=(batch, n_in))
 
-        want = np.einsum("...oi,...i->...o", nn.input_jacobian(net, z)[1],
-                         v if batch is None else v[None])
-        out_np, got = nn.input_jacobian(net, z, v)
-        assert np.array_equal(out_np, nn.forward(net, z))
-        assert got.shape == want.shape == (S,) + shape[:-1] + (n_out,)
+        want = np.einsum("...oi,...i->...o", nn.input_jacobian(net, Z)[1], V[None])
+        out_np, got = nn.input_jacobian(net, Z, V)
+        assert np.array_equal(out_np, nn.forward(net, Z))
+        assert got.shape == want.shape == (S, batch, n_out)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-        Z, V = np.atleast_2d(z), np.atleast_2d(v)
         out, Jv = nn.NetTape(net).forward_and_jacobian(Z, V)
         np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(Jv.value, nn.input_jacobian(net, Z, V)[1],
@@ -214,7 +226,7 @@ class TestDirectionalDerivative:
         with pytest.raises(ValueError, match="direction"):
             nn.input_jacobian(net, np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="direction"):
-            nn.input_jacobian(net, np.zeros(3), np.zeros((1, 3)))
+            nn.input_jacobian(net, np.zeros((1, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="direction"):
             nn.NetTape(net).forward_and_jacobian(np.zeros((2, 3)), g.Var(np.zeros((1, 3))))
 
@@ -260,8 +272,8 @@ class TestLossGradient:
         z = RNG.normal(size=3)
 
         def loss(tape):
-            out = tape.forward(z)
-            return g.scale(g.sum_all(out * out), 0.5)
+            out = tape.forward(z[None])
+            return g.sum_all(out * out) * 0.5
 
         val, grad = oracles.loss_gradient(net, loss)
         np.testing.assert_allclose(val, 0.5 * np.sum((W @ z) ** 2), rtol=1e-14)
@@ -285,10 +297,10 @@ class TestLossGradient:
 
         def loss(tape):
             out, J = tape.forward_and_jacobian(Z)
-            corr = g.bmat_vec(J, g.constant(dz))
+            corr = g.bmat_vec(J, g.Var(dz))
             resid = out + corr
-            mse = g.scale(g.sum_all(resid * resid), 1.0 / resid.value.size)
-            return mse + g.scale(g.sum_all(g.relu(-J)), 0.1)
+            mse = g.sum_all(resid * resid) * (1.0 / resid.value.size)
+            return mse + g.sum_all(g.relu(-J)) * 0.1
 
         val, grad = oracles.loss_gradient(net, loss)
         fd = oracles.fd_loss_gradient(net, loss)
@@ -367,8 +379,8 @@ class TestStack:
 
         def loss(tape):
             out, J = tape.forward_and_jacobian(Z)
-            resid = out + g.bmat_vec(J, g.constant(dz))
-            return g.sum_all(resid * resid) + g.scale(g.sum_all(g.relu(-J)), 0.1)
+            resid = out + g.bmat_vec(J, g.Var(dz))
+            return g.sum_all(resid * resid) + g.sum_all(g.relu(-J)) * 0.1
 
         _, grad = oracles.loss_gradient(net, loss)
         fd = oracles.fd_loss_gradient(net, loss)

@@ -32,6 +32,14 @@ class TestHvacStep:
         with pytest.raises(ValueError):
             pl.HvacPlant().step([70.0], [55.0, -0.1])
 
+    def test_flow_above_the_audited_range_rejected(self):
+        # above mdot_max the update can fall in T, against the "T: +" prior
+        p = pl.HvacPlant()
+        assert p.step([70.0], [55.0, p.mdot_max])[0] == pytest.approx(62.8, abs=1e-12)
+        for mdot in (np.nextafter(p.mdot_max, 2.0), 5.0):
+            with pytest.raises(ValueError, match=r"mdot must lie in \[0, mdot_max = 1\.0\]"):
+                p.step([70.0], [55.0, mdot])
+
     def test_step_method_wraps_vectors(self):
         p = pl.HvacPlant(k_a=0.02, T_amb=70.0)
         out = p.step(np.array([70.0]), np.array([55.0, 0.5]))
@@ -157,6 +165,13 @@ class TestExcite:
             pl.ExcitePolicy(lo=np.array([2.0]), hi=np.array([1.0]))
         with pytest.raises(ValueError):
             pl.ExcitePolicy(lo=np.array([1.0]), hi=np.array([2.0]), dwell_choices=())
+
+    @pytest.mark.parametrize("sigma", ["x", "0.1", None, True, [0.1], np.nan, -0.1])
+    def test_noise_that_is_not_a_finite_number_is_named(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            self.policy(noise_sigma=sigma)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            pl.hvac_benchmark(seed=0, noise_sigma=sigma)
 
     def test_integer_too_large_for_a_float_is_a_named_error(self):
         huge = 10**400  # np.isfinite raises TypeError on it

@@ -543,6 +543,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             tr.TrainConfig(**json.loads('{"learning_rate": NaN}'))
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "epochs"])
+    @pytest.mark.parametrize("value", ["0.1", "x", None, True, False, [1.0]])
+    def test_value_that_is_not_a_real_number_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
     def test_integral_counts_become_ints(self):
         for epochs in (3.0, np.int64(3)):
             cfg = tr.TrainConfig(epochs=epochs)
@@ -562,6 +568,21 @@ class TestLrSweep:
         assert set(report) == {3e-2, 1e-9}
         assert report[3e-2] < report[1e-9]
         assert total_loss(model, prob, cfg) < 1e-6
+
+    @pytest.mark.parametrize("rates", [(), (1e-3, -1.0), (1e-3, 0.0), (1e-3, np.nan),
+                                       (1e-3, np.inf), (1e-3, "0.1"), (True,)])
+    def test_bad_rate_list_is_rejected_before_any_training(self, rates):
+        prob = TestTrain().linear_problem(B=40)
+        built = []
+
+        def build():
+            built.append(1)
+            return TestTrain().linear_model()
+
+        with pytest.raises(ValueError,
+                           match=r"sweep rates must be one or more finite positive numbers, got \("):
+            tr.lr_sweep(build, prob, tr.TrainConfig(epochs=5), rates=rates)
+        assert built == []
 
     def test_too_small_split_rejected(self):
         prob = TestTrain().linear_problem(B=2)
