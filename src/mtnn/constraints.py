@@ -41,19 +41,26 @@ _SYMBOLS = {INCREASING: "+", DECREASING: "-", FREE: "."}
 _CODES = {v: k for k, v in _SYMBOLS.items()}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MonoSpec:
-    """Nx x N sign tags for the learned Jacobian entries."""
+    """Nx x N sign tags for the learned Jacobian entries.
+
+    The spec owns a read-only copy of its tags and derives their gate mask
+    once: `gate_mask(raw)` is `gate_mask_of(tags)(raw)` for raw (..., Nx, N).
+    """
 
     tags: Array
 
     def __post_init__(self):
-        self.tags = np.asarray(self.tags, dtype=np.int8)
-        if self.tags.ndim != 2:
+        tags = np.array(self.tags, dtype=np.int8)
+        if tags.ndim != 2:
             raise ValueError("tags must be a 2-d matrix (states x augmented inputs)")
-        bad = ~np.isin(self.tags, (INCREASING, DECREASING, FREE))
+        bad = ~np.isin(tags, (INCREASING, DECREASING, FREE))
         if bad.any():
             raise ValueError(f"invalid tag codes at {np.argwhere(bad).tolist()}")
+        tags.flags.writeable = False
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "gate_mask", gate_mask_of(tags))
 
     @property
     def n_states(self) -> int:

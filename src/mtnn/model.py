@@ -21,14 +21,17 @@ runs the net stack once. The full blocks are built only for the curvature
 penalties (`hessian_stack_batch`, or `need_blocks` on the graph), and only
 there does `symmetrize_hessian` matter: it cannot change a quadratic form.
 The architecture gate multiplies the rows, H_j dz and the block rows by one
-detached mask, `constraints.gate_mask_of(tags)(raw)`.
+detached mask of the raw outputs, `constraints.gate_mask_of(tags)(raw)`,
+which a MonoSpec derives once as its `gate_mask`.
 
-The step has exactly two evaluators, both batched: `predict_batch` in
-numpy for prediction and rollout, and `taylor_increments` on the reverse-mode
-graph, shared by training (the loss) and the controller (differentiating
-through the rollout). A single sample is a batch of one, so `predict` is
-`predict_batch` on one row. Both handle every state at once through the
-stack's leading member axis.
+The step has exactly two evaluators, both batched: one numpy kernel for
+prediction and rollout, and `taylor_increments` on the reverse-mode graph,
+shared by training (the loss) and the controller (differentiating through
+the rollout). Both handle every state at once through the stack's leading
+member axis. The numpy kernel has two entries that differ only in their
+checks: `predict_batch` checks a (B, N) batch, and `predict`, which the
+controller calls once per rollout step, checks one (N,) pair and runs the
+kernel on a batch of one.
 
 A direct net z_curr -> x_next (a stack of one) serves as the no-structure
 baseline.
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import constraints, graph
 from . import net as nn
-from .constraints import MonoSpec, apply_sign_gate, gate_mask_of
+from .constraints import MonoSpec, apply_sign_gate
 
 Array = np.ndarray
 
@@ -107,7 +110,7 @@ class MtnnModel:
     def copy(self) -> "MtnnModel":
         return MtnnModel(
             self.net.copy(),
-            MonoSpec(self.mono_spec.tags.copy()),
+            self.mono_spec,  # read-only, so shared
             self.order,
             self.gate_mode,
             self.symmetrize_hessian,
@@ -149,7 +152,7 @@ def _as_z(z, n: int) -> Array:
 
 def _raw_rows(model: MtnnModel, Z: Array) -> Array:
     """Ungated net outputs (B, Nx, N): member j's output is row j."""
-    return np.swapaxes(nn.forward(model.net, Z), 0, 1)
+    return nn.forward(model.net, Z).swapaxes(0, 1)
 
 
 def jacobian_matrix_batch(model: MtnnModel, Z_prev) -> Array:
@@ -173,46 +176,58 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     Z = _as_z(Z_prev, model.n)
     raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z))
     if model.gated:
-        blocks = blocks * gate_mask_of(model.mono_spec.tags)(raw)[..., None]
+        blocks = blocks * model.mono_spec.gate_mask(raw)[..., None]
     if model.symmetrize_hessian:
         blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
     return blocks
 
 
 def predict(model, z_curr, z_prev) -> Array:
-    """Next-state prediction x_hat for one pair: a batch of one."""
-    z_curr = np.asarray(z_curr, dtype=np.float64)
-    z_prev = np.asarray(z_prev, dtype=np.float64)
-    return predict_batch(model, z_curr[None], z_prev[None])[0]
+    """Next-state prediction x_hat (Nx,) for one (N,) pair: the step kernel on
+    a batch of one."""
+    z_c = np.asarray(z_curr, dtype=np.float64)
+    z_p = np.asarray(z_prev, dtype=np.float64)
+    pair = (model.n,)
+    if z_c.shape != pair or z_p.shape != pair:
+        raise ValueError(f"z_curr has shape {z_c.shape}, z_prev {z_p.shape}; "
+                         f"model expects a pair of {pair}")
+    return _step(model, z_c[None], z_p[None])[0]
 
 
 def predict_batch(model, Z_curr, Z_prev) -> Array:
-    """(B, N) pairs -> (B, Nx); dispatches on the model kind.
-
-    The rows are m_j * raw_j and the second-order term 1/2 dz . (m_j * (D_j dz)),
-    with m_j the gate derivative mask (1 ungated) and D_j dz the derivative
-    of net j along dz, read from the same net pass as raw_j.
-    """
+    """(B, N) pairs -> (B, Nx): the step kernel after the batch checks."""
     Z_c = _as_z(Z_curr, model.n)
     Z_p = _as_z(Z_prev, model.n)
     if Z_c.shape != Z_p.shape:
         raise ValueError(f"z_curr has shape {Z_c.shape}, z_prev {Z_p.shape}; they must match")
+    return _step(model, Z_c, Z_p)
+
+
+def _step(model, Z_c: Array, Z_p: Array) -> Array:
+    """The step on (B, N) float64 pairs whose shapes the caller has checked;
+    dispatches on the model kind.
+
+    The rows are m_j * raw_j and the second-order term 1/2 dz . (m_j * (D_j dz)),
+    with m_j the gate derivative mask (1 ungated) and D_j dz the derivative
+    of net j along dz, read from the same net pass as raw_j. A non-finite
+    increment is a ValueError.
+    """
     if isinstance(model, BaselineModel):
         return nn.forward(model.net, Z_c)[0]
     dz = Z_c - Z_p
     if not np.isfinite(dz).all():
         raise ValueError("non-finite increment between z_curr and z_prev")
-    if model.order == TaylorOrder.SECOND:
-        raw, Hdz = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z_p, dz))
+    if model.order is TaylorOrder.SECOND:
+        raw, Hdz = (a.swapaxes(0, 1) for a in nn.input_jacobian(model.net, Z_p, dz))
     else:
         raw, Hdz = _raw_rows(model, Z_p), None
-    mask = gate_mask_of(model.mono_spec.tags)(raw) if model.gated else 1.0
+    mask = model.mono_spec.gate_mask(raw) if model.gated else 1.0
     x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", raw * mask, dz)
     if Hdz is not None:
         x_hat = x_hat + 0.5 * np.einsum("bjn,bn->bj", Hdz * mask, dz)
-    # restore the exact fixpoint for rows with a literally zero increment
-    zero = ~dz.any(axis=1)
-    if zero.any():
+    if not dz.all():
+        # restore the exact fixpoint for rows with a literally zero increment
+        zero = ~dz.any(axis=1)
         x_hat[zero] = Z_c[zero, : model.nx]
     return x_hat
 

@@ -4,7 +4,8 @@ The learned model plays the role of the plant constraint: a candidate input
 sequence is rolled through the numpy predictor feeding predicted states back,
 and the quadratic tracking cost is read off the predicted trajectory. One
 batched reverse-mode graph of the Taylor step yields the step Jacobians of
-every recorded pair at once, for every model kind. A forward recursion over
+every recorded pair at once, for every model kind; a closed loop builds it
+once, with the constants its solves share, and replays it. A forward recursion over
 them gives the sensitivities S_k = dx_k/dU of the predicted states to the
 whole input sequence, including the path through the expansion point
 z_prev. They give the exact gradient and the Gauss-Newton matrix, which a
@@ -142,10 +143,14 @@ def _check_dims(model, cfg: MpcConfig):
         )
 
 
-def _u_matrix(u_seq, cfg: MpcConfig) -> Array:
+def _u_matrix(u_seq, cfg: MpcConfig, name: str) -> Array:
+    """An (H, nu) float64 input sequence; another shape, NaN or inf is a
+    ValueError naming the argument."""
     U = np.asarray(u_seq, dtype=np.float64)
     if U.shape != (cfg.horizon, cfg.nu):
-        raise ValueError(f"u_seq must be ({cfg.horizon}, {cfg.nu}), got {U.shape}")
+        raise ValueError(f"{name} must be ({cfg.horizon}, {cfg.nu}), got {U.shape}")
+    if not np.isfinite(U).all():
+        raise ValueError(f"{name} must be finite")
     return U
 
 
@@ -205,7 +210,7 @@ def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig, *, out=None) -> float
     out again. The return value is the cost either way.
     """
     _check_dims(model, cfg)
-    U = _u_matrix(u_seq, cfg)
+    U = _u_matrix(u_seq, cfg, "u_seq")
     x0, zp = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (x0, z_prev))
     if x0.shape != (cfg.nx,) or zp.shape != (cfg.nx + cfg.nu,):
         raise ValueError(f"x0 and z_prev must have lengths {cfg.nx} and {cfg.nx + cfg.nu}")
@@ -230,52 +235,73 @@ def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
     return x + graph.moveaxis(incr, -1, -2)
 
 
-def _step_jacobians(model, cfg: MpcConfig):
-    """A function Z -> (d x_hat_k / d z_curr_k, d x_hat_k / d z_prev_k) of
-    every step x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]:
-    two (H, nx, N) arrays.
+class _StepJacobians:
+    """The step-Jacobian graph of one (model, cfg) and the constants a solve
+    derives from cfg, built once per closed loop (or per standalone solve).
 
-    One graph: each pair is repeated nx times and batch row (k, i) picks
-    output i, so one backward leaves row i of step k's Jacobians on the
-    inputs. The first call builds the graph; later calls set the pairs of
-    their Z on its input leaves and replay it, which gives bit for bit what
-    a fresh build gives. A baseline has no z_prev path; that Jacobian is
-    zero.
+    Called on the pairs Z (H+1, N) of a rollout, it returns
+    (d x_hat_k / d z_curr_k, d x_hat_k / d z_prev_k) of every step
+    x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]: two
+    (H, nx, N) arrays. One graph: each pair is repeated nx times and batch
+    row (k, i) picks output i, so one backward leaves row i of step k's
+    Jacobians on the inputs. The first call builds the graph; later calls
+    set the pairs of their Z on its input leaves and replay it, which gives
+    bit for bit what a fresh build gives. A baseline has no z_prev path;
+    that Jacobian is zero.
+
+    The constants: the stage weights W (H+1, nx), the tiled input weights
+    r_diag (H nu,) and their diagonal matrix R, the tiled input box lo / hi
+    with its active-set margin box_eps = ACTIVE_EPS (hi - lo), and the
+    sensitivity buffers of `_cost_and_grad`. D (H+2, N, H nu) holds
+    D[k] = d Z_k / dU for k <= H, whose input rows are the constant
+    selectors E_{k-1}, and S = D[1:, :nx] (H+1, nx, H nu) is a view with
+    S[k] = d x_k / dU, which the recursion writes in place; S[0] stays 0.
     """
-    H, nx, N = cfg.horizon, cfg.nx, cfg.nx + cfg.nu
-    built = None
 
-    def jacobians(Z: Array):
-        nonlocal built
+    def __init__(self, model, cfg: MpcConfig):
+        H, nx, nu = cfg.horizon, cfg.nx, cfg.nu
+        self.model, self.cfg, self.built = model, cfg, None
+        self.W = np.vstack([np.tile(cfg.q_diag, (H, 1)), cfg.p_diag])
+        self.r_diag = np.tile(cfg.r_diag, H)
+        self.R = np.diag(self.r_diag)
+        self.lo, self.hi = np.tile(cfg.u_min, H), np.tile(cfg.u_max, H)
+        self.box_eps = ACTIVE_EPS * (self.hi - self.lo)
+        self.D = np.zeros((H + 2, nx + nu, H * nu))
+        for k in range(H):
+            self.D[k + 1, nx:, k * nu:(k + 1) * nu] = np.eye(nu)
+        self.S = self.D[1:, :nx]
+        self.no_prev_path = np.zeros((H, nx, nx + nu))
+
+    def __call__(self, Z: Array):
+        H, nx, N = self.cfg.horizon, self.cfg.nx, self.cfg.nx + self.cfg.nu
         pairs = np.repeat(Z, nx, axis=0)
         inputs = (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx])
-        if built is None:
+        if self.built is None:
             x, u, zp = (graph.Var(a) for a in inputs)
-            x_hat = _predict_graph(nn.NetTape(model.net), model, x,
+            x_hat = _predict_graph(nn.NetTape(self.model.net), self.model, x,
                                    graph.concat_last([x, u]), zp)
             root = graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1))))
-            built = (x, u, zp), root, graph.topological_order(root)
+            self.built = (x, u, zp), root, graph.topological_order(root)
         else:
-            for leaf, a in zip(built[0], inputs):
+            for leaf, a in zip(self.built[0], inputs):
                 leaf.value = a
-            graph.replay(built[2])
-        (x, u, zp), root, order = built
+            graph.replay(self.built[2])
+        (x, u, zp), root, order = self.built
         graph.backward(root, order)
-        Jp = np.zeros((H, nx, N)) if zp.grad is None else zp.grad.reshape(H, nx, N)
+        Jp = self.no_prev_path if zp.grad is None else zp.grad.reshape(H, nx, N)
         return np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N), Jp
 
-    return jacobians
 
-
-def _cost_and_grad(U: Array, priced: tuple, cfg: MpcConfig, jacobians):
+def _cost_and_grad(U: Array, priced: tuple, cfg: MpcConfig, jacobians: _StepJacobians):
     """(d cost / dU, Gauss-Newton matrix) of U; (None, None) on blowup.
     The gradient has U's shape; the matrix is (H nu, H nu) over the inputs
     flattened stage by stage.
 
     `priced` is the (cost, X, Z) of U's rollout, as `horizon_cost` priced it
     with `out=(X, Z)`; nothing is rolled out here. A non-finite cost has no
-    derivatives. `jacobians` is the solve's `_step_jacobians` function,
-    whose graph is built once per solve.
+    derivatives. `jacobians` is the `_StepJacobians` of the solve's model
+    and cfg: its graph gives the step Jacobians, and its constants and
+    buffers serve the rest, so a call allocates no constant.
 
     One forward recursion over the step Jacobians gives the sensitivities
     S_k = d x_k / dU. With D_k = d Z_k / dU (D_0 = 0, since Z_0 = z_prev is
@@ -293,49 +319,48 @@ def _cost_and_grad(U: Array, priced: tuple, cfg: MpcConfig, jacobians):
     if not np.isfinite(cost):
         return None, None
     H, nx, nu = cfg.horizon, cfg.nx, cfg.nu
+    S, D, W = jacobians.S, jacobians.D, jacobians.W
     with np.errstate(all="ignore"):
         Jc, Jp = jacobians(Z)
-        S = np.zeros((H + 1, nx, H * nu))
-        D_prev = np.zeros((nx + nu, H * nu))
         for k in range(H):
-            D = np.zeros_like(D_prev)
-            D[:nx] = S[k]
-            D[nx:, k * nu:(k + 1) * nu] = np.eye(nu)
-            S[k + 1] = Jc[k] @ D + Jp[k] @ D_prev
-            D_prev = D
-        W = np.vstack([np.tile(cfg.q_diag, (H, 1)), cfg.p_diag])
+            S[k + 1] = Jc[k] @ D[k + 1] + Jp[k] @ D[k]  # S[k + 1] is D[k + 2, :nx]
         V = _excess(X, cfg)
         r = W * (X - cfg.x_ref) + cfg.state_weight * V
         S2 = S.reshape((H + 1) * nx, H * nu)
-        r_diag = np.tile(cfg.r_diag, H)
-        G = 2.0 * (S2.T @ r.reshape(-1) + r_diag * U.reshape(-1))
+        G = 2.0 * (S2.T @ r.reshape(-1) + jacobians.r_diag * U.reshape(-1))
         curv = (W + cfg.state_weight * (V != 0.0)).reshape(-1, 1)
-        B = 2.0 * (S2.T @ (curv * S2) + np.diag(r_diag))
+        B = 2.0 * (S2.T @ (curv * S2) + jacobians.R)
     if not (np.isfinite(G).all() and np.isfinite(B).all()):
         return None, None
     return G.reshape(U.shape), B
 
 
-def _projected_newton_direction(u: Array, g: Array, B: Array, lo: Array, hi: Array):
+_TINY = np.finfo(float).tiny
+
+
+def _projected_newton_direction(u: Array, g: Array, B: Array, lo: Array, hi: Array,
+                                box_eps: Array):
     """Bertsekas's projected Newton direction d (the step is u - alpha d).
 
     An input within eps of a bound whose gradient points out of the box is
-    active; eps = min(ACTIVE_EPS (hi - lo), w), where w is the size of the
-    diagonally scaled projected gradient, so the rule tightens as the solve
-    converges. Active inputs take a gradient step scaled by the inverse
-    diagonal of B; the free ones a Newton step on B restricted to them.
+    active; eps = min(box_eps, w), with box_eps = ACTIVE_EPS (hi - lo) and w
+    the size of the diagonally scaled projected gradient, so the rule
+    tightens as the solve converges. Active inputs take a gradient step
+    scaled by the inverse diagonal of B; the free ones a Newton step on B
+    restricted to them.
     """
-    diag = np.diag(B)
+    diag = B.diagonal()
     # a rank-deficient B (no input weight, more inputs than states) stays solvable
-    ridge = max(1e-12 * float(diag.max()), np.finfo(float).tiny)
+    ridge = max(1e-12 * float(diag.max()), _TINY)
     scale = 1.0 / (diag + ridge)
     w = float(np.linalg.norm(u - np.clip(u - scale * g, lo, hi)))
-    eps = np.minimum(ACTIVE_EPS * (hi - lo), w)
+    eps = np.minimum(box_eps, w)
     active = ((u <= lo + eps) & (g > 0.0)) | ((u >= hi - eps) & (g < 0.0))
     d = scale * g
     free = ~active
     if free.any():
-        Bf = B[np.ix_(free, free)] + ridge * np.eye(int(free.sum()))
+        Bf = B[free][:, free]
+        Bf.flat[:: len(Bf) + 1] += ridge  # B + ridge I on the free block
         d[free] = np.linalg.solve(Bf, g[free])
     return d
 
@@ -365,7 +390,8 @@ class SolveResult:
         return self.exit in ("tolerance", "decrease", "stationary")
 
 
-def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult:
+def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None, *,
+                  jacobians: _StepJacobians | None = None) -> SolveResult:
     """Minimize the horizon cost over box-feasible input sequences.
 
     Projected Gauss-Newton (Bertsekas's projected Newton method for simple
@@ -378,9 +404,12 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     the gradient reuses the accepted one: the start and every trial are
     priced into one of two (X, Z) buffer pairs, and an accepted trial's pair
     becomes the current one that the next `_cost_and_grad` differentiates.
-    The solve owns one step-Jacobian graph (`_step_jacobians`): the first
-    `_cost_and_grad` builds it, and each later one sets the current pairs
-    on its input leaves and replays it.
+    Every `_cost_and_grad` reads the step Jacobians from one graph, a
+    `_StepJacobians` of (model, cfg): the first call builds it, and each
+    later one sets the current pairs on its input leaves and replays it.
+    `jacobians` hands in such a graph, with its constants, so that the
+    solves of a closed loop share one; it must have been made for this
+    model and cfg. Without it the solve makes its own.
 
     Two rules end a converging solve, tested in this order: "tolerance",
     when the accepted step moved every input by less than `tol`, and
@@ -399,20 +428,22 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
     solve ended (see `SolveResult`).
     """
     _check_dims(model, cfg)
+    if jacobians is None:
+        jacobians = _StepJacobians(model, cfg)
+    elif jacobians.model is not model or jacobians.cfg is not cfg:
+        raise ValueError("jacobians were made for another model or config")
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     z_prev = np.asarray(z_prev, dtype=np.float64).reshape(-1)
     if u_init is None:
         U = np.tile(0.5 * (cfg.u_min + cfg.u_max), (cfg.horizon, 1))
     else:
-        U = _u_matrix(u_init, cfg).copy()
+        U = _u_matrix(u_init, cfg, "u_init").copy()
     U = np.clip(U, cfg.u_min, cfg.u_max)
-    lo, hi = np.tile(cfg.u_min, cfg.horizon), np.tile(cfg.u_max, cfg.horizon)
     current, trial = _buffers(cfg), _buffers(cfg)
     cost = horizon_cost(model, U, x0, z_prev, cfg, out=current)
     e0 = x0 - cfg.x_ref
     c0 = float(e0 @ (cfg.q_diag * e0) + cfg.state_weight * np.sum(_excess(x0, cfg) ** 2))
     best_U, best_cost = U.copy(), cost
-    jacobians = _step_jacobians(model, cfg)
     exit, it, backtracks, full_steps = "budget", 0, 0, 0
     for it in range(1, cfg.iterations + 1):
         G, B = _cost_and_grad(U, (cost, *current), cfg, jacobians)
@@ -420,7 +451,8 @@ def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None) -> SolveResult
             exit = "nonfinite"
             break  # nothing to descend along; keep the best iterate
         with np.errstate(all="ignore"):
-            d = _projected_newton_direction(U.reshape(-1), G.reshape(-1), B, lo, hi)
+            d = _projected_newton_direction(U.reshape(-1), G.reshape(-1), B, jacobians.lo,
+                                            jacobians.hi, jacobians.box_eps)
         d = d.reshape(U.shape)
         alpha, moved = 1.0, None
         for _ in range(MAX_BACKTRACKS):
@@ -507,7 +539,8 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     The model needs a previous sample before the first solve, so the loop
     is seeded with one zero-input plant step from cfg.x0. Before that, the
     plant is stepped from cfg.x0 at u_min and at u_max, so an input box the
-    plant rejects fails up front with a ValueError. A solver fault
+    plant rejects fails up front with a ValueError. Every solve shares one
+    step-Jacobian graph and its constants (`_StepJacobians`). A solver fault
     (non-finite cost or a FloatingPointError) falls back to holding the
     last applied input, flagged non-converged in the trace with its reason
     as the exit ("nonfinite" or "floating_point_error"). Any other
@@ -536,10 +569,11 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     xs, us = np.empty((steps, cfg.nx)), np.empty((steps, cfg.nu))
     costs, flags, times = np.empty(steps), np.empty(steps, dtype=bool), np.empty(steps)
     iters, exits = np.zeros(steps, dtype=np.int64), []
+    jacobians = _StepJacobians(model, cfg)
     for k in range(steps):
         t0 = time.perf_counter()
         try:
-            res = solve_horizon(model, x_meas, z_prev, cfg, u_init=warm)
+            res = solve_horizon(model, x_meas, z_prev, cfg, u_init=warm, jacobians=jacobians)
             fault = not np.isfinite(res.cost)
             iters[k] = res.iterations
             exits.append(res.exit)

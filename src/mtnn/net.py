@@ -191,7 +191,7 @@ def _basis(n: int, B: int) -> Array:
 
 
 def _layer(a: Array, W: Array, b: Array) -> Array:
-    return a @ np.swapaxes(W, -1, -2) + b[:, None, :]
+    return a @ W.mT + b[:, None, :]
 
 
 def _run(net: DenseNet, z, t=None) -> tuple:
@@ -204,11 +204,11 @@ def _run(net: DenseNet, z, t=None) -> tuple:
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         a = np.tanh(_layer(a, W, b))
         if t is not None:
-            t = (1.0 - a * a) * (t @ np.swapaxes(W, -1, -2))
+            t = (1.0 - a * a) * (t @ W.mT)
     out = _layer(a, net.weights[-1], net.biases[-1])
     out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
     if t is not None:
-        t = (t @ np.swapaxes(net.weights[-1], -1, -2)) * net.out_scale[:, None, :]
+        t = (t @ net.weights[-1].mT) * net.out_scale[:, None, :]
     return out, t
 
 

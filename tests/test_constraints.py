@@ -345,3 +345,17 @@ class TestMonoSpec:
     def test_spaces_ignored(self):
         spec = con.MonoSpec.from_symbols(["+ + -"])
         assert spec.to_symbols() == ["++-"]
+
+    def test_tags_are_a_read_only_copy_so_the_cached_mask_cannot_go_stale(self):
+        given = np.array([[1, -1, 0]], dtype=np.int8)
+        spec = con.MonoSpec(given)
+        raw = np.array([[0.5, 0.5, 0.5]])
+        mask = spec.gate_mask(raw)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.tags[0, 0] = con.DECREASING
+        given[0, 0] = con.DECREASING  # the caller's array stays its own and writeable
+        assert given.flags.writeable and spec.tags[0, 0] == con.INCREASING
+        np.testing.assert_array_equal(spec.gate_mask(raw), mask)
+        np.testing.assert_array_equal(mask, con.gate_mask_of(spec.tags)(raw))
+        with pytest.raises(AttributeError):
+            spec.tags = given

@@ -197,16 +197,29 @@ class TestPredict:
         with pytest.raises(ValueError):
             md.predict(m, np.array([np.inf, 0.0]), np.zeros(2))
 
-    def test_batch_matches_loop_and_fixpoint_rows(self):
-        m = random_model(2, 1, seed=16, order=md.TaylorOrder.SECOND)
-        Z_prev = RNG.normal(size=(6, 3))
-        Z_curr = Z_prev + RNG.normal(size=(6, 3)) * 0.2
+    @pytest.mark.parametrize("kind", [
+        "baseline", *((order, gate) for order in md.TaylorOrder for gate in md.GateMode),
+    ], ids=lambda k: k if isinstance(k, str) else f"{k[0].value}-{k[1].value}")
+    def test_batch_matches_loop_and_fixpoint_rows(self, kind):
+        # predict is byte for byte predict_batch on its row alone; a wider
+        # batch may round differently, since BLAS takes another path for it
+        if kind == "baseline":
+            m = md.BaselineModel(nn.init_dense([4, 6, 2], 16), nx=2)
+        else:
+            spec = MonoSpec.from_symbols(["+-.+", ".+-."])
+            m = random_model(2, 2, seed=16, order=kind[0], gate=kind[1], spec=spec)
+        Z_prev = RNG.normal(size=(6, 4))
+        Z_curr = Z_prev + RNG.normal(size=(6, 4)) * 0.2
         Z_curr[3] = Z_prev[3]  # one exact-fixpoint row inside the batch
         out = md.predict_batch(m, Z_curr, Z_prev)
         for k in range(6):
-            np.testing.assert_allclose(out[k], md.predict(m, Z_curr[k], Z_prev[k]),
-                                       rtol=1e-12, atol=1e-15)
-        assert np.array_equal(out[3], Z_curr[3, :2])
+            one = md.predict(m, Z_curr[k], Z_prev[k])
+            alone = md.predict_batch(m, Z_curr[k:k + 1], Z_prev[k:k + 1])[0]
+            assert one.tobytes() == alone.tobytes()
+            np.testing.assert_allclose(out[k], one, rtol=1e-12, atol=1e-15)
+        if kind != "baseline":
+            assert np.array_equal(out[3], Z_curr[3, :2])
+            assert md.predict(m, Z_curr[3], Z_prev[3]).tobytes() == Z_curr[3, :2].tobytes()
 
     def test_baseline_is_direct_forward(self):
         net = nn.init_dense([3, 5, 2], 17)
@@ -412,6 +425,14 @@ class TestValidation:
             md.predict_batch(m, Zc[0], Zp[0])
         with pytest.raises(ValueError, match=r"\(3, 3\)"):
             md.predict_batch(m, Zc[:, :3], Zp[:, :3])
+
+    def test_predict_names_the_pair_shape_it_expects(self):
+        m = random_model(2, 2, seed=23)
+        expects = r"\(1, 4\), z_prev \(1, 4\); model expects a pair of \(4,\)"
+        with pytest.raises(ValueError, match=expects):
+            md.predict(m, np.zeros((1, 4)), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"z_prev \(3,\).*pair of \(4,\)"):
+            md.predict(m, np.zeros(4), np.zeros(3))
 
     def test_batch_functions_need_two_dimensional_rows(self):
         m = random_model(2, 2, seed=22)

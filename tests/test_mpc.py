@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mtnn import graph, mpc
 from mtnn import net as nn
 from mtnn import plants as pl
+from mtnn import training as tr
 from mtnn.constraints import MonoSpec
 from mtnn.model import BaselineModel, GateMode, MtnnModel, TaylorOrder
 
@@ -81,7 +82,7 @@ def cost_and_grad(model, U, x0, z_prev, cfg):
     step-Jacobian graph of its own."""
     out = mpc._buffers(cfg)
     cost = mpc.horizon_cost(model, U, x0, z_prev, cfg, out=out)
-    return (cost, *mpc._cost_and_grad(U, (cost, *out), cfg, mpc._step_jacobians(model, cfg)))
+    return (cost, *mpc._cost_and_grad(U, (cost, *out), cfg, mpc._StepJacobians(model, cfg)))
 
 
 def pg_oracle_solve(model, x0, z_prev, cfg, u_init=None):
@@ -294,6 +295,17 @@ class TestHorizonCost:
         cfg2 = mpc.MpcConfig(x_ref=[0.0, 0.0], u_min=[0.0], u_max=[1.0])
         with pytest.raises(ValueError, match="states"):
             mpc.horizon_cost(model, np.zeros((8, 1)), [0.0, 0.0], np.zeros(3), cfg2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_sequence_is_named(self, bad):
+        # checked up front, not met as a non-finite increment in the rollout
+        model, x0, zp, cfg = backtracking_problem()
+        U = np.zeros((cfg.horizon, cfg.nu))
+        U[2, 1] = bad
+        with pytest.raises(ValueError, match="^u_seq must be finite$"):
+            mpc.horizon_cost(model, U, x0, zp, cfg)
+        with pytest.raises(ValueError, match="^u_init must be finite$"):
+            mpc.solve_horizon(model, x0, zp, cfg, u_init=U)
 
 
 def rand_model(seed, kind="mtnn", order=TaylorOrder.FIRST, gate=GateMode.NONE,
@@ -647,7 +659,8 @@ def accepted_steps(start, iters):
 
 
 class TestStepJacobianGraph:
-    """A solve builds one step-Jacobian graph and replays it every iteration."""
+    """A standalone solve builds one step-Jacobian graph and replays it every
+    iteration; a closed loop builds one for all its solves."""
 
     @pytest.mark.parametrize("kind,order,gate", [
         ("baseline", TaylorOrder.FIRST, GateMode.NONE),
@@ -664,7 +677,7 @@ class TestStepJacobianGraph:
         def grad(U, priced, cfg, jacobians):
             G, B = real_grad(U, priced, cfg, jacobians)
             n = len(built_tapes)
-            G0, B0 = real_grad(U, priced, cfg, mpc._step_jacobians(model, cfg))  # a fresh graph
+            G0, B0 = real_grad(U, priced, cfg, mpc._StepJacobians(model, cfg))  # a fresh graph
             del built_tapes[n:]
             assert G.tobytes() == G0.tobytes() and B.tobytes() == B0.tobytes()
             checked.append(U.copy())
@@ -677,6 +690,36 @@ class TestStepJacobianGraph:
         assert len(built_tapes) == 1
         mpc.solve_horizon(model, x0, zp, cfg)
         assert len(built_tapes) == 2  # the next solve builds its own
+
+    @pytest.mark.parametrize("variant", ["mono1", "mono2", "baseline"])
+    def test_closed_loop_shares_one_graph_and_equals_standalone_solves(
+            self, tclab_mono1, monkeypatch, built_tapes, variant):
+        ds, model = tclab_mono1
+        if variant != "mono1":
+            model, _ = tr.train_variant(variant, ds.plant.mono_spec(), ds.train, epochs=60)
+        cfg = mpc.MpcConfig(**CRITERION_8_CFG)
+        built_tapes.clear()
+        shared = mpc.run_closed_loop(ds.plant, model, cfg, steps=10)
+        assert len(built_tapes) == 1
+        real_solve = mpc.solve_horizon
+
+        def standalone(model, x0, z_prev, cfg, u_init=None, *, jacobians):
+            return real_solve(model, x0, z_prev, cfg, u_init=u_init)  # a fresh graph
+
+        monkeypatch.setattr(mpc, "solve_horizon", standalone)
+        fresh = mpc.run_closed_loop(ds.plant, model, cfg, steps=10)
+        assert len(built_tapes) == 1 + 10
+        assert shared.iterations.sum() > 10
+        for name in ("x", "u", "cost", "converged", "iterations"):
+            assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert list(shared.exit) == list(fresh.exit)
+
+    def test_a_graph_of_another_model_or_config_is_rejected(self):
+        model, x0, zp, cfg = backtracking_problem()
+        for jacobians in (mpc._StepJacobians(model.copy(), cfg),
+                          mpc._StepJacobians(model, mpc.MpcConfig(**vars(cfg)))):
+            with pytest.raises(ValueError, match="another model or config"):
+                mpc.solve_horizon(model, x0, zp, cfg, jacobians=jacobians)
 
 
 class TestDecreaseStop:
@@ -752,8 +795,8 @@ class TestAgainstOracle:
         cfg = mpc.MpcConfig(**CRITERION_8_CFG)
         real_solve, ratios, results = mpc.solve_horizon, [], []
 
-        def both(model, x0, z_prev, cfg, u_init=None):
-            res = real_solve(model, x0, z_prev, cfg, u_init=u_init)
+        def both(model, x0, z_prev, cfg, u_init=None, *, jacobians=None):
+            res = real_solve(model, x0, z_prev, cfg, u_init=u_init, jacobians=jacobians)
             ref = pg_oracle_solve(model, x0, z_prev, cfg, u_init=u_init)
             ratios.append(res.cost / ref.cost)
             results.append(res)

@@ -50,6 +50,51 @@ def test_traced_solver_counts_match_the_solve(monkeypatch):
     assert tracer.calls("model.predict") == cfg.horizon * tracer.calls("mpc.horizon_cost")
 
 
+def test_traced_closed_loop_counts_match_its_solves(monkeypatch, tclab_mono1, built_tapes):
+    # tclab-control's counts: one net pass per predict, one tape per closed
+    # loop, and in each solve one horizon_cost per trial and one
+    # _cost_and_grad per iteration
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from test_mpc import CRITERION_8_CFG
+    from tracer import Tracer
+
+    from mtnn import mpc
+
+    ds, model = tclab_mono1
+    cfg = mpc.MpcConfig(**CRITERION_8_CFG)
+    built_tapes.clear()
+    solves, grads = [], []
+    originals = mpc.solve_horizon, mpc._cost_and_grad
+    with Tracer() as tracer:
+        layers.install(tracer)
+        traced_solve, traced_grad = mpc.solve_horizon, mpc._cost_and_grad
+
+        def grad(*args, **kwargs):
+            grads.append(1)
+            return traced_grad(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            costs, iterations = tracer.calls("mpc.horizon_cost"), len(grads)
+            res = traced_solve(*args, **kwargs)
+            solves.append((res, tracer.calls("mpc.horizon_cost") - costs,
+                           len(grads) - iterations))
+            return res
+
+        # the tracer's exit puts the original functions back over these too
+        mpc.solve_horizon, mpc._cost_and_grad = solve, grad
+        mpc.run_closed_loop(ds.plant, model, cfg, steps=6)
+    assert (mpc.solve_horizon, mpc._cost_and_grad) == originals
+    assert len(solves) == 6
+    assert tracer.calls("net.tape") == len(built_tapes) == 1
+    predicts = tracer.calls("model.predict")
+    assert predicts == tracer.calls("net.forward") == cfg.horizon * sum(c for _, c, _ in solves)
+    for res, costs, iterations in solves:
+        assert res.exit in ("tolerance", "decrease")
+        assert iterations == res.iterations
+        assert costs == 1 + res.iterations + res.backtracks
+
+
 def test_train_calls_backward_through_the_module_once_per_epoch(monkeypatch):
     # the benchmark times an hvac-study epoch as the gap between two starts
     # of graph.backward, which it wraps as a module attribute
