@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as md
-from .plants import Transitions
+from .plants import Transitions, positive_integer
 
 Array = np.ndarray
 
@@ -39,9 +39,7 @@ class RolloutResult:
 
 
 def rollout(model, data: Transitions, steps: int) -> RolloutResult:
-    I = int(steps)
-    if I < 1:
-        raise ValueError("steps must be >= 1")
+    I = positive_integer(steps, "steps")
     n = len(data)
     if n < I + 1:  # the last step needs two origins for its r2
         raise ValueError(
@@ -134,6 +132,7 @@ class ComparisonTable:
 
 def comparison_table(models: dict, data: Transitions, steps: int = 5) -> ComparisonTable:
     """Rollout metrics for each named model over shared test transitions."""
+    steps = positive_integer(steps, "steps")
     if not models:
         raise ValueError("need at least one model")
     names = list(models)

@@ -31,7 +31,12 @@ the rollout). Both handle every state at once through the stack's leading
 member axis. The numpy kernel has two entries that differ only in their
 checks: `predict_batch` checks a (B, N) batch, and `predict`, which the
 controller calls once per rollout step, checks one (N,) pair and runs the
-kernel on a batch of one.
+kernel on a batch of one. `predict_batch` streams a batch longer than one
+block (BLOCK_FLOATS per activation array) through the kernel in near-equal
+row blocks, so a long rollout step holds one block's temporaries, not the
+whole batch's. No block is a single row: numpy computes a one-row batch
+by matrix-vector products, which round differently, so blocking leaves
+every prediction bit for bit as the whole-batch kernel gives it.
 
 A direct net z_curr -> x_next (a stack of one) serves as the no-structure
 baseline.
@@ -52,6 +57,8 @@ from .constraints import MonoSpec, apply_sign_gate
 Array = np.ndarray
 
 BUNDLE_VERSION = "mtnn-v1"
+
+BLOCK_FLOATS = 2**15  # floats (256 KiB) per net activation array in a `predict_batch` block
 
 
 class TaylorOrder(str, Enum):
@@ -195,12 +202,33 @@ def predict(model, z_curr, z_prev) -> Array:
 
 
 def predict_batch(model, Z_curr, Z_prev) -> Array:
-    """(B, N) pairs -> (B, Nx): the step kernel after the batch checks."""
+    """(B, N) pairs -> (B, Nx): the step kernel after the batch checks.
+
+    A batch longer than `_block_rows(model.net)` runs the kernel on
+    ceil(B / rows) contiguous, near-equal row blocks written into one
+    (B, Nx) output, so only one block's net temporaries exist at a time;
+    every row is bit for bit what the kernel gives on the whole batch.
+    """
     Z_c = _as_z(Z_curr, model.n)
     Z_p = _as_z(Z_prev, model.n)
     if Z_c.shape != Z_p.shape:
         raise ValueError(f"z_curr has shape {Z_c.shape}, z_prev {Z_p.shape}; they must match")
-    return _step(model, Z_c, Z_p)
+    B, rows = len(Z_c), _block_rows(model.net)
+    if B <= rows:
+        return _step(model, Z_c, Z_p)
+    k = -(-B // rows)  # ceil(B / rows) blocks of B // k or B // k + 1 rows
+    edges = [i * B // k for i in range(k + 1)]
+    out = np.empty((B, model.nx))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[lo:hi] = _step(model, Z_c[lo:hi], Z_p[lo:hi])
+    return out
+
+
+def _block_rows(net: nn.DenseNet) -> int:
+    """Rows per `predict_batch` block: BLOCK_FLOATS over one (S, rows, widest
+    layer) activation array, and at least 3, so that no near-equal block of
+    a longer batch is a single row."""
+    return max(BLOCK_FLOATS // (net.n_stack * max(net.layer_dims)), 3)
 
 
 def _step(model, Z_c: Array, Z_p: Array) -> Array:

@@ -36,6 +36,7 @@ from . import graph
 from . import model as md
 from . import net as nn
 from .model import BaselineModel
+from .plants import positive_integer
 
 Array = np.ndarray
 
@@ -549,9 +550,7 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     _check_dims(model, cfg)
     if cfg.x0 is None:
         raise ValueError("closed loop needs cfg.x0 (initial plant state)")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = positive_integer(steps, "steps")
     for corner in (cfg.u_min, cfg.u_max):
         try:
             plant.step(cfg.x0, corner)

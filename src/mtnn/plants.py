@@ -37,6 +37,14 @@ def finite(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool) and bool(abs(v) <= sys.float_info.max)
 
 
+def positive_integer(v, name: str) -> int:
+    """`v` as an int >= 1: a finite, integral real that is not a bool, so an
+    integral float such as 3.0 is accepted; anything else is a ValueError."""
+    if not (finite(v) and v >= 1 and v == int(v)):
+        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    return int(v)
+
+
 def _check_fields(plant, positive) -> None:
     """Every field of `plant` is a finite real; those named in `positive` are > 0."""
     for f in fields(plant):

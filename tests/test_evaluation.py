@@ -113,9 +113,25 @@ class TestRollout:
             ev.rollout(model, tclab_series(5), steps=5)
         assert ev.rollout(model, tclab_series(6), steps=5).predicted[-1].shape == (2, 2)
 
-    def test_bad_steps_rejected(self):
-        with pytest.raises(ValueError):
-            ev.rollout(small_model(nx=2, nu=2), tclab_series(6), steps=0)
+    @pytest.mark.parametrize("steps", [0, -1, 2.5, True, "3", np.nan, np.inf, None])
+    def test_bad_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match=r"^steps must be an integer >= 1, got "):
+            ev.rollout(small_model(nx=2, nu=2), tclab_series(6), steps=steps)
+
+    @pytest.mark.parametrize("steps", [3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_steps_accepted(self, steps):
+        assert ev.rollout(small_model(nx=2, nu=2), tclab_series(6), steps=steps).steps == 3
+
+    def test_log_longer_than_a_block_rolls_out_as_one_batch(self, monkeypatch):
+        # tclab_series(n) holds n transitions, n - 1 origins at step 2
+        model = small_model(seed=3, nx=2, nu=2, order=TaylorOrder.SECOND)
+        series = tclab_series(md._block_rows(model.net) + 40)
+        blocked = ev.rollout(model, series, steps=3)
+        monkeypatch.setattr(md, "BLOCK_FLOATS", 2**40)
+        whole = ev.rollout(model, series, steps=3)
+        for b, w in zip(blocked.predicted, whole.predicted):
+            assert b.tobytes() == w.tobytes()
+        assert blocked.r2.tobytes() == whole.r2.tobytes()
 
 
 class TestR2:
@@ -233,3 +249,9 @@ class TestComparisonTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ev.comparison_table({}, tclab_series(10))
+
+    @pytest.mark.parametrize("steps", [0, 2.5, True, "3", np.nan])
+    def test_bad_steps_rejected_before_any_rollout(self, steps, monkeypatch):
+        monkeypatch.setattr(ev, "rollout", None)  # a rollout would raise TypeError
+        with pytest.raises(ValueError, match=r"^steps must be an integer >= 1, got "):
+            ev.comparison_table({"m": small_model(nx=2, nu=2)}, tclab_series(10), steps=steps)

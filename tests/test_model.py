@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,26 @@ def random_model(nx, nu, seed=0, order=md.TaylorOrder.FIRST, gate=md.GateMode.NO
     if spec is None:
         spec = MonoSpec.free(nx, n)
     return md.MtnnModel(nets, spec, order, gate)
+
+
+KINDS = ["baseline", *((order, gate) for order in md.TaylorOrder for gate in md.GateMode)]
+
+
+def kind_id(kind):
+    return kind if isinstance(kind, str) else f"{kind[0].value}-{kind[1].value}"
+
+
+def model_of_kind(kind, seed=16):
+    if kind == "baseline":
+        return md.BaselineModel(nn.init_dense([4, 6, 2], seed), nx=2)
+    spec = MonoSpec.from_symbols(["+-.+", ".+-."])
+    return random_model(2, 2, seed=seed, order=kind[0], gate=kind[1], spec=spec)
+
+
+def batch_pairs(B, seed=0):
+    rng = np.random.default_rng(seed)
+    Z_prev = rng.normal(size=(B, 4))
+    return Z_prev + rng.normal(size=(B, 4)) * 0.2, Z_prev
 
 
 class TestJacobianMatrix:
@@ -197,17 +218,12 @@ class TestPredict:
         with pytest.raises(ValueError):
             md.predict(m, np.array([np.inf, 0.0]), np.zeros(2))
 
-    @pytest.mark.parametrize("kind", [
-        "baseline", *((order, gate) for order in md.TaylorOrder for gate in md.GateMode),
-    ], ids=lambda k: k if isinstance(k, str) else f"{k[0].value}-{k[1].value}")
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
     def test_batch_matches_loop_and_fixpoint_rows(self, kind):
         # predict is byte for byte predict_batch on its row alone; a wider
-        # batch may round differently, since BLAS takes another path for it
-        if kind == "baseline":
-            m = md.BaselineModel(nn.init_dense([4, 6, 2], 16), nx=2)
-        else:
-            spec = MonoSpec.from_symbols(["+-.+", ".+-."])
-            m = random_model(2, 2, seed=16, order=kind[0], gate=kind[1], spec=spec)
+        # batch may round differently: numpy computes a one-row batch's
+        # products as matrix-vector products, a wider one as matrix products
+        m = model_of_kind(kind)
         Z_prev = RNG.normal(size=(6, 4))
         Z_curr = Z_prev + RNG.normal(size=(6, 4)) * 0.2
         Z_curr[3] = Z_prev[3]  # one exact-fixpoint row inside the batch
@@ -228,6 +244,58 @@ class TestPredict:
         np.testing.assert_array_equal(
             md.predict(m, z_curr, np.zeros(3)), nn.forward(net, z_curr[None])[0, 0]
         )
+
+
+class TestBlockedBatch:
+    """`predict_batch` streams a long batch through near-equal row blocks."""
+
+    def test_block_rows_follow_the_float_budget(self):
+        tclab_stack = nn.init_dense([4, 8, 4], 0, n_stack=2)
+        assert md._block_rows(tclab_stack) == md.BLOCK_FLOATS // 16 == 2048
+        huge = nn.init_dense([2, md.BLOCK_FLOATS, 2], 0)
+        assert md._block_rows(huge) == 3  # never single-row blocks
+
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+    def test_blocked_batch_is_the_whole_batch_kernel(self, kind):
+        m = model_of_kind(kind)
+        rows = md._block_rows(m.net)
+        Z_curr, Z_prev = batch_pairs(5 * rows // 2)
+        Z_curr[-2] = Z_prev[-2]  # an exact fixpoint in the last block
+        for B in (rows - 1, rows, rows + 1, 2 * rows + 1, 5 * rows // 2):
+            out = md.predict_batch(m, Z_curr[:B], Z_prev[:B])
+            whole = md._step(m, Z_curr[:B], Z_prev[:B])
+            assert out.shape == (B, 2) and out.tobytes() == whole.tobytes()
+        if kind != "baseline":
+            assert out[-2].tobytes() == Z_curr[-2, :2].tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS[1:], ids=kind_id)
+    def test_nonfinite_increment_in_the_last_block_rejected(self, kind):
+        m = model_of_kind(kind)
+        Z_curr, Z_prev = batch_pairs(2 * md._block_rows(m.net) + 1)
+        Z_curr[-1, 3] = np.nan
+        with pytest.raises(ValueError, match="^non-finite increment between z_curr and z_prev$"):
+            md.predict_batch(m, Z_curr, Z_prev)
+
+    def test_peak_memory_of_a_long_batch_is_one_block(self, monkeypatch):
+        # a TCLab-sized second-order gated stack over 20 000 rows: unblocked,
+        # its (2, 20 000, 8) temporaries alone take about 10 MiB
+        m = md.MtnnModel(nn.init_dense([4, 8, 4], 0, n_stack=2),
+                         MonoSpec.from_symbols(["+-.+", ".+-."]),
+                         md.TaylorOrder.SECOND, md.GateMode.ARCHITECTURE)
+        Z_curr, Z_prev = batch_pairs(20_000)
+
+        def peak_mib():
+            md.predict_batch(m, Z_curr[:8], Z_prev[:8])
+            tracemalloc.start()
+            try:
+                md.predict_batch(m, Z_curr, Z_prev)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mib() < 2.0
+        monkeypatch.setattr(md, "BLOCK_FLOATS", 2**40)  # one block: the bound bites
+        assert peak_mib() > 2.0
 
 
 class TestBundles:

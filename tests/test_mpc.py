@@ -953,6 +953,17 @@ class TestClosedLoop:
             mpc.run_closed_loop(plant, model, cfg, steps=3)
         assert solves == []
 
+    @pytest.mark.parametrize("steps", [0, -2, 2.5, True, "3", np.nan, np.inf])
+    def test_bad_steps_rejected_before_any_plant_step(self, steps, monkeypatch):
+        plant, model = tclab_exact_model()
+        cfg = mpc.MpcConfig(
+            x_ref=[55.0, 45.0], u_min=[30.0, 20.0], u_max=[65.0, 65.0],
+            x0=[30.0, 30.0], horizon=3, iterations=4,
+        )
+        monkeypatch.setattr(plant, "step", None)  # stepping the plant would raise TypeError
+        with pytest.raises(ValueError, match=r"^steps must be an integer >= 1, got "):
+            mpc.run_closed_loop(plant, model, cfg, steps=steps)
+
     def test_hvac_flow_above_its_audited_range_is_outside_the_box(self):
         plant = pl.HvacPlant()
         model = MtnnModel([nn.init_dense([3, 4, 3], 0)], plant.mono_spec())
