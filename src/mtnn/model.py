@@ -58,7 +58,10 @@ Array = np.ndarray
 
 BUNDLE_VERSION = "mtnn-v1"
 
-BLOCK_FLOATS = 2**15  # floats (256 KiB) per net activation array in a `predict_batch` block
+# floats (256 KiB) per net activation array in a `predict_batch` block: on the
+# 20 000-row TCLab rollout (2-core VM, one BLAS thread), 2**15 ran faster
+# than 2**14, 2**16 and 2**17
+BLOCK_FLOATS = 2**15
 
 
 class TaylorOrder(str, Enum):
@@ -204,19 +207,17 @@ def predict(model, z_curr, z_prev) -> Array:
 def predict_batch(model, Z_curr, Z_prev) -> Array:
     """(B, N) pairs -> (B, Nx): the step kernel after the batch checks.
 
-    A batch longer than `_block_rows(model.net)` runs the kernel on
-    ceil(B / rows) contiguous, near-equal row blocks written into one
-    (B, Nx) output, so only one block's net temporaries exist at a time;
-    every row is bit for bit what the kernel gives on the whole batch.
+    The kernel runs on ceil(B / rows) contiguous, near-equal row blocks
+    (rows = `_block_rows(model.net)`) written into one (B, Nx) output, so
+    only one block's net temporaries exist at a time; every row is bit for
+    bit what the kernel gives on the whole batch.
     """
     Z_c = _as_z(Z_curr, model.n)
     Z_p = _as_z(Z_prev, model.n)
     if Z_c.shape != Z_p.shape:
         raise ValueError(f"z_curr has shape {Z_c.shape}, z_prev {Z_p.shape}; they must match")
     B, rows = len(Z_c), _block_rows(model.net)
-    if B <= rows:
-        return _step(model, Z_c, Z_p)
-    k = -(-B // rows)  # ceil(B / rows) blocks of B // k or B // k + 1 rows
+    k = max(-(-B // rows), 1)  # ceil(B / rows) blocks, at least one, of B // k or B // k + 1 rows
     edges = [i * B // k for i in range(k + 1)]
     out = np.empty((B, model.nx))
     for lo, hi in zip(edges[:-1], edges[1:]):

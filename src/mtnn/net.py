@@ -191,33 +191,24 @@ def _basis(n: int, B: int) -> Array:
 
 
 def _layer(a: Array, W: Array, b: Array) -> Array:
-    """a @ W^T + b, the bias added in place into the fresh product."""
-    h = a @ W.mT
-    h += b[:, None, :]
-    return h
+    return a @ W.mT + b[:, None, :]
 
 
 def _run(net: DenseNet, z, t=None) -> tuple:
     """Numpy twin of `NetTape._run`, from the raw (B, I) input: outputs
     (S, B, O) and, given an input tangent t (..., B, I), its image
-    (..., S, B, O); else None. Bias, tanh and the tangent's 1 - a^2 factor
-    update each product's fresh array in place, with the operations and
-    order of the tape's graph."""
+    (..., S, B, O); else None."""
     a = _standardized(net, z)
     if t is not None:
         t = t / net.in_scale[:, None, :]
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = _layer(a, W, b)
-        a = np.tanh(h, out=h)
+        a = np.tanh(_layer(a, W, b))
         if t is not None:
-            t = t @ W.mT
-            t *= 1.0 - a * a
+            t = (1.0 - a * a) * (t @ W.mT)
     out = _layer(a, net.weights[-1], net.biases[-1])
-    out *= net.out_scale[:, None, :]
-    out += net.out_shift[:, None, :]
+    out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
     if t is not None:
-        t = t @ net.weights[-1].mT
-        t *= net.out_scale[:, None, :]
+        t = (t @ net.weights[-1].mT) * net.out_scale[:, None, :]
     return out, t
 
 

@@ -261,7 +261,7 @@ class TestBlockedBatch:
         rows = md._block_rows(m.net)
         Z_curr, Z_prev = batch_pairs(5 * rows // 2)
         Z_curr[-2] = Z_prev[-2]  # an exact fixpoint in the last block
-        for B in (rows - 1, rows, rows + 1, 2 * rows + 1, 5 * rows // 2):
+        for B in (0, 2, rows - 1, rows, rows + 1, 2 * rows + 1, 5 * rows // 2):
             out = md.predict_batch(m, Z_curr[:B], Z_prev[:B])
             whole = md._step(m, Z_curr[:B], Z_prev[:B])
             assert out.shape == (B, 2) and out.tobytes() == whole.tobytes()
