@@ -75,15 +75,6 @@ def _section(config: dict, key: str) -> dict:
     return sec
 
 
-def _integer(value, name: str) -> int:
-    """`value` as an int; an integral float such as 3.0 is accepted."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _real(value, name: str) -> float:
     """`value` as a float; it must be a finite int or float, not a bool."""
     if not pl.finite(value):
@@ -102,7 +93,7 @@ def _out_dir(config: dict) -> Path:
 def _seed(config: dict) -> int:
     if "seed" not in config:
         raise ConfigError("config missing required key 'seed'")
-    return _integer(config["seed"], "seed")
+    return pl.integer(config["seed"], "seed", 0)
 
 
 def _plant_kind(section: dict) -> str:
@@ -150,17 +141,15 @@ def cmd_gen_data(config: dict) -> int:
     seed = _seed(config)
     plant_sec = _section(config, "plant")
     kind, plant = _plant(plant_sec)
-    split = config.get("split", {})
+    # the split keys the config sets; the builder's defaults fill the rest
+    sizes = {k: pl.integer(v, f"split.{k}", 1) for k, v in config.get("split", {}).items()}
     noise = _real(plant_sec.get("noise_sigma", 0.05), "plant.noise_sigma")
-    build, n_train, n_test = ((pl.hvac_benchmark, 180, 100) if kind == "hvac"
-                              else (pl.tclab_dataset, 250, 60))
-    n_train = _integer(split.get("n_train", n_train), "split.n_train")
-    n_test = _integer(split.get("n_test", n_test), "split.n_test")
+    build = pl.hvac_benchmark if kind == "hvac" else pl.tclab_dataset
     try:
-        series = build(seed, n_train=n_train, n_test=n_test, noise_sigma=noise,
-                       plant=plant).series
+        ds = build(seed, noise_sigma=noise, plant=plant, **sizes)
     except RuntimeError as e:  # the hvac range shift failed on this room
         raise ConfigError(f"{kind} benchmark on {plant}: {e}") from None
+    series, n_train, n_test = ds.series, len(ds.train), len(ds.test)
     state_names, input_names = HVAC_NAMES if kind == "hvac" else TCLAB_NAMES
     # consecutive transitions need a 2-sample overlap between the files
     pl.save_csv(_slice(series, 0, n_train + 2), out / "train.csv",
@@ -190,8 +179,8 @@ def cmd_train(config: dict, variants=None) -> int:
     kind = _plant_kind(_section(config, "plant"))
     train_sec = _section(config, "train")
     names = _variant_list(config, variants)
-    width = _integer(train_sec.get("width", tr.STUDY_WIDTH), "train.width")
-    epochs = _integer(train_sec.get("epochs", tr.STUDY_EPOCHS), "train.epochs")
+    width = pl.integer(train_sec.get("width", tr.STUDY_WIDTH), "train.width", 1)
+    epochs = pl.integer(train_sec.get("epochs", tr.STUDY_EPOCHS), "train.epochs", 1)
     wd = _real(train_sec.get("weight_decay", tr.STUDY_WEIGHT_DECAY), "train.weight_decay")
     fixed_rate = train_sec.get("learning_rate")
     if fixed_rate is not None:
@@ -242,8 +231,8 @@ def cmd_eval(config: dict) -> int:
     """Multi-step rollout table over the trained bundles, in config order."""
     out = _out_dir(config)
     names = _variant_list(config)
+    steps = pl.integer(config.get("eval", {}).get("steps", 5), "eval.steps", 1)
     data = _load_transitions(out / "test.csv")
-    steps = _integer(config.get("eval", {}).get("steps", 5), "eval.steps")
     models = {}
     for name in names:
         path = out / f"{name}.json"
@@ -263,6 +252,11 @@ def cmd_mpc(config: dict) -> int:
     out = _out_dir(config)
     _, plant = _plant(_section(config, "plant"))
     mpc_sec = _section(config, "mpc")
+    steps = pl.integer(mpc_sec.get("steps", 60), "mpc.steps", 1)
+    fields = {k: v for k, v in mpc_sec.items() if k not in ("bundle", "steps")}
+    fields.update({k: pl.integer(fields[k], f"mpc.{k}", 1)  # named as config keys
+                   for k in ("horizon", "iterations") if k in fields})
+    cfg = ctrl.MpcConfig.from_dict(fields)
     if "bundle" not in mpc_sec:
         raise ConfigError("mpc section needs a 'bundle' path")
     bundle = Path(mpc_sec["bundle"])
@@ -271,10 +265,6 @@ def cmd_mpc(config: dict) -> int:
     if not bundle.exists():
         raise ConfigError(f"bundle {bundle} not found")
     model = md.load_bundle(bundle)
-    steps = _integer(mpc_sec.get("steps", 60), "mpc.steps")
-    cfg = ctrl.MpcConfig.from_dict(
-        {k: v for k, v in mpc_sec.items() if k not in ("bundle", "steps")}
-    )
     trace = ctrl.run_closed_loop(plant, model, cfg, steps)
     trace.save_csv(out / "trace.csv")
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as md
-from .plants import Transitions, positive_integer
+from .plants import Transitions, integer
 
 Array = np.ndarray
 
@@ -39,7 +39,7 @@ class RolloutResult:
 
 
 def rollout(model, data: Transitions, steps: int) -> RolloutResult:
-    I = positive_integer(steps, "steps")
+    I = integer(steps, "steps", 1)
     n = len(data)
     if n < I + 1:  # the last step needs two origins for its r2
         raise ValueError(
@@ -132,7 +132,7 @@ class ComparisonTable:
 
 def comparison_table(models: dict, data: Transitions, steps: int = 5) -> ComparisonTable:
     """Rollout metrics for each named model over shared test transitions."""
-    steps = positive_integer(steps, "steps")
+    steps = integer(steps, "steps", 1)
     if not models:
         raise ValueError("need at least one model")
     names = list(models)

@@ -152,14 +152,6 @@ class BaselineModel:
         return BaselineModel(self.net.copy(), self.nx)
 
 
-def _as_z(z, n: int) -> Array:
-    """A (B, N) batch as float64; any other shape is a ValueError."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != n:
-        raise ValueError(f"z has shape {z.shape}, model expects (B, {n})")
-    return z
-
-
 def _raw_rows(model: MtnnModel, Z: Array) -> Array:
     """Ungated net outputs (B, Nx, N): member j's output is row j."""
     return nn.forward(model.net, Z).swapaxes(0, 1)
@@ -168,7 +160,7 @@ def _raw_rows(model: MtnnModel, Z: Array) -> Array:
 def jacobian_matrix_batch(model: MtnnModel, Z_prev) -> Array:
     """Learned Jacobian at each row: (B, N) -> (B, Nx, N), gated when the
     model is gated."""
-    rows = _raw_rows(model, _as_z(Z_prev, model.n))
+    rows = _raw_rows(model, Z_prev)
     if model.gated:
         rows = apply_sign_gate(rows, model.mono_spec.tags)
     return rows
@@ -183,8 +175,7 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     rows. The Taylor step does not build these blocks; only the tests read
     them, among them the numpy loss oracle in `tests/oracles.py`.
     """
-    Z = _as_z(Z_prev, model.n)
-    raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z))
+    raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z_prev))
     if model.gated:
         blocks = blocks * model.mono_spec.gate_mask(raw)[..., None]
     if model.symmetrize_hessian:
@@ -205,15 +196,16 @@ def predict(model, z_curr, z_prev) -> Array:
 
 
 def predict_batch(model, Z_curr, Z_prev) -> Array:
-    """(B, N) pairs -> (B, Nx): the step kernel after the batch checks.
+    """(B, N) pairs -> (B, Nx): the step kernel after the batch checks, the
+    nets' one batch rule (`net._batch`) on each side and equal shapes.
 
     The kernel runs on ceil(B / rows) contiguous, near-equal row blocks
     (rows = `_block_rows(model.net)`) written into one (B, Nx) output, so
     only one block's net temporaries exist at a time; every row is bit for
     bit what the kernel gives on the whole batch.
     """
-    Z_c = _as_z(Z_curr, model.n)
-    Z_p = _as_z(Z_prev, model.n)
+    Z_c = nn._batch(model.net, Z_curr)
+    Z_p = nn._batch(model.net, Z_prev)
     if Z_c.shape != Z_p.shape:
         raise ValueError(f"z_curr has shape {Z_c.shape}, z_prev {Z_p.shape}; they must match")
     B, rows = len(Z_c), _block_rows(model.net)

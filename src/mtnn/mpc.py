@@ -36,7 +36,7 @@ from . import graph
 from . import model as md
 from . import net as nn
 from .model import BaselineModel
-from .plants import positive_integer
+from .plants import finite, integer
 
 Array = np.ndarray
 
@@ -47,9 +47,15 @@ DECREASE_RTOL = 1e-9  # a full step that lowers the cost by less ends the solve
 
 
 def _vector(v, name: str, size: int | None = None, allow_inf: bool = False) -> Array:
-    """v as a float vector of the given length; NaN is never allowed, and
+    """v, a number or a vector of numbers, as a float vector of the given
+    length. Each entry is checked before any conversion, so a string is not
+    read as its number: it must be a float or a `plants.finite` real (not a
+    bool, and an int that a float holds). NaN is never allowed, and
     infinities only with allow_inf."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    entries = np.asarray(v, dtype=object).reshape(-1)
+    if not all(isinstance(x, (float, np.floating)) or finite(x) for x in entries):
+        raise ValueError(f"{name} must be a number or a vector of numbers, got {v!r}")
+    v = entries.astype(np.float64)
     if size is not None and v.shape != (size,):
         raise ValueError(f"{name} must have length {size}")
     if np.isnan(v).any() or not (allow_inf or np.isfinite(v).all()):
@@ -58,8 +64,12 @@ def _vector(v, name: str, size: int | None = None, allow_inf: bool = False) -> A
 
 
 def _weights(w, size: int, name: str) -> Array:
-    """Nonnegative finite weights; a scalar is broadcast to the size."""
-    w = _vector(np.full(size, w, dtype=np.float64) if np.ndim(w) == 0 else w, name, size)
+    """Nonnegative finite weights; a scalar is broadcast to the size once
+    `_vector` has checked it."""
+    scalar = not np.iterable(w)  # unlike np.ndim, safe on a ragged list
+    w = _vector(w, name, None if scalar else size)
+    if scalar:
+        w = np.full(size, w[0])
     if np.any(w < 0):
         raise ValueError(f"{name} entries must be nonnegative")
     return w
@@ -76,7 +86,9 @@ class MpcConfig:
     and `tol` ends a solve whose last step moved every input by less. A
     solve also ends, with no knob of its own, at a full step that lowered
     the cost by at most DECREASE_RTOL times its controllable part (see
-    `solve_horizon`). Everything else must be finite.
+    `solve_horizon`). Every field is a number or a vector of numbers, never
+    a string or a bool; `horizon` and `iterations` are integers >= 1 under
+    `plants.integer`, and everything else must be finite.
     """
 
     x_ref: Array
@@ -99,11 +111,8 @@ class MpcConfig:
         self.u_max = _vector(self.u_max, "u_max", self.nu)
         if np.any(self.u_min > self.u_max):
             raise ValueError("need u_min <= u_max elementwise")
-        for name in ("horizon", "iterations"):
-            n = _vector(getattr(self, name), name, 1)[0]
-            if n < 1 or n != int(n):
-                raise ValueError(f"{name} must be an integer >= 1")
-            setattr(self, name, int(n))
+        self.horizon = integer(self.horizon, "horizon", 1)
+        self.iterations = integer(self.iterations, "iterations", 1)
         self.q_diag = _weights(self.q_diag, self.nx, "q_diag")
         self.r_diag = _weights(self.r_diag, self.nu, "r_diag")
         self.p_diag = _weights(self.p_diag, self.nx, "p_diag")
@@ -550,7 +559,7 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     _check_dims(model, cfg)
     if cfg.x0 is None:
         raise ValueError("closed loop needs cfg.x0 (initial plant state)")
-    steps = positive_integer(steps, "steps")
+    steps = integer(steps, "steps", 1)
     for corner in (cfg.u_min, cfg.u_max):
         try:
             plant.step(cfg.x0, corner)

@@ -37,11 +37,13 @@ def finite(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool) and bool(abs(v) <= sys.float_info.max)
 
 
-def positive_integer(v, name: str) -> int:
-    """`v` as an int >= 1: a finite, integral real that is not a bool, so an
-    integral float such as 3.0 is accepted; anything else is a ValueError."""
-    if not (finite(v) and v >= 1 and v == int(v)):
-        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+def integer(v, name: str, least: int) -> int:
+    """`v` as an int >= `least`, the one rule for a count or seed from
+    outside: a finite, integral real that is not a bool, so an integral float
+    such as 3.0 is accepted, and a string, a bool or an int too large for a
+    float is not. Anything else is a ValueError naming `name`."""
+    if not (finite(v) and v >= least and v == int(v)):
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
     return int(v)
 
 
@@ -206,15 +208,17 @@ class ExcitePolicy:
         self.hi = np.asarray(self.hi, dtype=np.float64)
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ValueError("need lo <= hi per channel")
-        if not self.dwell_choices or any(d < 1 for d in self.dwell_choices):
-            raise ValueError("dwell choices must be positive sample counts")
+        if not self.dwell_choices:
+            raise ValueError("dwell_choices must not be empty")
+        self.dwell_choices = tuple(integer(d, f"dwell_choices[{i}]", 1)
+                                   for i, d in enumerate(self.dwell_choices))
         _check_noise(self.noise_sigma)
 
 
 def excite(plant, policy: ExcitePolicy, n: int, seed: int, x0) -> Series:
-    """Roll the plant under the policy for n samples, deterministically."""
-    if n < 3:
-        raise ValueError("need at least 3 samples to form one transition")
+    """Roll the plant under the policy for n samples, deterministically; n
+    must be an integer >= 3, enough for one transition."""
+    n = integer(n, "n", 3)
     rng = np.random.default_rng(seed)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     nu = len(policy.lo)
@@ -246,15 +250,17 @@ def to_transitions(series: Series) -> Transitions:
     return Transitions(z[:-2], z[1:-1], z[2:, : series.x.shape[1]])
 
 
-def _split_length(n_train: int, n_test: int) -> int:
-    if n_train <= 0 or n_test <= 0:
-        raise ValueError("split sizes must be positive")
-    return n_train + n_test + 2
+def _split_length(n_train: int, n_test: int) -> tuple:
+    """(n_train, n_test, n): both split sizes as ints >= 1 under `integer`,
+    and the n = n_train + n_test + 2 samples a series needs to yield them."""
+    n_train, n_test = integer(n_train, "n_train", 1), integer(n_test, "n_test", 1)
+    return n_train, n_test, n_train + n_test + 2
 
 
 def range_shift_split(series: Series, n_train: int = 180, n_test: int = 100):
     """Chronological split of the transitions: first n_train, next n_test."""
-    if len(series) < _split_length(n_train, n_test):
+    n_train, n_test, n = _split_length(n_train, n_test)
+    if len(series) < n:
         raise ValueError(
             f"series of length {len(series)} cannot yield {n_train}+{n_test} transitions"
         )
@@ -372,7 +378,7 @@ def hvac_benchmark(
     def deg(t):
         return 55.0 + (t - 55.0) * scale
 
-    n = _split_length(n_train, n_test)
+    n_train, n_test, n = _split_length(n_train, n_test)
     rng = np.random.default_rng(seed)
     x = np.empty((n, 1))
     u = np.empty((n, 2))
@@ -482,7 +488,7 @@ def tclab_dataset(
 ) -> Dataset:
     """Identification data: heaters wander 10-50 % with 120/150 s dwells,
     on `plant` (None: the default `TcLabPlant()`), split chronologically by
-    `range_shift_split`, so both split sizes must be positive."""
+    `range_shift_split`, so both split sizes must be integers >= 1."""
     plant = TcLabPlant() if plant is None else plant
     policy = ExcitePolicy(
         lo=np.array([10.0, 10.0]),
@@ -490,6 +496,6 @@ def tclab_dataset(
         dwell_choices=(8, 10),  # 120 s or 150 s at dt = 15 s
         noise_sigma=noise_sigma,
     )
-    n = _split_length(n_train, n_test)
+    n_train, n_test, n = _split_length(n_train, n_test)
     series = excite(plant, policy, n, seed, x0=np.array([plant.T_amb, plant.T_amb]))
     return Dataset(plant, series, *range_shift_split(series, n_train, n_test))

@@ -28,7 +28,7 @@ from . import net as nn
 from .constraints import DECREASING, MonoSpec
 from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
 from .net import TrainingFault
-from .plants import Transitions, finite, positive_integer
+from .plants import Transitions, finite, integer
 
 Array = np.ndarray
 
@@ -53,7 +53,7 @@ class TrainConfig:
     strict_minors: bool = False  # hinge all leading principal minors, not just det
 
     def __post_init__(self):
-        self.epochs = positive_integer(self.epochs, "epochs")
+        self.epochs = integer(self.epochs, "epochs", 1)
         lr = self.learning_rate
         if not (finite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr!r}")

@@ -73,6 +73,25 @@ class TestGenData:
         assert manifest["seed"] == 0
         assert manifest["plant"]["kind"] == "hvac"
 
+    def test_default_tclab_split_counts(self, tmp_path):
+        # the split the library's builder defaults to, recorded as it came out
+        cfg = {"seed": 0, "out_dir": str(tmp_path / "d"),
+               "plant": {"kind": "tclab"}}
+        assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 0
+        train = pl.to_transitions(pl.load_csv(tmp_path / "d" / "train.csv"))
+        test = pl.to_transitions(pl.load_csv(tmp_path / "d" / "test.csv"))
+        assert len(train) == 250
+        assert len(test) == 60
+        manifest = json.loads((tmp_path / "d" / "gen_manifest.json").read_text())
+        assert manifest["split"] == {"n_train": 250, "n_test": 60}
+        assert manifest["plant"]["kind"] == "tclab"
+
+    def test_seed_below_zero_is_an_error_naming_the_key(self, tmp_path, capsys):
+        cfg = dict(base_config(tmp_path / "d"), seed=-1)
+        assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "d" / "train.csv").exists()
+
     def test_split_matches_library_transitions(self, tmp_path):
         cfg = base_config(tmp_path / "d")
         assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 0
@@ -150,7 +169,7 @@ class TestGenData:
         cfg = dict(base_config(tmp_path / "d"), split=split, plant={"kind": kind})
         assert run("gen-data", "--config", write_config(cfg, tmp_path / "c.json")) == 1
         err = capsys.readouterr().err
-        assert err == "error: split sizes must be positive\n"
+        assert err == f"error: split.n_train must be an integer >= 1, got {split['n_train']}\n"
         assert not (tmp_path / "d" / "train.csv").exists()
 
     def test_missing_plant_section_names_the_key(self, tmp_path, capsys):
@@ -387,6 +406,8 @@ class TestConfigKeys:
         ("train", "train", "epochs"),
         ("eval", "eval", "steps"),
         ("mpc", "mpc", "steps"),
+        ("mpc", "mpc", "horizon"),
+        ("mpc", "mpc", "iterations"),
     ]
 
     def run_with(self, trained_run, tmp_path, command, section, key, value):
@@ -396,13 +417,29 @@ class TestConfigKeys:
         (cfg if section is None else cfg[section])[key] = value
         return run(command, "--config", write_config(cfg, tmp_path / "k.json"))
 
-    @pytest.mark.parametrize("value", [2.5, float("inf"), "3", True])
+    @pytest.mark.parametrize("value", [2.5, float("inf"), "3", True, "least - 1",
+                                       pytest.param(10**400, id="huge_int")])
     @pytest.mark.parametrize("command,section,key", INTEGER_KEYS)
     def test_non_integer_is_an_error_naming_the_key(self, trained_run, tmp_path, capsys,
                                                      command, section, key, value):
+        least = 0 if key == "seed" else 1
+        if value == "least - 1":  # 0, or -1 for the seed
+            value = least - 1
         assert self.run_with(trained_run, tmp_path, command, section, key, value) == 1
         name = key if section is None else f"{section}.{key}"
-        assert f"error: {name} must be an integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be an integer >= {least}, got {value!r}\n"
+
+    @pytest.mark.parametrize("command,section", [("eval", "eval"), ("mpc", "mpc")])
+    def test_bad_steps_rejected_before_any_bundle_loads(self, trained_run, tmp_path, capsys,
+                                                        monkeypatch, command, section):
+        def load_bundle(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr(md, "load_bundle", load_bundle)
+        assert self.run_with(trained_run, tmp_path, command, section, "steps", 0) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {section}.steps must be an integer >= 1, got 0\n"
 
     def test_integral_float_is_accepted(self, trained_run, tmp_path):
         assert self.run_with(trained_run, tmp_path, "train", "train", "epochs", 3.0) == 0

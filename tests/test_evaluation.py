@@ -64,7 +64,7 @@ class TestRollout:
         # consistent rows one input short of the model is refused here
         data = tclab_series(12)
         narrow = pl.Transitions(data.z_prev[:, :3], data.z_curr[:, :3], data.x_next)
-        with pytest.raises(ValueError, match=r"\(12, 3\), model expects \(B, 4\)"):
+        with pytest.raises(ValueError, match=r"\(12, 3\), net expects \(B, 4\)"):
             ev.rollout(small_model(nx=2, nu=2), narrow, steps=2)
 
     def test_origin_counts_shrink(self):

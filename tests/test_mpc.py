@@ -149,6 +149,12 @@ class TestMpcConfig:
         np.testing.assert_array_equal(cfg.r_diag, [0.01])
         assert cfg.nx == 2 and cfg.nu == 1
 
+    def test_integral_float_counts_and_wide_ints_accepted(self):
+        cfg = small_cfg(horizon=3.0, iterations=np.int64(5), x_ref=[10**30])
+        assert (cfg.horizon, cfg.iterations) == (3, 5)
+        assert type(cfg.horizon) is int and type(cfg.iterations) is int
+        np.testing.assert_array_equal(cfg.x_ref, [1e30])
+
     def test_bound_order_enforced(self):
         with pytest.raises(ValueError, match="u_min"):
             mpc.MpcConfig(x_ref=[0.0], u_min=[2.0], u_max=[1.0])
@@ -179,9 +185,15 @@ class TestMpcConfig:
                 with pytest.raises(ValueError, match=name):
                     small_cfg(**{name: bad})
         for name in ("horizon", "iterations"):
-            for bad in (np.nan, np.inf, 2.5):
-                with pytest.raises(ValueError, match=name):
+            for bad in (np.nan, np.inf, 2.5, 0, "8", True, 10**400):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
                     small_cfg(**{name: bad})
+        # every field must hold numbers: no string, no bool, no int beyond a float
+        for name, bad in [("tol", "1e-3"), ("x_ref", ["55", "45"]), ("q_diag", True),
+                          ("q_diag", [True]), ("u_max", [10**400]), ("state_weight", 10**400),
+                          ("x0", [None]), ("x_max", "inf"), ("q_diag", [[1.0, 2.0], [3.0]])]:
+            with pytest.raises(ValueError, match=f"^{name} must be a number or a vector"):
+                small_cfg(**{name: bad})
         with pytest.raises(ValueError, match="x_min"):
             small_cfg(x_min=[np.nan])
         with pytest.raises(ValueError, match="x_max"):

@@ -160,11 +160,27 @@ class TestExcite:
         with pytest.raises(ValueError):
             pl.excite(pl.TcLabPlant(), self.policy(), 2, seed=0, x0=[23.0, 23.0])
 
+    @pytest.mark.parametrize("n", [2, 2.5, 10.5, True, "10", np.nan,
+                                   pytest.param(10**400, id="huge_int")])
+    def test_sample_count_is_an_integer_of_at_least_3(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 3, got "):
+            pl.excite(pl.TcLabPlant(), self.policy(), n, seed=0, x0=[23.0, 23.0])
+
+    def test_integral_float_sample_count_accepted(self):
+        a = pl.excite(pl.TcLabPlant(), self.policy(), 20.0, seed=0, x0=[23.0, 23.0])
+        b = pl.excite(pl.TcLabPlant(), self.policy(), 20, seed=0, x0=[23.0, 23.0])
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             pl.ExcitePolicy(lo=np.array([2.0]), hi=np.array([1.0]))
         with pytest.raises(ValueError):
             pl.ExcitePolicy(lo=np.array([1.0]), hi=np.array([2.0]), dwell_choices=())
+        # a fractional dwell used to be held for its floor
+        for bad in (2.5, 0, True, "8"):
+            with pytest.raises(ValueError, match=r"^dwell_choices\[1\] must be an integer >= 1"):
+                self.policy(dwell_choices=(8, bad))
+        assert self.policy(dwell_choices=(8.0, 10)).dwell_choices == (8, 10)
 
     @pytest.mark.parametrize("sigma", ["x", "0.1", None, True, [0.1], np.nan, -0.1])
     def test_noise_that_is_not_a_finite_number_is_named(self, sigma):
@@ -474,7 +490,20 @@ class TestTcLabDataset:
     def test_split_sizes_must_be_positive(self, n_train, n_test):
         # a split that used to come back short or empty, or fail inside the
         # simulation when it leaves fewer than 3 samples
-        with pytest.raises(ValueError, match="split sizes must be positive"):
+        name, v = ("n_train", n_train) if n_train < 1 else ("n_test", n_test)
+        message = f"^{name} must be an integer >= 1, got {v}$"
+        with pytest.raises(ValueError, match=message):
             pl.tclab_dataset(seed=0, n_train=n_train, n_test=n_test)
-        with pytest.raises(ValueError, match="split sizes must be positive"):
+        with pytest.raises(ValueError, match=message):
             pl.hvac_benchmark(seed=0, n_train=n_train, n_test=n_test)
+
+    def test_split_sizes_follow_the_integer_rule(self):
+        # True used to give a 1-sample split, and 180.0 a TypeError
+        series = pl.Series(np.arange(300) * 15.0, np.zeros((300, 2)), np.zeros((300, 2)))
+        for bad in (True, 2.5, "40", 10**400):
+            with pytest.raises(ValueError, match="^n_train must be an integer >= 1, got "):
+                pl.tclab_dataset(seed=0, n_train=bad)
+            with pytest.raises(ValueError, match="^n_test must be an integer >= 1, got "):
+                pl.range_shift_split(series, 40, bad)
+        a, b = pl.hvac_benchmark(0, n_train=180.0), pl.hvac_benchmark(0)
+        assert np.array_equal(a.series.x, b.series.x) and len(a.train) == 180
