@@ -253,10 +253,8 @@ def cmd_mpc(config: dict) -> int:
     _, plant = _plant(_section(config, "plant"))
     mpc_sec = _section(config, "mpc")
     steps = pl.integer(mpc_sec.get("steps", 60), "mpc.steps", 1)
-    fields = {k: v for k, v in mpc_sec.items() if k not in ("bundle", "steps")}
-    fields.update({k: pl.integer(fields[k], f"mpc.{k}", 1)  # named as config keys
-                   for k in ("horizon", "iterations") if k in fields})
-    cfg = ctrl.MpcConfig.from_dict(fields)
+    cfg = ctrl.MpcConfig.from_dict({k: v for k, v in mpc_sec.items()
+                                    if k not in ("bundle", "steps")})
     if "bundle" not in mpc_sec:
         raise ConfigError("mpc section needs a 'bundle' path")
     bundle = Path(mpc_sec["bundle"])

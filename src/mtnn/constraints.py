@@ -98,14 +98,24 @@ class MonoSpec:
 def gate_mask_of(tags):
     """raw -> d(gated)/d(raw) entrywise, in {-1, 0, 1} (subgradient 0 at the
     kink), with the tag arrays derived once: a tagged entry reads its tag
-    where raw > 0 and 0 elsewhere, a free one 1.
+    where raw > 0 and 0 elsewhere (NaN included), a free one 1.
 
-    The gate is piecewise linear, so the gated output is raw times this mask.
+    The mask is (raw > 0) * (on - off) + off, not a broadcast np.where,
+    which is slower; on {-1, 0, 1} that arithmetic is exact, and the sum
+    turns the -0.0 of a False times -1 into 0.0. The gate is piecewise
+    linear, so the gated output is raw times this mask.
     """
     tags = np.asarray(tags, dtype=np.int8)
     free = tags == FREE
-    on, off = np.where(free, 1.0, tags), np.where(free, 1.0, 0.0)
-    return lambda raw: np.where(np.asarray(raw) > 0.0, on, off)
+    off = free.astype(np.float64)
+    step = np.where(free, 0.0, tags)  # on - off
+
+    def mask(raw):
+        m = (np.asarray(raw) > 0.0) * step
+        m += off
+        return m
+
+    return mask
 
 
 def apply_sign_gate(raw, tags) -> Array:

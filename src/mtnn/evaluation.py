@@ -59,13 +59,32 @@ def rollout(model, data: Transitions, steps: int) -> RolloutResult:
         # surviving origins roll forward: predicted state, measured inputs
         z_next = np.concatenate([x_hat[: m - 1], U[i : i + m - 1]], axis=1)
         Zp, Zc = Zc[: m - 1], z_next
-    r2s = np.array([_mean_over_outputs(r2, p, a) for p, a in zip(predicted, actual)])
-    rmses = np.array([_mean_over_outputs(rmse, p, a) for p, a in zip(predicted, actual)])
+    scores = [_scores(p, a) for p, a in zip(predicted, actual)]
+    r2s, rmses = (np.array(column) for column in zip(*scores))
     return RolloutResult(predicted, actual, r2s, rmses)
 
 
-def _mean_over_outputs(metric, pred: Array, act: Array) -> float:
-    return float(np.mean([metric(pred[:, j], act[:, j]) for j in range(pred.shape[1])]))
+def _scores(pred: Array, act: Array) -> tuple:
+    """(r2, rmse) of one step, each averaged over the state columns, with
+    every value bit for bit what `r2` and `rmse` give column by column.
+
+    A column's squared residual is formed once and feeds both; only one
+    column's temporaries exist at a time.
+    """
+    r2s, rmses = [], []
+    for j in range(act.shape[1]):
+        a = act[:, j]
+        sq = a - pred[:, j]
+        sq **= 2
+        ss_res = float(np.sum(sq))
+        dev = a - a.mean()
+        dev **= 2
+        ss_tot = float(np.sum(dev))
+        if ss_tot == 0.0:
+            raise ValueError("r2 undefined for a constant actual series")
+        r2s.append(1.0 - ss_res / ss_tot)
+        rmses.append(float(np.sqrt(ss_res / len(a))))
+    return float(np.mean(r2s)), float(np.mean(rmses))
 
 
 def r2(pred, actual) -> float:

@@ -22,7 +22,9 @@ penalties (`hessian_stack_batch`, or `need_blocks` on the graph), and only
 there does `symmetrize_hessian` matter: it cannot change a quadratic form.
 The architecture gate multiplies the rows, H_j dz and the block rows by one
 detached mask of the raw outputs, `constraints.gate_mask_of(tags)(raw)`,
-which a MonoSpec derives once as its `gate_mask`.
+which a MonoSpec derives once as its `gate_mask`. The numpy step builds the
+mask once per step and applies it in place to the rows and H_j dz, which
+the net pass has just made.
 
 The step has exactly two evaluators, both batched: one numpy kernel for
 prediction and rollout, and `taylor_increments` on the reverse-mode graph,
@@ -177,7 +179,7 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     """
     raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z_prev))
     if model.gated:
-        blocks = blocks * model.mono_spec.gate_mask(raw)[..., None]
+        blocks *= model.mono_spec.gate_mask(raw)[..., None]
     if model.symmetrize_hessian:
         blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
     return blocks
@@ -242,10 +244,14 @@ def _step(model, Z_c: Array, Z_p: Array) -> Array:
         raw, Hdz = (a.swapaxes(0, 1) for a in nn.input_jacobian(model.net, Z_p, dz))
     else:
         raw, Hdz = _raw_rows(model, Z_p), None
-    mask = model.mono_spec.gate_mask(raw) if model.gated else 1.0
-    x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", raw * mask, dz)
+    if model.gated:  # one mask, applied in place to both fresh net outputs
+        mask = model.mono_spec.gate_mask(raw)
+        raw *= mask
+        if Hdz is not None:
+            Hdz *= mask
+    x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", raw, dz)
     if Hdz is not None:
-        x_hat = x_hat + 0.5 * np.einsum("bjn,bn->bj", Hdz * mask, dz)
+        x_hat += 0.5 * np.einsum("bjn,bn->bj", Hdz, dz)
     if not dz.all():
         # restore the exact fixpoint for rows with a literally zero increment
         zero = ~dz.any(axis=1)

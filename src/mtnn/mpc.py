@@ -28,7 +28,7 @@ the decrease rule measures against the cost without it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -106,26 +106,31 @@ class MpcConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        self.x_ref = _vector(self.x_ref, "x_ref")
-        self.u_min = _vector(self.u_min, "u_min")
-        self.u_max = _vector(self.u_max, "u_max", self.nu)
+        self._check(lambda name: name)
+
+    def _check(self, key):
+        """Check and convert every field in place; an error names field f as
+        key(f)."""
+        self.x_ref = _vector(self.x_ref, key("x_ref"))
+        self.u_min = _vector(self.u_min, key("u_min"))
+        self.u_max = _vector(self.u_max, key("u_max"), self.nu)
         if np.any(self.u_min > self.u_max):
-            raise ValueError("need u_min <= u_max elementwise")
-        self.horizon = integer(self.horizon, "horizon", 1)
-        self.iterations = integer(self.iterations, "iterations", 1)
-        self.q_diag = _weights(self.q_diag, self.nx, "q_diag")
-        self.r_diag = _weights(self.r_diag, self.nu, "r_diag")
-        self.p_diag = _weights(self.p_diag, self.nx, "p_diag")
+            raise ValueError(f"need {key('u_min')} <= {key('u_max')} elementwise")
+        self.horizon = integer(self.horizon, key("horizon"), 1)
+        self.iterations = integer(self.iterations, key("iterations"), 1)
+        self.q_diag = _weights(self.q_diag, self.nx, key("q_diag"))
+        self.r_diag = _weights(self.r_diag, self.nu, key("r_diag"))
+        self.p_diag = _weights(self.p_diag, self.nx, key("p_diag"))
         for name in ("x_min", "x_max", "x0"):
             if getattr(self, name) is not None:
-                v = _vector(getattr(self, name), name, self.nx, allow_inf=name != "x0")
+                v = _vector(getattr(self, name), key(name), self.nx, allow_inf=name != "x0")
                 setattr(self, name, v)
         if self.x_min is not None and self.x_max is not None and np.any(self.x_min > self.x_max):
-            raise ValueError("need x_min <= x_max elementwise")
-        self.state_weight = float(_weights(self.state_weight, 1, "state_weight")[0])
-        self.tol = float(_vector(self.tol, "tol", 1)[0])
+            raise ValueError(f"need {key('x_min')} <= {key('x_max')} elementwise")
+        self.state_weight = float(_weights(self.state_weight, 1, key("state_weight"))[0])
+        self.tol = float(_vector(self.tol, key("tol"), 1)[0])
         if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"{key('tol')} must be positive")
 
     @property
     def nx(self) -> int:
@@ -137,12 +142,18 @@ class MpcConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MpcConfig":
-        d = dict(d)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """The config of an `mpc` config section: each field from d, or its
+        default. An error names a field by its config key, `mpc.<field>`."""
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown mpc config keys: {sorted(unknown)}")
-        return cls(**d)
+        cfg = cls.__new__(cls)  # __init__ would check the fields under their bare names
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING:
+                raise ValueError(f"mpc.{f.name} is required")
+            setattr(cfg, f.name, d.get(f.name, f.default))
+        cfg._check(lambda name: f"mpc.{name}")
+        return cfg
 
 
 def _check_dims(model, cfg: MpcConfig):
@@ -254,10 +265,12 @@ class _StepJacobians:
     x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]: two
     (H, nx, N) arrays. One graph: each pair is repeated nx times and batch
     row (k, i) picks output i, so one backward leaves row i of step k's
-    Jacobians on the inputs. The first call builds the graph; later calls
-    set the pairs of their Z on its input leaves and replay it, which gives
-    bit for bit what a fresh build gives. A baseline has no z_prev path;
-    that Jacobian is zero.
+    Jacobians on the inputs. The graph is recorded on a frozen `NetTape`:
+    the nets' weights and biases are constant operands, so a backward
+    computes no parameter gradient. The first call builds the graph; later
+    calls set the pairs of their Z on its input leaves and replay it, which
+    gives bit for bit what a fresh build gives. A baseline has no z_prev
+    path; that Jacobian is zero.
 
     The constants: the stage weights W (H+1, nx), the tiled input weights
     r_diag (H nu,) and their diagonal matrix R, the tiled input box lo / hi
@@ -288,7 +301,7 @@ class _StepJacobians:
         inputs = (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx])
         if self.built is None:
             x, u, zp = (graph.Var(a) for a in inputs)
-            x_hat = _predict_graph(nn.NetTape(self.model.net), self.model, x,
+            x_hat = _predict_graph(nn.NetTape(self.model.net, frozen=True), self.model, x,
                                    graph.concat_last([x, u]), zp)
             root = graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1))))
             self.built = (x, u, zp), root, graph.topological_order(root)

@@ -9,10 +9,14 @@ Two evaluation paths for the same architecture, each one layer loop
 (`_run` and `NetTape._run`):
 
   * plain numpy (`forward`, and `input_jacobian`, which returns the outputs
-    with their input derivative) for prediction and rollout,
+    with their input derivative) for prediction and rollout; its loop works
+    in place on the array each layer's matmul returns, bit for bit as the
+    same operations on fresh arrays,
   * graph-building (`NetTape`) for training and for differentiating through
     the controller, where the loss may contain input-Jacobian entries and the
-    gradient has to flow through them exactly.
+    gradient has to flow through them exactly. The controller's tape is
+    frozen: it holds the parameters as constants, since only the inputs are
+    differentiated there.
 
 Both take a (B, I) batch only, and any other shape is a ValueError; a single
 sample is a batch of one.
@@ -181,8 +185,10 @@ def _batch(net: DenseNet, z) -> Array:
 
 
 def _standardized(net: DenseNet, z) -> Array:
-    """(B, I) input -> (S, B, I) standardized input."""
-    return (_batch(net, z) - net.in_shift[:, None, :]) / net.in_scale[:, None, :]
+    """(B, I) input -> (S, B, I) standardized input, a fresh array."""
+    a = _batch(net, z) - net.in_shift[:, None, :]
+    a /= net.in_scale[:, None, :]
+    return a
 
 
 def _basis(n: int, B: int) -> Array:
@@ -190,25 +196,42 @@ def _basis(n: int, B: int) -> Array:
     return np.broadcast_to(np.eye(n)[:, None, None, :], (n, 1, B, n))
 
 
-def _layer(a: Array, W: Array, b: Array) -> Array:
-    return a @ W.mT + b[:, None, :]
+def _tanh_slope(a: Array) -> Array:
+    """1 - a^2, the slope of tanh where it reads a, in one fresh array."""
+    d = a * a
+    np.subtract(1.0, d, out=d)
+    return d
 
 
 def _run(net: DenseNet, z, t=None) -> tuple:
     """Numpy twin of `NetTape._run`, from the raw (B, I) input: outputs
     (S, B, O) and, given an input tangent t (..., B, I), its image
-    (..., S, B, O); else None."""
+    (..., S, B, O); else None.
+
+    Each layer works in place on the array its matmul returns: the bias,
+    tanh, the tangent factor 1 - a^2 and the output scale and shift are
+    applied there. So a layer makes one fresh array for the activations
+    and, with a tangent, one for the tangent and one for its factor, which
+    broadcasts over the leading basis axis of t. Every value is bit for bit
+    what the same operations give on fresh arrays.
+    """
     a = _standardized(net, z)
     if t is not None:
         t = t / net.in_scale[:, None, :]
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.tanh(_layer(a, W, b))
+        a = a @ W.mT
+        a += b[:, None, :]
+        np.tanh(a, out=a)
         if t is not None:
-            t = (1.0 - a * a) * (t @ W.mT)
-    out = _layer(a, net.weights[-1], net.biases[-1])
-    out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
+            t = t @ W.mT
+            t *= _tanh_slope(a)
+    out = a @ net.weights[-1].mT
+    out += net.biases[-1][:, None, :]
+    out *= net.out_scale[:, None, :]
+    out += net.out_shift[:, None, :]
     if t is not None:
-        t = (t @ net.weights[-1].mT) * net.out_scale[:, None, :]
+        t = t @ net.weights[-1].mT
+        t *= net.out_scale[:, None, :]
     return out, t
 
 
@@ -243,12 +266,18 @@ class NetTape:
     (or Var inputs, for the controller) and combines the resulting Vars into
     a scalar with `mtnn.graph` ops; `graph.backward` on that scalar, then
     `gradients`, gives d(scalar)/d(theta) for every parameter.
+
+    A `frozen` tape holds the weights and biases as constant operands
+    instead, so no backward computes their gradients and `gradients` is an
+    error; the controller, which differentiates only in the inputs, records
+    on one.
     """
 
-    def __init__(self, net: DenseNet):
-        self.net = net
-        self.weights = [Var(W) for W in net.weights]
-        self.biases = [Var(b) for b in net.biases]
+    def __init__(self, net: DenseNet, frozen: bool = False):
+        self.net, self.frozen = net, frozen
+        param = (lambda A: A) if frozen else Var
+        self.weights = [param(W) for W in net.weights]
+        self.biases = [param(b) for b in net.biases]
 
     def forward(self, z) -> Var:
         """(B, I) input -> (S, B, O) outputs of every member."""
@@ -298,6 +327,8 @@ class NetTape:
 
     def gradients(self) -> "ParamGradient":
         """Collect parameter gradients after graph.backward (zeros if unused)."""
+        if self.frozen:
+            raise ValueError("a frozen tape holds its parameters as constants: no gradients")
         gw = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in self.weights]
         gb = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in self.biases]
         return ParamGradient(gw, gb)

@@ -23,9 +23,9 @@ def built_tapes(monkeypatch):
     undoes its monkeypatches: one per graph built on a net."""
     built, real = [], nn.NetTape.__init__
 
-    def init(self, net):
+    def init(self, net, frozen=False):
         built.append(weakref.ref(self))
-        real(self, net)
+        real(self, net, frozen)
 
     monkeypatch.setattr(nn.NetTape, "__init__", init)
     return built

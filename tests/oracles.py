@@ -5,8 +5,10 @@ The library computes its losses and penalties on the reverse-mode graph
 only. Here are their numpy twins, each written out as directly as it can
 be, together with the central-difference oracles for input Jacobians and
 parameter gradients, the per-minor cofactor loop, the per-array Adam
-training loop and the per-row transition loop. None of this runs outside
-the tests.
+training loop and the per-row transition loop, and the numpy step kernel as it ran before
+it worked in place (`run`, `predict_batch`, `gate_mask_of`, with the
+rollout's per-column scoring, `mean_over_outputs`). None of this runs
+outside the tests.
 """
 
 import numpy as np
@@ -217,3 +219,55 @@ def transitions_per_row(series) -> tuple:
         rows.append(Transition(z_prev, z_curr, series.x[k + 1].copy()))
     return tuple(np.array([getattr(t, f) for t in rows], dtype=np.float64)
                  for f in ("z_prev", "z_curr", "x_next"))
+
+
+def run(net: nn.DenseNet, z, t=None) -> tuple:
+    """`net._run` with a fresh array for every operation: outputs (S, B, O)
+    and, given an input tangent t (..., B, I), its image (..., S, B, O)."""
+    a = (nn._batch(net, z) - net.in_shift[:, None, :]) / net.in_scale[:, None, :]
+    if t is not None:
+        t = t / net.in_scale[:, None, :]
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.tanh(a @ W.mT + b[:, None, :])
+        if t is not None:
+            t = (1.0 - a * a) * (t @ W.mT)
+    out = a @ net.weights[-1].mT + net.biases[-1][:, None, :]
+    out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
+    if t is not None:
+        t = (t @ net.weights[-1].mT) * net.out_scale[:, None, :]
+    return out, t
+
+
+def gate_mask_of(tags):
+    """`constraints.gate_mask_of` as a broadcast np.where."""
+    tags = np.asarray(tags, dtype=np.int8)
+    free = tags == con.FREE
+    on, off = np.where(free, 1.0, tags), np.where(free, 1.0, 0.0)
+    return lambda raw: np.where(np.asarray(raw) > 0.0, on, off)
+
+
+def predict_batch(model, Z_curr, Z_prev):
+    """`model.predict_batch` as one unblocked kernel over `run`, with the
+    mask applied by fresh products: (B, N) pairs -> (B, Nx)."""
+    Z_c = np.asarray(Z_curr, dtype=np.float64)
+    Z_p = np.asarray(Z_prev, dtype=np.float64)
+    if isinstance(model, md.BaselineModel):
+        return run(model.net, Z_c)[0][0]
+    dz = Z_c - Z_p
+    if model.order is md.TaylorOrder.SECOND:
+        raw, Hdz = (a.swapaxes(0, 1) for a in run(model.net, Z_p, dz))
+    else:
+        raw, Hdz = run(model.net, Z_p)[0].swapaxes(0, 1), None
+    mask = gate_mask_of(model.mono_spec.tags)(raw) if model.gated else 1.0
+    x_hat = Z_c[:, : model.nx] + np.einsum("bjn,bn->bj", raw * mask, dz)
+    if Hdz is not None:
+        x_hat = x_hat + 0.5 * np.einsum("bjn,bn->bj", Hdz * mask, dz)
+    zero = ~dz.any(axis=1)
+    x_hat[zero] = Z_c[zero, : model.nx]
+    return x_hat
+
+
+def mean_over_outputs(metric, pred, act) -> float:
+    """A metric of every state column, averaged: the rollout's scoring as
+    one `evaluation.r2` or `evaluation.rmse` call per column."""
+    return float(np.mean([metric(pred[:, j], act[:, j]) for j in range(pred.shape[1])]))

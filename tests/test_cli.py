@@ -441,6 +441,26 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert err == f"error: {section}.steps must be an integer >= 1, got 0\n"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("tol", "1e-3", "mpc.tol must be a number or a vector of numbers, got '1e-3'"),
+        ("tol", 0.0, "mpc.tol must be positive"),
+        ("u_min", [70.0, 20.0], "need mpc.u_min <= mpc.u_max elementwise"),
+        ("u_max", [65.0], "mpc.u_max must have length 2"),
+        ("q_diag", -1.0, "mpc.q_diag entries must be nonnegative"),
+        ("x_max", [10.0, 10.0], "need mpc.x_min <= mpc.x_max elementwise"),
+        ("x0", [30.0, float("inf")], "mpc.x0 must be finite"),
+        ("x_ref", None, "mpc.x_ref is required"),  # None: the key is left out
+    ])
+    def test_bad_mpc_field_is_an_error_naming_its_key(self, trained_run, tmp_path, capsys,
+                                                       key, value, message):
+        dest, _ = clone_run(trained_run, tmp_path)
+        section = TestMpc().mpc_section(x_min=[20.0, 20.0], **{key: value})
+        if value is None:
+            del section[key]
+        cfg = dict(base_config(dest), mpc=section)
+        assert run("mpc", "--config", write_config(cfg, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_integral_float_is_accepted(self, trained_run, tmp_path):
         assert self.run_with(trained_run, tmp_path, "train", "train", "epochs", 3.0) == 0
         manifest = json.loads((tmp_path / "run" / "train_manifest.json").read_text())

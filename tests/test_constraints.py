@@ -157,6 +157,16 @@ class TestOneMaskGate:
         w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=raw.shape)
         check_grads(lambda x: g.sum_all(con.apply_sign_gate_graph(x, tags) * w), [off_kink])
 
+    def test_mask_bytes_equal_the_where_form(self):
+        tags = np.array([[con.INCREASING, con.DECREASING, con.FREE]], dtype=np.int8)
+        edge = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.5, -2.5]
+        raw = np.array([edge, edge[::-1], edge[3:] + edge[:3]]).T.copy()  # (9, 3)
+        raw = np.concatenate([raw, RNG.normal(size=(40, 3))])
+        for r in (raw, raw[:, None, :], raw.T[None].swapaxes(1, 2)):  # with a strided view
+            got = con.gate_mask_of(tags)(r)
+            assert got.tobytes() == oracles.gate_mask_of(tags)(r).tobytes()
+        assert set(np.unique(got)) == {-1.0, 0.0, 1.0}
+
     def test_graph_gate_is_one_node(self):
         raw = g.Var(RNG.normal(size=(2, 5, 3)))
         tags = np.array([[con.INCREASING, con.DECREASING, con.FREE],

@@ -9,6 +9,7 @@ from mtnn import model as md
 from mtnn import net as nn
 from mtnn import plants as pl
 from mtnn.model import GateMode, MtnnModel, TaylorOrder
+import oracles
 
 
 def tclab_oracle(p: pl.TcLabPlant) -> MtnnModel:
@@ -121,6 +122,23 @@ class TestRollout:
     @pytest.mark.parametrize("steps", [3.0, np.int64(3), np.float64(3.0)])
     def test_integral_steps_accepted(self, steps):
         assert ev.rollout(small_model(nx=2, nu=2), tclab_series(6), steps=steps).steps == 3
+
+    def test_scores_bytes_equal_the_per_column_metrics(self):
+        series = tclab_series(60)
+        for order in TaylorOrder:
+            res = ev.rollout(small_model(seed=4, nx=2, nu=2, order=order), series, steps=4)
+            for metric, got in ((ev.r2, res.r2), (ev.rmse, res.rmse)):
+                want = [oracles.mean_over_outputs(metric, p, a)
+                        for p, a in zip(res.predicted, res.actual)]
+                assert got.tobytes() == np.array(want).tobytes()
+
+    def test_constant_actual_column_rejected(self):
+        data = tclab_series(12)
+        x_next = data.x_next.copy()
+        x_next[:, 1] = 40.0
+        flat = pl.Transitions(data.z_prev, data.z_curr, x_next)
+        with pytest.raises(ValueError, match="^r2 undefined for a constant actual series$"):
+            ev.rollout(small_model(nx=2, nu=2), flat, steps=2)
 
     def test_log_longer_than_a_block_rolls_out_as_one_batch(self, monkeypatch):
         # tclab_series(n) holds n transitions, n - 1 origins at step 2

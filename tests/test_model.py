@@ -14,6 +14,7 @@ from mtnn import graph, mpc
 from mtnn import model as md
 from mtnn import net as nn
 from mtnn.constraints import MonoSpec
+import oracles
 
 RNG = np.random.default_rng(1717)
 DATA = Path(__file__).parent / "data"
@@ -296,6 +297,25 @@ class TestBlockedBatch:
         assert peak_mib() < 2.0
         monkeypatch.setattr(md, "BLOCK_FLOATS", 2**40)  # one block: the bound bites
         assert peak_mib() > 2.0
+
+
+class TestStepKernelOracle:
+    """The in-place net loop and the once-built gate mask leave every
+    prediction bit for bit as the allocate-per-op kernel
+    (`oracles.predict_batch`) gives it."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+    def test_predict_and_predict_batch_bytes_equal_the_oracle(self, kind):
+        m = model_of_kind(kind)
+        rows = md._block_rows(m.net)
+        Z_curr, Z_prev = batch_pairs(2 * rows + 1)
+        Z_curr[2] = Z_prev[2]  # an exact fixpoint
+        for B in (1, 2, 3, 2049, 2 * rows + 1):
+            want = oracles.predict_batch(m, Z_curr[:B], Z_prev[:B])
+            assert md.predict_batch(m, Z_curr[:B], Z_prev[:B]).tobytes() == want.tobytes()
+        for k in range(4):
+            want = oracles.predict_batch(m, Z_curr[k:k + 1], Z_prev[k:k + 1])[0]
+            assert md.predict(m, Z_curr[k], Z_prev[k]).tobytes() == want.tobytes()
 
 
 class TestBundles:

@@ -726,6 +726,22 @@ class TestStepJacobianGraph:
             assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert list(shared.exit) == list(fresh.exit)
 
+    @pytest.mark.parametrize("kind,order,gate", [
+        ("baseline", TaylorOrder.FIRST, GateMode.NONE),
+        ("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE),
+    ])
+    def test_graph_holds_no_parameter_var(self, kind, order, gate):
+        _, x0, zp, cfg = backtracking_problem()
+        model = rand_model(1, kind, order, gate)
+        jacobians = mpc._StepJacobians(model, cfg)
+        _, _, Z = mpc._rollout(model, np.zeros((cfg.horizon, cfg.nu)), x0, zp, cfg)
+        jacobians(Z)
+        (x, u, z_prev), _, nodes = jacobians.built
+        leaves = {id(n) for n in nodes if n.fwd is None}
+        assert leaves == {id(x), id(u)} | (set() if kind == "baseline" else {id(z_prev)})
+        params = {id(A) for A in (*model.net.weights, *model.net.biases)}
+        assert not any(id(n.value) in params for n in nodes)
+
     def test_a_graph_of_another_model_or_config_is_rejected(self):
         model, x0, zp, cfg = backtracking_problem()
         for jacobians in (mpc._StepJacobians(model.copy(), cfg),

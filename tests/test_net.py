@@ -1,5 +1,6 @@
 """Dense-net forward, exact Jacobians, parameter gradients, checkpoints."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,47 @@ class TestFullJacobian:
         np.testing.assert_allclose(J0, J[:, :1], rtol=1e-12, atol=1e-12)
 
 
+class TestInPlaceKernel:
+    """`forward` and `input_jacobian` run one layer loop that works in place;
+    every value is bit for bit what the allocate-per-op loop
+    (`oracles.run`) gives."""
+
+    @pytest.mark.parametrize("S", [1, 2])
+    @pytest.mark.parametrize("B", [1, 2, 3, 2049])
+    def test_bytes_equal_the_oracle_loop(self, B, S):
+        rng = np.random.default_rng(10 * B + S)
+        for dims in ([4, 8, 4], [3, 5, 4, 2]):
+            net = random_full_net(rng, dims, S)
+            Z, V = rng.normal(size=(2, B, dims[0]))
+            assert nn.forward(net, Z).tobytes() == oracles.run(net, Z)[0].tobytes()
+            out, J = nn.input_jacobian(net, Z)
+            want, T = oracles.run(net, Z, nn._basis(dims[0], B))
+            assert out.tobytes() == want.tobytes()
+            assert J.tobytes() == np.moveaxis(T, 0, -1).tobytes()
+            out, Jv = nn.input_jacobian(net, Z, V)
+            want, Jv_want = oracles.run(net, Z, V)
+            assert out.tobytes() == want.tobytes() and Jv.tobytes() == Jv_want.tobytes()
+
+    def test_peak_memory_of_a_block_forward(self):
+        # the TCLab stack over one predict_batch block: the bound is two
+        # (2, 2048, 8) activation arrays, which the per-op loop exceeds
+        net = nn.init_dense([4, 8, 4], 0, n_stack=2)
+        Z = RNG.normal(size=(2048, 4))
+        bound = 2 * np.empty((2, 2048, 8)).nbytes
+
+        def peak(run):
+            run(net, Z)
+            tracemalloc.start()
+            try:
+                run(net, Z)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(nn.forward) < bound
+        assert peak(oracles.run) > bound
+
+
 class TestDirectionalDerivative:
     """input_jacobian(net, z, v) and forward_and_jacobian(z, v) are J v."""
 
@@ -263,6 +305,23 @@ class TestTape:
             Zm[idx] -= eps
             fd[idx] = (loss_at(Zp).value - loss_at(Zm).value) / (2 * eps)
         np.testing.assert_allclose(zvar.grad, fd, atol=1e-7, rtol=1e-5)
+
+    def test_frozen_tape_holds_its_parameters_as_constants(self):
+        net = random_net([3, 6, 2], seed=23)
+        Z, V = RNG.normal(size=(2, 4, 3))
+        grads = []
+        for frozen in (False, True):
+            zvar = g.Var(Z)
+            tape = nn.NetTape(net, frozen=frozen)
+            out, Jv = tape.forward_and_jacobian(zvar, V)
+            root = g.sum_all(out * out) + g.sum_all(Jv * Jv)
+            g.backward(root)
+            grads.append((root.value, zvar.grad))
+            leaves = {id(n) for n in g.topological_order(root) if n.fwd is None}
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*grads))
+        assert leaves == {id(zvar)}
+        with pytest.raises(ValueError, match="frozen tape"):
+            tape.gradients()
 
 
 class TestLossGradient:
