@@ -9,7 +9,6 @@ and never carry timestamps, which keeps reruns byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import asdict
@@ -75,17 +74,26 @@ def _section(config: dict, key: str) -> dict:
     return sec
 
 
-def _real(value, name: str) -> float:
-    """`value` as a float; it must be a finite int or float, not a bool."""
-    if not pl.finite(value):
-        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+def _real(value, name: str, positive: bool = False) -> float:
+    """`value` as a float; it must be a finite int or float, not a bool, and
+    >= 0, or > 0 when `positive`. An error names the key, so the library's
+    own range check never sees a bad config value."""
+    if not (pl.finite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{name} must be a finite real number {bound}, got {value!r}")
     return float(value)
+
+
+def _path(value, name: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return Path(value)
 
 
 def _out_dir(config: dict) -> Path:
     if "out_dir" not in config:
         raise ConfigError("config missing required key 'out_dir'")
-    out = Path(config["out_dir"])
+    out = _path(config["out_dir"], "out_dir")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -98,8 +106,8 @@ def _seed(config: dict) -> int:
 
 def _plant_kind(section: dict) -> str:
     kind = section.get("kind")
-    if kind not in PLANTS:
-        raise ConfigError("plant section needs kind 'hvac' or 'tclab'")
+    if not isinstance(kind, str) or kind not in PLANTS:
+        raise ConfigError(f"plant.kind must be 'hvac' or 'tclab', got {kind!r}")
     _check_keys(section, {"kind", "noise_sigma", *PLANTS[kind].__dataclass_fields__},
                 "plant")
     return kind
@@ -117,6 +125,8 @@ def _plant(section: dict):
 
 def _variant_list(config: dict, override=None) -> list:
     names = override or _section(config, "train").get("variants") or list(tr.VARIANTS)
+    if not isinstance(names, list):
+        raise ConfigError(f"train.variants must be a list of variant names, got {names!r}")
     unknown = [n for n in names if n not in tr.VARIANTS]
     if unknown:
         raise ConfigError(
@@ -184,7 +194,7 @@ def cmd_train(config: dict, variants=None) -> int:
     wd = _real(train_sec.get("weight_decay", tr.STUDY_WEIGHT_DECAY), "train.weight_decay")
     fixed_rate = train_sec.get("learning_rate")
     if fixed_rate is not None:
-        fixed_rate = _real(fixed_rate, "train.learning_rate")
+        fixed_rate = _real(fixed_rate, "train.learning_rate", positive=True)
     data = _load_transitions(out / "train.csv")
     spec = PLANTS[kind]().mono_spec()
     manifest = {"seed": seed, "width": width, "epochs": epochs,
@@ -195,10 +205,8 @@ def cmd_train(config: dict, variants=None) -> int:
         try:
             if fixed_rate is None:
                 cfg = tr.TrainConfig(epochs=epochs, weight_decay=wd)
-                build = functools.partial(
-                    tr.build_variant, name, spec, data, width=width, seed=seed
-                )
-                model, hist, rate, report = tr.lr_sweep(build, data, cfg)
+                untrained = tr.build_variant(name, spec, data, width=width, seed=seed)
+                model, hist, rate, report = tr.lr_sweep(untrained, data, cfg)
                 entry["learning_rate"] = rate
                 entry["sweep"] = {
                     repr(r): (float(v) if np.isfinite(v) else None)
@@ -257,7 +265,7 @@ def cmd_mpc(config: dict) -> int:
                                     if k not in ("bundle", "steps")})
     if "bundle" not in mpc_sec:
         raise ConfigError("mpc section needs a 'bundle' path")
-    bundle = Path(mpc_sec["bundle"])
+    bundle = _path(mpc_sec["bundle"], "mpc.bundle")
     if not bundle.is_absolute():
         bundle = out / bundle
     if not bundle.exists():

@@ -5,7 +5,7 @@ the primitives that the dense-network forward pass, its forward-mode input
 tangents (one direction, or the basis directions for a full Jacobian), and
 the penalty terms need: add, sub and mul (`x * c` scales, `-x` is x * -1.0);
 tanh, relu and the detached `masked`; linear, bmat_vec, dot_rows and det;
-concat_last, moveaxis (moveaxis(x, -1, -2) transposes) and reshape; sum_all.
+moveaxis (moveaxis(x, -1, -2) transposes); sum_all.
 A leaf is `Var(value)`; a plain array operand is a constant, which no
 gradient reaches. Everything is double precision.
 
@@ -255,31 +255,10 @@ def _cofactor(A: Array) -> Array:
     return sign * np.linalg.det(minors)
 
 
-def concat_last(parts: Sequence) -> Var:
-    """Concatenate (..., k_i) pieces along the last axis."""
-    parts = [_operand(p) for p in parts]
-    offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
-    spans = [(offsets[i], offsets[i + 1]) for i, p in enumerate(parts) if isinstance(p, Var)]
-
-    def fwd():
-        return np.concatenate([p.value for p in parts], axis=-1)
-
-    def vjp(g):
-        return tuple(g[..., a:b] for a, b in spans)
-
-    return op(fwd, tuple(p for p in parts if isinstance(p, Var)), vjp)
-
-
 def moveaxis(x: Var, source: int, destination: int) -> Var:
     """x with one axis moved, as np.moveaxis; the gradient is moved back."""
     return op(lambda: np.moveaxis(x.value, source, destination), (x,),
               lambda g: (np.moveaxis(g, destination, source),))
-
-
-def reshape(x: Var, shape) -> Var:
-    """x with its value reshaped; the gradient is reshaped back."""
-    shp = x.value.shape
-    return op(lambda: x.value.reshape(shape), (x,), lambda g: (g.reshape(shp),))
 
 
 def sum_all(x: Var) -> Var:

@@ -1,24 +1,26 @@
 """Receding-horizon control by projected Gauss-Newton through the predictor.
 
 The learned model plays the role of the plant constraint: a candidate input
-sequence is rolled through the numpy predictor feeding predicted states back,
-and the quadratic tracking cost is read off the predicted trajectory. One
-batched reverse-mode graph of the Taylor step yields the step Jacobians of
-every recorded pair at once, for every model kind; a closed loop builds it
-once, with the constants its solves share, and replays it. A forward recursion over
-them gives the sensitivities S_k = dx_k/dU of the predicted states to the
-whole input sequence, including the path through the expansion point
-z_prev. They give the exact gradient and the Gauss-Newton matrix, which a
-projected Newton method for box constraints (Bertsekas, SIAM J. Control
-Optim. 1982) uses: Newton steps on the free inputs, scaled gradient steps on
-the active ones, and Armijo backtracking along the projection arc. Each
-trial is rolled out once; the trajectory that priced an accepted trial is
-the one the next gradient differentiates, so no rollout is repeated. Input
-boxes are handled by projection (so feasibility is exact), state boxes by a
-soft quadratic penalty, since hard state constraints under a learned model
-are easily infeasible. A solve ends when a step moves every input by less
-than `tol`, or when a full step stops lowering the cost by more than a
-DECREASE_RTOL share of its controllable part, whichever comes first.
+sequence is rolled through the numpy predictor feeding predicted states
+back, and the quadratic tracking cost is read off the predicted trajectory.
+One batched reverse-mode graph on two leaves, z_curr and z_prev, yields the
+step Jacobians of every recorded pair at once; of a Taylor model's
+x_hat = x + increment it differentiates only the increment. A closed loop
+builds it once, with the constants its solves share, and replays it. A
+forward recursion over them gives the sensitivities S_k = dx_k/dU of the
+predicted states to the whole input sequence, including the path through the
+expansion point z_prev. They give the exact gradient and the Gauss-Newton
+matrix, which a projected Newton method for box constraints (Bertsekas, SIAM
+J. Control Optim. 1982) uses: Newton steps on the free inputs, scaled
+gradient steps on the active ones, and Armijo backtracking along the
+projection arc. Each trial is rolled out once; the trajectory that priced an
+accepted trial is the one the next gradient differentiates, so no rollout is
+repeated. Input boxes are handled by projection (so feasibility is exact),
+state boxes by a soft quadratic penalty, since hard state constraints under
+a learned model are easily infeasible. A solve ends when a step moves every
+input by less than `tol`, or when a full step stops lowering the cost by
+more than a DECREASE_RTOL share of its controllable part, whichever comes
+first.
 
 The stage cost keeps the k = 0 state term even though the current state is
 not controllable; it is a constant offset that leaves the argmin alone, and
@@ -44,6 +46,7 @@ ARMIJO_SIGMA = 1e-4
 MAX_BACKTRACKS = 40
 ACTIVE_EPS = 1e-3  # widest active-set margin, as a fraction of the input box
 DECREASE_RTOL = 1e-9  # a full step that lowers the cost by less ends the solve
+CONVERGED_EXITS = ("tolerance", "decrease", "stationary")
 
 
 def _vector(v, name: str, size: int | None = None, allow_inf: bool = False) -> Array:
@@ -244,18 +247,6 @@ def horizon_cost(model, u_seq, x0, z_prev, cfg: MpcConfig, *, out=None) -> float
     return _rollout(model, U, x0, zp, cfg, out)[0]
 
 
-def _predict_graph(tape: nn.NetTape, model, x, z_curr, z_prev):
-    """Graph twin of md.predict_batch on (B, N) Vars; x is the state part of
-    z_curr, and gradients flow into all three.
-
-    The Taylor step itself is `md.taylor_increments`.
-    """
-    if isinstance(model, BaselineModel):
-        return graph.reshape(tape.forward(z_curr), x.shape)
-    incr, _, _ = md.taylor_increments(tape, model, z_curr, z_prev)
-    return x + graph.moveaxis(incr, -1, -2)
-
-
 class _StepJacobians:
     """The step-Jacobian graph of one (model, cfg) and the constants a solve
     derives from cfg, built once per closed loop (or per standalone solve).
@@ -263,14 +254,17 @@ class _StepJacobians:
     Called on the pairs Z (H+1, N) of a rollout, it returns
     (d x_hat_k / d z_curr_k, d x_hat_k / d z_prev_k) of every step
     x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]: two
-    (H, nx, N) arrays. One graph: each pair is repeated nx times and batch
-    row (k, i) picks output i, so one backward leaves row i of step k's
-    Jacobians on the inputs. The graph is recorded on a frozen `NetTape`:
-    the nets' weights and biases are constant operands, so a backward
-    computes no parameter gradient. The first call builds the graph; later
-    calls set the pairs of their Z on its input leaves and replay it, which
-    gives bit for bit what a fresh build gives. A baseline has no z_prev
-    path; that Jacobian is zero.
+    (H, nx, N) arrays. One graph on two leaves, z_curr and z_prev: each pair
+    is repeated nx times and batch row (k, i) picks output i, so one
+    backward leaves row i of step k's Jacobians on the leaves. Its root sums
+    the picked increments of `md.taylor_increments`, and the identity of
+    x_hat = x + increment is added to the state columns after the backward;
+    a baseline's root sums its picked net outputs, and its z_prev Jacobian
+    is zero. The graph is recorded on a frozen `NetTape`: the nets' weights
+    and biases are constant operands, so a backward computes no parameter
+    gradient. The first call builds the graph; later calls set the pairs of
+    their Z on its leaves and replay it, which gives bit for bit what a
+    fresh build gives.
 
     The constants: the stage weights W (H+1, nx), the tiled input weights
     r_diag (H nu,) and their diagonal matrix R, the tiled input box lo / hi
@@ -298,21 +292,27 @@ class _StepJacobians:
     def __call__(self, Z: Array):
         H, nx, N = self.cfg.horizon, self.cfg.nx, self.cfg.nx + self.cfg.nu
         pairs = np.repeat(Z, nx, axis=0)
-        inputs = (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx])
+        taylor = not isinstance(self.model, BaselineModel)
         if self.built is None:
-            x, u, zp = (graph.Var(a) for a in inputs)
-            x_hat = _predict_graph(nn.NetTape(self.model.net, frozen=True), self.model, x,
-                                   graph.concat_last([x, u]), zp)
-            root = graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1))))
-            self.built = (x, u, zp), root, graph.topological_order(root)
+            zc, zp = graph.Var(pairs[nx:]), graph.Var(pairs[:-nx])
+            tape, pick = nn.NetTape(self.model.net, frozen=True), np.tile(np.eye(nx), (H, 1))
+            if taylor:
+                incr, _, _ = md.taylor_increments(tape, self.model, zc, zp)
+                root = graph.sum_all(graph.mul(incr, pick.T))
+            else:
+                root = graph.sum_all(graph.mul(tape.forward(zc), pick))
+            self.built = (zc, zp), root, graph.topological_order(root)
         else:
-            for leaf, a in zip(self.built[0], inputs):
-                leaf.value = a
-            graph.replay(self.built[2])
-        (x, u, zp), root, order = self.built
+            (zc, zp), _, order = self.built
+            zc.value, zp.value = pairs[nx:], pairs[:-nx]
+            graph.replay(order)
+        (zc, zp), root, order = self.built
         graph.backward(root, order)
+        Jc = zc.grad.reshape(H, nx, N)
+        if taylor:
+            Jc[..., :nx] += np.eye(nx)
         Jp = self.no_prev_path if zp.grad is None else zp.grad.reshape(H, nx, N)
-        return np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N), Jp
+        return Jc, Jp
 
 
 def _cost_and_grad(U: Array, priced: tuple, cfg: MpcConfig, jacobians: _StepJacobians):
@@ -396,7 +396,8 @@ class SolveResult:
     (a full step lowered the cost by at most DECREASE_RTOL times its
     controllable part), "stationary" (the line search found no decrease),
     "budget" (the iterations ran out) or "nonfinite" (the cost or its
-    derivatives left the finite range). The first three count as converged.
+    derivatives left the finite range). The first three, CONVERGED_EXITS,
+    count as converged.
     `backtracks` counts rejected line-search trials and `full_steps` the
     iterations that accepted the full (alpha = 1) step.
     """
@@ -410,7 +411,7 @@ class SolveResult:
 
     @property
     def converged(self) -> bool:
-        return self.exit in ("tolerance", "decrease", "stationary")
+        return self.exit in CONVERGED_EXITS
 
 
 def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None, *,
@@ -512,14 +513,14 @@ class ClosedLoopTrace:
     `iterations` and `exit` come from the step's `SolveResult` ("tolerance",
     "decrease", "stationary", "budget" or "nonfinite"); a solve that
     raised FloatingPointError records exit "floating_point_error" and 0
-    iterations. `solve_time` is wall clock, so it stays out of the CSV.
+    iterations. A step converged when its exit is one of CONVERGED_EXITS.
+    `solve_time` is wall clock, so it stays out of the CSV.
     """
 
     t: Array
     x: Array  # (steps, nx) measured
     u: Array  # (steps, nu) applied
     cost: Array
-    converged: Array  # bool per step
     iterations: Array  # solver iterations per step
     exit: Array  # solver exit reason per step
     solve_time: Array  # seconds per solve
@@ -529,26 +530,29 @@ class ClosedLoopTrace:
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
         self.u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
         self.cost = np.asarray(self.cost, dtype=np.float64)
-        self.converged = np.asarray(self.converged, dtype=bool)
         self.iterations = np.asarray(self.iterations, dtype=np.int64)
         self.exit = np.asarray(self.exit, dtype=str)
         self.solve_time = np.asarray(self.solve_time, dtype=np.float64)
-        columns = (self.x, self.u, self.cost, self.converged, self.iterations, self.exit,
-                   self.solve_time)
+        columns = (self.x, self.u, self.cost, self.iterations, self.exit, self.solve_time)
         if any(len(c) != len(self.t) for c in columns):
             raise ValueError("trace columns must have equal length")
 
     def __len__(self) -> int:
         return len(self.t)
 
+    @property
+    def converged(self) -> Array:
+        """Whether each step's solve converged, a bool per step."""
+        return np.isin(self.exit, CONVERGED_EXITS)
+
     def save_csv(self, path) -> None:
         nx, nu = self.x.shape[1], self.u.shape[1]
         header = ["t", *(f"T{i + 1}" for i in range(nx)),
                   *(f"Q{j + 1}" for j in range(nu)), "cost", "converged", "iterations", "exit"]
-        lines = [",".join(header)]
+        lines, converged = [",".join(header)], self.converged
         for k in range(len(self)):
             nums = [self.t[k], *self.x[k], *self.u[k], self.cost[k]]
-            tail = [str(int(self.converged[k])), str(int(self.iterations[k])), str(self.exit[k])]
+            tail = [str(int(converged[k])), str(int(self.iterations[k])), str(self.exit[k])]
             lines.append(",".join([repr(float(v)) for v in nums] + tail))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -588,7 +592,7 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
     warm = None
     t = np.arange(steps, dtype=np.float64) * plant.dt
     xs, us = np.empty((steps, cfg.nx)), np.empty((steps, cfg.nu))
-    costs, flags, times = np.empty(steps), np.empty(steps, dtype=bool), np.empty(steps)
+    costs, times = np.empty(steps), np.empty(steps)
     iters, exits = np.zeros(steps, dtype=np.int64), []
     jacobians = _StepJacobians(model, cfg)
     for k in range(steps):
@@ -603,12 +607,12 @@ def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace
             exits.append("floating_point_error")
         times[k] = time.perf_counter() - t0
         if fault:
-            u_apply, costs[k], flags[k] = u_held, float("inf"), False
+            u_apply, costs[k] = u_held, float("inf")
         else:
-            u_apply, costs[k], flags[k] = res.u_seq[0], res.cost, res.converged
+            u_apply, costs[k] = res.u_seq[0], res.cost
             warm = np.vstack([res.u_seq[1:], res.u_seq[-1:]])
         xs[k], us[k] = x_meas, u_apply
         z_prev = np.concatenate([x_meas, u_apply])
         x_meas = np.asarray(plant.step(x_meas, u_apply), dtype=np.float64)
         u_held = u_apply
-    return ClosedLoopTrace(t, xs, us, costs, flags, iters, exits, times)
+    return ClosedLoopTrace(t, xs, us, costs, iters, exits, times)

@@ -387,12 +387,13 @@ def _heldout_mse(model, data: Transitions) -> float:
     return mse if np.isfinite(mse) else np.inf
 
 
-def lr_sweep(build_fn, data: Transitions, cfg: TrainConfig, rates=SWEEP_RATES):
+def lr_sweep(model, data: Transitions, cfg: TrainConfig, rates=SWEEP_RATES):
     """Pick a learning rate by chronological 80/20 validation, then refit.
 
-    build_fn() must return a freshly initialized model (same seed each call).
-    Returns (model, history, best_rate, report) where report maps each rate
-    to its validation MSE (inf for diverged runs).
+    `model` is the untrained model; every candidate and the refit train a
+    copy of it (`train` copies its input), so each starts from the same
+    parameters. Returns (model, history, best_rate, report) where report
+    maps each rate to its validation MSE (inf for diverged runs).
     """
     rates = tuple(rates)
     if not rates or not all(finite(r) and r > 0 for r in rates):
@@ -405,12 +406,12 @@ def lr_sweep(build_fn, data: Transitions, cfg: TrainConfig, rates=SWEEP_RATES):
     report = {}
     for rate in rates:
         try:
-            candidate, _ = train(build_fn(), fit, replace(cfg, learning_rate=rate))
+            candidate, _ = train(model, fit, replace(cfg, learning_rate=rate))
             report[rate] = _heldout_mse(candidate, val)
         except TrainingFault:
             report[rate] = np.inf
     best_rate = min(report, key=lambda r: (report[r], r))
     if not np.isfinite(report[best_rate]):
         raise TrainingFault("every sweep rate diverged")
-    model, hist = train(build_fn(), data, replace(cfg, learning_rate=best_rate))
-    return model, hist, best_rate, report
+    trained, hist = train(model, data, replace(cfg, learning_rate=best_rate))
+    return trained, hist, best_rate, report

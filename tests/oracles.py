@@ -5,10 +5,11 @@ The library computes its losses and penalties on the reverse-mode graph
 only. Here are their numpy twins, each written out as directly as it can
 be, together with the central-difference oracles for input Jacobians and
 parameter gradients, the per-minor cofactor loop, the per-array Adam
-training loop and the per-row transition loop, and the numpy step kernel as it ran before
+training loop and the per-row transition loop, the numpy step kernel as it ran before
 it worked in place (`run`, `predict_batch`, `gate_mask_of`, with the
-rollout's per-column scoring, `mean_over_outputs`). None of this runs
-outside the tests.
+rollout's per-column scoring, `mean_over_outputs`), and the controller's
+step-Jacobian graph as it was built on three leaves (`step_jacobians`).
+None of this runs outside the tests.
 """
 
 import numpy as np
@@ -271,3 +272,27 @@ def mean_over_outputs(metric, pred, act) -> float:
     """A metric of every state column, averaged: the rollout's scoring as
     one `evaluation.r2` or `evaluation.rmse` call per column."""
     return float(np.mean([metric(pred[:, j], act[:, j]) for j in range(pred.shape[1])]))
+
+
+def step_jacobians(model, Z):
+    """(d x_hat_k / d z_curr_k, d x_hat_k / d z_prev_k), two (H, nx, N) arrays,
+    of every step of the pairs Z (H+1, N), from the controller's graph as it
+    was built on three leaves: the states x, the inputs u and z_prev, with
+    z_curr = [x; u] assembled by `graph.linear` selector maps and
+    x_hat = x + increments recorded on the graph. Each pair is repeated nx
+    times and batch row (k, i) picks output i."""
+    nx, N, H = model.nx, Z.shape[1], len(Z) - 1
+    pairs = np.repeat(Z, nx, axis=0)
+    x, u, zp = (graph.Var(a) for a in (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx]))
+    select = np.eye(N)
+    zc = graph.linear(x, select[:, :nx]) + graph.linear(u, select[:, nx:])
+    tape = nn.NetTape(model.net, frozen=True)
+    if isinstance(model, md.BaselineModel):
+        x_hat = tape.forward(zc)  # (1, B, nx): a stack of one
+    else:
+        incr, _, _ = md.taylor_increments(tape, model, zc, zp)
+        x_hat = x + graph.moveaxis(incr, -1, -2)
+    graph.backward(graph.sum_all(graph.mul(x_hat, np.tile(np.eye(nx), (H, 1)))))
+    Jc = np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N)
+    Jp = np.zeros((H, nx, N)) if zp.grad is None else zp.grad.reshape(H, nx, N)
+    return Jc, Jp

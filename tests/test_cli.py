@@ -461,6 +461,29 @@ class TestConfigKeys:
         assert run("mpc", "--config", write_config(cfg, tmp_path / "m.json")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command,section,key,value,message", [
+        ("gen-data", None, "out_dir", 5, "out_dir must be a string, got 5"),
+        ("mpc", "mpc", "bundle", 5, "mpc.bundle must be a string, got 5"),
+        ("gen-data", "plant", "kind", ["hvac"],
+         "plant.kind must be 'hvac' or 'tclab', got ['hvac']"),
+        ("train", "plant", "kind", "room", "plant.kind must be 'hvac' or 'tclab', got 'room'"),
+        ("train", "train", "variants", 5, "train.variants must be a list of variant names, got 5"),
+        ("eval", "train", "variants", "taylor1",
+         "train.variants must be a list of variant names, got 'taylor1'"),
+        ("train", "train", "weight_decay", -1,
+         "train.weight_decay must be a finite real number >= 0, got -1"),
+        ("train", "train", "learning_rate", 0,
+         "train.learning_rate must be a finite real number > 0, got 0"),
+        ("train", "train", "learning_rate", -1e-3,
+         "train.learning_rate must be a finite real number > 0, got -0.001"),
+        ("gen-data", "plant", "noise_sigma", -1,
+         "plant.noise_sigma must be a finite real number >= 0, got -1"),
+    ])
+    def test_bad_value_is_one_error_line_naming_its_key(self, trained_run, tmp_path, capsys,
+                                                        command, section, key, value, message):
+        assert self.run_with(trained_run, tmp_path, command, section, key, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_integral_float_is_accepted(self, trained_run, tmp_path):
         assert self.run_with(trained_run, tmp_path, "train", "train", "epochs", 3.0) == 0
         manifest = json.loads((tmp_path / "run" / "train_manifest.json").read_text())

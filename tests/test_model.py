@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtnn import graph, mpc
+from mtnn import graph
 from mtnn import model as md
 from mtnn import net as nn
 from mtnn.constraints import MonoSpec
@@ -597,8 +597,8 @@ class TestSecondOrderTerm:
 
 
 class TestEvaluatorsAgree:
-    """predict, predict_batch, taylor_increments and the controller's graph
-    predictor are one Taylor step."""
+    """predict, predict_batch and taylor_increments, on arrays and at batch
+    one on Var leaves as the controller records it, are one Taylor step."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -638,6 +638,8 @@ class TestEvaluatorsAgree:
         for k in range(len(zero)):
             x = md.predict(m, Zc[k], Zp[k])
             np.testing.assert_allclose(x, X[k], rtol=1e-12, atol=1e-12)
-            xg = mpc._predict_graph(nn.NetTape(m.net), m, graph.Var(Zc[k : k + 1, :nx]),
-                                    graph.Var(Zc[k : k + 1]), graph.Var(Zp[k : k + 1]))
-            np.testing.assert_allclose(xg.value[0], x, rtol=1e-12, atol=1e-12)
+            incr_k, _, _ = md.taylor_increments(nn.NetTape(m.net, frozen=True), m,
+                                                graph.Var(Zc[k : k + 1]),
+                                                graph.Var(Zp[k : k + 1]))
+            np.testing.assert_allclose(Zc[k, :nx] + incr_k.value[:, 0], x,
+                                       rtol=1e-12, atol=1e-12)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtnn import graph, mpc
+from mtnn import model as md
 from mtnn import net as nn
 from mtnn import plants as pl
 from mtnn import training as tr
 from mtnn.constraints import MonoSpec
 from mtnn.model import BaselineModel, GateMode, MtnnModel, TaylorOrder
+import oracles
 
 
 def const_row_model(rows, nx=None, order=TaylorOrder.FIRST, gate=GateMode.NONE, spec=None):
@@ -58,6 +60,7 @@ def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
         return term
 
     tape = nn.NetTape(model.net)
+    select = np.eye(cfg.nx + cfg.nu)  # z_curr = [x; u] by selector maps
     u_vars = [graph.Var(U[k : k + 1]) for k in range(cfg.horizon)]
     x = graph.Var(np.asarray(x0, dtype=np.float64)[None, :])
     zp = graph.Var(np.asarray(z_prev, dtype=np.float64)[None, :])
@@ -67,8 +70,13 @@ def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
         term = quad_form(x - x_ref, cfg.q_diag) + quad_form(u_vars[k], cfg.r_diag)
         term = add_bound_penalty(term, x)
         total = term if total is None else total + term
-        zc = graph.concat_last([x, u_vars[k]])
-        x = mpc._predict_graph(tape, model, x, zc, zp)
+        zc = graph.linear(x, select[:, :cfg.nx]) + graph.linear(u_vars[k], select[:, cfg.nx:])
+        if isinstance(model, BaselineModel):
+            # the (1, 1, nx) outputs of a stack of one, the stack axis summed away
+            x = graph.dot_rows(graph.moveaxis(tape.forward(zc), 0, -1), np.ones(1))
+        else:
+            incr, _, _ = md.taylor_increments(tape, model, zc, zp)
+            x = x + graph.moveaxis(incr, -1, -2)
         zp = zc
     total = total + add_bound_penalty(quad_form(x - x_ref, cfg.p_diag), x)
     graph.backward(total)
@@ -726,21 +734,38 @@ class TestStepJacobianGraph:
             assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert list(shared.exit) == list(fresh.exit)
 
-    @pytest.mark.parametrize("kind,order,gate", [
-        ("baseline", TaylorOrder.FIRST, GateMode.NONE),
-        ("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE),
-    ])
-    def test_graph_holds_no_parameter_var(self, kind, order, gate):
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_graph_has_two_leaves_and_no_parameter_var(self, variant):
+        recipe = tr.variant_recipe(variant)
+        kind = "baseline" if recipe["baseline"] else "mtnn"
         _, x0, zp, cfg = backtracking_problem()
-        model = rand_model(1, kind, order, gate)
+        model = rand_model(1, kind, recipe.get("order"), recipe.get("gate_mode"))
         jacobians = mpc._StepJacobians(model, cfg)
         _, _, Z = mpc._rollout(model, np.zeros((cfg.horizon, cfg.nu)), x0, zp, cfg)
         jacobians(Z)
-        (x, u, z_prev), _, nodes = jacobians.built
+        (z_curr, z_prev), _, nodes = jacobians.built
         leaves = {id(n) for n in nodes if n.fwd is None}
-        assert leaves == {id(x), id(u)} | (set() if kind == "baseline" else {id(z_prev)})
+        assert leaves == {id(z_curr)} | (set() if kind == "baseline" else {id(z_prev)})
         params = {id(A) for A in (*model.net.weights, *model.net.biases)}
         assert not any(id(n.value) in params for n in nodes)
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_step_jacobians_bytes_equal_the_three_leaf_oracle(self, variant):
+        recipe = tr.variant_recipe(variant)
+        kind = "baseline" if recipe["baseline"] else "mtnn"
+        _, x0, zp, cfg = backtracking_problem()
+        for seed in range(3):
+            model = rand_model(seed, kind, recipe.get("order"), recipe.get("gate_mode"))
+            jacobians = mpc._StepJacobians(model, cfg)
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                U = rng.uniform(-1.0, 1.0, size=(cfg.horizon, cfg.nu))
+                _, _, Z = mpc._rollout(model, U, x0, zp, cfg)
+                for pairs in (Z, Z + rng.normal(0.0, 0.5, Z.shape)):
+                    Jc, Jp = jacobians(pairs)
+                    Jc_ref, Jp_ref = oracles.step_jacobians(model, pairs)
+                    assert Jc.tobytes() == Jc_ref.tobytes()
+                    assert Jp.tobytes() == Jp_ref.tobytes()
 
     def test_a_graph_of_another_model_or_config_is_rejected(self):
         model, x0, zp, cfg = backtracking_problem()
@@ -1013,8 +1038,8 @@ class TestClosedLoop:
         x = np.array([[30.0, 31.0], [32.5, 33.5]])
         u = np.array([[40.0, 20.0], [41.0, 21.0]])
         trace = mpc.ClosedLoopTrace(
-            t, x, u, np.array([5.5, 4.25]), np.array([True, False]),
-            np.array([7, 60]), ["tolerance", "budget"], np.array([0.01, 0.02]),
+            t, x, u, np.array([5.5, 4.25]), np.array([7, 60]), ["tolerance", "budget"],
+            np.array([0.01, 0.02]),
         )
         path = tmp_path / "trace.csv"
         trace.save_csv(path)
@@ -1040,6 +1065,5 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="length"):
             mpc.ClosedLoopTrace(
                 np.arange(3), np.zeros((2, 1)), np.zeros((3, 1)),
-                np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3), ["budget"] * 3,
-                np.zeros(3),
+                np.zeros(3), np.zeros(3), ["budget"] * 3, np.zeros(3),
             )

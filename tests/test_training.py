@@ -558,12 +558,15 @@ class TestConfig:
 class TestLrSweep:
     def test_picks_lower_validation_mse(self):
         prob = TestTrain().linear_problem(B=40)
-
-        def build():
-            return TestTrain().linear_model(seed=3)
-
+        untrained = TestTrain().linear_model(seed=3)
+        before = untrained.copy()
         cfg = tr.TrainConfig(epochs=200)
-        model, hist, rate, report = tr.lr_sweep(build, prob, cfg, rates=(3e-2, 1e-9))
+        model, hist, rate, report = tr.lr_sweep(untrained, prob, cfg, rates=(3e-2, 1e-9))
+        for got, want in zip((*untrained.net.weights, *untrained.net.biases),
+                             (*before.net.weights, *before.net.biases)):
+            assert got.tobytes() == want.tobytes()  # the sweep trains copies
+        refit, _ = tr.train(before, prob, replace(cfg, learning_rate=3e-2))
+        assert nn.net_to_dict(model.net) == nn.net_to_dict(refit.net)
         assert rate == 3e-2
         assert set(report) == {3e-2, 1e-9}
         assert report[3e-2] < report[1e-9]
@@ -571,37 +574,30 @@ class TestLrSweep:
 
     @pytest.mark.parametrize("rates", [(), (1e-3, -1.0), (1e-3, 0.0), (1e-3, np.nan),
                                        (1e-3, np.inf), (1e-3, "0.1"), (True,)])
-    def test_bad_rate_list_is_rejected_before_any_training(self, rates):
+    def test_bad_rate_list_is_rejected_before_any_training(self, monkeypatch, rates):
         prob = TestTrain().linear_problem(B=40)
-        built = []
-
-        def build():
-            built.append(1)
-            return TestTrain().linear_model()
-
+        trained = []
+        monkeypatch.setattr(tr, "train", lambda *args: trained.append(args))
         with pytest.raises(ValueError,
                            match=r"sweep rates must be one or more finite positive numbers, got \("):
-            tr.lr_sweep(build, prob, tr.TrainConfig(epochs=5), rates=rates)
-        assert built == []
+            tr.lr_sweep(TestTrain().linear_model(), prob, tr.TrainConfig(epochs=5), rates=rates)
+        assert trained == []
 
     def test_too_small_split_rejected(self):
         prob = TestTrain().linear_problem(B=2)
         with pytest.raises(ValueError):
-            tr.lr_sweep(lambda: TestTrain().linear_model(), prob, tr.TrainConfig(epochs=1))
+            tr.lr_sweep(TestTrain().linear_model(), prob, tr.TrainConfig(epochs=1))
 
     def test_report_is_the_heldout_mse(self):
         # a soft gate, so the loss the candidates train on is not the MSE
         prob = TestTrain().linear_problem(B=40)
         spec = ct.MonoSpec.from_symbols(["-+"])
-
-        def build():
-            return MtnnModel([nn.init_dense([2, 2], 3)], spec, gate_mode=GateMode.SOFT)
-
+        model = MtnnModel([nn.init_dense([2, 2], 3)], spec, gate_mode=GateMode.SOFT)
         cfg = tr.TrainConfig(epochs=60)
-        _, _, _, report = tr.lr_sweep(build, prob, cfg, rates=(3e-2, 1e-3))
+        _, _, _, report = tr.lr_sweep(model, prob, cfg, rates=(3e-2, 1e-3))
         fit, val = prob[:32], prob[32:]  # the chronological 80/20 split
         for rate, got in report.items():
-            candidate, _ = tr.train(build(), fit, replace(cfg, learning_rate=rate))
+            candidate, _ = tr.train(model, fit, replace(cfg, learning_rate=rate))
             comps = oracles.loss_components(candidate, val, cfg)
             assert got == comps[1]
             assert comps[2] > 0.0  # the penalty is left out of the report
@@ -618,7 +614,7 @@ class TestLrSweep:
             return model, hist
 
         monkeypatch.setattr(tr, "train", train)
-        _, _, rate, report = tr.lr_sweep(lambda: TestTrain().linear_model(), prob,
+        _, _, rate, report = tr.lr_sweep(TestTrain().linear_model(), prob,
                                          tr.TrainConfig(epochs=20), rates=(3e-2, 1e-9))
         assert rate == 3e-2
         assert report[1e-9] == np.inf and np.isfinite(report[3e-2])
@@ -626,5 +622,5 @@ class TestLrSweep:
     def test_every_rate_diverging_is_a_fault(self):
         prob = with_target(TestTrain().linear_problem(B=40), 3, 1e200)
         with pytest.raises(TrainingFault, match="every sweep rate diverged"):
-            tr.lr_sweep(lambda: TestTrain().linear_model(), prob,
+            tr.lr_sweep(TestTrain().linear_model(), prob,
                         tr.TrainConfig(epochs=5), rates=(3e-2, 1e-3))
