@@ -74,16 +74,6 @@ def _section(config: dict, key: str) -> dict:
     return sec
 
 
-def _real(value, name: str, positive: bool = False) -> float:
-    """`value` as a float; it must be a finite int or float, not a bool, and
-    >= 0, or > 0 when `positive`. An error names the key, so the library's
-    own range check never sees a bad config value."""
-    if not (pl.finite(value) and (value > 0 if positive else value >= 0)):
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"{name} must be a finite real number {bound}, got {value!r}")
-    return float(value)
-
-
 def _path(value, name: str) -> Path:
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
@@ -124,8 +114,10 @@ def _plant(section: dict):
 
 
 def _variant_list(config: dict, override=None) -> list:
-    names = override or _section(config, "train").get("variants") or list(tr.VARIANTS)
-    if not isinstance(names, list):
+    """The variants to run: the override, else `train.variants`, which must be
+    a non-empty list when present; all of them when the key is absent."""
+    names = override or _section(config, "train").get("variants", list(tr.VARIANTS))
+    if not (isinstance(names, list) and names):
         raise ConfigError(f"train.variants must be a list of variant names, got {names!r}")
     unknown = [n for n in names if n not in tr.VARIANTS]
     if unknown:
@@ -153,7 +145,7 @@ def cmd_gen_data(config: dict) -> int:
     kind, plant = _plant(plant_sec)
     # the split keys the config sets; the builder's defaults fill the rest
     sizes = {k: pl.integer(v, f"split.{k}", 1) for k, v in config.get("split", {}).items()}
-    noise = _real(plant_sec.get("noise_sigma", 0.05), "plant.noise_sigma")
+    noise = pl.real(plant_sec.get("noise_sigma", 0.05), "plant.noise_sigma")
     build = pl.hvac_benchmark if kind == "hvac" else pl.tclab_dataset
     try:
         ds = build(seed, noise_sigma=noise, plant=plant, **sizes)
@@ -191,10 +183,10 @@ def cmd_train(config: dict, variants=None) -> int:
     names = _variant_list(config, variants)
     width = pl.integer(train_sec.get("width", tr.STUDY_WIDTH), "train.width", 1)
     epochs = pl.integer(train_sec.get("epochs", tr.STUDY_EPOCHS), "train.epochs", 1)
-    wd = _real(train_sec.get("weight_decay", tr.STUDY_WEIGHT_DECAY), "train.weight_decay")
+    wd = pl.real(train_sec.get("weight_decay", tr.STUDY_WEIGHT_DECAY), "train.weight_decay")
     fixed_rate = train_sec.get("learning_rate")
     if fixed_rate is not None:
-        fixed_rate = _real(fixed_rate, "train.learning_rate", positive=True)
+        fixed_rate = pl.real(fixed_rate, "train.learning_rate", positive=True)
     data = _load_transitions(out / "train.csv")
     spec = PLANTS[kind]().mono_spec()
     manifest = {"seed": seed, "width": width, "epochs": epochs,

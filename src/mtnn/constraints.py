@@ -9,9 +9,8 @@ stay >= 0), Decreasing (<= 0), or Free. Two enforcement routes:
   * leave the outputs raw and add a hinge penalty on violations to the
     training loss (soft route).
 
-A determinant-based penalty on the Hessian blocks discourages negative
-curvature; det >= 0 is weaker than positive semidefiniteness, so a stricter
-leading-principal-minor variant is also available.
+A determinant hinge on the Hessian blocks discourages negative curvature
+(det >= 0 is weaker than positive semidefiniteness).
 
 The penalties exist only as graph ops, weighted by SIGN_WEIGHT and
 CURVATURE_WEIGHT; their numpy reference versions are in `tests/oracles.py`.
@@ -33,7 +32,7 @@ DECREASING = -1
 FREE = 0
 
 # hinge weights of the soft route: every sign violation, and gamma on every
-# negative determinant (or leading minor) of a Hessian block
+# negative determinant of a Hessian block
 SIGN_WEIGHT = 1.0
 CURVATURE_WEIGHT = 0.1
 
@@ -118,20 +117,10 @@ def gate_mask_of(tags):
     return mask
 
 
-def apply_sign_gate(raw, tags) -> Array:
-    """Increasing -> ReLU(raw), Decreasing -> -ReLU(raw), Free -> raw.
-
-    Computed as raw * gate_mask_of(tags)(raw), which equals the ReLU /
-    -ReLU form (a rectified entry may read -0.0). Elementwise; `raw` may
-    carry leading batch axes as long as the trailing axes match `tags`.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    return raw * gate_mask_of(tags)(raw)
-
-
 def apply_sign_gate_graph(raw: Var, tags) -> Var:
-    """Graph twin of apply_sign_gate: one node, raw times its detached mask,
-    which every forward recomputes from raw."""
+    """Increasing -> ReLU(raw), Decreasing -> -ReLU(raw), Free -> raw, as one
+    node: raw times its detached mask, which every forward recomputes from
+    raw (a rectified entry may read -0.0)."""
     return graph.masked(raw, gate_mask_of(tags))
 
 
@@ -148,6 +137,7 @@ def convex_penalty_blocks_graph(blocks: Var) -> Var:
     return graph.sum_all(graph.relu(-graph.det(blocks))) * CURVATURE_WEIGHT
 
 
+# no caller in this package; kept only because the benchmark's traced run wraps it
 def principal_minor_penalty_blocks_graph(blocks: Var) -> Var:
     """Stricter variant over the blocks (Nx, B, N, N): hinge every leading
     principal minor, not just det.

@@ -18,8 +18,8 @@ row j along dz, so one tangent dz is carried forward through the nets
 (`net.input_jacobian(net, z, v)`, `NetTape.forward_and_jacobian(z, v)`)
 instead of N Jacobian columns; both return the net outputs too, so a step
 runs the net stack once. The full blocks are built only for the curvature
-penalties (`hessian_stack_batch`, or `need_blocks` on the graph), and only
-there does `symmetrize_hessian` matter: it cannot change a quadratic form.
+penalty (`hessian_stack_batch`, or `need_blocks` on the graph), which hinges
+their determinants as they come, unsymmetrized.
 The architecture gate multiplies the rows, H_j dz and the block rows by one
 detached mask of the raw outputs, `constraints.gate_mask_of(tags)(raw)`,
 which a MonoSpec derives once as its `gate_mask`. The numpy step builds the
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import constraints, graph
 from . import net as nn
-from .constraints import MonoSpec, apply_sign_gate
+from .constraints import MonoSpec
 
 Array = np.ndarray
 
@@ -88,7 +88,6 @@ class MtnnModel:
     mono_spec: MonoSpec
     order: TaylorOrder = TaylorOrder.FIRST
     gate_mode: GateMode = GateMode.NONE
-    symmetrize_hessian: bool = False
 
     def __post_init__(self):
         self.order = TaylorOrder(self.order)
@@ -125,7 +124,6 @@ class MtnnModel:
             self.mono_spec,  # read-only, so shared
             self.order,
             self.gate_mode,
-            self.symmetrize_hessian,
         )
 
 
@@ -164,7 +162,7 @@ def jacobian_matrix_batch(model: MtnnModel, Z_prev) -> Array:
     model is gated."""
     rows = _raw_rows(model, Z_prev)
     if model.gated:
-        rows = apply_sign_gate(rows, model.mono_spec.tags)
+        rows *= model.mono_spec.gate_mask(rows)
     return rows
 
 
@@ -180,8 +178,6 @@ def hessian_stack_batch(model: MtnnModel, Z_prev) -> Array:
     raw, blocks = (np.swapaxes(a, 0, 1) for a in nn.input_jacobian(model.net, Z_prev))
     if model.gated:
         blocks *= model.mono_spec.gate_mask(raw)[..., None]
-    if model.symmetrize_hessian:
-        blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
     return blocks
 
 
@@ -267,10 +263,10 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
     net parameters on `tape` and into whichever of z_curr / z_prev is a Var.
     Returns three Vars over all states at once: the increments (Nx, B), the
     (gated) Jacobian rows (Nx, B, N) and, when `need_blocks` asks for them (a
-    curvature penalty), the (masked, optionally symmetrized) Hessian blocks
-    (Nx, B, N, N), else None. A second-order step reads H dz from the blocks
-    when they are built, and otherwise carries the one tangent dz through
-    the nets, as `predict_batch` does.
+    curvature penalty), the (masked) Hessian blocks (Nx, B, N, N), else
+    None. A second-order step reads H dz from the blocks when they are
+    built, and otherwise carries the one tangent dz through the nets, as
+    `predict_batch` does.
     """
     dz = z_curr - z_prev
     tags = model.mono_spec.tags[:, None, :]
@@ -294,8 +290,6 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
             blocks = graph.masked(blocks, lambda r: mask_of(r)[..., None], raw)
         elif Hdz is not None:
             Hdz = graph.masked(Hdz, mask_of, raw)
-    if blocks is not None and model.symmetrize_hessian:
-        blocks = (blocks + graph.moveaxis(blocks, -1, -2)) * 0.5
     incr = graph.dot_rows(rows, dz)
     if second:
         if blocks is not None:
@@ -317,14 +311,18 @@ def model_to_dict(model) -> dict:
         "kind": "mtnn",
         "order": model.order.value,
         "gate_mode": model.gate_mode.value,
-        "symmetrize_hessian": model.symmetrize_hessian,
+        "symmetrize_hessian": False,  # kept so that bundles stay mtnn-v1
         "mono_spec": model.mono_spec.to_symbols(),
         "nets": [nn.net_to_dict(member) for member in nn.unstack(model.net)],
     }
 
 
 def model_from_dict(d: dict):
-    """Rebuild a model from an `mtnn-v1` bundle; its per-state nets are stacked."""
+    """Rebuild a model from an `mtnn-v1` bundle; its per-state nets are stacked.
+
+    An mtnn record's symmetrization flag must be a boolean and is otherwise
+    ignored: a quadratic form cannot see symmetrization, so no prediction
+    depends on it."""
     if not isinstance(d, dict):
         raise ValueError(f"a bundle must be a JSON object, got {type(d).__name__}")
     if d.get("version") != BUNDLE_VERSION:
@@ -344,7 +342,6 @@ def model_from_dict(d: dict):
                 MonoSpec.from_symbols(d["mono_spec"]),
                 TaylorOrder(d["order"]),
                 GateMode(d["gate_mode"]),
-                d["symmetrize_hessian"],
             )
     except KeyError as e:
         raise ValueError(f"bundle record lacks the field {e.args[0]!r}") from None

@@ -1,30 +1,61 @@
 """Receding-horizon control by projected Gauss-Newton through the predictor.
 
 The learned model plays the role of the plant constraint: a candidate input
-sequence is rolled through the numpy predictor feeding predicted states
+sequence U is rolled through the numpy predictor feeding predicted states
 back, and the quadratic tracking cost is read off the predicted trajectory.
-One batched reverse-mode graph on two leaves, z_curr and z_prev, yields the
-step Jacobians of every recorded pair at once; of a Taylor model's
-x_hat = x + increment it differentiates only the increment. A closed loop
-builds it once, with the constants its solves share, and replays it. A
-forward recursion over them gives the sensitivities S_k = dx_k/dU of the
-predicted states to the whole input sequence, including the path through the
-expansion point z_prev. They give the exact gradient and the Gauss-Newton
-matrix, which a projected Newton method for box constraints (Bertsekas, SIAM
-J. Control Optim. 1982) uses: Newton steps on the free inputs, scaled
-gradient steps on the active ones, and Armijo backtracking along the
-projection arc. Each trial is rolled out once; the trajectory that priced an
-accepted trial is the one the next gradient differentiates, so no rollout is
-repeated. Input boxes are handled by projection (so feasibility is exact),
-state boxes by a soft quadratic penalty, since hard state constraints under
-a learned model are easily infeasible. A solve ends when a step moves every
-input by less than `tol`, or when a full step stops lowering the cost by
-more than a DECREASE_RTOL share of its controllable part, whichever comes
-first.
+Input boxes are handled by projection (so feasibility is exact), state boxes
+by a soft quadratic penalty, since hard state constraints under a learned
+model are easily infeasible. The stage cost keeps the k = 0 state term even
+though the current state is not controllable; it is a constant offset that
+leaves the argmin alone.
 
-The stage cost keeps the k = 0 state term even though the current state is
-not controllable; it is a constant offset that leaves the argmin alone, and
-the decrease rule measures against the cost without it.
+Step Jacobians. One batched reverse-mode graph on two leaves, z_curr and
+z_prev, yields d x_hat_k / d z_curr_k and d x_hat_k / d z_prev_k of every
+pair of a rollout at once: each pair is repeated nx times and batch row
+(k, i) picks output i, so one backward leaves row i of step k's Jacobians
+on the leaves. Of a Taylor model's x_hat = x + increment it differentiates
+only the increment (the root sums the picked increments of
+`model.taylor_increments`), and the identity is added to the state columns
+after the backward; a baseline's root sums its picked net outputs, and its
+z_prev Jacobian is zero. The graph is recorded on a frozen `NetTape`, so a
+backward computes no parameter gradient. A closed loop builds it once, with
+the constants its solves share, and replays it on each rollout's pairs,
+which gives bit for bit what a fresh build gives.
+
+Sensitivities. A forward recursion over the step Jacobians gives
+S_k = d x_k / dU, including the path through the expansion point z_prev.
+With D_k = d Z_k / dU (D_0 = 0, since Z_0 = z_prev is fixed, and
+D_{k+1} = [S_k; E_k], E_k picking u_k out of U):
+
+    S_{k+1} = dx_hat_k/dz_curr D_{k+1} + dx_hat_k/dz_prev D_k
+
+With W_k = Q (P at the terminal), e the tracking error, v the signed
+soft-box excess and w the state weight, the exact gradient and the
+Gauss-Newton matrix are
+
+    grad = sum_k 2 S_k' (W_k e_k + w v_k) + 2 R U
+    B    = sum_k 2 S_k' (W_k + w [v_k != 0]) S_k + 2 R
+
+Solver. A projected Newton method for box constraints (Bertsekas, SIAM J.
+Control Optim. 1982): Newton steps on B restricted to the free inputs,
+scaled gradient steps on the active ones, and Armijo backtracking along the
+projection arc U(alpha) = clip(U - alpha d) from alpha = 1 until
+cost(U(alpha)) <= cost + ARMIJO_SIGMA * min(grad . (U(alpha) - U), 0).
+Each trial is rolled out once, into one of two (X, Z) buffer pairs; an
+accepted trial's pair becomes the current one, which the next gradient
+differentiates, so no rollout is repeated.
+
+Two rules end a converging solve, tested in this order: "tolerance", when
+the accepted step moved every input by less than `tol`, and "decrease",
+when the iteration accepted the full step (alpha = 1) and that lowered the
+cost by at most DECREASE_RTOL (c_new - c_0). c_0 is the k = 0 state term
+(q e_0^2 plus the soft-box term of x0), which no input can change, so the
+rule is equally strict however far x0 starts from x_ref. Near the optimum
+the Gauss-Newton matrix, which leaves out the curvature of the path
+through z_prev, converges only linearly: without the second rule the last
+iterations still move the inputs by more than `tol` while the cost no
+longer changes. A backtracked step never ends a solve this way, since a
+small alpha alone makes a small decrease.
 """
 
 from __future__ import annotations
@@ -254,17 +285,8 @@ class _StepJacobians:
     Called on the pairs Z (H+1, N) of a rollout, it returns
     (d x_hat_k / d z_curr_k, d x_hat_k / d z_prev_k) of every step
     x_hat_k = predict(Z[k+1], Z[k]), with z_curr_k = [x_k; u_k]: two
-    (H, nx, N) arrays. One graph on two leaves, z_curr and z_prev: each pair
-    is repeated nx times and batch row (k, i) picks output i, so one
-    backward leaves row i of step k's Jacobians on the leaves. Its root sums
-    the picked increments of `md.taylor_increments`, and the identity of
-    x_hat = x + increment is added to the state columns after the backward;
-    a baseline's root sums its picked net outputs, and its z_prev Jacobian
-    is zero. The graph is recorded on a frozen `NetTape`: the nets' weights
-    and biases are constant operands, so a backward computes no parameter
-    gradient. The first call builds the graph; later calls set the pairs of
-    their Z on its leaves and replay it, which gives bit for bit what a
-    fresh build gives.
+    (H, nx, N) arrays. The first call builds the graph the module docstring
+    describes; later calls replay it on their pairs.
 
     The constants: the stage weights W (H+1, nx), the tiled input weights
     r_diag (H nu,) and their diagonal matrix R, the tiled input box lo / hi
@@ -325,18 +347,6 @@ def _cost_and_grad(U: Array, priced: tuple, cfg: MpcConfig, jacobians: _StepJaco
     derivatives. `jacobians` is the `_StepJacobians` of the solve's model
     and cfg: its graph gives the step Jacobians, and its constants and
     buffers serve the rest, so a call allocates no constant.
-
-    One forward recursion over the step Jacobians gives the sensitivities
-    S_k = d x_k / dU. With D_k = d Z_k / dU (D_0 = 0, since Z_0 = z_prev is
-    fixed, and D_{k+1} = [S_k; E_k], E_k picking u_k out of U):
-
-        S_{k+1} = dx_hat_k/dz_curr D_{k+1} + dx_hat_k/dz_prev D_k
-
-    With W_k = Q (P at the terminal), e the tracking error, v the signed
-    soft-box excess and w the state weight,
-
-        grad = sum_k 2 S_k' (W_k e_k + w v_k) + 2 R U
-        B    = sum_k 2 S_k' (W_k + w [v_k != 0]) S_k + 2 R
     """
     cost, X, Z = priced
     if not np.isfinite(cost):
@@ -416,36 +426,14 @@ class SolveResult:
 
 def solve_horizon(model, x0, z_prev, cfg: MpcConfig, u_init=None, *,
                   jacobians: _StepJacobians | None = None) -> SolveResult:
-    """Minimize the horizon cost over box-feasible input sequences.
+    """Minimize the horizon cost over box-feasible input sequences by the
+    projected Gauss-Newton method of the module docstring, starting from
+    u_init (default: the middle of the input box) clipped into the box.
 
-    Projected Gauss-Newton (Bertsekas's projected Newton method for simple
-    bounds): each iteration takes the gradient and Gauss-Newton matrix from
-    one `_cost_and_grad` call, builds the projected Newton direction, and
-    backtracks along the projection arc U(alpha) = clip(U - alpha d) from
-    alpha = 1 until the Armijo test
-    cost(U(alpha)) <= cost + ARMIJO_SIGMA * min(g . (U(alpha) - U), 0)
-    holds, pricing each trial with `horizon_cost`. One rollout per trial;
-    the gradient reuses the accepted one: the start and every trial are
-    priced into one of two (X, Z) buffer pairs, and an accepted trial's pair
-    becomes the current one that the next `_cost_and_grad` differentiates.
-    Every `_cost_and_grad` reads the step Jacobians from one graph, a
-    `_StepJacobians` of (model, cfg): the first call builds it, and each
-    later one sets the current pairs on its input leaves and replays it.
-    `jacobians` hands in such a graph, with its constants, so that the
-    solves of a closed loop share one; it must have been made for this
-    model and cfg. Without it the solve makes its own.
-
-    Two rules end a converging solve, tested in this order: "tolerance",
-    when the accepted step moved every input by less than `tol`, and
-    "decrease", when the iteration accepted the full step (alpha = 1) and
-    that lowered the cost by at most DECREASE_RTOL (c_new - c_0). c_0 is the
-    k = 0 state term (q e_0^2 plus the soft-box term of x0), which no input
-    can change, so the rule is equally strict however far x0 starts from
-    x_ref. Near the optimum the Gauss-Newton matrix, which leaves out the
-    curvature of the path through z_prev, converges only linearly: without
-    the second rule the last iterations still move the inputs by more than
-    `tol` while the cost no longer changes. A backtracked step never ends a
-    solve this way, since a small alpha alone makes a small decrease.
+    `jacobians` hands in a `_StepJacobians`, so that the solves of a closed
+    loop share one graph and its constants; it must have been made for this
+    model and cfg, else it is a ValueError. Without it the solve makes its
+    own.
 
     Every iterate is clipped into [u_min, u_max], so the returned sequence
     is feasible by construction. Returns the best iterate seen and how the

@@ -47,6 +47,16 @@ def integer(v, name: str, least: int) -> int:
     return int(v)
 
 
+def real(v, name: str, positive: bool = False) -> float:
+    """`v` as a float, the one rule for a real-valued setting from outside: a
+    finite real that is not a bool, >= 0, or > 0 when `positive`. Anything
+    else is a ValueError naming `name`."""
+    if not (finite(v) and (v > 0 if positive else v >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite real number {bound}, got {v!r}")
+    return float(v)
+
+
 def _check_fields(plant, positive) -> None:
     """Every field of `plant` is a finite real; those named in `positive` are > 0."""
     for f in fields(plant):
@@ -55,11 +65,6 @@ def _check_fields(plant, positive) -> None:
             raise ValueError(f"{name} must be a finite real number, got {v!r}")
         if f.name in positive and not v > 0:
             raise ValueError(f"{name} must be > 0, got {v!r}")
-
-
-def _check_noise(sigma) -> None:
-    if not (finite(sigma) and sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {sigma!r}")
 
 
 @dataclass
@@ -212,7 +217,7 @@ class ExcitePolicy:
             raise ValueError("dwell_choices must not be empty")
         self.dwell_choices = tuple(integer(d, f"dwell_choices[{i}]", 1)
                                    for i, d in enumerate(self.dwell_choices))
-        _check_noise(self.noise_sigma)
+        real(self.noise_sigma, "noise_sigma")
 
 
 def excite(plant, policy: ExcitePolicy, n: int, seed: int, x0) -> Series:
@@ -371,7 +376,7 @@ def hvac_benchmark(
     with another k_a may still miss the range shift, which raises
     RuntimeError.
     """
-    _check_noise(noise_sigma)
+    real(noise_sigma, "noise_sigma")
     plant = HvacPlant() if plant is None else plant
     scale = (plant.T_amb - 55.0) / (85.0 - 55.0)
 

@@ -28,7 +28,7 @@ from . import net as nn
 from .constraints import DECREASING, MonoSpec
 from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
 from .net import TrainingFault
-from .plants import Transitions, finite, integer
+from .plants import Transitions, finite, integer, real
 
 Array = np.ndarray
 
@@ -50,16 +50,11 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 300
     weight_decay: float = 0.0  # decoupled, weight matrices only
-    strict_minors: bool = False  # hinge all leading principal minors, not just det
 
     def __post_init__(self):
         self.epochs = integer(self.epochs, "epochs", 1)
-        lr = self.learning_rate
-        if not (finite(lr) and lr > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {lr!r}")
-        wd = self.weight_decay
-        if not (finite(wd) and wd >= 0):
-            raise ValueError(f"weight_decay must be finite and nonnegative, got {wd!r}")
+        real(self.learning_rate, "learning_rate", positive=True)
+        real(self.weight_decay, "weight_decay")
 
 
 @dataclass
@@ -97,7 +92,7 @@ class TrainHistory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
+def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array):
     """Build the batch loss as a scalar Var; returns (total, components).
 
     The components are the mse, mono and convex nodes of the graph, a
@@ -124,12 +119,7 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array, cfg):
         mono = mono * (1.0 / B)
         total = total + mono
     if curved:
-        pen_fn = (
-            constraints.principal_minor_penalty_blocks_graph
-            if cfg.strict_minors
-            else constraints.convex_penalty_blocks_graph
-        )
-        convex = pen_fn(blocks) * (1.0 / B)
+        convex = constraints.convex_penalty_blocks_graph(blocks) * (1.0 / B)
         total = total + convex
     return total, (mse, mono, convex)
 
@@ -236,7 +226,7 @@ def train(model, data: Transitions, cfg: TrainConfig):
 
     tape = nn.NetTape(net)
     with np.errstate(over="ignore", invalid="ignore"):
-        total_var, parts = _loss_graph(tape, model, Zp, Zc, Xn, cfg)
+        total_var, parts = _loss_graph(tape, model, Zp, Zc, Xn)
     order = graph.topological_order(total_var)
     rows = []
     best_total = np.inf

@@ -1,9 +1,9 @@
 """Plain-numpy reference implementations that the tests check the library
 against.
 
-The library computes its losses and penalties on the reverse-mode graph
-only. Here are their numpy twins, each written out as directly as it can
-be, together with the central-difference oracles for input Jacobians and
+The library computes its losses, penalties and differentiable sign gate on
+the reverse-mode graph only. Here are their numpy twins, each written out
+as directly as it can be, together with the central-difference oracles for input Jacobians and
 parameter gradients, the per-minor cofactor loop, the per-array Adam
 training loop and the per-row transition loop, the numpy step kernel as it ran before
 it worked in place (`run`, `predict_batch`, `gate_mask_of`, with the
@@ -63,7 +63,16 @@ def principal_minor_penalty(hessian_blocks, gamma: float) -> float:
     return float(gamma * pen)
 
 
-def loss_components(model, batch, cfg):
+def apply_sign_gate(raw, tags):
+    """Increasing -> ReLU(raw), Decreasing -> -ReLU(raw), Free -> raw, as
+    raw * con.gate_mask_of(tags)(raw) (a rectified entry may read -0.0):
+    the numpy gate that `constraints.apply_sign_gate_graph` is checked
+    against. `raw` may carry leading batch axes."""
+    raw = np.asarray(raw, dtype=np.float64)
+    return raw * con.gate_mask_of(tags)(raw)
+
+
+def loss_components(model, batch):
     """(total, mse, mono, convex) of `training.train`'s loss on a batch, all
     batch means, from the numpy predictor, Jacobians and Hessian blocks.
     A model with a soft sign prior takes the sign hinge, and at second
@@ -83,8 +92,7 @@ def loss_components(model, batch, cfg):
         mono = sum(mono_penalty(J[b], model.mono_spec) for b in range(B)) / B
     if soft and model.order is md.TaylorOrder.SECOND:
         H = md.hessian_stack_batch(model, Zp)
-        pen_fn = principal_minor_penalty if cfg.strict_minors else convex_penalty
-        convex = sum(pen_fn(H[b], con.CURVATURE_WEIGHT) for b in range(B)) / B
+        convex = sum(convex_penalty(H[b], con.CURVATURE_WEIGHT) for b in range(B)) / B
     total = mse + mono + convex
     return total, mse, mono, convex
 
@@ -196,7 +204,7 @@ def train_per_array(model, data, cfg):
     rows, best_total, best_params = [], np.inf, None
     for _ in range(cfg.epochs):
         tape = nn.NetTape(net)
-        total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
+        total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn)
         tot = float(total_var.value)
         if tot < best_total:
             best_total, best_params = tot, [A.copy() for A in arrays]

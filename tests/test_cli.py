@@ -470,6 +470,9 @@ class TestConfigKeys:
         ("train", "train", "variants", 5, "train.variants must be a list of variant names, got 5"),
         ("eval", "train", "variants", "taylor1",
          "train.variants must be a list of variant names, got 'taylor1'"),
+        ("train", "train", "variants", [], "train.variants must be a list of variant names, got []"),
+        ("eval", "train", "variants", None,
+         "train.variants must be a list of variant names, got None"),
         ("train", "train", "weight_decay", -1,
          "train.weight_decay must be a finite real number >= 0, got -1"),
         ("train", "train", "learning_rate", 0,

@@ -136,15 +136,6 @@ class TestHessianStack:
                    - md.jacobian_matrix_batch(m, zm[None])[0]) / (2 * eps)
             np.testing.assert_allclose(H[:, :, i], col, atol=1e-6)
 
-    def test_symmetrize_flag(self):
-        m = random_model(1, 2, seed=10)
-        z = RNG.normal(size=3)
-        H_raw = md.hessian_stack_batch(m, z[None])[0]
-        m.symmetrize_hessian = True
-        H_sym = md.hessian_stack_batch(m, z[None])[0]
-        np.testing.assert_allclose(H_sym[0], 0.5 * (H_raw[0] + H_raw[0].T))
-        np.testing.assert_allclose(H_sym[0], H_sym[0].T)
-
     def test_batch_matches_loop(self):
         m = random_model(2, 2, seed=11, gate=md.GateMode.ARCHITECTURE,
                          spec=MonoSpec.from_symbols(["++..", "..--"]))
@@ -365,9 +356,8 @@ class TestBundles:
         else:
             order = data.draw(st.sampled_from(list(md.TaylorOrder)), label="order")
             gate = data.draw(st.sampled_from(list(md.GateMode)), label="gate")
-            sym = data.draw(st.booleans(), label="symmetrize_hessian")
             spec = MonoSpec(rng.integers(-1, 2, size=(nx, n)).astype(np.int8))
-            m = md.MtnnModel(nets, spec, order, gate, sym)
+            m = md.MtnnModel(nets, spec, order, gate)
         with tempfile.TemporaryDirectory() as d:
             md.save_bundle(m, Path(d) / "m.json")
             back = md.load_bundle(Path(d) / "m.json")
@@ -407,6 +397,24 @@ class TestBundles:
         p = tmp_path / "again.json"
         md.save_bundle(md.load_bundle(DATA / "mono2_bundle_v1.json"), p)
         assert p.read_bytes() == (DATA / "mono2_bundle_v1.json").read_bytes()
+
+    def test_symmetrize_key_is_checked_and_ignored(self, tmp_path):
+        # a quadratic form cannot see symmetrization, so a bundle that sets
+        # the key predicts and saves as one that leaves it false
+        original = (DATA / "mono2_bundle_v1.json").read_bytes()
+        d = json.loads(original)
+        assert d["symmetrize_hessian"] is False
+        Zc, Zp = RNG.normal(size=(2, 9, 4))
+        outs = []
+        for flag in (False, True):
+            m = md.model_from_dict(dict(d, symmetrize_hessian=flag))
+            outs.append(md.predict_batch(m, Zc, Zp).tobytes())
+            md.save_bundle(m, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == original
+        assert outs[0] == outs[1]
+        with pytest.raises(ValueError, match="^symmetrize_hessian must be a JSON boolean, "
+                                             "got 'true'$"):
+            md.model_from_dict(dict(d, symmetrize_hessian="true"))
 
     def test_v1_nets_that_cannot_stack_rejected(self):
         d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
@@ -558,14 +566,13 @@ def block_formula_predict(m, Zc, Zp):
 
 class TestSecondOrderTerm:
     @pytest.mark.parametrize("gate", list(md.GateMode))
-    @pytest.mark.parametrize("sym", [False, True])
-    def test_directional_step_matches_block_formula(self, gate, sym):
+    def test_directional_step_matches_block_formula(self, gate):
         rng = np.random.default_rng(23)
         nets = [nn.init_dense([4, 5, 4], rng) for _ in range(2)]
         for net in nets:  # offset outputs so some gates are shut
             net.biases[-1][:] = rng.normal(size=4)
         m = md.MtnnModel(nets, MonoSpec.from_symbols(["+.-+", "-+.."]),
-                         md.TaylorOrder.SECOND, gate, sym)
+                         md.TaylorOrder.SECOND, gate)
         Zp = rng.normal(size=(40, 4))
         Zc = Zp + 0.5 * rng.normal(size=Zp.shape)
         Zc[7] = Zp[7]
@@ -608,7 +615,6 @@ class TestEvaluatorsAgree:
         n = nx + nu
         order = data.draw(st.sampled_from(list(md.TaylorOrder)), label="order")
         gate = data.draw(st.sampled_from(list(md.GateMode)), label="gate")
-        sym = data.draw(st.booleans(), label="symmetrize")
         symbols = data.draw(st.lists(st.text("+-.", min_size=n, max_size=n),
                                      min_size=nx, max_size=nx), label="spec")
         zero = np.array(data.draw(st.lists(st.booleans(), min_size=1, max_size=5),
@@ -617,7 +623,7 @@ class TestEvaluatorsAgree:
         nets = [nn.init_dense([n, 4, n], rng) for _ in range(nx)]
         for net in nets:  # offset outputs so some gates are shut
             net.biases[-1][:] = rng.normal(size=n)
-        m = md.MtnnModel(nets, MonoSpec.from_symbols(symbols), order, gate, sym)
+        m = md.MtnnModel(nets, MonoSpec.from_symbols(symbols), order, gate)
         Zp = rng.normal(size=(len(zero), n))
         Zc = Zp + 0.5 * rng.normal(size=Zp.shape)
         Zc[zero] = Zp[zero]
@@ -627,7 +633,6 @@ class TestEvaluatorsAgree:
                                                   need_blocks=True)
         Xg = Zc[:, :nx] + incr.value.T
         np.testing.assert_allclose(Xg, X, rtol=1e-12, atol=1e-12)
-        # the quadratic form cannot see symmetrization; the blocks can
         np.testing.assert_allclose(np.swapaxes(rows.value, 0, 1),
                                    md.jacobian_matrix_batch(m, Zp), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(np.swapaxes(blocks.value, 0, 1),

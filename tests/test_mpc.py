@@ -329,7 +329,7 @@ class TestHorizonCost:
 
 
 def rand_model(seed, kind="mtnn", order=TaylorOrder.FIRST, gate=GateMode.NONE,
-               symmetrize=False, spec=None):
+               spec=None):
     """Random tanh model with 2 states and 2 inputs; the Jacobian nets get a
     bias so gates sit off the kink. spec=None draws random sign tags."""
     rng = np.random.default_rng(seed)
@@ -340,7 +340,7 @@ def rand_model(seed, kind="mtnn", order=TaylorOrder.FIRST, gate=GateMode.NONE,
         net.biases[-1] += rng.normal(0.0, 0.3, size=4)
     if spec is None:
         spec = MonoSpec.from_symbols(["".join(r) for r in rng.choice(list("+-."), (2, 4))])
-    return MtnnModel(nets, spec, order, gate, symmetrize)
+    return MtnnModel(nets, spec, order, gate)
 
 
 def backtracking_problem():
@@ -357,26 +357,21 @@ def backtracking_problem():
 
 class TestCostGradient:
     @pytest.mark.parametrize(
-        "kind,order,gate,symmetrize,horizon",
+        "kind,order,gate,horizon",
         [
-            pytest.param("mtnn", TaylorOrder.FIRST, GateMode.NONE, False, 3,
-                         id="first-none"),
-            pytest.param("mtnn", TaylorOrder.FIRST, GateMode.ARCHITECTURE, False, 3,
+            pytest.param("mtnn", TaylorOrder.FIRST, GateMode.NONE, 3, id="first-none"),
+            pytest.param("mtnn", TaylorOrder.FIRST, GateMode.ARCHITECTURE, 3,
                          id="first-architecture"),
-            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.NONE, False, 3,
-                         id="second-none"),
-            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE, False, 3,
+            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.NONE, 3, id="second-none"),
+            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE, 3,
                          id="second-architecture"),
-            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.NONE, True, 3,
-                         id="second-none-symmetrized"),
-            pytest.param("baseline", None, None, False, 3, id="baseline"),
-            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE, False, 1,
+            pytest.param("baseline", None, None, 3, id="baseline"),
+            pytest.param("mtnn", TaylorOrder.SECOND, GateMode.ARCHITECTURE, 1,
                          id="second-architecture-horizon1"),
         ],
     )
-    def test_matches_finite_differences(self, kind, order, gate, symmetrize, horizon):
-        model = rand_model(3, kind, order, gate, symmetrize,
-                           MonoSpec.from_symbols(["+++.", "++.+"]))
+    def test_matches_finite_differences(self, kind, order, gate, horizon):
+        model = rand_model(3, kind, order, gate, MonoSpec.from_symbols(["+++.", "++.+"]))
         cfg = mpc.MpcConfig(
             x_ref=[0.5, -0.2], u_min=[-1.0, -1.0], u_max=[1.0, 1.0],
             horizon=horizon, x_min=[-2.0, -2.0], x_max=[2.0, 2.0],
@@ -405,11 +400,10 @@ class TestCostGradient:
         kind = data.draw(st.sampled_from(["mtnn", "baseline"]), label="kind")
         order = data.draw(st.sampled_from(list(TaylorOrder)), label="order")
         gate = data.draw(st.sampled_from(list(GateMode)), label="gate")
-        sym = data.draw(st.booleans(), label="symmetrize")
         bounds = data.draw(st.sampled_from(["none", "min", "max", "both"]), label="bounds")
         horizon = data.draw(st.integers(1, 4), label="horizon")
         seed = data.draw(st.integers(0, 2**16), label="seed")
-        model = rand_model(seed, kind, order, gate, sym)
+        model = rand_model(seed, kind, order, gate)
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-0.5, 0.5, 2)
         zp = np.concatenate([x0 + rng.normal(0.0, 0.2, 2), rng.uniform(-1.0, 1.0, 2)])

@@ -50,8 +50,8 @@ def flat_params(model):
     return [*model.net.weights, *model.net.biases]
 
 
-def total_loss(model, data, cfg):
-    return oracles.loss_components(model, data, cfg)[0]
+def total_loss(model, data):
+    return oracles.loss_components(model, data)[0]
 
 
 class TestTotalLoss:
@@ -61,7 +61,7 @@ class TestTotalLoss:
         Z = rng.normal(size=(6, 3))
         data = pl.Transitions(Z, Z, Z[:, :1])
         model = make_model(1, nx=1, nu=2)
-        assert total_loss(model, data, tr.TrainConfig()) == 0.0
+        assert total_loss(model, data) == 0.0
 
     def test_single_sample_squared_residual(self):
         net = nn.init_dense([2, 2], 0)
@@ -70,86 +70,56 @@ class TestTotalLoss:
         model = MtnnModel([net], ct.MonoSpec.free(1, 2), TaylorOrder.FIRST, GateMode.NONE)
         z = np.array([1.0, 2.0])
         data = pl.Transitions([z], [z + 1.0], [[2.3]])  # pred = x_curr = 2.0
-        assert total_loss(model, data, tr.TrainConfig()) == pytest.approx(0.09, abs=1e-15)
+        assert total_loss(model, data) == pytest.approx(0.09, abs=1e-15)
 
     def test_mono_soft_composition(self):
         rng = np.random.default_rng(3)
         data = make_transitions(rng, 8, 2, 1)
         model = make_model(4, nx=2, nu=1, gate=GateMode.SOFT, tags=["+-.", ".+-"])
-        cfg = tr.TrainConfig()
-        total, mse, mono, convex = oracles.loss_components(model, data, cfg)
+        total, mse, mono, convex = oracles.loss_components(model, data)
         assert convex == 0.0  # first order: no curvature hinge
         assert mono > 0  # random nets should violate something
         plain = model.copy()
         plain.gate_mode = GateMode.NONE  # predicts exactly as SOFT does
-        mse_only = total_loss(plain, data, cfg)
+        mse_only = total_loss(plain, data)
         J = md.jacobian_matrix_batch(model, data.z_prev)
         pen = np.mean([oracles.mono_penalty(J[b], model.mono_spec)
                        for b in range(len(data))])
         assert total == mse_only + pen
 
-    def test_strict_minors_tighter_than_det(self):
-        # H = -I has det +1 (no det hinge) but a negative leading minor
-        net = nn.init_dense([2, 2], 0)
-        net.weights[0][:] = -np.eye(2)
-        net.biases[0][:] = 0.0
-        model = MtnnModel([net], ct.MonoSpec.free(1, 2), TaylorOrder.SECOND, GateMode.SOFT)
-        data = make_transitions(np.random.default_rng(1), 5, 1, 1)
-        loose = oracles.loss_components(model, data, tr.TrainConfig())
-        strict = oracles.loss_components(model, data, tr.TrainConfig(strict_minors=True))
-        assert loose[2] == strict[2] == 0.0  # no sign tags
-        assert loose[3] == 0.0
-        assert strict[3] == pytest.approx(0.1, abs=1e-15)  # gamma * ReLU(1)
-
 
 class TestLossGraphTwin:
     CASES = [
-        (TaylorOrder.FIRST, GateMode.NONE, False),
-        (TaylorOrder.SECOND, GateMode.NONE, False),
-        (TaylorOrder.FIRST, GateMode.SOFT, False),
-        (TaylorOrder.SECOND, GateMode.SOFT, False),
-        (TaylorOrder.SECOND, GateMode.SOFT, True),
-        (TaylorOrder.FIRST, GateMode.ARCHITECTURE, False),
-        (TaylorOrder.SECOND, GateMode.ARCHITECTURE, False),
+        (TaylorOrder.FIRST, GateMode.NONE),
+        (TaylorOrder.SECOND, GateMode.NONE),
+        (TaylorOrder.FIRST, GateMode.SOFT),
+        (TaylorOrder.SECOND, GateMode.SOFT),
+        (TaylorOrder.FIRST, GateMode.ARCHITECTURE),
+        (TaylorOrder.SECOND, GateMode.ARCHITECTURE),
     ]
 
-    @pytest.mark.parametrize("order,gate,strict", CASES)
-    def test_graph_matches_numpy(self, order, gate, strict):
+    @pytest.mark.parametrize("order,gate", CASES)
+    def test_graph_matches_numpy(self, order, gate):
         rng = np.random.default_rng(11)
         data = make_transitions(rng, 7, 2, 1)
         model = make_model(12, nx=2, nu=1, order=order, gate=gate,
                            tags=["+.-", "-+."], bias_shift=0.3)
-        cfg = tr.TrainConfig(strict_minors=strict)
         Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
         tape = nn.NetTape(model.net)
-        total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
-        ref = oracles.loss_components(model, data, cfg)
+        total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn)
+        ref = oracles.loss_components(model, data)
         np.testing.assert_allclose(float(total_var.value), ref[0], rtol=1e-12)
         np.testing.assert_allclose([float(p.value) for p in parts], ref[1:], rtol=1e-12)
 
-    def test_graph_matches_numpy_symmetrized(self):
-        rng = np.random.default_rng(13)
-        data = make_transitions(rng, 5, 1, 2)
-        model = make_model(14, nx=1, nu=2, order=TaylorOrder.SECOND, gate=GateMode.SOFT)
-        model.symmetrize_hessian = True
-        cfg = tr.TrainConfig()
-        Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
-        tape = nn.NetTape(model.net)
-        total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
-        np.testing.assert_allclose(
-            float(total_var.value), total_loss(model, data, cfg), rtol=1e-12
-        )
-
-    @pytest.mark.parametrize("order,gate,strict", CASES)
-    def test_parameter_gradients_match_fd(self, order, gate, strict):
+    @pytest.mark.parametrize("order,gate", CASES)
+    def test_parameter_gradients_match_fd(self, order, gate):
         rng = np.random.default_rng(21)
         data = make_transitions(rng, 3, 2, 1)
         model = make_model(22, nx=2, nu=1, order=order, gate=gate,
                            tags=["+.-", "-+."], bias_shift=0.35)
-        cfg = tr.TrainConfig(strict_minors=strict)
         Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
         tape = nn.NetTape(model.net)
-        total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn, cfg)
+        total_var, _ = tr._loss_graph(tape, model, Zp, Zc, Xn)
         graph.backward(total_var)
         pg = tape.gradients()
         grads = [*pg.weights, *pg.biases]
@@ -160,9 +130,9 @@ class TestLossGraphTwin:
                 idx = it.multi_index
                 orig = A[idx]
                 A[idx] = orig + step
-                fp = total_loss(model, data, cfg)
+                fp = total_loss(model, data)
                 A[idx] = orig - step
-                fm = total_loss(model, data, cfg)
+                fm = total_loss(model, data)
                 A[idx] = orig
                 fd = (fp - fm) / (2 * step)
                 assert abs(G[idx] - fd) < 1e-5 * max(1.0, abs(fd)), (idx, G[idx], fd)
@@ -185,14 +155,14 @@ class TestTrain:
         data = self.linear_problem()
         cfg = tr.TrainConfig(learning_rate=3e-2, epochs=500)
         model, hist = tr.train(self.linear_model(), data, cfg)
-        assert total_loss(model, data, cfg) < 1e-8
+        assert total_loss(model, data) < 1e-8
         assert len(hist) == 500
 
     def test_returns_best_recorded_epoch(self):
         data = self.linear_problem()
         cfg = tr.TrainConfig(learning_rate=0.5, epochs=40)  # oscillatory
         model, hist = tr.train(self.linear_model(), data, cfg)
-        got = total_loss(model, data, cfg)
+        got = total_loss(model, data)
         np.testing.assert_allclose(got, hist.total.min(), rtol=1e-9)
         assert hist.total.min() <= hist.total[-1]
 
@@ -253,9 +223,9 @@ class TestTrain:
         cfg = tr.TrainConfig(learning_rate=0.3, epochs=30)
         trained, hist = tr.train(model, data, cfg)
         np.testing.assert_allclose(
-            hist.total[0], oracles.loss_components(model, data, cfg)[0], rtol=1e-12
+            hist.total[0], oracles.loss_components(model, data)[0], rtol=1e-12
         )
-        got = oracles.loss_components(trained, data, cfg)
+        got = oracles.loss_components(trained, data)
         best = int(np.argmin(hist.total))
         np.testing.assert_allclose(got[0], hist.total.min(), rtol=1e-9)
         np.testing.assert_allclose(
@@ -570,7 +540,7 @@ class TestLrSweep:
         assert rate == 3e-2
         assert set(report) == {3e-2, 1e-9}
         assert report[3e-2] < report[1e-9]
-        assert total_loss(model, prob, cfg) < 1e-6
+        assert total_loss(model, prob) < 1e-6
 
     @pytest.mark.parametrize("rates", [(), (1e-3, -1.0), (1e-3, 0.0), (1e-3, np.nan),
                                        (1e-3, np.inf), (1e-3, "0.1"), (True,)])
@@ -598,7 +568,7 @@ class TestLrSweep:
         fit, val = prob[:32], prob[32:]  # the chronological 80/20 split
         for rate, got in report.items():
             candidate, _ = tr.train(model, fit, replace(cfg, learning_rate=rate))
-            comps = oracles.loss_components(candidate, val, cfg)
+            comps = oracles.loss_components(candidate, val)
             assert got == comps[1]
             assert comps[2] > 0.0  # the penalty is left out of the report
 
