@@ -412,6 +412,24 @@ class TestCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestReal:
+    @pytest.mark.parametrize("v, positive", [(0, False), (0.0, False), (3, True),
+                                             (np.float64(2.5e-4), True), (1e308, True)])
+    def test_accepted_value_comes_back_as_the_same_float(self, v, positive):
+        out = pl.real(v, "rate", positive=positive)
+        assert type(out) is float and out == v
+
+    @pytest.mark.parametrize("v, positive", [
+        (-1e-12, False), (0, True), (0.0, True), (float("nan"), False),
+        (float("inf"), False), (True, False), ("0.1", False), (None, False),
+        (10**400, False), (np.float64(-0.5), True)])
+    def test_rejected_value_is_one_message_naming_the_setting(self, v, positive):
+        bound = "> 0" if positive else ">= 0"
+        want = f"rate must be a finite real number {bound}, got {v!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            pl.real(v, "rate", positive=positive)
+
+
 class TestRangeShiftSplit:
     def test_exact_sizes(self):
         n = 282
