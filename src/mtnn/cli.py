@@ -28,8 +28,6 @@ class ConfigError(Exception):
     """Bad or incomplete experiment configuration."""
 
 
-HVAC_NAMES = (["T"], ["Ts", "mdot"])
-TCLAB_NAMES = (["T1", "T2"], ["Q1", "Q2"])
 PLANTS = {"hvac": pl.HvacPlant, "tclab": pl.TcLabPlant}
 
 # accepted keys of the root and fixed sections; plant takes kind, noise_sigma and
@@ -114,15 +112,17 @@ def _plant(section: dict):
 
 
 def _variant_list(config: dict, override=None) -> list:
-    """The variants to run: the override, else `train.variants`, which must be
-    a non-empty list when present; all of them when the key is absent."""
-    names = override or _section(config, "train").get("variants", list(tr.VARIANTS))
+    """The variants to run: the `--variants` list when given, else
+    `train.variants`, which must be a non-empty list when present; all seven
+    when the key is absent."""
+    key, names = ("--variants", override) if override is not None else (
+        "train.variants", _section(config, "train").get("variants", list(tr.VARIANTS)))
     if not (isinstance(names, list) and names):
-        raise ConfigError(f"train.variants must be a list of variant names, got {names!r}")
+        raise ConfigError(f"{key} must be a list of variant names, got {names!r}")
     unknown = [n for n in names if n not in tr.VARIANTS]
     if unknown:
         raise ConfigError(
-            f"unknown variants {unknown}; choose from {list(tr.VARIANTS)}"
+            f"{key} names unknown variants {unknown}; choose from {list(tr.VARIANTS)}"
         )
     return list(names)
 
@@ -152,12 +152,10 @@ def cmd_gen_data(config: dict) -> int:
     except RuntimeError as e:  # the hvac range shift failed on this room
         raise ConfigError(f"{kind} benchmark on {plant}: {e}") from None
     series, n_train, n_test = ds.series, len(ds.train), len(ds.test)
-    state_names, input_names = HVAC_NAMES if kind == "hvac" else TCLAB_NAMES
     # consecutive transitions need a 2-sample overlap between the files
-    pl.save_csv(_slice(series, 0, n_train + 2), out / "train.csv",
-                state_names, input_names)
+    pl.save_csv(_slice(series, 0, n_train + 2), out / "train.csv", *plant.columns)
     pl.save_csv(_slice(series, n_train, n_train + n_test + 2), out / "test.csv",
-                state_names, input_names)
+                *plant.columns)
     _write_json(out / "gen_manifest.json", {
         "seed": seed,
         "plant": {"kind": kind, **asdict(plant)},
@@ -293,7 +291,7 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             return cmd_gen_data(config)
         if args.command == "train":
-            override = args.variants.split(",") if args.variants else None
+            override = None if args.variants is None else args.variants.split(",")
             return cmd_train(config, override)
         if args.command == "eval":
             return cmd_eval(config)

@@ -85,6 +85,8 @@ class MonoSpec:
                 parsed.append([_CODES[c] for c in row])
             except KeyError as e:
                 raise ValueError(f"row {r}: unknown symbol {e.args[0]!r}") from None
+        if not parsed:
+            raise ValueError("a sign spec needs at least one row of symbols")
         widths = {len(p) for p in parsed}
         if len(widths) != 1:
             raise ValueError(f"rows have unequal widths {sorted(widths)}")

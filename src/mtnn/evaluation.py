@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as md
-from .plants import Transitions, integer
+from .plants import Transitions, integer, write_csv
 
 Array = np.ndarray
 
@@ -136,17 +136,10 @@ class ComparisonTable:
         return "\n".join(lines)
 
     def save_csv(self, path) -> None:
-        header = ["step"]
-        for name in self.names:
-            header += [f"{name}_r2", f"{name}_rmse"]
-        lines = [",".join(header)]
-        for i in range(self.steps):
-            cells = [str(i + 1)]
-            for v in range(len(self.names)):
-                cells += [f"{self.r2[i, v]:.4f}", f"{self.rmse[i, v]:.4f}"]
-            lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = ["step"] + [f"{n}_{m}" for n in self.names for m in ("r2", "rmse")]
+        write_csv(path, header, (
+            [str(i + 1)] + [f"{a:.4f}" for pair in zip(self.r2[i], self.rmse[i]) for a in pair]
+            for i in range(self.steps)))
 
 
 def comparison_table(models: dict, data: Transitions, steps: int = 5) -> ComparisonTable:

@@ -18,8 +18,8 @@ row j along dz, so one tangent dz is carried forward through the nets
 (`net.input_jacobian(net, z, v)`, `NetTape.forward_and_jacobian(z, v)`)
 instead of N Jacobian columns; both return the net outputs too, so a step
 runs the net stack once. The full blocks are built only for the curvature
-penalty (`hessian_stack_batch`, or `need_blocks` on the graph), which hinges
-their determinants as they come, unsymmetrized.
+penalty, through `need_blocks` on the graph, which hinges their determinants
+as they come, unsymmetrized.
 The architecture gate multiplies the rows, H_j dz and the block rows by one
 detached mask of the raw outputs, `constraints.gate_mask_of(tags)(raw)`,
 which a MonoSpec derives once as its `gate_mask`. The numpy step builds the
@@ -337,9 +337,14 @@ def model_from_dict(d: dict):
             if not isinstance(d["symmetrize_hessian"], bool):
                 raise ValueError("symmetrize_hessian must be a JSON boolean, "
                                  f"got {d['symmetrize_hessian']!r}")
+            nets, rows = d["nets"], d["mono_spec"]
+            if not (isinstance(nets, list) and nets):
+                raise ValueError(f"nets must be a list of one net record per state, got {nets!r}")
+            if not (isinstance(rows, list) and rows and all(isinstance(r, str) for r in rows)):
+                raise ValueError(f"mono_spec must be a list of one string per state, got {rows!r}")
             return MtnnModel(
-                nn.stack(nn.net_from_dict(nd) for nd in d["nets"]),
-                MonoSpec.from_symbols(d["mono_spec"]),
+                nn.stack(nn.net_from_dict(nd) for nd in nets),
+                MonoSpec.from_symbols(rows),
                 TaylorOrder(d["order"]),
                 GateMode(d["gate_mode"]),
             )

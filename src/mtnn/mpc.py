@@ -69,7 +69,7 @@ from . import graph
 from . import model as md
 from . import net as nn
 from .model import BaselineModel
-from .plants import finite, integer
+from .plants import finite, integer, write_csv
 
 Array = np.ndarray
 
@@ -537,13 +537,9 @@ class ClosedLoopTrace:
         nx, nu = self.x.shape[1], self.u.shape[1]
         header = ["t", *(f"T{i + 1}" for i in range(nx)),
                   *(f"Q{j + 1}" for j in range(nu)), "cost", "converged", "iterations", "exit"]
-        lines, converged = [",".join(header)], self.converged
-        for k in range(len(self)):
-            nums = [self.t[k], *self.x[k], *self.u[k], self.cost[k]]
-            tail = [str(int(converged[k])), str(int(self.iterations[k])), str(self.exit[k])]
-            lines.append(",".join([repr(float(v)) for v in nums] + tail))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = zip(self.t, self.x, self.u, self.cost, self.converged, self.iterations, self.exit)
+        write_csv(path, header, ([t, *x, *u, cost, str(int(c)), str(int(n)), e]
+                                 for t, x, u, cost, c, n, e in rows))
 
 
 def run_closed_loop(plant, model, cfg: MpcConfig, steps: int) -> ClosedLoopTrace:

@@ -361,6 +361,9 @@ def net_from_dict(d: dict) -> DenseNet:
         raise ValueError(f"a net record must be a JSON object, got {type(d).__name__}")
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
+    for key in ("weights", "biases", "layer_dims"):
+        if not isinstance(d[key], list):
+            raise ValueError(f"net record field {key!r} must be a JSON list, got {d[key]!r}")
     weights = [_finite_field(W, "weights") for W in d["weights"]]
     biases = [_finite_field(b, "biases") for b in d["biases"]]
     activation = d["activation"]
@@ -376,7 +379,10 @@ def net_from_dict(d: dict) -> DenseNet:
 
 def _finite_field(value, name: str) -> Array:
     """A record field as float64; JSON reads NaN and Infinity, which no net holds."""
-    a = np.asarray(value, dtype=np.float64)
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # an object, a string or a ragged list
+        raise ValueError(f"net record field {name!r} is not an array of numbers") from None
     if not np.isfinite(a).all():
         raise ValueError(f"net record field {name!r} holds a non-finite number")
     return a

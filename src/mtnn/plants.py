@@ -1,5 +1,5 @@
 """Synthetic thermal plants, excitation signals, `Transitions` data sets,
-CSV ingestion.
+and the one CSV format that mtnn reads and writes.
 
 Two ground-truth simulators with known monotone structure:
 
@@ -80,6 +80,7 @@ class HvacPlant:
 
     nx = 1
     nu = 2
+    columns = (("T",), ("Ts", "mdot"))  # CSV names of the states and the inputs
 
     def __post_init__(self):
         _check_fields(self, positive=("C", "c_p", "dt", "mdot_max"))
@@ -121,6 +122,7 @@ class TcLabPlant:
 
     nx = 2
     nu = 2
+    columns = (("T1", "T2"), ("Q1", "Q2"))
 
     def __post_init__(self):
         _check_fields(self, positive=("dt",))
@@ -209,8 +211,11 @@ class ExcitePolicy:
     noise_sigma: float = 0.0  # additive on the emitted states only
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
+        for name in ("lo", "hi"):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite, got {a.tolist()}")
+            setattr(self, name, a)
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ValueError("need lo <= hi per channel")
         if not self.dwell_choices:
@@ -273,22 +278,28 @@ def range_shift_split(series: Series, n_train: int = 180, n_test: int = 100):
     return data[:n_train], data[n_train : n_train + n_test]
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the `header` line, then a line per row: a str cell as is, any
+    other as repr(float(cell)), which reads back to the same float."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(c if isinstance(c, str) else repr(float(c)) for c in row) + "\n")
+
+
 def save_csv(series: Series, path, state_names, input_names) -> None:
     names = list(state_names) + list(input_names)
     if len(names) != series.x.shape[1] + series.u.shape[1]:
         raise ValueError("column names do not cover all channels")
-    with open(path, "w") as f:
-        f.write(",".join(["t"] + names) + "\n")
-        for k in range(len(series)):
-            row = [series.t[k], *series.x[k], *series.u[k]]
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, ["t"] + names,
+              ([t, *x, *u] for t, x, u in zip(series.t, series.x, series.u)))
 
 
 def load_csv(path, state_cols=None, input_cols=None) -> Series:
     """Parse a trajectory CSV; malformed content is rejected with its line number.
 
-    Column roles default to the two native schemas (t,T,Ts,mdot) and
-    (t,T1,T2,Q1,Q2); pass explicit column lists for foreign logs.
+    Column roles default to a plant's own schema, "t" then its `columns`;
+    pass explicit column lists for foreign logs.
     """
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f]
@@ -296,14 +307,12 @@ def load_csv(path, state_cols=None, input_cols=None) -> Series:
         raise ValueError(f"{path}: missing header row")
     header = [h.strip() for h in lines[0].split(",")]
     if state_cols is None or input_cols is None:
-        if header == ["t", "T", "Ts", "mdot"]:
-            state_cols, input_cols = ["T"], ["Ts", "mdot"]
-        elif header == ["t", "T1", "T2", "Q1", "Q2"]:
-            state_cols, input_cols = ["T1", "T2"], ["Q1", "Q2"]
+        for plant in (HvacPlant, TcLabPlant):
+            if header == ["t", *plant.columns[0], *plant.columns[1]]:
+                state_cols, input_cols = plant.columns
+                break
         else:
-            raise ValueError(
-                f"{path}: unrecognized header {header}; pass state_cols/input_cols"
-            )
+            raise ValueError(f"{path}: unrecognized header {header}; pass state_cols/input_cols")
     for c in ["t"] + list(state_cols) + list(input_cols):
         if c not in header:
             raise ValueError(f"{path}: column {c!r} missing from header")
@@ -325,18 +334,17 @@ def load_csv(path, state_cols=None, input_cols=None) -> Series:
     if len(rows) < 1:
         raise ValueError(f"{path}: no data rows")
     t = np.array([v[idx["t"]] for _, v in rows])
+
+    def reject(bad, what):  # bad: one flag per step; the line named is the later row's
+        if bad.any():
+            raise ValueError(f"{path}:{rows[int(np.argmax(bad)) + 1][0]}: {what}")
+
     if len(t) >= 2:
         with np.errstate(over="ignore"):
             dts = np.diff(t)
-        if not np.isfinite(dts).all():
-            bad = rows[int(np.argmax(~np.isfinite(dts))) + 1][0]
-            raise ValueError(f"{path}:{bad}: timestamp step overflows")
-        if np.any(dts <= 0):
-            bad = rows[int(np.argmax(dts <= 0)) + 1][0]
-            raise ValueError(f"{path}:{bad}: non-increasing timestamp")
-        if np.any(np.abs(dts - dts[0]) > 1e-9 * max(1.0, abs(dts[0]))):
-            bad = rows[int(np.argmax(np.abs(dts - dts[0]) > 1e-9 * max(1.0, abs(dts[0])))) + 1][0]
-            raise ValueError(f"{path}:{bad}: gap in uniform sampling")
+        reject(~np.isfinite(dts), "timestamp step overflows")
+        reject(dts <= 0, "non-increasing timestamp")
+        reject(np.abs(dts - dts[0]) > 1e-9 * max(1.0, abs(dts[0])), "gap in uniform sampling")
     x = np.array([[v[idx[c]] for c in state_cols] for _, v in rows])
     u = np.array([[v[idx[c]] for c in input_cols] for _, v in rows])
     return Series(t, x, u)

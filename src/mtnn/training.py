@@ -18,7 +18,7 @@ returns the parameters of its best recorded epoch. The loss graph has the
 same shape in every epoch, so a run builds it once and replays it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import net as nn
 from .constraints import DECREASING, MonoSpec
 from .model import BaselineModel, GateMode, MtnnModel, TaylorOrder, taylor_increments
 from .net import TrainingFault
-from .plants import Transitions, finite, integer, real
+from .plants import Transitions, finite, integer, real, write_csv
 
 Array = np.ndarray
 
@@ -67,29 +67,20 @@ class TrainHistory:
     convex: Array
 
     def __post_init__(self):
-        self.total = np.asarray(self.total, dtype=np.float64)
-        self.mse = np.asarray(self.mse, dtype=np.float64)
-        self.convex = np.asarray(self.convex, dtype=np.float64)
-        self.mono = np.asarray(self.mono, dtype=np.float64)
-        n = len(self.total)
-        if not (len(self.mse) == len(self.mono) == len(self.convex) == n):
+        columns = [np.asarray(getattr(self, f.name), dtype=np.float64) for f in fields(self)]
+        self.total, self.mse, self.mono, self.convex = columns
+        if len({len(c) for c in columns}) != 1:
             raise ValueError("history columns must have equal length")
-        for arr in (self.total, self.mse, self.mono, self.convex):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("history values must be finite")
+        if not all(np.isfinite(c).all() for c in columns):
+            raise ValueError("history values must be finite")
 
     def __len__(self) -> int:
         return len(self.total)
 
     def save_csv(self, path) -> None:
-        lines = ["epoch,total,mse,mono,convex"]
-        for e in range(len(self)):
-            lines.append(
-                f"{e},{float(self.total[e])!r},{float(self.mse[e])!r},"
-                f"{float(self.mono[e])!r},{float(self.convex[e])!r}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = enumerate(zip(self.total, self.mse, self.mono, self.convex))
+        write_csv(path, ["epoch", "total", "mse", "mono", "convex"],
+                  ([str(e), *losses] for e, losses in rows))
 
 
 def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array):

@@ -364,6 +364,16 @@ class TestMpc:
         err = capsys.readouterr().err
         assert "error:" in err and "not found" in err
 
+    def test_malformed_bundle_is_one_error_line(self, trained_run, tmp_path, capsys):
+        dest, _ = clone_run(trained_run, tmp_path)
+        record = json.loads((dest / "taylor1.json").read_text())
+        record["mono_spec"] = 5
+        (dest / "taylor1.json").write_text(json.dumps(record))
+        cfg = dict(base_config(dest), mpc=self.mpc_section())
+        assert run("mpc", "--config", write_config(cfg, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: mono_spec must be a list of one string per state, got 5\n")
+
     def test_missing_mpc_section(self, trained_run, tmp_path, capsys):
         dest, _ = clone_run(trained_run, tmp_path)
         cfg = base_config(dest)
@@ -487,6 +497,16 @@ class TestConfigKeys:
         assert self.run_with(trained_run, tmp_path, command, section, key, value) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_empty_variants_flag_is_an_error_and_trains_nothing(self, trained_run, tmp_path,
+                                                                 capsys):
+        # "" used to fall back to the config's train.variants
+        dest, cfg_path = clone_run(trained_run, tmp_path)
+        before = {p.name: p.read_bytes() for p in dest.iterdir()}
+        assert run("train", "--config", cfg_path, "--variants", "") == 1
+        assert capsys.readouterr().err == (
+            f"error: --variants names unknown variants ['']; choose from {list(tr.VARIANTS)}\n")
+        assert {p.name: p.read_bytes() for p in dest.iterdir()} == before
+
     def test_integral_float_is_accepted(self, trained_run, tmp_path):
         assert self.run_with(trained_run, tmp_path, "train", "train", "epochs", 3.0) == 0
         manifest = json.loads((tmp_path / "run" / "train_manifest.json").read_text())
@@ -500,6 +520,7 @@ class TestConfigKeys:
         ("eval", "eval", "step"),
         ("gen-data", "plant", "bogus"),
         ("mpc", "plant", "bogus"),
+        ("gen-data", "plant", "columns"),  # a class attribute, not a plant field
     ])
     def test_unknown_key_is_an_error_naming_it(self, trained_run, tmp_path, capsys,
                                                command, section, key):

@@ -344,6 +344,11 @@ class TestMonoSpec:
         with pytest.raises(ValueError, match="unknown symbol"):
             con.MonoSpec.from_symbols(["+?-"])
 
+    @pytest.mark.parametrize("rows", [[], ""])
+    def test_no_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="^a sign spec needs at least one row of symbols$"):
+            con.MonoSpec.from_symbols(rows)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="unequal"):
             con.MonoSpec.from_symbols(["++", "+"])

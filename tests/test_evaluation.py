@@ -251,6 +251,16 @@ class TestComparisonTable:
         assert lines[1].split(",")[0] == "1"
         assert all(len(c.split(".")[-1]) == 4 for c in lines[1].split(",")[1:])
 
+    def test_csv_text_is_pinned(self, tmp_path):
+        # the one CSV whose floats are rounded: 4 decimals, not repr
+        table = ev.ComparisonTable(["a", "b"], np.array([[0.98766, -0.0], [5e-324, -1.23456]]),
+                                   np.array([[0.1, np.inf], [1e-5, 2.0]]))
+        p = tmp_path / "table.csv"
+        table.save_csv(p)
+        assert p.read_text() == ("step,a_r2,a_rmse,b_r2,b_rmse\n"
+                                 "1,0.9877,0.1000,-0.0000,inf\n"
+                                 "2,0.0000,0.0000,-1.2346,2.0000\n")
+
     def test_str_renders_all_rows_and_names(self):
         series = tclab_series(15)
         models = {

@@ -1,6 +1,7 @@
 """Taylor predictor: Jacobian assembly, Hessian stack, predictions, bundles."""
 
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -459,6 +460,29 @@ class TestBundles:
         d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
         d["nets"][0] = record
         with pytest.raises(ValueError, match="JSON object"):
+            md.model_from_dict(d)
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("mono_spec",), 5, "mono_spec must be a list of one string per state, got 5"),
+        (("mono_spec",), [5], "mono_spec must be a list of one string per state, got [5]"),
+        (("mono_spec",), [], "mono_spec must be a list of one string per state, got []"),
+        (("nets",), 5, "nets must be a list of one net record per state, got 5"),
+        (("nets",), None, "nets must be a list of one net record per state, got None"),
+        (("nets", 0, "weights"), 5, "net record field 'weights' must be a JSON list, got 5"),
+        (("nets", 1, "biases"), None, "net record field 'biases' must be a JSON list, got None"),
+        (("nets", 0, "layer_dims"), 5,
+         "net record field 'layer_dims' must be a JSON list, got 5"),
+        (("nets", 1, "weights", 0), {}, "net record field 'weights' is not an array of numbers"),
+        (("nets", 0, "in_shift"), {"a": 1},
+         "net record field 'in_shift' is not an array of numbers"),
+    ])
+    def test_malformed_field_is_a_value_error_naming_it(self, path, value, message):
+        d = json.loads((DATA / "mono2_bundle_v1.json").read_text())
+        record = d
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             md.model_from_dict(d)
 
     @pytest.mark.parametrize("path", [("nets",), ("nets", 1, "weights"), ("nets", 0, "activation"),

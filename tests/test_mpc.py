@@ -1042,6 +1042,20 @@ class TestClosedLoop:
         assert lines[1] == "0.0,30.0,31.0,40.0,20.0,5.5,1,7,tolerance"
         assert lines[2] == "15.0,32.5,33.5,41.0,21.0,4.25,0,60,budget"
 
+    def test_trace_csv_text_is_pinned(self, tmp_path):
+        trace = mpc.ClosedLoopTrace(
+            [0.0, 15.0, 30.0], [[30.0, -0.0], [5e-324, 31.5], [32.0, 33.0]],
+            [[40.0, 20.0], [40.0, 20.0], [41.0, 0.1]], [5.5, np.inf, 0.0], [7, 0, 60],
+            ["tolerance", "floating_point_error", "budget"], [0.01, 0.02, 0.03],
+        )
+        path = tmp_path / "trace.csv"
+        trace.save_csv(path)
+        assert path.read_text() == (
+            "t,T1,T2,Q1,Q2,cost,converged,iterations,exit\n"
+            "0.0,30.0,-0.0,40.0,20.0,5.5,1,7,tolerance\n"
+            "15.0,5e-324,31.5,40.0,20.0,inf,0,0,floating_point_error\n"
+            "30.0,32.0,33.0,41.0,0.1,0.0,0,60,budget\n")
+
     def test_seeded_reruns_write_identical_traces(self, tclab_mono1, tmp_path):
         # criterion 9: the decrease rule must not make a rerun drift
         ds, model = tclab_mono1

@@ -182,6 +182,16 @@ class TestExcite:
                 self.policy(dwell_choices=(8, bad))
         assert self.policy(dwell_choices=(8.0, 10)).dwell_choices == (8, 10)
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        ([np.nan, 10.0], [np.nan, 50.0], "lo must be finite, got [nan, 10.0]"),
+        ([10.0, -np.inf], [50.0, 50.0], "lo must be finite, got [10.0, -inf]"),
+        ([10.0, 10.0], [50.0, np.inf], "hi must be finite, got [50.0, inf]"),
+    ])
+    def test_non_finite_level_bound_is_an_error_naming_it(self, lo, hi, message):
+        # a NaN bound used to pass and make excite's draw raise OverflowError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.policy(lo=lo, hi=hi)
+
     @pytest.mark.parametrize("sigma", ["x", "0.1", None, True, [0.1], np.nan, -0.1])
     def test_noise_that_is_not_a_finite_number_is_named(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma"):
@@ -349,6 +359,30 @@ class TestCsv:
         p.write_text("t,T,Ts,mdot\n0.0,70.0,55.0,0.2\n300.0,69.0,55.0,0.2\n")
         s = pl.load_csv(p)
         assert s.x.shape == (2, 1) and s.u.shape == (2, 2)
+
+    def test_tclab_schema_recognized_from_the_plant_columns(self, tmp_path):
+        states, inputs = pl.TcLabPlant.columns
+        header = ",".join(["t", *states, *inputs])
+        assert header == "t,T1,T2,Q1,Q2"
+        p = tmp_path / "tclab.csv"
+        p.write_text(header + "\n0.0,23.0,24.0,10.0,50.0\n15.0,23.5,24.5,10.0,50.0\n")
+        s = pl.load_csv(p)
+        np.testing.assert_array_equal(s.x, [[23.0, 24.0], [23.5, 24.5]])
+        np.testing.assert_array_equal(s.u, [[10.0, 50.0], [10.0, 50.0]])
+
+    def test_series_text_is_pinned(self, tmp_path):
+        # repr of each float: -0.0 keeps its sign and 5e-324 (the least
+        # subnormal) reads back exactly
+        s = pl.Series(np.array([0.0, 15.0]), np.array([[-0.0, 5e-324], [23.1, 1e300]]),
+                      np.array([[0.1, 100.0], [1 / 3, 2.5]]))
+        p = tmp_path / "series.csv"
+        pl.save_csv(s, p, *pl.TcLabPlant.columns)
+        assert p.read_text() == ("t,T1,T2,Q1,Q2\n"
+                                 "0.0,-0.0,5e-324,0.1,100.0\n"
+                                 "15.0,23.1,1e+300,0.3333333333333333,2.5\n")
+        back = pl.load_csv(p)
+        for a, b in ((back.t, s.t), (back.x, s.x), (back.u, s.u)):
+            assert a.tobytes() == b.tobytes()
 
     def test_timestamp_gap_rejected_with_line(self, tmp_path):
         p = tmp_path / "gap.csv"

@@ -334,6 +334,15 @@ class TestHistory:
         assert len(lines) == 8
         assert lines[1].startswith("0,")
 
+    def test_csv_text_is_pinned(self, tmp_path):
+        hist = tr.TrainHistory(total=[1.5, 5e-324], mse=[1.0, 0.0], mono=[-0.0, 0.0],
+                               convex=[0.1, 1e-300])
+        p = tmp_path / "hist.csv"
+        hist.save_csv(p)
+        assert p.read_text() == ("epoch,total,mse,mono,convex\n"
+                                 "0,1.5,1.0,-0.0,0.1\n"
+                                 "1,5e-324,0.0,0.0,1e-300\n")
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             tr.TrainHistory(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
