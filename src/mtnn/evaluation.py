@@ -65,8 +65,8 @@ def rollout(model, data: Transitions, steps: int) -> RolloutResult:
 
 
 def _scores(pred: Array, act: Array) -> tuple:
-    """(r2, rmse) of one step, each averaged over the state columns, with
-    every value bit for bit what `r2` and `rmse` give column by column.
+    """(r2, rmse) of one step, each averaged over the state columns: per
+    column, R2 = 1 - SS_res / SS_tot and RMSE = sqrt(SS_res / n).
 
     A column's squared residual is formed once and feeds both; only one
     column's temporaries exist at a time.
@@ -85,31 +85,6 @@ def _scores(pred: Array, act: Array) -> tuple:
         r2s.append(1.0 - ss_res / ss_tot)
         rmses.append(float(np.sqrt(ss_res / len(a))))
     return float(np.mean(r2s)), float(np.mean(rmses))
-
-
-def r2(pred, actual) -> float:
-    """Coefficient of determination, 1 - SS_res / SS_tot."""
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    actual = np.asarray(actual, dtype=np.float64).ravel()
-    if pred.shape != actual.shape:
-        raise ValueError(f"length mismatch {pred.shape} vs {actual.shape}")
-    if len(actual) < 2:
-        raise ValueError("r2 needs at least 2 points")
-    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise ValueError("r2 undefined for a constant actual series")
-    ss_res = float(np.sum((actual - pred) ** 2))
-    return 1.0 - ss_res / ss_tot
-
-
-def rmse(pred, actual) -> float:
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    actual = np.asarray(actual, dtype=np.float64).ravel()
-    if pred.shape != actual.shape:
-        raise ValueError(f"length mismatch {pred.shape} vs {actual.shape}")
-    if len(actual) == 0:
-        raise ValueError("rmse needs at least 1 point")
-    return float(np.sqrt(np.mean((actual - pred) ** 2)))
 
 
 @dataclass

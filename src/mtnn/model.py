@@ -345,12 +345,20 @@ def model_from_dict(d: dict):
             return MtnnModel(
                 nn.stack(nn.net_from_dict(nd) for nd in nets),
                 MonoSpec.from_symbols(rows),
-                TaylorOrder(d["order"]),
-                GateMode(d["gate_mode"]),
+                _member(TaylorOrder, d, "order"),
+                _member(GateMode, d, "gate_mode"),
             )
     except KeyError as e:
         raise ValueError(f"bundle record lacks the field {e.args[0]!r}") from None
     raise ValueError(f"unknown bundle kind {kind!r}")
+
+
+def _member(enum, d: dict, key: str):
+    """d[key] as a member of `enum`; any other value is a ValueError naming the key."""
+    values = [m.value for m in enum]
+    if d[key] not in values:
+        raise ValueError(f"{key} must be one of {values}, got {d[key]!r}")
+    return enum(d[key])
 
 
 def save_bundle(model, path) -> None:

@@ -69,7 +69,7 @@ from . import graph
 from . import model as md
 from . import net as nn
 from .model import BaselineModel
-from .plants import finite, integer, write_csv
+from .plants import integer, reals, write_csv
 
 Array = np.ndarray
 
@@ -80,30 +80,9 @@ DECREASE_RTOL = 1e-9  # a full step that lowers the cost by less ends the solve
 CONVERGED_EXITS = ("tolerance", "decrease", "stationary")
 
 
-def _vector(v, name: str, size: int | None = None, allow_inf: bool = False) -> Array:
-    """v, a number or a vector of numbers, as a float vector of the given
-    length. Each entry is checked before any conversion, so a string is not
-    read as its number: it must be a float or a `plants.finite` real (not a
-    bool, and an int that a float holds). NaN is never allowed, and
-    infinities only with allow_inf."""
-    entries = np.asarray(v, dtype=object).reshape(-1)
-    if not all(isinstance(x, (float, np.floating)) or finite(x) for x in entries):
-        raise ValueError(f"{name} must be a number or a vector of numbers, got {v!r}")
-    v = entries.astype(np.float64)
-    if size is not None and v.shape != (size,):
-        raise ValueError(f"{name} must have length {size}")
-    if np.isnan(v).any() or not (allow_inf or np.isfinite(v).all()):
-        raise ValueError(f"{name} must be {'free of NaN' if allow_inf else 'finite'}")
-    return v
-
-
 def _weights(w, size: int, name: str) -> Array:
-    """Nonnegative finite weights; a scalar is broadcast to the size once
-    `_vector` has checked it."""
-    scalar = not np.iterable(w)  # unlike np.ndim, safe on a ragged list
-    w = _vector(w, name, None if scalar else size)
-    if scalar:
-        w = np.full(size, w[0])
+    """Nonnegative weights under `plants.reals`; a scalar is broadcast to the size."""
+    w = reals(w, name, size) if np.iterable(w) else np.full(size, reals(w, name))
     if np.any(w < 0):
         raise ValueError(f"{name} entries must be nonnegative")
     return w
@@ -120,9 +99,9 @@ class MpcConfig:
     and `tol` ends a solve whose last step moved every input by less. A
     solve also ends, with no knob of its own, at a full step that lowered
     the cost by at most DECREASE_RTOL times its controllable part (see
-    `solve_horizon`). Every field is a number or a vector of numbers, never
-    a string or a bool; `horizon` and `iterations` are integers >= 1 under
-    `plants.integer`, and everything else must be finite.
+    `solve_horizon`). `horizon` and `iterations` are integers >= 1 under
+    `plants.integer`; every other field is a number or a vector of numbers
+    under `plants.reals`, finite but for the state bounds' infinities.
     """
 
     x_ref: Array
@@ -145,9 +124,9 @@ class MpcConfig:
     def _check(self, key):
         """Check and convert every field in place; an error names field f as
         key(f)."""
-        self.x_ref = _vector(self.x_ref, key("x_ref"))
-        self.u_min = _vector(self.u_min, key("u_min"))
-        self.u_max = _vector(self.u_max, key("u_max"), self.nu)
+        self.x_ref = reals(self.x_ref, key("x_ref")).reshape(-1)
+        self.u_min = reals(self.u_min, key("u_min")).reshape(-1)
+        self.u_max = reals(self.u_max, key("u_max"), self.nu)
         if np.any(self.u_min > self.u_max):
             raise ValueError(f"need {key('u_min')} <= {key('u_max')} elementwise")
         self.horizon = integer(self.horizon, key("horizon"), 1)
@@ -157,12 +136,12 @@ class MpcConfig:
         self.p_diag = _weights(self.p_diag, self.nx, key("p_diag"))
         for name in ("x_min", "x_max", "x0"):
             if getattr(self, name) is not None:
-                v = _vector(getattr(self, name), key(name), self.nx, allow_inf=name != "x0")
+                v = reals(getattr(self, name), key(name), self.nx, allow_inf=name != "x0")
                 setattr(self, name, v)
         if self.x_min is not None and self.x_max is not None and np.any(self.x_min > self.x_max):
             raise ValueError(f"need {key('x_min')} <= {key('x_max')} elementwise")
         self.state_weight = float(_weights(self.state_weight, 1, key("state_weight"))[0])
-        self.tol = float(_vector(self.tol, key("tol"), 1)[0])
+        self.tol = float(reals(self.tol, key("tol"), 1)[0])
         if self.tol <= 0:
             raise ValueError(f"{key('tol')} must be positive")
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from . import graph
 from .graph import Var
+from .plants import reals
 
 Array = np.ndarray
 
@@ -357,6 +358,8 @@ def net_to_dict(net: DenseNet) -> dict:
 
 
 def net_from_dict(d: dict) -> DenseNet:
+    """The net of an `mtnn-v1` record, whose arrays hold finite numbers under
+    `plants.reals`: JSON reads NaN and Infinity, which no net holds."""
     if not isinstance(d, dict):
         raise ValueError(f"a net record must be a JSON object, got {type(d).__name__}")
     if d.get("version") != CHECKPOINT_VERSION:
@@ -364,10 +367,10 @@ def net_from_dict(d: dict) -> DenseNet:
     for key in ("weights", "biases", "layer_dims"):
         if not isinstance(d[key], list):
             raise ValueError(f"net record field {key!r} must be a JSON list, got {d[key]!r}")
-    weights = [_finite_field(W, "weights") for W in d["weights"]]
-    biases = [_finite_field(b, "biases") for b in d["biases"]]
+    weights = [reals(W, "net record field 'weights'") for W in d["weights"]]
+    biases = [reals(b, "net record field 'biases'") for b in d["biases"]]
     activation = d["activation"]
-    affine = [_finite_field(d[k], k) for k in _AFFINE]
+    affine = [reals(d[k], f"net record field {k!r}") for k in _AFFINE]
     if activation != ACTIVATION:
         raise ValueError(f"unsupported activation {activation!r}; "
                          f"hidden layers use {ACTIVATION!r}")
@@ -375,14 +378,3 @@ def net_from_dict(d: dict) -> DenseNet:
     if net.layer_dims != list(d["layer_dims"]):
         raise ValueError("layer_dims field disagrees with stored weights")
     return net
-
-
-def _finite_field(value, name: str) -> Array:
-    """A record field as float64; JSON reads NaN and Infinity, which no net holds."""
-    try:
-        a = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):  # an object, a string or a ragged list
-        raise ValueError(f"net record field {name!r} is not an array of numbers") from None
-    if not np.isfinite(a).all():
-        raise ValueError(f"net record field {name!r} holds a non-finite number")
-    return a

@@ -34,6 +34,8 @@ Array = np.ndarray
 def finite(v) -> bool:
     """Whether `v` is a real number, not a bool, and finite as a float. An
     int too large for a float is not; np.isfinite would raise TypeError on it."""
+    if isinstance(v, np.floating):  # as a float64: a float32 would overflow the max
+        return bool(abs(v) <= np.float64(sys.float_info.max))
     return isinstance(v, Real) and not isinstance(v, bool) and bool(abs(v) <= sys.float_info.max)
 
 
@@ -55,6 +57,25 @@ def real(v, name: str, positive: bool = False) -> float:
         bound = "> 0" if positive else ">= 0"
         raise ValueError(f"{name} must be a finite real number {bound}, got {v!r}")
     return float(v)
+
+
+def reals(v, name: str, size: int | None = None, allow_inf: bool = False) -> Array:
+    """`v`, a number or a nested list or array of numbers, as a fresh float64
+    array of its shape, or flattened to `size` numbers: the one rule for
+    numbers from outside. Each entry, checked before any conversion so that a
+    string is not read as its number, must be a float or a `finite` real, not
+    NaN, and infinite only with `allow_inf`. Anything else is a ValueError
+    naming `name` and showing the first bad entry."""
+    a = np.asarray(v, dtype=object)
+    if size is not None:
+        a = a.reshape(-1)
+    for x in a.flat:
+        if not (finite(x) or allow_inf and isinstance(x, (float, np.floating)) and not np.isnan(x)):
+            rule = "real numbers or infinities" if allow_inf else "finite real numbers"
+            raise ValueError(f"{name} must hold only {rule}, got {x!r}")
+    if size is not None and a.size != size:
+        raise ValueError(f"{name} must hold {size} numbers, got {a.size}")
+    return a.astype(np.float64)
 
 
 def _check_fields(plant, positive) -> None:
@@ -203,7 +224,9 @@ class Transitions:
 @dataclass
 class ExcitePolicy:
     """Piecewise-constant random excitation: levels U[lo, hi] per channel,
-    held for a dwell drawn from dwell_choices (in samples)."""
+    held for a dwell drawn from dwell_choices (in samples). The bounds are
+    arrays of finite numbers under `reals`; `excite` requires one per input
+    of its plant."""
 
     lo: Array
     hi: Array
@@ -211,11 +234,7 @@ class ExcitePolicy:
     noise_sigma: float = 0.0  # additive on the emitted states only
 
     def __post_init__(self):
-        for name in ("lo", "hi"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite, got {a.tolist()}")
-            setattr(self, name, a)
+        self.lo, self.hi = reals(self.lo, "lo"), reals(self.hi, "hi")
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ValueError("need lo <= hi per channel")
         if not self.dwell_choices:
@@ -227,19 +246,20 @@ class ExcitePolicy:
 
 def excite(plant, policy: ExcitePolicy, n: int, seed: int, x0) -> Series:
     """Roll the plant under the policy for n samples, deterministically; n
-    must be an integer >= 3, enough for one transition."""
+    must be an integer >= 3, enough for one transition, x0 the plant's nx
+    states and the policy's bounds its nu inputs, each under `reals`."""
     n = integer(n, "n", 3)
+    x0 = reals(x0, "x0", plant.nx)
+    lo, hi = reals(policy.lo, "lo", plant.nu), reals(policy.hi, "hi", plant.nu)
     rng = np.random.default_rng(seed)
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    nu = len(policy.lo)
-    x = np.empty((n, len(x0)))
-    u = np.empty((n, nu))
+    x = np.empty((n, plant.nx))
+    u = np.empty((n, plant.nu))
     x[0] = x0
-    level = rng.uniform(policy.lo, policy.hi)
+    level = rng.uniform(lo, hi)
     remaining = int(rng.choice(policy.dwell_choices))
     for k in range(n):
         if remaining == 0:
-            level = rng.uniform(policy.lo, policy.hi)
+            level = rng.uniform(lo, hi)
             remaining = int(rng.choice(policy.dwell_choices))
         u[k] = level
         remaining -= 1

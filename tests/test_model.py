@@ -442,7 +442,8 @@ class TestBundles:
         while isinstance(row[0], list):
             row = row[0]
         row[0] = json.loads(bad)  # what JSON reads for these tokens
-        with pytest.raises(ValueError, match=f"'{field}' holds a non-finite number"):
+        want = f"net record field '{field}' must hold only finite real numbers, got {row[0]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             md.model_from_dict(d)
 
     @pytest.mark.parametrize("nx", [1.5, 1.0, True, "1", None])
@@ -472,9 +473,19 @@ class TestBundles:
         (("nets", 1, "biases"), None, "net record field 'biases' must be a JSON list, got None"),
         (("nets", 0, "layer_dims"), 5,
          "net record field 'layer_dims' must be a JSON list, got 5"),
-        (("nets", 1, "weights", 0), {}, "net record field 'weights' is not an array of numbers"),
+        (("nets", 1, "weights", 0), {},
+         "net record field 'weights' must hold only finite real numbers, got {}"),
         (("nets", 0, "in_shift"), {"a": 1},
-         "net record field 'in_shift' is not an array of numbers"),
+         "net record field 'in_shift' must hold only finite real numbers, got {'a': 1}"),
+        (("nets", 0, "in_shift"), ["0.5", "0.5", "0.5", "0.5"],
+         "net record field 'in_shift' must hold only finite real numbers, got '0.5'"),
+        (("nets", 1, "biases", 0, 0), True,
+         "net record field 'biases' must hold only finite real numbers, got True"),
+        (("order",), "x", "order must be one of ['first', 'second'], got 'x'"),
+        (("order",), None, "order must be one of ['first', 'second'], got None"),
+        (("gate_mode",), 7, "gate_mode must be one of ['architecture', 'soft', 'none'], got 7"),
+        (("gate_mode",), ["soft"],
+         "gate_mode must be one of ['architecture', 'soft', 'none'], got ['soft']"),
     ])
     def test_malformed_field_is_a_value_error_naming_it(self, path, value, message):
         d = json.loads((DATA / "mono2_bundle_v1.json").read_text())

@@ -1,6 +1,8 @@
 """Controller: config, horizon cost, Gauss-Newton solve against a projected-gradient
 oracle, closed loop."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,10 +199,14 @@ class TestMpcConfig:
                 with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
                     small_cfg(**{name: bad})
         # every field must hold numbers: no string, no bool, no int beyond a float
-        for name, bad in [("tol", "1e-3"), ("x_ref", ["55", "45"]), ("q_diag", True),
-                          ("q_diag", [True]), ("u_max", [10**400]), ("state_weight", 10**400),
-                          ("x0", [None]), ("x_max", "inf"), ("q_diag", [[1.0, 2.0], [3.0]])]:
-            with pytest.raises(ValueError, match=f"^{name} must be a number or a vector"):
+        for name, bad, got in [("tol", "1e-3", "1e-3"), ("x_ref", ["55", "45"], "55"),
+                               ("q_diag", True, True), ("q_diag", [True], True),
+                               ("u_max", [10**400], 10**400), ("state_weight", 10**400, 10**400),
+                               ("x0", [None], None), ("x_max", "inf", "inf"),
+                               ("q_diag", [[1.0, 2.0], [3.0]], [1.0, 2.0])]:
+            rule = "real numbers or infinities" if name == "x_max" else "finite real numbers"
+            want = f"{name} must hold only {rule}, got {got!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 small_cfg(**{name: bad})
         with pytest.raises(ValueError, match="x_min"):
             small_cfg(x_min=[np.nan])

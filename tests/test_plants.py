@@ -183,14 +183,32 @@ class TestExcite:
         assert self.policy(dwell_choices=(8.0, 10)).dwell_choices == (8, 10)
 
     @pytest.mark.parametrize("lo, hi, message", [
-        ([np.nan, 10.0], [np.nan, 50.0], "lo must be finite, got [nan, 10.0]"),
-        ([10.0, -np.inf], [50.0, 50.0], "lo must be finite, got [10.0, -inf]"),
-        ([10.0, 10.0], [50.0, np.inf], "hi must be finite, got [50.0, inf]"),
+        ([np.nan, 10.0], [np.nan, 50.0], "lo must hold only finite real numbers, got nan"),
+        ([10.0, -np.inf], [50.0, 50.0], "lo must hold only finite real numbers, got -inf"),
+        ([10.0, 10.0], [50.0, np.inf], "hi must hold only finite real numbers, got inf"),
+        (["10", "10"], [50.0, 50.0], "lo must hold only finite real numbers, got '10'"),
     ])
     def test_non_finite_level_bound_is_an_error_naming_it(self, lo, hi, message):
         # a NaN bound used to pass and make excite's draw raise OverflowError
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.policy(lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("x0, message", [
+        ([23.0], "x0 must hold 2 numbers, got 1"),
+        ([23.0, 23.0, 23.0], "x0 must hold 2 numbers, got 3"),
+        (["23", "23"], "x0 must hold only finite real numbers, got '23'"),
+        ([np.nan, 23.0], "x0 must hold only finite real numbers, got nan"),
+    ])
+    def test_initial_state_must_be_the_plants_states(self, x0, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pl.excite(pl.TcLabPlant(), self.policy(), 5, seed=0, x0=x0)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_level_bounds_must_be_the_plants_inputs(self, channels):
+        # lo and hi share a shape, so lo is the one named
+        policy = self.policy(lo=[10.0] * channels, hi=[50.0] * channels)
+        with pytest.raises(ValueError, match=f"^lo must hold 2 numbers, got {channels}$"):
+            pl.excite(pl.TcLabPlant(), policy, 5, seed=0, x0=[23.0, 23.0])
 
     @pytest.mark.parametrize("sigma", ["x", "0.1", None, True, [0.1], np.nan, -0.1])
     def test_noise_that_is_not_a_finite_number_is_named(self, sigma):
@@ -448,7 +466,8 @@ class TestCsv:
 
 class TestReal:
     @pytest.mark.parametrize("v, positive", [(0, False), (0.0, False), (3, True),
-                                             (np.float64(2.5e-4), True), (1e308, True)])
+                                             (np.float64(2.5e-4), True), (1e308, True),
+                                             (np.float32(0.5), True)])
     def test_accepted_value_comes_back_as_the_same_float(self, v, positive):
         out = pl.real(v, "rate", positive=positive)
         assert type(out) is float and out == v
@@ -462,6 +481,52 @@ class TestReal:
         want = f"rate must be a finite real number {bound}, got {v!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             pl.real(v, "rate", positive=positive)
+
+
+class TestReals:
+    @pytest.mark.parametrize("v, size, want", [
+        (2, None, np.array(2.0)),
+        ([1, 2.5, np.float32(0.5)], None, np.array([1.0, 2.5, 0.5])),
+        ([[1.0, -2.0], [3, 4]], None, np.array([[1.0, -2.0], [3.0, 4.0]])),
+        (np.array([[1.0], [2.0]]), 2, np.array([1.0, 2.0])),
+        (7.5, 1, np.array([7.5])),
+        ([np.int64(3), 1e308], 2, np.array([3.0, 1e308])),
+    ])
+    def test_accepted_values_come_back_as_an_equal_float_array(self, v, size, want):
+        out = pl.reals(v, "w", size)
+        assert out.dtype == np.float64 and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+
+    def test_result_is_fresh(self):
+        for v in ([1.0, 2.0], np.array([1.0, 2.0]), np.array([1.0, 2.0], dtype=object)):
+            out = pl.reals(v, "w")
+            v[0] = 9.0
+            assert out.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("v, got", [
+        ("1.5", "'1.5'"), (["1", "2"], "'1'"), ([1.0, True], "True"), (None, "None"),
+        ({}, "{}"), ([{}], "{}"), ([[1.0, 2.0], [3.0]], "[1.0, 2.0]"),
+        pytest.param([1.0, 10**400], repr(10**400), id="huge_int"), ([1.0, np.nan], "nan"),
+        ([np.inf], "inf"), (-np.inf, "-inf"), (np.float64(np.nan), repr(np.float64(np.nan))),
+    ])
+    def test_rejected_entry_is_one_message_showing_it(self, v, got):
+        want = f"w must hold only finite real numbers, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            pl.reals(v, "w")
+
+    def test_infinities_pass_only_where_allowed_and_nan_never(self):
+        out = pl.reals([-np.inf, 1, np.inf], "w", allow_inf=True)
+        assert out.tolist() == [-np.inf, 1.0, np.inf]
+        for v, got in (([1.0, np.nan], "nan"), (["inf"], "'inf'"), ([10**400], repr(10**400))):
+            want = f"w must hold only real numbers or infinities, got {got}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                pl.reals(v, "w", allow_inf=True)
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0, 3.0], 1.0, [[1.0, 2.0, 3.0, 4.0]]])
+    def test_wrong_length_is_one_message(self, v):
+        n = np.size(v)
+        with pytest.raises(ValueError, match=f"^w must hold 2 numbers, got {n}$"):
+            pl.reals(v, "w", 2)
 
 
 class TestRangeShiftSplit:
