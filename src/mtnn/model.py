@@ -23,8 +23,8 @@ as they come, unsymmetrized.
 The architecture gate multiplies the rows, H_j dz and the block rows by one
 detached mask of the raw outputs, `constraints.gate_mask_of(tags)(raw)`,
 which a MonoSpec derives once as its `gate_mask`. The numpy step builds the
-mask once per step and applies it in place to the rows and H_j dz, which
-the net pass has just made.
+mask once per step and applies it in place to the rows and H_j dz, which it
+has just copied out of the net's transposed views.
 
 The step has exactly two evaluators, both batched: one numpy kernel for
 prediction and rollout, and `taylor_increments` on the reverse-mode graph,
@@ -216,8 +216,8 @@ def predict_batch(model, Z_curr, Z_prev) -> Array:
 
 
 def _block_rows(net: nn.DenseNet) -> int:
-    """Rows per `predict_batch` block: BLOCK_FLOATS over one (S, rows, widest
-    layer) activation array, and at least 3, so that no near-equal block of
+    """Rows per `predict_batch` block: BLOCK_FLOATS over one (S, widest layer,
+    rows) activation array, and at least 3, so that no near-equal block of
     a longer batch is a single row."""
     return max(BLOCK_FLOATS // (net.n_stack * max(net.layer_dims)), 3)
 
@@ -236,11 +236,12 @@ def _step(model, Z_c: Array, Z_p: Array) -> Array:
     dz = Z_c - Z_p
     if not np.isfinite(dz).all():
         raise ValueError("non-finite increment between z_curr and z_prev")
+    # C-order copies: the einsums below would sum the net's views in another order
     if model.order is TaylorOrder.SECOND:
-        raw, Hdz = (a.swapaxes(0, 1) for a in nn.input_jacobian(model.net, Z_p, dz))
+        raw, Hdz = (a.swapaxes(0, 1).copy() for a in nn.input_jacobian(model.net, Z_p, dz))
     else:
-        raw, Hdz = _raw_rows(model, Z_p), None
-    if model.gated:  # one mask, applied in place to both fresh net outputs
+        raw, Hdz = _raw_rows(model, Z_p).copy(), None
+    if model.gated:  # one mask, applied in place to both copies
         mask = model.mono_spec.gate_mask(raw)
         raw *= mask
         if Hdz is not None:

@@ -19,7 +19,7 @@ Two evaluation paths for the same architecture, each one layer loop
     differentiated there.
 
 Both take a (B, I) batch only, and any other shape is a ValueError; a single
-sample is a batch of one.
+sample is a batch of one. Inside, numpy keeps (S, H, B) and the graph (S, B, H).
 
 Both paths differentiate a net in its input by forward mode: a tangent is
 carried through the layers beside the activations. A second-order Taylor
@@ -74,13 +74,12 @@ class DenseNet:
             raise ValueError("need one bias vector per weight matrix")
         self.weights = [_stacked(W, 2) for W in self.weights]
         self.biases = [_stacked(b, 1) for b in self.biases]
-        S = self.weights[0].shape[0]
         for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim != 3 or W.shape[0] != S or b.shape != W.shape[:2]:
-                raise ValueError(f"layer {l}: weight {W.shape} / bias {b.shape} mismatch")
+            if W.ndim != 3 or W.shape[0] != self.n_stack or b.shape != W.shape[:2]:
+                raise ValueError(f"layer {l}: weights {W.shape} / biases {b.shape} mismatch")
             if l > 0 and W.shape[2] != self.weights[l - 1].shape[1]:
                 raise ValueError(f"layer {l}: input dim {W.shape[2]} does not chain")
-        n_in, n_out = self.n_in, self.n_out
+        S, n_in, n_out = self.n_stack, self.n_in, self.n_out
         self.in_shift = _affine(self.in_shift, 0.0, S, n_in)
         self.in_scale = _affine(self.in_scale, 1.0, S, n_in)
         self.out_shift = _affine(self.out_shift, 0.0, S, n_out)
@@ -205,9 +204,12 @@ def _tanh_slope(a: Array) -> Array:
 
 
 def _run(net: DenseNet, z, t=None) -> tuple:
-    """Numpy twin of `NetTape._run`, from the raw (B, I) input: outputs
-    (S, B, O) and, given an input tangent t (..., B, I), its image
-    (..., S, B, O); else None.
+    """Outputs (S, B, O) from the raw (B, I) input and, given an input tangent
+    t (..., B, I), its image (..., S, B, O); else None. The batch is the inner
+    axis: activations and tangents are (S, H, B), each layer is `W @ a` and
+    the results are transposed views, so elementwise ops run long inner
+    loops. At widths 4 and 8 with two or more outputs, the matmuls round as
+    a batch-major loop's do.
 
     Each layer works in place on the array its matmul returns: the bias,
     tanh, the tangent factor 1 - a^2 and the output scale and shift are
@@ -216,24 +218,25 @@ def _run(net: DenseNet, z, t=None) -> tuple:
     broadcasts over the leading basis axis of t. Every value is bit for bit
     what the same operations give on fresh arrays.
     """
-    a = _standardized(net, z)
+    a = _batch(net, z).T - net.in_shift[:, :, None]
+    a /= net.in_scale[:, :, None]
     if t is not None:
-        t = t / net.in_scale[:, None, :]
+        t = t.mT / net.in_scale[:, :, None]
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = a @ W.mT
-        a += b[:, None, :]
+        a = W @ a
+        a += b[:, :, None]
         np.tanh(a, out=a)
         if t is not None:
-            t = t @ W.mT
+            t = W @ t
             t *= _tanh_slope(a)
-    out = a @ net.weights[-1].mT
-    out += net.biases[-1][:, None, :]
-    out *= net.out_scale[:, None, :]
-    out += net.out_shift[:, None, :]
+    out = net.weights[-1] @ a
+    out += net.biases[-1][:, :, None]
+    out *= net.out_scale[:, :, None]
+    out += net.out_shift[:, :, None]
     if t is not None:
-        t = t @ net.weights[-1].mT
-        t *= net.out_scale[:, None, :]
-    return out, t
+        t = net.weights[-1] @ t
+        t *= net.out_scale[:, :, None]
+    return out.mT, (None if t is None else t.mT)
 
 
 def forward(net: DenseNet, z) -> Array:

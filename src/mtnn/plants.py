@@ -66,7 +66,11 @@ def reals(v, name: str, size: int | None = None, allow_inf: bool = False) -> Arr
     string is not read as its number, must be a float or a `finite` real, not
     NaN, and infinite only with `allow_inf`. Anything else is a ValueError
     naming `name` and showing the first bad entry."""
-    a = np.asarray(v, dtype=object)
+    try:
+        a = np.asarray(v, dtype=object)
+    except ValueError:  # numpy's own message for nested arrays of unequal shapes
+        raise ValueError(f"{name} must hold only finite real numbers, "
+                         "got arrays of unequal shapes") from None
     if size is not None:
         a = a.reshape(-1)
     for x in a.flat:

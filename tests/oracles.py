@@ -3,13 +3,17 @@ against.
 
 The library computes its losses, penalties and differentiable sign gate on
 the reverse-mode graph only. Here are their numpy twins, each written out
-as directly as it can be, together with the central-difference oracles for input Jacobians and
-parameter gradients, the per-minor cofactor loop, the per-array Adam
-training loop and the per-row transition loop, the numpy step kernel as it ran before
-it worked in place (`run`, `predict_batch`, `gate_mask_of`, with the
-rollout's per-column scoring, `mean_over_outputs` of the metrics `r2` and
-`rmse`), and the controller's
-step-Jacobian graph as it was built on three leaves (`step_jacobians`).
+as directly as it can be, together with:
+  * the central-difference oracles for input Jacobians and parameter
+    gradients, the per-minor cofactor loop, the per-array Adam training loop
+    and the per-row transition loop;
+  * the numpy step kernel as it ran before it worked in place: `run`, the
+    batch-major net kernel, which keeps activations as (S, B, H) where
+    `net._run` keeps (S, H, B); `predict_batch` over it; `gate_mask_of`;
+  * the rollout's per-column scoring, `mean_over_outputs` of the metrics
+    `r2` and `rmse`;
+  * the controller's step-Jacobian graph as it was built on three leaves
+    (`step_jacobians`).
 None of this runs outside the tests.
 """
 
@@ -232,8 +236,9 @@ def transitions_per_row(series) -> tuple:
 
 
 def run(net: nn.DenseNet, z, t=None) -> tuple:
-    """`net._run` with a fresh array for every operation: outputs (S, B, O)
-    and, given an input tangent t (..., B, I), its image (..., S, B, O)."""
+    """`net._run` batch-major, activations (S, B, H), with a fresh array for
+    every operation: outputs (S, B, O) and, given an input tangent
+    t (..., B, I), its image (..., S, B, O)."""
     a = (nn._batch(net, z) - net.in_shift[:, None, :]) / net.in_scale[:, None, :]
     if t is not None:
         t = t / net.in_scale[:, None, :]

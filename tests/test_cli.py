@@ -310,6 +310,17 @@ class TestEval:
         assert capsys.readouterr().err == (
             f"error: net record field '{field}' must hold only finite real numbers, got {bad!r}\n")
 
+    def test_bundle_whose_weights_are_not_matrices_is_a_clean_error(self, trained_run,
+                                                                     tmp_path, capsys):
+        dest, cfg_path = clone_run(trained_run, tmp_path)
+        d = json.loads((dest / "soft1.json").read_text())
+        d["nets"][0]["weights"] = [1.0, 2.0]
+        (dest / "soft1.json").write_text(json.dumps(d))
+        assert run("eval", "--config", cfg_path) == 1
+        width = len(d["nets"][0]["biases"][0])
+        assert capsys.readouterr().err == (
+            f"error: layer 0: weights () / biases (1, {width}) mismatch\n")
+
     def test_no_bundles_at_all_is_an_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "d")
         cfg_path = write_config(cfg, tmp_path / "c.json")

@@ -475,6 +475,7 @@ class TestBundles:
          "net record field 'layer_dims' must be a JSON list, got 5"),
         (("nets", 1, "weights", 0), {},
          "net record field 'weights' must hold only finite real numbers, got {}"),
+        (("nets", 0, "weights"), [1.0, 2.0], "layer 0: weights () / biases (1, 3) mismatch"),
         (("nets", 0, "in_shift"), {"a": 1},
          "net record field 'in_shift' must hold only finite real numbers, got {'a': 1}"),
         (("nets", 0, "in_shift"), ["0.5", "0.5", "0.5", "0.5"],

@@ -1,5 +1,6 @@
 """Dense-net forward, exact Jacobians, parameter gradients, checkpoints."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtnn import graph as g
+from mtnn import model as md
 from mtnn import net as nn
 from mtnn import training as tr
 from mtnn.constraints import MonoSpec
@@ -220,6 +222,67 @@ class TestInPlaceKernel:
         assert peak(oracles.run) > bound
 
 
+LAYOUT_BATCHES = (1, 2, 3, 7, 100, 2048, 2049)
+# `nn._run`'s matmuls may sum in another order than the batch-major oracle's;
+# where they do, each array stays within 16 ulps of its largest entry
+LAYOUT_BOUND = 16 * np.finfo(np.float64).eps
+
+
+def layout_pairs(net, rng):
+    """(nn._run, oracles.run) array pairs at every LAYOUT_BATCHES size: the
+    outputs and the tangent images of no tangent, a direction and the full
+    basis."""
+    n = net.n_in
+    for B in LAYOUT_BATCHES:
+        Z, V = rng.normal(size=(2, B, n))
+        for t in (None, V, nn._basis(n, B)):
+            for got, want in zip(nn._run(net, Z, t), oracles.run(net, Z, t)):
+                if want is not None:
+                    assert got.shape == want.shape
+                    yield got, want
+
+
+def layout_stack(rng, width, depth, S, n_out=None):
+    """A random stack of `depth` hidden layers of `width`, 2 to 5 inputs and
+    `n_out` (else 2 to 5) outputs."""
+    n_in, n_out = rng.integers(2, 6), n_out or rng.integers(2, 6)
+    return random_full_net(rng, [n_in, *[width] * depth, n_out], S)
+
+
+class TestBatchInnerLayout:
+    """`nn._run` keeps (S, H, B) inside; the oracle loop keeps (S, B, H)."""
+
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_bytes_equal_the_batch_major_oracle(self, width, depth):
+        rng = np.random.default_rng(10 * width + depth)
+        for S in (1, 2, 3):
+            for got, want in layout_pairs(layout_stack(rng, width, depth, S), rng):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width, n_out", [(16, None), (32, None), (64, None), (4, 1), (8, 1)])
+    def test_wider_and_one_output_nets_within_the_bound(self, width, n_out):
+        rng = np.random.default_rng(width + 7 * (n_out or 0))
+        for depth in (1, 2, 3):
+            for S in (1, 2, 3):
+                for got, want in layout_pairs(layout_stack(rng, width, depth, S, n_out), rng):
+                    assert np.abs(got - want).max() <= LAYOUT_BOUND * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", list(md.TaylorOrder))
+    @pytest.mark.parametrize("gate", list(md.GateMode))
+    def test_tclab_stack_predictions_bytes_equal_the_oracle(self, order, gate):
+        rng = np.random.default_rng(5)
+        m = MtnnModel(random_full_net(rng, [4, 8, 4], 2),
+                      MonoSpec.from_symbols(["+-.+", ".+-."]), order, gate)
+        rows = md._block_rows(m.net)
+        Z_prev = rng.normal(size=(2 * rows + 1, 4))
+        Z_curr = Z_prev + 0.2 * rng.normal(size=Z_prev.shape)
+        Z_curr[rows] = Z_prev[rows]  # an exact fixpoint at a block edge
+        for B in (1, 2, 3, rows - 1, rows, rows + 1, 2 * rows + 1):
+            want = oracles.predict_batch(m, Z_curr[:B], Z_prev[:B])
+            assert md.predict_batch(m, Z_curr[:B], Z_prev[:B]).tobytes() == want.tobytes()
+
+
 class TestDirectionalDerivative:
     """input_jacobian(net, z, v) and forward_and_jacobian(z, v) are J v."""
 
@@ -402,6 +465,14 @@ class TestInitAndCheckpoints:
             nn.DenseNet([np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(2), np.zeros(2)])
         with pytest.raises(ValueError):
             nn.DenseNet([np.zeros((2, 3))], [np.zeros(3)])
+
+    @pytest.mark.parametrize("weights, shape", [([1.0, 2.0], "()"), ([[1.0, 2.0]], "(2,)"),
+                                                ([np.zeros((1, 1, 2, 2))], "(1, 1, 2, 2)")])
+    def test_weights_that_are_not_matrices_rejected(self, weights, shape):
+        # layer 0's shape is checked before the stack size is read from it
+        want = f"layer 0: weights {shape} / biases (1, 2) mismatch"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            nn.DenseNet(weights, [np.zeros(2)] * len(weights))
 
 
 def distinct_stack():

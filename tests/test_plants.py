@@ -508,6 +508,8 @@ class TestReals:
         ({}, "{}"), ([{}], "{}"), ([[1.0, 2.0], [3.0]], "[1.0, 2.0]"),
         pytest.param([1.0, 10**400], repr(10**400), id="huge_int"), ([1.0, np.nan], "nan"),
         ([np.inf], "inf"), (-np.inf, "-inf"), (np.float64(np.nan), repr(np.float64(np.nan))),
+        pytest.param([np.zeros((2, 2)), np.zeros((2, 3))], "arrays of unequal shapes",
+                     id="unequal_arrays"),
     ])
     def test_rejected_entry_is_one_message_showing_it(self, v, got):
         want = f"w must hold only finite real numbers, got {got}"

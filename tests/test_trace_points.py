@@ -115,3 +115,29 @@ def test_train_calls_backward_through_the_module_once_per_epoch(monkeypatch):
         _, hist = tr.train_variant(name, bench.plant.mono_spec(), bench.train[:30], epochs=7)
         assert len(calls) == len(hist) == 7
         assert all(root is calls[0] for root in calls)  # one graph, replayed
+
+
+@pytest.mark.parametrize("order, span", [("first", "net.forward"),
+                                         ("second", "net.input_jacobian")])
+def test_predict_batch_calls_the_net_through_the_module_once_per_block(monkeypatch, order,
+                                                                       span):
+    # tclab-rollout's net.forward.ms and net.input_jacobian.ms are the spans of
+    # these module attributes, so the step kernel must reach the net through them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import numpy as np
+    from tracer import Tracer
+
+    from mtnn import model as md
+    from mtnn import net as nn
+    from mtnn.constraints import MonoSpec
+
+    m = md.MtnnModel(nn.init_dense([4, 8, 4], 0, n_stack=2),
+                     MonoSpec.from_symbols(["+-.+", ".+-."]), order, md.GateMode.ARCHITECTURE)
+    Z = np.random.default_rng(0).normal(size=(2, 2 * md._block_rows(m.net) + 1, 4))
+    with Tracer() as tracer:
+        layers.install(tracer)
+        md.predict_batch(m, Z[0], Z[1])
+    assert tracer.calls("model.predict_batch") == 1
+    assert tracer.calls(span) == 3  # one per block
+    assert tracer.calls("net.forward") + tracer.calls("net.input_jacobian") == 3
