@@ -127,22 +127,24 @@ def apply_sign_gate_graph(raw: Var, tags) -> Var:
 
 
 def mono_penalty_rows_graph(rows: Var, spec: MonoSpec) -> Var:
-    """Sign hinge over the ungated Jacobian rows (Nx, B, N):
+    """Sign hinge over the ungated, batch-last Jacobian rows (Nx, N, B):
     SIGN_WEIGHT * sum ReLU(-tag * J), zero on Free entries."""
-    neg_tags = -spec.tags[:, None, :].astype(np.float64)
+    neg_tags = -spec.tags[:, :, None].astype(np.float64)
     return graph.sum_all(graph.relu(rows * neg_tags)) * SIGN_WEIGHT
 
 
 def convex_penalty_blocks_graph(blocks: Var) -> Var:
-    """CURVATURE_WEIGHT * sum ReLU(-det(block)) over the Hessian blocks
-    (Nx, B, N, N); penalizes negative determinants."""
-    return graph.sum_all(graph.relu(-graph.det(blocks))) * CURVATURE_WEIGHT
+    """CURVATURE_WEIGHT * sum ReLU(-det(block)) over the batch-last Hessian
+    blocks (Nx, N, N, B), whose block axes move last for `det`; penalizes
+    negative determinants."""
+    dets = graph.det(graph.moveaxis(blocks, -1, -3))
+    return graph.sum_all(graph.relu(-dets)) * CURVATURE_WEIGHT
 
 
 # no caller in this package; kept only because the benchmark's traced run wraps it
 def principal_minor_penalty_blocks_graph(blocks: Var) -> Var:
-    """Stricter variant over the blocks (Nx, B, N, N): hinge every leading
-    principal minor, not just det.
+    """Stricter variant over the batch-last blocks (Nx, N, N, B): hinge every
+    leading principal minor, not just det.
 
     det >= 0 alone does not give positive semidefiniteness; nonnegative
     leading principal minors give positive *semi*definiteness only in the
@@ -150,6 +152,7 @@ def principal_minor_penalty_blocks_graph(blocks: Var) -> Var:
     surrogate than the bare determinant.
     """
     total = None
+    blocks = graph.moveaxis(blocks, -1, -3)
     for m in range(1, blocks.value.shape[-1] + 1):
         term = graph.sum_all(graph.relu(-graph.det(_leading_block(blocks, m))))
         total = term if total is None else total + term

@@ -20,14 +20,19 @@ once, so a replay gives bit for bit the values and gradients of a fresh
 build at the same leaf values. `backward` walks the order in reverse and
 accumulates gradients on every node.
 
-Shape conventions are batch-first throughout:
-    (B, N)       batched vectors
-    (B, M, N)    batched matrices
+Shape conventions are batch-last throughout, so elementwise ops run long
+inner loops over the batch:
+    (N, B)       batched vectors
+    (M, N, B)    batched matrices
     ()           scalars (reduction outputs)
-Every op also takes leading stack axes, (S, B, N) and (S, B, M, N), so one
-node evaluates S stacked nets at once. Operands broadcast as in numpy,
-Vars included: `backward` sums each parent's gradient back to that
-parent's shape.
+Every op also takes leading stack axes, (S, N, B) and (S, M, N, B), so one
+node evaluates S stacked nets at once; `det` alone reads its matrices from
+the last two axes. Operands broadcast as in numpy, Vars included:
+`backward` sums each parent's gradient back to that parent's shape. A
+constant operand of add, sub or mul that broadcasts along any axis but the
+leading ones (an (S, O, 1) scale on an (S, O, B) node) is copied out to the
+node's shape, in C order, once at build: numpy runs a broadcast operand in
+an inner loop of its length, and a constant never changes.
 """
 
 from __future__ import annotations
@@ -120,21 +125,37 @@ def _node(fwd: Callable, *pairs) -> Var:
     """A node from its forward closure and (operand, vjp) pairs; constant
     operands drop out."""
     pairs = [(p, f) for p, f in pairs if isinstance(p, Var)]
-    return op(fwd, tuple(p for p, _ in pairs), lambda g: tuple(f(g) for _, f in pairs))
+    parents, fs = tuple(p for p, _ in pairs), [f for _, f in pairs]
+    if len(fs) == 1:
+        f, = fs
+        return op(fwd, parents, lambda g: (f(g),))
+    return op(fwd, parents, lambda g: [f(g) for f in fs])
+
+
+def _operands(a, b) -> tuple:
+    """The operands of an elementwise node; a constant that broadcasts along
+    a non-leading axis of the node's shape is copied out to it, in C order."""
+    a, b = _operand(a), _operand(b)
+    shape = np.broadcast_shapes(a.value.shape, b.value.shape)
+    for c in (a, b):
+        lead = len(shape) - c.value.ndim
+        if isinstance(c, _Const) and c.value.shape != shape[lead:]:
+            c.value = np.broadcast_to(c.value, shape).copy()
+    return a, b
 
 
 def add(a, b) -> Var:
-    a, b = _operand(a), _operand(b)
+    a, b = _operands(a, b)
     return _node(lambda: a.value + b.value, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Var:
-    a, b = _operand(a), _operand(b)
+    a, b = _operands(a, b)
     return _node(lambda: a.value - b.value, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Var:
-    a, b = _operand(a), _operand(b)
+    a, b = _operands(a, b)
     return _node(lambda: a.value * b.value,
                  (a, lambda g: g * b.value), (b, lambda g: g * a.value))
 
@@ -180,41 +201,46 @@ def masked(x: Var, mask_of: Callable, src: Var | None = None) -> Var:
 
 
 def linear(x, W, b=None) -> Var:
-    """y[..., B, O] = x[..., B, I] @ W[..., O, I].T + b[..., O]; no bias if b is None."""
+    """y[..., O, B] = W[..., O, I] @ x[..., I, B] + b[..., O]; no bias if b is None.
+
+    The bias is added in place on the matmul's result, so it must broadcast
+    into that result's shape."""
     x, W = _operand(x), _operand(W)
     if b is None:
         def fwd():
-            return x.value @ W.value.swapaxes(-1, -2)
+            return W.value @ x.value
     else:
         b = _operand(b)
 
         def fwd():
-            return x.value @ W.value.swapaxes(-1, -2) + b.value[..., None, :]
+            y = W.value @ x.value
+            y += b.value[..., None]
+            return y
     return _node(
         fwd,
-        (x, lambda g: g @ W.value),
-        (W, lambda g: g.swapaxes(-1, -2) @ x.value),
-        (b, lambda g: g.sum(axis=-2)),
+        (x, lambda g: W.value.mT @ g),
+        (W, lambda g: g @ x.value.mT),
+        (b, lambda g: g.sum(axis=-1)),
     )
 
 
 def bmat_vec(A, v) -> Var:
-    """out[..., M] = A[..., M, N] @ v[..., N] (per batch element)."""
+    """out[..., M, B] = sum_n A[..., M, n, B] * v[..., n, B] (per batch element)."""
     A, v = _operand(A), _operand(v)
     return _node(
-        lambda: (A.value @ v.value[..., None])[..., 0],
-        (A, lambda g: g[..., :, None] * v.value[..., None, :]),
-        (v, lambda g: (A.value.swapaxes(-1, -2) @ g[..., None])[..., 0]),
+        lambda: (A.value * v.value[..., None, :, :]).sum(axis=-2),
+        (A, lambda g: g[..., :, None, :] * v.value[..., None, :, :]),
+        (v, lambda g: (A.value * g[..., :, None, :]).sum(axis=-3)),
     )
 
 
 def dot_rows(u, v) -> Var:
-    """out[...] = sum_n u[..., n] * v[..., n]."""
+    """out[..., B] = sum_n u[..., n, B] * v[..., n, B]."""
     u, v = _operand(u), _operand(v)
     return _node(
-        lambda: (u.value * v.value).sum(axis=-1),
-        (u, lambda g: g[..., None] * v.value),
-        (v, lambda g: g[..., None] * u.value),
+        lambda: (u.value * v.value).sum(axis=-2),
+        (u, lambda g: g[..., None, :] * v.value),
+        (v, lambda g: g[..., None, :] * u.value),
     )
 
 
@@ -256,9 +282,14 @@ def _cofactor(A: Array) -> Array:
 
 
 def moveaxis(x: Var, source: int, destination: int) -> Var:
-    """x with one axis moved, as np.moveaxis; the gradient is moved back."""
-    return op(lambda: np.moveaxis(x.value, source, destination), (x,),
-              lambda g: (np.moveaxis(g, destination, source),))
+    """x with one axis moved, as np.moveaxis; the gradient is moved back.
+    The permutation is fixed at build, so each call is one transpose."""
+    n = x.value.ndim
+    perm = [i for i in range(n) if i != source % n]
+    perm.insert(destination % n, source % n)
+    back = tuple(int(i) for i in np.argsort(perm))
+    perm = tuple(perm)
+    return op(lambda: x.value.transpose(perm), (x,), lambda g: (g.transpose(back),))
 
 
 def sum_all(x: Var) -> Var:

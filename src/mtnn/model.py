@@ -262,15 +262,16 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
 
     z_curr and z_prev are (B, N) arrays or Vars; gradients flow into the
     net parameters on `tape` and into whichever of z_curr / z_prev is a Var.
-    Returns three Vars over all states at once: the increments (Nx, B), the
-    (gated) Jacobian rows (Nx, B, N) and, when `need_blocks` asks for them (a
-    curvature penalty), the (masked) Hessian blocks (Nx, B, N, N), else
-    None. A second-order step reads H dz from the blocks when they are
-    built, and otherwise carries the one tangent dz through the nets, as
-    `predict_batch` does.
+    Returns three batch-last Vars over all states at once: the increments
+    (Nx, B), the (gated) Jacobian rows (Nx, N, B) and, when `need_blocks`
+    asks for them (a curvature penalty), the (masked) Hessian blocks
+    (Nx, N, N, B), else None. A second-order step reads H dz from the blocks
+    when they are built, and otherwise carries the one tangent dz through
+    the nets, as `predict_batch` does.
     """
     dz = z_curr - z_prev
-    tags = model.mono_spec.tags[:, None, :]
+    # (N, B): one node for a Var, a C-order constant for an array
+    dz_t = graph.moveaxis(dz, -1, -2) if isinstance(dz, graph.Var) else np.ascontiguousarray(dz.T)
     second = model.order is TaylorOrder.SECOND
     blocks = Hdz = None
     if need_blocks:
@@ -281,6 +282,8 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
         raw = tape.forward(z_prev)
     rows = raw
     if model.gated:
+        # tags at raw's (Nx, N, B) shape, so that the mask broadcasts nothing
+        tags = np.broadcast_to(model.mono_spec.tags[:, :, None], raw.shape)
         # called through the module so that a wrapper installed there
         # (the benchmark's traced run) sees it
         rows = constraints.apply_sign_gate_graph(raw, tags)
@@ -288,14 +291,14 @@ def taylor_increments(tape: nn.NetTape, model: MtnnModel, z_curr, z_prev,
         # raw's current value on every forward
         mask_of = constraints.gate_mask_of(tags)
         if blocks is not None:
-            blocks = graph.masked(blocks, lambda r: mask_of(r)[..., None], raw)
+            blocks = graph.masked(blocks, lambda r: mask_of(r)[..., None, :], raw)
         elif Hdz is not None:
             Hdz = graph.masked(Hdz, mask_of, raw)
-    incr = graph.dot_rows(rows, dz)
+    incr = graph.dot_rows(rows, dz_t)
     if second:
         if blocks is not None:
-            Hdz = graph.bmat_vec(blocks, dz)
-        incr = incr + graph.dot_rows(Hdz, dz) * 0.5
+            Hdz = graph.bmat_vec(blocks, dz_t)
+        incr = incr + graph.dot_rows(Hdz, dz_t) * 0.5
     return incr, rows, blocks
 
 

@@ -296,10 +296,11 @@ class _StepJacobians:
         taylor = not isinstance(self.model, BaselineModel)
         if self.built is None:
             zc, zp = graph.Var(pairs[nx:]), graph.Var(pairs[:-nx])
-            tape, pick = nn.NetTape(self.model.net, frozen=True), np.tile(np.eye(nx), (H, 1))
+            # (nx, H nx): batch column (k, i) picks output i
+            tape, pick = nn.NetTape(self.model.net, frozen=True), np.tile(np.eye(nx), (1, H))
             if taylor:
                 incr, _, _ = md.taylor_increments(tape, self.model, zc, zp)
-                root = graph.sum_all(graph.mul(incr, pick.T))
+                root = graph.sum_all(graph.mul(incr, pick))
             else:
                 root = graph.sum_all(graph.mul(tape.forward(zc), pick))
             self.built = (zc, zp), root, graph.topological_order(root)

@@ -19,7 +19,10 @@ Two evaluation paths for the same architecture, each one layer loop
     differentiated there.
 
 Both take a (B, I) batch only, and any other shape is a ValueError; a single
-sample is a batch of one. Inside, numpy keeps (S, H, B) and the graph (S, B, H).
+sample is a batch of one. Inside, both keep the batch as the inner axis,
+activations (S, H, B), so elementwise ops run long inner loops. The numpy
+path returns its public shapes as transposed views; the tape returns its
+Vars batch-last.
 
 Both paths differentiate a net in its input by forward mode: a tangent is
 carried through the layers beside the activations. A second-order Taylor
@@ -177,17 +180,18 @@ def init_dense(layer_dims, rng, n_stack: int = 1) -> DenseNet:
 
 
 def _batch(net: DenseNet, z) -> Array:
-    """A (B, I) input as float64; any other shape is a ValueError."""
+    """A (B, I) input as C-contiguous float64, so that no result depends on
+    the caller's memory layout; any other shape is a ValueError."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != net.n_in:
         raise ValueError(f"z has shape {z.shape}, net expects (B, {net.n_in})")
-    return z
+    return np.ascontiguousarray(z)
 
 
 def _standardized(net: DenseNet, z) -> Array:
-    """(B, I) input -> (S, B, I) standardized input, a fresh array."""
-    a = _batch(net, z) - net.in_shift[:, None, :]
-    a /= net.in_scale[:, None, :]
+    """(B, I) input -> (S, I, B) standardized input, a fresh C-order array."""
+    a = np.subtract(_batch(net, z).T, net.in_shift[:, :, None], order="C")
+    a /= net.in_scale[:, :, None]
     return a
 
 
@@ -206,10 +210,10 @@ def _tanh_slope(a: Array) -> Array:
 def _run(net: DenseNet, z, t=None) -> tuple:
     """Outputs (S, B, O) from the raw (B, I) input and, given an input tangent
     t (..., B, I), its image (..., S, B, O); else None. The batch is the inner
-    axis: activations and tangents are (S, H, B), each layer is `W @ a` and
-    the results are transposed views, so elementwise ops run long inner
-    loops. At widths 4 and 8 with two or more outputs, the matmuls round as
-    a batch-major loop's do.
+    axis: activations and tangents are C-order (S, H, B), each layer is
+    `W @ a` and the results are transposed views, so elementwise ops run
+    long inner loops. At widths 4 and 8 with two or more outputs, the
+    matmuls round as a batch-major loop's do.
 
     Each layer works in place on the array its matmul returns: the bias,
     tanh, the tangent factor 1 - a^2 and the output scale and shift are
@@ -218,10 +222,9 @@ def _run(net: DenseNet, z, t=None) -> tuple:
     broadcasts over the leading basis axis of t. Every value is bit for bit
     what the same operations give on fresh arrays.
     """
-    a = _batch(net, z).T - net.in_shift[:, :, None]
-    a /= net.in_scale[:, :, None]
+    a = _standardized(net, z)
     if t is not None:
-        t = t.mT / net.in_scale[:, :, None]
+        t = np.divide(t.mT, net.in_scale[:, :, None], order="C")
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         a = W @ a
         a += b[:, :, None]
@@ -266,10 +269,12 @@ def input_jacobian(net: DenseNet, z, v=None) -> tuple:
 class NetTape:
     """Records evaluations of one net stack with its parameters as graph leaves.
 
-    A caller runs `forward` / `forward_and_jacobian` on plain-array inputs
-    (or Var inputs, for the controller) and combines the resulting Vars into
-    a scalar with `mtnn.graph` ops; `graph.backward` on that scalar, then
-    `gradients`, gives d(scalar)/d(theta) for every parameter.
+    A caller runs `forward` / `forward_and_jacobian` on (B, I) plain-array
+    inputs (or Var inputs, for the controller) and combines the resulting
+    Vars into a scalar with `mtnn.graph` ops; `graph.backward` on that
+    scalar, then `gradients`, gives d(scalar)/d(theta) for every parameter.
+    The Vars it returns are batch-last, as the graph's ops take them: its
+    activations and tangents are (S, H, B).
 
     A `frozen` tape holds the weights and biases as constant operands
     instead, so no backward computes their gradients and `gradients` is an
@@ -284,49 +289,53 @@ class NetTape:
         self.biases = [param(b) for b in net.biases]
 
     def forward(self, z) -> Var:
-        """(B, I) input -> (S, B, O) outputs of every member."""
+        """(B, I) input -> (S, O, B) outputs of every member."""
         return self._run(self._input(z))[0]
 
     def forward_and_jacobian(self, z, v=None):
-        """(B, I) input -> ((S, B, O) outputs, (S, B, O, I) input-Jacobians).
+        """(B, I) input -> ((S, O, B) outputs, (S, O, I, B) input-Jacobians).
 
         The Jacobian is the tangent of the I basis directions, carried
-        through the net at once and moved to the last axis. With a (B, I)
-        direction v (an array or a Var), the second output is the
-        directional derivative J v, (S, B, O): the one tangent v is carried.
+        through the net at once and moved next to the batch axis. With a
+        (B, I) direction v (an array or a Var), the second output is the
+        directional derivative J v, (S, O, B): the one tangent v is carried.
         """
         a = self._input(z)
-        B, n = a.shape[1], self.net.n_in
+        n, B = a.shape[1:]
         if v is None:
-            out, T = self._run(a, _basis(n, B))
-            return out, graph.moveaxis(T, 0, -1)
+            out, T = self._run(a, _basis(n, B).mT)
+            return out, graph.moveaxis(T, 0, -2)
         if np.shape(v) != (B, n):  # a Var's shape too
             raise ValueError(f"direction {np.shape(v)} does not match input ({B}, {n})")
-        return self._run(a, v)
+        return self._run(a, graph.moveaxis(v, -1, -2) if isinstance(v, Var) else v.T)
 
     def _input(self, z):
-        """(B, I) array or Var -> (S, B, I) standardized input, an array for
-        an array: a constant operand, which gets no gradient."""
+        """(B, I) array or Var -> (S, I, B) standardized input: for an array,
+        a C-order constant operand, which gets no gradient; a Var is moved
+        batch-last by one node."""
         if not isinstance(z, Var):
             return _standardized(self.net, z)
         _batch(self.net, z.value)
-        return (z - self.net.in_shift[:, None, :]) * (1.0 / self.net.in_scale[:, None, :])
+        z = graph.moveaxis(z, -1, -2)
+        return (z - self.net.in_shift[:, :, None]) * (1.0 / self.net.in_scale[:, :, None])
 
     def _run(self, a, t=None):
-        """Outputs (S, B, O) from the standardized input and, given an input
-        tangent t (..., B, I), its image (..., S, B, O); else None. A constant
-        tangent stays an array until it meets the weights."""
+        """Outputs (S, O, B) from the standardized input and, given a
+        batch-last input tangent t (..., I, B), its image (..., S, O, B);
+        else None. A constant tangent stays an array until it meets the
+        weights."""
         net = self.net
         if t is not None:
-            t = t * (1.0 / net.in_scale[:, None, :])
+            scale = 1.0 / net.in_scale[:, :, None]
+            t = t * scale if isinstance(t, Var) else np.multiply(t, scale, order="C")
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             a = graph.tanh(graph.linear(a, W, b))
             if t is not None:
                 t = (1.0 - a * a) * graph.linear(t, W)
         out = graph.linear(a, self.weights[-1], self.biases[-1])
-        out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
+        out = out * net.out_scale[:, :, None] + net.out_shift[:, :, None]
         if t is not None:
-            t = graph.linear(t, self.weights[-1]) * net.out_scale[:, None, :]
+            t = graph.linear(t, self.weights[-1]) * net.out_scale[:, :, None]
         return out, t
 
     def gradients(self) -> "ParamGradient":

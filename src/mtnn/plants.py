@@ -198,24 +198,27 @@ Transition = namedtuple("Transition", "z_prev z_curr x_next")
 
 @dataclass(eq=False)
 class Transitions:
-    """Samples (z_prev, z_curr, x_next) of consecutive steps as read-only
-    float64 arrays, z_prev and z_curr (n, N) and x_next (n, Nx), n >= 1;
-    `data[a:b]` is a `Transitions`, `data[i]` a `Transition` of 1-D arrays."""
+    """Samples (z_prev, z_curr, x_next) of consecutive steps as read-only,
+    C-contiguous float64 arrays, z_prev and z_curr (n, N) and x_next (n, Nx),
+    n >= 1; `data[a:b]` is a `Transitions`, `data[i]` a `Transition` of 1-D
+    arrays. C order makes training read the same values in the same order
+    whatever the caller's layout; a C-ordered array is not copied."""
 
     z_prev: Array
     z_curr: Array
     x_next: Array
 
     def __post_init__(self):
-        for name in ("z_prev", "z_curr", "x_next"):
-            a = np.asarray(getattr(self, name), dtype=np.float64).view()
-            a.flags.writeable = False  # on a view, so a caller's array keeps its flags
-            setattr(self, name, a)
-        zp, zc, xn = self.z_prev, self.z_curr, self.x_next
+        names = ("z_prev", "z_curr", "x_next")
+        zp, zc, xn = (np.asarray(getattr(self, name), dtype=np.float64) for name in names)
         if not (zp.ndim == zc.ndim == xn.ndim == 2 and zp.shape == zc.shape
                 and len(xn) == len(zp) > 0):
             raise ValueError("transitions need z_prev, z_curr (n, N) and x_next (n, Nx) "
                              f"with n >= 1; got {zp.shape}, {zc.shape}, {xn.shape}")
+        for name, a in zip(names, (zp, zc, xn)):
+            a = np.ascontiguousarray(a).view()
+            a.flags.writeable = False  # on a view, so a caller's array keeps its flags
+            setattr(self, name, a)
 
     def __len__(self) -> int:
         return len(self.z_prev)

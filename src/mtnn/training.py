@@ -95,14 +95,14 @@ def _loss_graph(tape: nn.NetTape, model, Zp: Array, Zc: Array, Xn: Array):
     B = Zp.shape[0]
     mono = convex = graph.Var(0.0)
     if isinstance(model, BaselineModel):
-        resid = tape.forward(Zc) - Xn
+        resid = tape.forward(Zc) - np.ascontiguousarray(Xn.T)
         mse = graph.sum_all(resid * resid) * (1.0 / B)
         return mse, (mse, mono, convex)
 
     soft = model.gate_mode is GateMode.SOFT
     curved = soft and model.order is TaylorOrder.SECOND
     incr, rows, blocks = taylor_increments(tape, model, Zc, Zp, need_blocks=curved)
-    resid = incr - (Xn - Zc[:, : model.nx]).T
+    resid = incr - np.ascontiguousarray((Xn - Zc[:, : model.nx]).T)
     mse = graph.sum_all(resid * resid) * (1.0 / B)
     total = mse
     if soft:

@@ -13,7 +13,10 @@ as directly as it can be, together with:
   * the rollout's per-column scoring, `mean_over_outputs` of the metrics
     `r2` and `rmse`;
   * the controller's step-Jacobian graph as it was built on three leaves
-    (`step_jacobians`).
+    (`step_jacobians`);
+  * the training graph as it ran batch-first, (S, B, H) on the tape:
+    `BatchFirstTape`, its `linear`, `bmat_vec` and `dot_rows`, and
+    `loss_graph`, the loss of `training._loss_graph` over them.
 None of this runs outside the tests.
 """
 
@@ -196,11 +199,12 @@ class ArrayAdam:
                 a -= self.lr * self.wd * a
 
 
-def train_per_array(model, data, cfg):
+def train_per_array(model, data, cfg, tape_of=nn.NetTape, loss_graph=tr._loss_graph):
     """`training.train` with an `ArrayAdam` over the net's own arrays,
     without its fault checks, and with a fresh loss graph built on a new
     tape every epoch where `train` replays one; returns (best model,
-    (epochs, 4) array of total, mse, mono and convex per epoch)."""
+    (epochs, 4) array of total, mse, mono and convex per epoch). `tape_of`
+    and `loss_graph` swap in another tape and loss (the batch-first ones)."""
     Zp, Zc, Xn = data.z_prev, data.z_curr, data.x_next
     model = model.copy()
     net = model.net
@@ -208,8 +212,8 @@ def train_per_array(model, data, cfg):
     opt = ArrayAdam(arrays, cfg, [False] * len(net.weights) + [True] * len(net.biases))
     rows, best_total, best_params = [], np.inf, None
     for _ in range(cfg.epochs):
-        tape = nn.NetTape(net)
-        total_var, parts = tr._loss_graph(tape, model, Zp, Zc, Xn)
+        tape = tape_of(net)
+        total_var, parts = loss_graph(tape, model, Zp, Zc, Xn)
         tot = float(total_var.value)
         if tot < best_total:
             best_total, best_params = tot, [A.copy() for A in arrays]
@@ -324,10 +328,11 @@ def step_jacobians(model, Z):
     pairs = np.repeat(Z, nx, axis=0)
     x, u, zp = (graph.Var(a) for a in (pairs[nx:, :nx], pairs[nx:, nx:], pairs[:-nx]))
     select = np.eye(N)
-    zc = graph.linear(x, select[:, :nx]) + graph.linear(u, select[:, nx:])
+    # (B, N) rows: x (B, nx) @ select[:nx] + u (B, nu) @ select[nx:], exact
+    zc = graph.linear(select[:nx], x) + graph.linear(select[nx:], u)
     tape = nn.NetTape(model.net, frozen=True)
     if isinstance(model, md.BaselineModel):
-        x_hat = tape.forward(zc)  # (1, B, nx): a stack of one
+        x_hat = graph.moveaxis(tape.forward(zc), -1, -2)  # (1, B, nx): a stack of one
     else:
         incr, _, _ = md.taylor_increments(tape, model, zc, zp)
         x_hat = x + graph.moveaxis(incr, -1, -2)
@@ -335,3 +340,120 @@ def step_jacobians(model, Z):
     Jc = np.concatenate([x.grad, u.grad], axis=1).reshape(H, nx, N)
     Jp = np.zeros((H, nx, N)) if zp.grad is None else zp.grad.reshape(H, nx, N)
     return Jc, Jp
+
+
+def linear(x, W, b=None):
+    """Batch-first `graph.linear`: y[..., B, O] = x[..., B, I] @ W[..., O, I].T + b[..., O]."""
+    x, W = graph._operand(x), graph._operand(W)
+    if b is None:
+        def fwd():
+            return x.value @ W.value.swapaxes(-1, -2)
+    else:
+        b = graph._operand(b)
+
+        def fwd():
+            return x.value @ W.value.swapaxes(-1, -2) + b.value[..., None, :]
+    return graph._node(
+        fwd,
+        (x, lambda g: g @ W.value),
+        (W, lambda g: g.swapaxes(-1, -2) @ x.value),
+        (b, lambda g: g.sum(axis=-2)),
+    )
+
+
+def bmat_vec(A, v):
+    """Batch-first `graph.bmat_vec`: out[..., M] = A[..., M, N] @ v[..., N]."""
+    A, v = graph._operand(A), graph._operand(v)
+    return graph._node(
+        lambda: (A.value @ v.value[..., None])[..., 0],
+        (A, lambda g: g[..., :, None] * v.value[..., None, :]),
+        (v, lambda g: (A.value.swapaxes(-1, -2) @ g[..., None])[..., 0]),
+    )
+
+
+def dot_rows(u, v):
+    """Batch-first `graph.dot_rows`: out[...] = sum_n u[..., n] * v[..., n]."""
+    u, v = graph._operand(u), graph._operand(v)
+    return graph._node(
+        lambda: (u.value * v.value).sum(axis=-1),
+        (u, lambda g: g[..., None] * v.value),
+        (v, lambda g: g[..., None] * u.value),
+    )
+
+
+class BatchFirstTape(nn.NetTape):
+    """`net.NetTape` as it ran batch-first: (S, B, I) standardized inputs,
+    (S, B, H) activations, and (S, B, O) outputs, (S, B, O) directional
+    tangents and (S, B, O, I) Jacobians, over the batch-first ops above."""
+
+    def forward_and_jacobian(self, z, v=None):
+        a = self._input(z)
+        n, B = self.net.n_in, a.shape[1]
+        if v is None:
+            out, T = self._run(a, nn._basis(n, B))
+            return out, graph.moveaxis(T, 0, -1)
+        return self._run(a, v)
+
+    def _input(self, z):
+        net = self.net
+        if not isinstance(z, graph.Var):
+            return (nn._batch(net, z) - net.in_shift[:, None, :]) / net.in_scale[:, None, :]
+        return (z - net.in_shift[:, None, :]) * (1.0 / net.in_scale[:, None, :])
+
+    def _run(self, a, t=None):
+        net = self.net
+        if t is not None:
+            t = t * (1.0 / net.in_scale[:, None, :])
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            a = graph.tanh(linear(a, W, b))
+            if t is not None:
+                t = (1.0 - a * a) * linear(t, W)
+        out = linear(a, self.weights[-1], self.biases[-1])
+        out = out * net.out_scale[:, None, :] + net.out_shift[:, None, :]
+        if t is not None:
+            t = linear(t, self.weights[-1]) * net.out_scale[:, None, :]
+        return out, t
+
+
+def loss_graph(tape: BatchFirstTape, model, Zp, Zc, Xn):
+    """`training._loss_graph` batch-first on a `BatchFirstTape`: (total,
+    (mse, mono, convex)), with the Taylor step of `model.taylor_increments`
+    and both hinges of `constraints` over (Nx, B, N) rows and (Nx, B, N, N)
+    blocks."""
+    B = Zp.shape[0]
+    mono = convex = graph.Var(0.0)
+    if isinstance(model, md.BaselineModel):
+        resid = tape.forward(Zc) - Xn
+        mse = graph.sum_all(resid * resid) * (1.0 / B)
+        return mse, (mse, mono, convex)
+    soft = model.gate_mode is md.GateMode.SOFT
+    second = model.order is md.TaylorOrder.SECOND
+    dz = Zc - Zp
+    tags = model.mono_spec.tags[:, None, :]
+    blocks = Hdz = None
+    if soft and second:
+        raw, blocks = tape.forward_and_jacobian(Zp)
+    elif second:
+        raw, Hdz = tape.forward_and_jacobian(Zp, dz)
+    else:
+        raw = tape.forward(Zp)
+    rows = raw
+    if model.gated:
+        rows = graph.masked(raw, con.gate_mask_of(tags))
+        if Hdz is not None:
+            Hdz = graph.masked(Hdz, con.gate_mask_of(tags), raw)
+    incr = dot_rows(rows, dz)
+    if second:
+        if blocks is not None:
+            Hdz = bmat_vec(blocks, dz)
+        incr = incr + dot_rows(Hdz, dz) * 0.5
+    resid = incr - (Xn - Zc[:, : model.nx]).T
+    total = mse = graph.sum_all(resid * resid) * (1.0 / B)
+    if soft:
+        neg_tags = -tags.astype(np.float64)
+        mono = graph.sum_all(graph.relu(rows * neg_tags)) * con.SIGN_WEIGHT * (1.0 / B)
+        total = total + mono
+    if blocks is not None:
+        convex = graph.sum_all(graph.relu(-graph.det(blocks))) * con.CURVATURE_WEIGHT * (1.0 / B)
+        total = total + convex
+    return total, (mse, mono, convex)

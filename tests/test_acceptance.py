@@ -55,7 +55,7 @@ def test_criterion_1_differentiation_matches_finite_differences():
 
         def loss(tape):
             out, J = tape.forward_and_jacobian(Z)
-            resid = out + g.bmat_vec(J, g.Var(dz))
+            resid = out + g.bmat_vec(J, g.Var(dz.T))  # batch-last, as the tape's J
             mse = g.sum_all(resid * resid) * (1.0 / resid.value.size)
             return mse + g.sum_all(J * J) * 0.1
 

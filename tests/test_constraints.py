@@ -179,7 +179,7 @@ class TestOneMaskGate:
         spec = con.MonoSpec.from_symbols(["+-.", "-.+"])
         rows = RNG.normal(size=(2, 6, 3))
         rows[0, 0, 0] = 0.0  # exact kink on a tagged entry
-        rows_var = g.Var(rows)
+        rows_var = g.Var(np.moveaxis(rows, 1, -1))  # batch-last (2, 3, 6)
         pen = con.mono_penalty_rows_graph(rows_var, spec)
         expect = sum(oracles.mono_penalty(rows[:, b], spec) for b in range(6))
         assert pen.value == pytest.approx(expect, rel=1e-12)
@@ -249,7 +249,7 @@ class TestMonoPenalty:
     def test_graph_twin_matches_numpy(self):
         spec = con.MonoSpec.from_symbols(["+-.", ".++"])
         rows_np = [RNG.normal(size=(4, 3)) for _ in range(2)]
-        pen = con.mono_penalty_rows_graph(g.Var(np.stack(rows_np)), spec)
+        pen = con.mono_penalty_rows_graph(g.Var(np.moveaxis(np.stack(rows_np), 1, -1)), spec)
         expect = sum(
             oracles.mono_penalty(np.stack([rows_np[0][b], rows_np[1][b]]), spec)
             for b in range(4)
@@ -278,7 +278,7 @@ class TestConvexPenalty:
 
     def test_graph_twin_matches(self):
         blocks_np = [RNG.normal(size=(5, 3, 3)) for _ in range(2)]
-        pen = con.convex_penalty_blocks_graph(g.Var(np.stack(blocks_np)))
+        pen = con.convex_penalty_blocks_graph(g.Var(np.moveaxis(np.stack(blocks_np), 1, -1)))
         expect = sum(
             oracles.convex_penalty(b[k], con.CURVATURE_WEIGHT)
             for b in blocks_np for k in range(5)
@@ -288,7 +288,7 @@ class TestConvexPenalty:
     def test_graph_gradient_matches_fd_away_from_kinks(self):
         rng = np.random.default_rng(12)
         blk = rng.normal(size=(3, 2, 2)) + np.array([[-2.0, 0], [0, -2.0]])  # dets well negative
-        v = g.Var(blk.copy())
+        v = g.Var(np.moveaxis(blk, 0, -1).copy())  # one state, batch-last (2, 2, 3)
         # at gamma 1.5: the graph's CURVATURE_WEIGHT rescaled
         g.backward(con.convex_penalty_blocks_graph(v) * (1.5 / con.CURVATURE_WEIGHT))
         eps = 1e-6
@@ -299,7 +299,7 @@ class TestConvexPenalty:
             bm[idx] -= eps
             fd[idx] = (oracles.convex_penalty(bp, 1.5)
                        - oracles.convex_penalty(bm, 1.5)) / (2 * eps)
-        np.testing.assert_allclose(v.grad, fd, atol=1e-5, rtol=1e-5)
+        np.testing.assert_allclose(np.moveaxis(v.grad, -1, 0), fd, atol=1e-5, rtol=1e-5)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -319,7 +319,8 @@ class TestPrincipalMinorMode:
 
     def test_graph_twin_matches(self):
         blocks_np = [RNG.normal(size=(4, 3, 3))]
-        got = con.principal_minor_penalty_blocks_graph(g.Var(np.stack(blocks_np)))
+        blocks = np.moveaxis(np.stack(blocks_np), 1, -1)  # batch-last (1, 3, 3, 4)
+        got = con.principal_minor_penalty_blocks_graph(g.Var(blocks))
         expect = sum(oracles.principal_minor_penalty(blocks_np[0][k], con.CURVATURE_WEIGHT)
                      for k in range(4))
         assert got.value == pytest.approx(expect, rel=1e-10)
@@ -330,7 +331,7 @@ class TestPrincipalMinorMode:
         blocks = np.random.default_rng(0).normal(size=(2, 5, 3, 3))
         for m in (1, 2, 3):
             assert np.abs(np.linalg.det(blocks[..., :m, :m])).min() > 1e-2
-        check_grads(con.principal_minor_penalty_blocks_graph, [blocks],
+        check_grads(con.principal_minor_penalty_blocks_graph, [np.moveaxis(blocks, 1, -1)],
                     atol=1e-6, rtol=1e-4)
 
 

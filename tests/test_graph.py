@@ -75,6 +75,19 @@ class TestArithmetic:
         w = RNG.normal(size=(2, 3, 4))
         check_grads(lambda x, y: g.sum_all((x * y - y + x) * w), [a, b])
 
+    def test_broadcast_constants_read_as_numpy(self):
+        # an (4, 1) constant is copied out to the node's shape at build, a
+        # (3,) one is not; both read as numpy's broadcast, and the caller's
+        # array is left as it was
+        rng = np.random.default_rng(3)
+        a, c41, c3 = rng.normal(size=(2, 4, 3)), rng.normal(size=(4, 1)), rng.normal(size=3)
+        kept = c41.copy()
+        x = g.Var(a)
+        for y, want in ((x * c41, a * c41), (x - c41, a - c41), (g.sub(c41, x), c41 - a),
+                        (x + c3, a + c3)):
+            assert y.value.tobytes() == want.tobytes()
+        assert c41.tobytes() == kept.tobytes()
+
     def test_var_broadcast_along_size_one_axis(self):
         a = RNG.normal(size=(3, 1))
         b = RNG.normal(size=(3, 4))
@@ -101,28 +114,28 @@ class TestActivations:
 
 class TestLinear:
     def test_all_three_grads(self):
-        x = RNG.normal(size=(6, 4))
+        x = RNG.normal(size=(4, 6))
         W = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(3,))
         check_grads(lambda xx, WW, bb: g.sum_all(g.tanh(g.linear(xx, WW, bb))), [x, W, b])
 
     def test_constant_input(self):
-        x = RNG.normal(size=(2, 4))
+        x = RNG.normal(size=(4, 2))
         W = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(3,))
         check_grads(lambda WW, bb: g.sum_all(g.linear(x, WW, bb)), [W, b])
 
     def test_value(self):
-        x = np.array([[1.0, 2.0]])
+        x = np.array([[1.0], [2.0]])  # one sample, batch-last
         W = np.array([[3.0, 4.0], [5.0, 6.0]])
         b = np.array([0.5, -0.5])
         np.testing.assert_allclose(
-            g.linear(g.Var(x), W, b).value, [[11.5, 16.5]]
+            g.linear(g.Var(x), W, b).value, [[11.5], [16.5]]
         )
-        np.testing.assert_allclose(g.linear(g.Var(x), W).value, [[11.0, 17.0]])
+        np.testing.assert_allclose(g.linear(g.Var(x), W).value, [[11.0], [17.0]])
 
     def test_no_bias_grads(self):
-        x = RNG.normal(size=(2, 5, 4))
+        x = RNG.normal(size=(2, 4, 5))
         W = RNG.normal(size=(2, 3, 4))
         check_grads(lambda xx, WW: g.sum_all(g.tanh(g.linear(xx, WW))), [x, W])
 
@@ -137,7 +150,7 @@ class TestNetTangent:
             bias[:] = RNG.normal(size=bias.shape)
         net.in_scale[:] = RNG.uniform(0.5, 2.0, size=net.in_scale.shape)
         Z, V = RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3))
-        w = RNG.normal(size=(2, 3, 2))
+        w = RNG.normal(size=(2, 2, 3))  # (S, O, B), as the tape's outputs
 
         def value(z, v):
             out, Jv = nn.NetTape(net).forward_and_jacobian(z, v)
@@ -150,14 +163,25 @@ class TestNetTangent:
 
 class TestBatchedMatrixOps:
     def test_bmat_vec(self):
-        A = RNG.normal(size=(3, 4, 5))
-        v = RNG.normal(size=(3, 5))
+        A = RNG.normal(size=(4, 5, 3))
+        v = RNG.normal(size=(5, 3))
         check_grads(lambda AA, vv: g.sum_all(g.tanh(g.bmat_vec(AA, vv))), [A, v])
 
     def test_dot_rows(self):
-        u = RNG.normal(size=(5, 3))
-        v = RNG.normal(size=(5, 3))
+        u = RNG.normal(size=(3, 5))
+        v = RNG.normal(size=(3, 5))
         check_grads(lambda uu, vv: g.sum_all(g.dot_rows(uu, vv) * np.arange(1.0, 6.0)), [u, v])
+
+    def test_batch_last_values(self):
+        A, v = RNG.normal(size=(2, 4, 3, 5)), RNG.normal(size=(3, 5))
+        np.testing.assert_allclose(g.bmat_vec(g.Var(A), v).value,
+                                   np.einsum("smnb,nb->smb", A, v), rtol=1e-14)
+        u = RNG.normal(size=(2, 3, 5))
+        np.testing.assert_allclose(g.dot_rows(g.Var(u), v).value,
+                                   np.einsum("snb,nb->sb", u, v), rtol=1e-14)
+        x, W, b = RNG.normal(size=(3, 5)), RNG.normal(size=(2, 4, 3)), RNG.normal(size=(2, 4))
+        np.testing.assert_allclose(g.linear(x, g.Var(W), b).value,
+                                   np.einsum("soi,ib->sob", W, x) + b[..., None], rtol=1e-14)
 
     def test_transpose_last(self):
         A = RNG.normal(size=(4, 3, 2))
@@ -184,15 +208,15 @@ class TestStackedOps:
     """Leading stack axes (S = 2), with an operand shared by the stack."""
 
     def test_linear_shared_input(self):
-        x = RNG.normal(size=(4, 3))
+        x = RNG.normal(size=(3, 4))
         W = RNG.normal(size=(2, 5, 3))
         b = RNG.normal(size=(2, 5))
-        w = RNG.normal(size=(2, 4, 5))
+        w = RNG.normal(size=(2, 5, 4))
         check_grads(lambda xx, WW, bb: g.sum_all(g.tanh(g.linear(xx, WW, bb)) * w), [x, W, b])
 
     def test_bmat_vec_and_dot_rows_shared_vector(self):
-        A = RNG.normal(size=(2, 4, 3, 3))
-        v = RNG.normal(size=(4, 3))
+        A = RNG.normal(size=(2, 3, 3, 4))
+        v = RNG.normal(size=(3, 4))
         w = RNG.normal(size=(2, 4))
         check_grads(
             lambda AA, vv: g.sum_all(g.dot_rows(g.bmat_vec(AA, vv), vv) * w), [A, v]
@@ -335,19 +359,19 @@ class TestBackward:
     def test_composite_network_like_graph(self):
         # One hidden layer with the input Jacobian carried as basis tangents,
         # then a mixed loss over both, mirroring how the trainer uses the engine.
-        x = RNG.normal(size=(3, 4))
+        x = RNG.normal(size=(4, 3))  # batch-last (I, B)
         W1 = RNG.normal(size=(5, 4)) * 0.5
         b1 = RNG.normal(size=(5,))
         W2 = RNG.normal(size=(2, 5)) * 0.5
         b2 = RNG.normal(size=(2,))
-        dz = RNG.normal(size=(3, 4))
+        dz = RNG.normal(size=(4, 3))
 
         def build(W1v, b1v, W2v, b2v):
             h = g.tanh(g.linear(g.Var(x), W1v, b1v))
             out = g.linear(h, W2v, b2v)
             ones = 1.0 - h * h  # tanh' at the hidden preactivation
-            basis = np.broadcast_to(np.eye(4)[:, None, :], (4, 3, 4))  # (I, B, I)
-            J = g.moveaxis(g.linear(ones * g.linear(basis, W1v), W2v), 0, -1)
+            basis = np.broadcast_to(np.eye(4)[:, :, None], (4, 4, 3))  # (I, I, B)
+            J = g.moveaxis(g.linear(ones * g.linear(basis, W1v), W2v), 0, -2)  # (O, I, B)
             corr = g.bmat_vec(J, g.Var(dz))
             return g.sum_all((out + corr) * (out + corr)) * (1.0 / out.value.size)
 
@@ -391,13 +415,16 @@ def assert_replay_exact(build, before, after):
 
 R = np.random.default_rng(99)
 C43, W43, W234 = R.normal(size=(4, 3)), R.normal(size=(4, 3)), R.normal(size=(2, 3, 4))
-W245, X34, W53 = R.normal(size=(2, 4, 5)), R.normal(size=(3, 4)), R.normal(size=(5, 3))
+W254, X43, W53 = R.normal(size=(2, 5, 4)), R.normal(size=(4, 3)), R.normal(size=(5, 3))
 W35 = R.normal(size=(3, 5))
+C41, C13 = R.normal(size=(4, 1)), R.normal(size=(1, 3))  # copied out to (4, 3) at build
 
 # name -> (scalar graph over the leaves, leaf shapes); one or more per primitive
 REPLAY_CASES = {
     "add_sub_mul": (lambda x, y: g.sum_all((x + y) * (x - y) * y), [(4, 3), (4, 3)]),
     "constant_operands": (lambda x: g.sum_all(2.0 * x + (x * C43) - 1.5), [(4, 3)]),
+    "constants_copied_at_build": (lambda x: g.sum_all((x * C41 - C13) * x + g.sub(C41, x)),
+                                  [(4, 3)]),
     "neg_scale": (lambda x: g.sum_all((-x) * 0.25 * x), [(3, 3)]),
     "broadcast": (lambda x, y: g.sum_all((x * y - y + x) * W234), [(2, 3, 4), (3, 1)]),
     "tanh": (lambda x: g.sum_all(g.tanh(x) * W43), [(4, 3)]),
@@ -407,12 +434,12 @@ REPLAY_CASES = {
     "masked_by_another_node": (
         lambda x, y: g.sum_all(g.masked(x, lambda r: (r > 0.0) * 1.0, g.tanh(y - 0.1)) * W43),
         [(4, 3), (4, 3)]),
-    "linear": (lambda x, W, b: g.sum_all(g.tanh(g.linear(x, W, b)) * W245),
-               [(2, 4, 3), (2, 5, 3), (2, 5)]),
-    "linear_constant_input_no_bias": (lambda W: g.sum_all(g.linear(X34, W) * W35), [(5, 4)]),
-    "bmat_vec": (lambda A, v: g.sum_all(g.tanh(g.bmat_vec(A, v))), [(3, 4, 5), (3, 5)]),
+    "linear": (lambda x, W, b: g.sum_all(g.tanh(g.linear(x, W, b)) * W254),
+               [(2, 3, 4), (2, 5, 3), (2, 5)]),
+    "linear_constant_input_no_bias": (lambda W: g.sum_all(g.linear(X43, W) * W53), [(5, 4)]),
+    "bmat_vec": (lambda A, v: g.sum_all(g.tanh(g.bmat_vec(A, v))), [(4, 5, 3), (5, 3)]),
     "dot_rows": (lambda u, v: g.sum_all(g.dot_rows(u, v) * np.arange(1.0, 6.0)),
-                 [(5, 3), (5, 3)]),
+                 [(3, 5), (3, 5)]),
     "transpose_last": (lambda A: g.sum_all(g.moveaxis(A, -1, -2) * W53), [(3, 5)]),
     "moveaxis": (lambda A: g.sum_all(g.tanh(g.moveaxis(A, 0, -1)) * W53), [(3, 5)]),
     "det": (lambda A: g.sum_all(g.det(A) * np.arange(1.0, 6.0)), [(5, 3, 3)]),

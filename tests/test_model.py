@@ -669,9 +669,10 @@ class TestEvaluatorsAgree:
                                                   need_blocks=True)
         Xg = Zc[:, :nx] + incr.value.T
         np.testing.assert_allclose(Xg, X, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(np.swapaxes(rows.value, 0, 1),
+        # the graph's rows and blocks are batch-last
+        np.testing.assert_allclose(np.moveaxis(rows.value, -1, 0),
                                    md.jacobian_matrix_batch(m, Zp), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(np.swapaxes(blocks.value, 0, 1),
+        np.testing.assert_allclose(np.moveaxis(blocks.value, -1, 0),
                                    md.hessian_stack_batch(m, Zp), rtol=1e-12, atol=1e-12)
         assert np.array_equal(X[zero], Zc[zero, :nx])
         assert np.array_equal(Xg[zero], Zc[zero, :nx])

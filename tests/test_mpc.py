@@ -72,10 +72,12 @@ def graph_rollout_cost_and_grad(model, U, x0, z_prev, cfg):
         term = quad_form(x - x_ref, cfg.q_diag) + quad_form(u_vars[k], cfg.r_diag)
         term = add_bound_penalty(term, x)
         total = term if total is None else total + term
-        zc = graph.linear(x, select[:, :cfg.nx]) + graph.linear(u_vars[k], select[:, cfg.nx:])
+        # (1, N) rows: x (1, nx) @ select[:nx] + u (1, nu) @ select[nx:]
+        zc = graph.linear(select[:cfg.nx], x) + graph.linear(select[cfg.nx:], u_vars[k])
         if isinstance(model, BaselineModel):
-            # the (1, 1, nx) outputs of a stack of one, the stack axis summed away
-            x = graph.dot_rows(graph.moveaxis(tape.forward(zc), 0, -1), np.ones(1))
+            # the (1, nx, 1) outputs of a stack of one, moved to (1, 1, nx) and
+            # the stack axis summed away
+            x = graph.dot_rows(graph.moveaxis(tape.forward(zc), -1, 0), np.ones((1, 1)))
         else:
             incr, _, _ = md.taylor_increments(tape, model, zc, zp)
             x = x + graph.moveaxis(incr, -1, -2)

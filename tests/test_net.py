@@ -25,6 +25,12 @@ def random_net(dims, seed=0):
     return nn.init_dense(dims, np.random.default_rng(seed))
 
 
+def batch_first(a):
+    """A tape value's batch axis moved after the stack axis: (S, O, B) ->
+    (S, B, O) and (S, O, I, B) -> (S, B, O, I), the numpy paths' shapes."""
+    return np.moveaxis(a, -1, 1)
+
+
 class TestForward:
     def test_identity_linear_layer(self):
         net = nn.DenseNet([np.eye(3)], [np.zeros(3)])
@@ -170,11 +176,14 @@ class TestFullJacobian:
         fd = np.stack([oracles.fd_input_jacobian(net, z) for z in Z], axis=1)
         out_np, J = nn.input_jacobian(net, Z)
         out, J_graph = nn.NetTape(net).forward_and_jacobian(Z)
+        assert J_graph.shape == (S, n_out, n_in, B)
+        J_graph = batch_first(J_graph.value)
         assert J.shape == J_graph.shape == fd.shape == (S, B, n_out, n_in)
-        for got in (J, J_graph.value):
+        for got in (J, J_graph):
             assert (np.abs(got - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
-        np.testing.assert_allclose(J_graph.value, J, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(J_graph, J, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(batch_first(out.value), nn.forward(net, Z),
+                                   rtol=1e-12, atol=1e-12)
         assert np.array_equal(out_np, nn.forward(net, Z))
         out0, J0 = nn.input_jacobian(net, Z[:1])
         assert np.array_equal(out0, nn.forward(net, Z[:1]))
@@ -304,8 +313,10 @@ class TestDirectionalDerivative:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
         out, Jv = nn.NetTape(net).forward_and_jacobian(Z, V)
-        np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(Jv.value, nn.input_jacobian(net, Z, V)[1],
+        assert Jv.shape == (S, n_out, batch)
+        np.testing.assert_allclose(batch_first(out.value), nn.forward(net, Z),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(batch_first(Jv.value), nn.input_jacobian(net, Z, V)[1],
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("dims", [[3, 2], [3, 4, 2], [3, 4, 3, 2]])
@@ -314,7 +325,7 @@ class TestDirectionalDerivative:
         rng = np.random.default_rng(61)
         net = random_full_net(rng, dims, n_stack=2)
         Z, V = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        w = rng.normal(size=(2, 3, 2))
+        w = rng.normal(size=(2, 2, 3))  # (S, O, B), as the tape's outputs
 
         def loss(tape):
             out, Jv = tape.forward_and_jacobian(Z, V)
@@ -342,8 +353,9 @@ class TestTape:
         Z = RNG.normal(size=(5, 3))
         tape = nn.NetTape(net)
         out, J = tape.forward_and_jacobian(Z)
-        np.testing.assert_allclose(out.value, nn.forward(net, Z), rtol=1e-14)
-        np.testing.assert_allclose(J.value, nn.input_jacobian(net, Z)[1], rtol=1e-14)
+        np.testing.assert_allclose(batch_first(out.value), nn.forward(net, Z), rtol=1e-14)
+        np.testing.assert_allclose(batch_first(J.value), nn.input_jacobian(net, Z)[1],
+                                   rtol=1e-14)
 
     def test_var_input_gradient_matches_fd(self):
         # the controller differentiates the net w.r.t. its inputs
@@ -419,7 +431,7 @@ class TestLossGradient:
 
         def loss(tape):
             out, J = tape.forward_and_jacobian(Z)
-            corr = g.bmat_vec(J, g.Var(dz))
+            corr = g.bmat_vec(J, g.Var(dz.T))
             resid = out + corr
             mse = g.sum_all(resid * resid) * (1.0 / resid.value.size)
             return mse + g.sum_all(g.relu(-J)) * 0.1
@@ -509,7 +521,7 @@ class TestStack:
 
         def loss(tape):
             out, J = tape.forward_and_jacobian(Z)
-            resid = out + g.bmat_vec(J, g.Var(dz))
+            resid = out + g.bmat_vec(J, g.Var(dz.T))
             return g.sum_all(resid * resid) + g.sum_all(g.relu(-J)) * 0.1
 
         _, grad = oracles.loss_gradient(net, loss)

@@ -603,3 +603,89 @@ class TestLrSweep:
         with pytest.raises(TrainingFault, match="every sweep rate diverged"):
             tr.lr_sweep(TestTrain().linear_model(), prob,
                         tr.TrainConfig(epochs=5), rates=(3e-2, 1e-3))
+
+
+def other_layouts(A):
+    """A's values in Fortran order and as a column-strided view."""
+    wide = np.zeros((len(A), 2 * A.shape[1]))
+    wide[:, ::2] = A
+    return {"fortran": np.asfortranarray(A), "strided": wide[:, ::2]}
+
+
+class TestMemoryLayout:
+    """Training and prediction read the caller's values, not the memory
+    layout of its arrays."""
+
+    @pytest.mark.parametrize("name", tr.VARIANTS)
+    def test_outputs_bytes_equal_those_of_c_copies(self, name):
+        ds = pl.tclab_dataset(0)
+        spec, names = ds.plant.mono_spec(), ("z_prev", "z_curr", "x_next")
+        model, hist = tr.train_variant(name, spec, ds.train, epochs=50)
+        Zc, Zp = ds.test.z_curr, ds.test.z_prev
+        want = md.predict_batch(model, Zc, Zp)
+        one = md.predict(model, Zc[0], Zp[0])
+        for layout in ("fortran", "strided"):
+            moved = pl.Transitions(*(other_layouts(getattr(ds.train, f))[layout] for f in names))
+            got_model, got = tr.train_variant(name, spec, moved, epochs=50)
+            for f in ("total", "mse", "mono", "convex"):
+                assert getattr(got, f).tobytes() == getattr(hist, f).tobytes(), (layout, f)
+            for A, B in zip(got_model.net.weights + got_model.net.biases,
+                            model.net.weights + model.net.biases):
+                assert A.tobytes() == B.tobytes()
+            Zc_l, Zp_l = other_layouts(Zc)[layout], other_layouts(Zp)[layout]
+            assert not Zc_l.flags.c_contiguous
+            assert md.predict_batch(model, Zc_l, Zp_l).tobytes() == want.tobytes(), layout
+            assert md.predict(model, Zc_l[0], Zp_l[0]).tobytes() == one.tobytes(), layout
+
+
+ORACLE_DATA = {"hvac": lambda: pl.hvac_benchmark(0), "tclab": lambda: pl.tclab_dataset(0)}
+
+
+def assert_close_to_largest(got, want, tol=1e-12):
+    """|got - want| within tol of want's largest entry (exact where want is 0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+class TestBatchFirstOracle:
+    """The batch-last training graph against the batch-first one it
+    replaced (`oracles.BatchFirstTape`, `oracles.loss_graph`), at the
+    study recipe's width on both plants."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return {k: make() for k, make in ORACLE_DATA.items()}
+
+    @pytest.mark.parametrize("plant", sorted(ORACLE_DATA))
+    @pytest.mark.parametrize("name", tr.VARIANTS)
+    def test_loss_and_gradients_match(self, datasets, plant, name):
+        ds = datasets[plant]
+        model = tr.build_variant(name, ds.plant.mono_spec(), ds.train, tr.STUDY_WIDTH, seed=0)
+        d = ds.train
+        got = []
+        for tape_of, loss_graph in ((nn.NetTape, tr._loss_graph),
+                                    (oracles.BatchFirstTape, oracles.loss_graph)):
+            tape = tape_of(model.net)
+            total, parts = loss_graph(tape, model, d.z_prev, d.z_curr, d.x_next)
+            graph.backward(total)
+            pg = tape.gradients()
+            got.append(([float(v.value) for v in (total, *parts)], pg.weights + pg.biases))
+        (losses, grads), (want_losses, want_grads) = got
+        for a, b in zip(losses, want_losses):
+            assert_close_to_largest(a, b)
+        for a, b in zip(grads, want_grads):
+            assert_close_to_largest(a, b)
+
+    @pytest.mark.parametrize("plant", sorted(ORACLE_DATA))
+    @pytest.mark.parametrize("name", tr.VARIANTS)
+    def test_1000_epoch_histories_match(self, datasets, plant, name):
+        ds = datasets[plant]
+        model = tr.build_variant(name, ds.plant.mono_spec(), ds.train, tr.STUDY_WIDTH, seed=0)
+        cfg = tr.TrainConfig(epochs=1000, learning_rate=tr.STUDY_LEARNING_RATE,
+                             weight_decay=tr.STUDY_WEIGHT_DECAY)
+        _, hist = tr.train(model, ds.train, cfg)
+        _, want = oracles.train_per_array(model, ds.train, cfg,
+                                          oracles.BatchFirstTape, oracles.loss_graph)
+        for j, f in enumerate(("total", "mse", "mono", "convex")):
+            assert_close_to_largest(getattr(hist, f), want[:, j])
